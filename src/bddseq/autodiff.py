@@ -4,11 +4,29 @@ Just enough surface for the graph encoder and pointer decoder: elementwise
 arithmetic, matmul, activations, row gather/scatter, per-head reductions and
 a masked log-softmax. Everything runs in float64 with a fixed summation
 order, so runs are reproducible and finite-difference checks are tight.
+
+Inside `no_grad()` the ops compute values only: results keep no parents and
+no backward closure, so inference builds no graph.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph for tensors built inside the block."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -29,10 +47,13 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), bwd=None, name=""):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._bwd = bwd
         self.name = name
+        if _grad_enabled:
+            self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+            self._parents = parents
+            self._bwd = bwd
+        else:
+            self.requires_grad, self._parents, self._bwd = False, (), None
 
     @property
     def shape(self):
@@ -43,8 +64,9 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.array(grad, dtype=np.float64)  # a copy: grad may be shared
+        else:
+            self.grad += grad
 
     def backward(self, grad=None) -> None:
         if grad is None:
@@ -91,7 +113,6 @@ def _wrap(x) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data + b.data, parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -99,13 +120,11 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), bwd=bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data - b.data, parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -113,13 +132,11 @@ def sub(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.shape))
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data - b.data, parents=(a, b), bwd=bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data * b.data, parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -127,13 +144,11 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data * b.data, parents=(a, b), bwd=bwd)
 
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data / b.data, parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -141,20 +156,16 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data / b.data, parents=(a, b), bwd=bwd)
 
 
 def scale(a, k: float) -> Tensor:
     a = _wrap(a)
-    out = Tensor(a.data * k, parents=(a,))
-    out._bwd = lambda g: a._accumulate(g * k) if a.requires_grad else None
-    return out
+    return Tensor(a.data * k, parents=(a,), bwd=lambda g: a._accumulate(g * k))
 
 
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data @ b.data, parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -162,73 +173,57 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data @ b.data, parents=(a, b), bwd=bwd)
 
 
 def tanh(a) -> Tensor:
     a = _wrap(a)
     y = np.tanh(a.data)
-    out = Tensor(y, parents=(a,))
-    out._bwd = lambda g: a._accumulate(g * (1.0 - y * y)) if a.requires_grad else None
-    return out
+    return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g * (1.0 - y * y)))
 
 
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
     y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y, parents=(a,))
-    out._bwd = lambda g: a._accumulate(g * y * (1.0 - y)) if a.requires_grad else None
-    return out
+    return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g * y * (1.0 - y)))
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = _wrap(a)
     mask = np.where(a.data > 0, 1.0, slope)
-    out = Tensor(a.data * mask, parents=(a,))
-    out._bwd = lambda g: a._accumulate(g * mask) if a.requires_grad else None
-    return out
+    return Tensor(a.data * mask, parents=(a,), bwd=lambda g: a._accumulate(g * mask))
 
 
 def exp(a) -> Tensor:
     a = _wrap(a)
     y = np.exp(a.data)
-    out = Tensor(y, parents=(a,))
-    out._bwd = lambda g: a._accumulate(g * y) if a.requires_grad else None
-    return out
+    return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g * y))
 
 
 def log(a) -> Tensor:
     a = _wrap(a)
-    out = Tensor(np.log(a.data), parents=(a,))
-    out._bwd = lambda g: a._accumulate(g / a.data) if a.requires_grad else None
-    return out
+    return Tensor(np.log(a.data), parents=(a,), bwd=lambda g: a._accumulate(g / a.data))
 
 
 def tsum(a) -> Tensor:
     a = _wrap(a)
-    out = Tensor(a.data.sum(), parents=(a,))
-    out._bwd = (
-        lambda g: a._accumulate(np.full_like(a.data, float(g)))
-        if a.requires_grad
-        else None
+    return Tensor(
+        a.data.sum(),
+        parents=(a,),
+        bwd=lambda g: a._accumulate(np.full_like(a.data, float(g))),
     )
-    return out
 
 
 def gather_rows(a, idx) -> Tensor:
     a = _wrap(a)
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(a.data[idx], parents=(a,))
 
     def bwd(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
-            a._accumulate(acc)
+        acc = np.zeros_like(a.data)
+        np.add.at(acc, idx, g)
+        a._accumulate(acc)
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data[idx], parents=(a,), bwd=bwd)
 
 
 def scatter_add_rows(a, idx, n_rows: int) -> Tensor:
@@ -236,28 +231,22 @@ def scatter_add_rows(a, idx, n_rows: int) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     data = np.zeros((n_rows,) + a.data.shape[1:], dtype=np.float64)
     np.add.at(data, idx, a.data)
-    out = Tensor(data, parents=(a,))
-    out._bwd = lambda g: a._accumulate(g[idx]) if a.requires_grad else None
-    return out
+    return Tensor(data, parents=(a,), bwd=lambda g: a._accumulate(g[idx]))
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
     a = _wrap(a)
-    out = Tensor(a.data[:, start:stop], parents=(a,))
 
     def bwd(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            acc[:, start:stop] = g
-            a._accumulate(acc)
+        acc = np.zeros_like(a.data)
+        acc[:, start:stop] = g
+        a._accumulate(acc)
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data[:, start:stop], parents=(a,), bwd=bwd)
 
 
 def concat_rows(tensors) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=0), parents=tuple(tensors))
     sizes = [t.data.shape[0] for t in tensors]
 
     def bwd(g):
@@ -267,8 +256,8 @@ def concat_rows(tensors) -> Tensor:
                 t._accumulate(g[off : off + sz])
             off += sz
 
-    out._bwd = bwd
-    return out
+    data = np.concatenate([t.data for t in tensors], axis=0)
+    return Tensor(data, parents=tuple(tensors), bwd=bwd)
 
 
 def heads_dot(h, a, heads: int) -> Tensor:
@@ -277,7 +266,6 @@ def heads_dot(h, a, heads: int) -> Tensor:
     n = h.data.shape[0]
     d = a.data.shape[1]
     h3 = h.data.reshape(n, heads, d)
-    out = Tensor(np.einsum("nhd,hd->nh", h3, a.data), parents=(h, a))
 
     def bwd(g):
         if h.requires_grad:
@@ -285,8 +273,7 @@ def heads_dot(h, a, heads: int) -> Tensor:
         if a.requires_grad:
             a._accumulate(np.einsum("nh,nhd->hd", g, h3))
 
-    out._bwd = bwd
-    return out
+    return Tensor(np.einsum("nhd,hd->nh", h3, a.data), parents=(h, a), bwd=bwd)
 
 
 def heads_scale(h, s, heads: int) -> Tensor:
@@ -295,7 +282,6 @@ def heads_scale(h, s, heads: int) -> Tensor:
     e = h.data.shape[0]
     d = h.data.shape[1] // heads
     h3 = h.data.reshape(e, heads, d)
-    out = Tensor((h3 * s.data[:, :, None]).reshape(e, heads * d), parents=(h, s))
 
     def bwd(g):
         g3 = g.reshape(e, heads, d)
@@ -304,8 +290,8 @@ def heads_scale(h, s, heads: int) -> Tensor:
         if s.requires_grad:
             s._accumulate(np.einsum("ehd,ehd->eh", g3, h3))
 
-    out._bwd = bwd
-    return out
+    data = (h3 * s.data[:, :, None]).reshape(e, heads * d)
+    return Tensor(data, parents=(h, s), bwd=bwd)
 
 
 def log_softmax_vec(a, mask_add=None) -> Tensor:
@@ -316,36 +302,45 @@ def log_softmax_vec(a, mask_add=None) -> Tensor:
     z = x - m
     lse = np.log(np.exp(z).sum())
     y = z - lse
-    out = Tensor(y, parents=(a,))
     p = np.exp(y)
-    out._bwd = (
-        lambda g: a._accumulate(g - p * g.sum()) if a.requires_grad else None
-    )
-    return out
+    return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g - p * g.sum()))
+
+
+def outer_add(a, b) -> Tensor:
+    """All row sums: (B, H) and (P, H) -> (B*P, H), row b*P + p = a[b] + b[p]."""
+    a, b = _wrap(a), _wrap(b)
+    rows, cols = a.data.shape[0], b.data.shape[0]
+
+    def bwd(g):
+        g3 = g.reshape(rows, cols, -1)
+        if a.requires_grad:
+            a._accumulate(g3.sum(axis=1))
+        if b.requires_grad:
+            b._accumulate(g3.sum(axis=0))
+
+    data = (a.data[:, None, :] + b.data[None, :, :]).reshape(rows * cols, -1)
+    return Tensor(data, parents=(a, b), bwd=bwd)
 
 
 def flatten(a) -> Tensor:
     a = _wrap(a)
-    out = Tensor(a.data.reshape(-1), parents=(a,))
-    out._bwd = (
-        lambda g: a._accumulate(g.reshape(a.data.shape)) if a.requires_grad else None
+    return Tensor(
+        a.data.reshape(-1),
+        parents=(a,),
+        bwd=lambda g: a._accumulate(g.reshape(a.data.shape)),
     )
-    return out
 
 
 def take(a, i: int) -> Tensor:
     """Scalar pick from a 1-D tensor."""
     a = _wrap(a)
-    out = Tensor(a.data[i], parents=(a,))
 
     def bwd(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            acc[i] = g
-            a._accumulate(acc)
+        acc = np.zeros_like(a.data)
+        acc[i] = g
+        a._accumulate(acc)
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data[i], parents=(a,), bwd=bwd)
 
 
 class Adam:

@@ -19,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .blif import Netlist, simulate
+from .blif import Netlist, evaluate, exhaustive_columns
 
 FALSE = 0
 TRUE = 1
@@ -581,14 +581,7 @@ def output_truth_tables(netlist: Netlist) -> tuple[int, list[int]]:
     variable j is (i >> (n-1-j)) & 1, i.e. variable 0 is most significant.
     """
     n = len(netlist.primary_inputs)
-    tables = [0] * len(netlist.primary_outputs)
-    for i in range(1 << n):
-        assignment = [(i >> (n - 1 - j)) & 1 for j in range(n)]
-        outs = simulate(netlist, assignment)
-        for k, bit in enumerate(outs):
-            if bit:
-                tables[k] |= 1 << i
-    return n, tables
+    return n, list(evaluate(netlist, exhaustive_columns(n), 1 << n))
 
 
 class TruthTableBdd:

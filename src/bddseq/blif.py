@@ -50,6 +50,21 @@ class LogicGate:
         hit = any(c.matches(values) for c in self.cover)
         return self.polarity if hit else 1 - self.polarity
 
+    def eval_lanes(self, values, full: int) -> int:
+        """Bit-parallel eval: values[k] carries input k in every lane of `full`."""
+        if not self.cover:
+            return 0
+        hit = 0
+        for c in self.cover:
+            term = full
+            for p, v in zip(c.pattern, values):
+                if p == "1":
+                    term &= v
+                elif p == "0":
+                    term &= ~v
+            hit |= term
+        return hit if self.polarity else full ^ hit
+
 
 @dataclass
 class Netlist:
@@ -221,6 +236,33 @@ def write_blif(netlist: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
+def exhaustive_columns(n: int) -> list[int]:
+    """Input columns over all 2**n assignments.
+
+    Bit i of column j is input j's value under assignment i, whose bit for
+    input j is (i >> (n-1-j)) & 1, i.e. input 0 is most significant.
+    """
+    full = (1 << (1 << n)) - 1
+    columns = []
+    for j in range(n):
+        run = 1 << (n - 1 - j)  # a column repeats `run` zeros then `run` ones
+        columns.append((((1 << run) - 1) << run) * (full // ((1 << (2 * run)) - 1)))
+    return columns
+
+
+def evaluate(netlist: Netlist, columns, lanes: int) -> tuple[int, ...]:
+    """Primary outputs on `lanes` assignments at once.
+
+    columns[j] carries primary input j in every lane (bit i is its value in
+    assignment i); each output comes back the same way.
+    """
+    full = (1 << lanes) - 1
+    values = dict(zip(netlist.primary_inputs, columns))
+    for g in netlist.topo_gates():
+        values[g.output] = g.eval_lanes([values[s] for s in g.inputs], full)
+    return tuple(values[s] for s in netlist.primary_outputs)
+
+
 def simulate(netlist: Netlist, assignment) -> tuple[int, ...]:
     """Evaluate all primary outputs for one primary-input assignment."""
     if len(assignment) != len(netlist.primary_inputs):
@@ -228,10 +270,7 @@ def simulate(netlist: Netlist, assignment) -> tuple[int, ...]:
             f"assignment has {len(assignment)} bits, "
             f"netlist has {len(netlist.primary_inputs)} inputs"
         )
-    values = dict(zip(netlist.primary_inputs, (int(b) for b in assignment)))
-    for g in netlist.topo_gates():
-        values[g.output] = g.eval([values[s] for s in g.inputs])
-    return tuple(values[s] for s in netlist.primary_outputs)
+    return evaluate(netlist, [int(b) for b in assignment], 1)
 
 
 def negate_random_signals(netlist: Netlist, k: int, seed: int) -> Netlist:

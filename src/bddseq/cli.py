@@ -275,9 +275,10 @@ def predict_order(netlist, params, mode: str, cfg: RunConfig, trace=None):
             mode=mode,
             trace=trace,
         )
-        scored = search.diverse_beam_search(graph, params, config)
+        encoded = search.encode(graph, params)
+        scored = search.diverse_beam_search(encoded, params, config)
         candidates = [order for order, _ in scored]
-        greedy = search.greedy_decode(graph, params)
+        greedy = search.greedy_decode(encoded, params)
         if greedy not in candidates:
             candidates.append(greedy)
     return search.select_best_order(candidates, prepared, node_cap=cfg.node_cap), len(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from math import log as _ln
+from math import prod
 
 import numpy as np
 
@@ -191,29 +192,34 @@ def selection_embedding(pi_embs: Tensor, index: int) -> Tensor:
     return ad.gather_rows(pi_embs, np.asarray([index], dtype=np.int64))
 
 
+def pointer_keys(pi_embs: Tensor, params: ModelParams) -> Tensor:
+    """Pointer-attention keys of the primary inputs, (P, H)."""
+    return ad.matmul(pi_embs, params["ptr.Wk"])
+
+
 def decoder_advance(
-    state: DecoderState, prev_emb: Tensor, pi_embs: Tensor, params: ModelParams
-) -> tuple[Tensor, DecoderState]:
-    """One LSTM step followed by pointer attention; returns raw scores."""
+    hidden: Tensor, cell: Tensor, prev_emb: Tensor, keys: Tensor, params: ModelParams
+) -> tuple[Tensor, Tensor, Tensor]:
+    """One LSTM step for B sequences at once, then pointer attention.
+
+    hidden, cell and prev_emb are (B, H), keys is (P, H). Returns the raw
+    pointer scores as a (B*P, 1) column, row b*P + p for sequence b and
+    input p, and the advanced hidden and cell states.
+    """
     hdim = params.config.hidden
     z = ad.add(
-        ad.add(ad.matmul(prev_emb, params["dec.Wx"]), ad.matmul(state.hidden, params["dec.Wh"])),
+        ad.add(ad.matmul(prev_emb, params["dec.Wx"]), ad.matmul(hidden, params["dec.Wh"])),
         params["dec.b"],
     )
     gate_i = ad.sigmoid(ad.slice_cols(z, 0, hdim))
     gate_f = ad.sigmoid(ad.slice_cols(z, hdim, 2 * hdim))
     gate_g = ad.tanh(ad.slice_cols(z, 2 * hdim, 3 * hdim))
     gate_o = ad.sigmoid(ad.slice_cols(z, 3 * hdim, 4 * hdim))
-    cell = ad.add(ad.mul(gate_f, state.cell), ad.mul(gate_i, gate_g))
+    cell = ad.add(ad.mul(gate_f, cell), ad.mul(gate_i, gate_g))
     hidden = ad.mul(gate_o, ad.tanh(cell))
-    q = ad.matmul(hidden, params["ptr.Wq"])  # (1, H)
-    keys = ad.matmul(pi_embs, params["ptr.Wk"])  # (P, H)
-    scores = ad.matmul(ad.tanh(ad.add(keys, q)), params["ptr.v"])  # (P, 1)
-    flat = ad.flatten(scores)
-    new_state = DecoderState(
-        hidden=hidden, cell=cell, visited=state.visited, step=state.step
-    )
-    return flat, new_state
+    q = ad.matmul(hidden, params["ptr.Wq"])  # (B, H)
+    att = ad.tanh(ad.outer_add(q, keys))  # (B*P, H)
+    return ad.matmul(att, params["ptr.v"]), hidden, cell
 
 
 MASK_VALUE = -1e9
@@ -233,9 +239,11 @@ def pointer_step(
     num_pis = pi_embs.data.shape[0]
     if len(state.visited) >= num_pis:
         raise ValueError("all positions already visited")
-    raw, new_state = decoder_advance(state, prev_emb, pi_embs, params)
-    log_probs = ad.log_softmax_vec(raw, visited_mask(state.visited, num_pis))
-    return log_probs, new_state
+    raw, hidden, cell = decoder_advance(
+        state.hidden, state.cell, prev_emb, pointer_keys(pi_embs, params), params
+    )
+    log_probs = ad.log_softmax_vec(ad.flatten(raw), visited_mask(state.visited, num_pis))
+    return log_probs, DecoderState(hidden, cell, state.visited, state.step)
 
 
 def forward_teacher_forced(
@@ -438,21 +446,21 @@ def _config_blob(config: ModelConfig) -> bytes:
     return text.encode("utf-8")
 
 
-def _parse_config(blob: bytes) -> ModelConfig:
+def _parse_config(blob: bytes, offset: int) -> ModelConfig:
     fields = {}
-    for line in blob.decode("utf-8").splitlines():
-        if line.strip():
-            key, value = line.split("=", 1)
-            fields[key.strip()] = int(value)
     try:
-        return ModelConfig(
-            feature_dim=fields["feature_dim"],
-            hidden=fields["hidden"],
-            layers=fields["layers"],
-            heads=fields["heads"],
-        )
+        for line in blob.decode("utf-8").splitlines():
+            if line.strip():
+                key, value = line.split("=", 1)
+                fields[key.strip()] = int(value)
+        sizes = {k: fields[k] for k in ("feature_dim", "hidden", "layers", "heads")}
+        if min(sizes.values()) < 1:
+            raise ValueError(f"non-positive size in {sizes}")
+        return ModelConfig(**sizes)
     except KeyError as exc:
         raise WeightFormatError(f"config missing field {exc}") from exc
+    except ValueError as exc:  # includes undecodable bytes
+        raise WeightFormatError(f"bad config block at byte {offset}: {exc}") from exc
 
 
 def save_tensors(path, config: ModelConfig, named: dict[str, np.ndarray]) -> None:
@@ -474,28 +482,55 @@ def save_tensors(path, config: ModelConfig, named: dict[str, np.ndarray]) -> Non
             fh.write(arr.tobytes(order="C"))
 
 
+class _Reader:
+    """Bounds-checked reads that name the byte offset of a short field."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, size: int, what: str) -> bytes:
+        if size > len(self.data) - self.pos:
+            raise WeightFormatError(
+                f"truncated at byte {self.pos}: {what} needs {size} bytes, "
+                f"{len(self.data) - self.pos} left"
+            )
+        self.pos += size
+        return self.data[self.pos - size : self.pos]
+
+    def unpack(self, fmt: str, what: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
+
+
 def load_tensors(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise WeightFormatError(f"bad magic {magic!r}; not a weight file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise WeightFormatError(f"unsupported format version {version}")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        config = _parse_config(fh.read(blob_len))
-        (count,) = struct.unpack("<I", fh.read(4))
-        named: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(
-                struct.unpack("<I", fh.read(4))[0] for _ in range(rank)
-            )
-            n_items = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(4 * n_items), dtype=np.float32)
+        reader = _Reader(fh.read())
+    magic = reader.take(4, "magic")
+    if magic != _MAGIC:
+        raise WeightFormatError(f"bad magic {magic!r}; not a weight file")
+    version = reader.unpack("<I", "version")
+    if version != _VERSION:
+        raise WeightFormatError(f"unsupported format version {version}")
+    blob_len = reader.unpack("<I", "config length")
+    config_at = reader.pos
+    config = _parse_config(reader.take(blob_len, "config block"), config_at)
+    count = reader.unpack("<I", "tensor count")
+    named: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        name_at = reader.pos
+        name_bytes = reader.take(reader.unpack("<H", "name length"), "tensor name")
+        try:
+            name = name_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WeightFormatError(f"bad tensor name at byte {name_at}") from exc
+        shape_at = reader.pos
+        rank = reader.unpack("<B", f"rank of '{name}'")
+        shape = tuple(reader.unpack("<I", f"shape of '{name}'") for _ in range(rank))
+        data = np.frombuffer(reader.take(4 * prod(shape), f"data of '{name}'"), np.float32)
+        try:
             named[name] = data.reshape(shape).astype(np.float64)
+        except ValueError as exc:  # more dimensions than numpy allows
+            raise WeightFormatError(f"bad shape of '{name}' at byte {shape_at}") from exc
     return config, named
 
 
@@ -534,11 +569,16 @@ def save_checkpoint(params: ModelParams, opt_state, next_epoch: int, path) -> No
 def load_checkpoint(path):
     config, named = load_tensors(path)
     shapes = expected_shapes(config)
-    tensors = {}
-    for name, shape in shapes.items():
+    expected = dict(shapes)
+    for moment in ("m", "v"):
+        expected.update({f"opt.{moment}.{k}": shape for k, shape in shapes.items()})
+    expected["opt.meta"] = (2,)
+    for name, shape in expected.items():
         if name not in named or named[name].shape != shape:
             raise WeightFormatError(f"checkpoint missing or misshaped '{name}'")
-        tensors[name] = Tensor(named[name], requires_grad=True, name=name)
+    tensors = {
+        name: Tensor(named[name], requires_grad=True, name=name) for name in shapes
+    }
     params = ModelParams(config=config, tensors=tensors)
     opt_state = {
         "m": {k: named[f"opt.m.{k}"] for k in shapes},

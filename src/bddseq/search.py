@@ -8,7 +8,12 @@ at this step by (1 - alpha) before the log-softmax, then claims its
 group-quota of best remaining (beam, token) continuations. Claimed
 continuations are excluded from later groups, so with alpha = 0 the groups
 jointly reproduce exactly the plain width-m beam search, and a single
-one-beam group reproduces greedy decoding.
+one-beam group is greedy decoding.
+
+The pool advances in lockstep: each position is one decoder step over all
+B beams (`_advance`, a (B, H) LSTM step to (B, P) raw scores, run without
+autodiff graphs), and each group then claims its quota from the (B, P)
+scores with one sort.
 """
 
 from __future__ import annotations
@@ -18,17 +23,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .bdd import NodeCapExceeded, VarOrder, build_from_netlist, node_count
 from .blif import Netlist
 from .graph import CircuitGraph
 
 
 @dataclass
-class Beam:
-    tokens: tuple[int, ...]
-    score: float
-    state: M.DecoderState
+class Encoded:
+    """A graph prepared for decoding: primary-input embeddings and their
+    pointer keys, both (P, H), computed once and shared by every beam."""
+
+    pi_embs: np.ndarray
+    keys: Tensor
+
+
+@dataclass
+class Pool:
+    """B beams (partial sequences) decoded in lockstep, one row each."""
+
+    tokens: list[tuple[int, ...]]
+    scores: np.ndarray  # (B,) summed log-probabilities
+    visited: np.ndarray  # (B, P) bool
+    hidden: np.ndarray  # (B, H)
+    cell: np.ndarray  # (B, H)
 
 
 @dataclass
@@ -72,124 +90,121 @@ class SearchConfig:
         raise ValueError(f"unknown mode '{mode}'")
 
 
-def _advance(beam: Beam, pi_embs: Tensor, params: M.ModelParams):
-    """Raw pointer scores for the beam's next step plus the advanced state."""
-    if beam.tokens:
-        prev = M.selection_embedding(pi_embs, beam.tokens[-1])
+def encode(graph: CircuitGraph, params: M.ModelParams) -> Encoded:
+    """Run the encoder once; every search over the graph can share the result."""
+    with no_grad():
+        pi_embs = M.pi_embeddings(graph, M.encode(graph, params))
+        return Encoded(pi_embs.data, M.pointer_keys(pi_embs, params))
+
+
+def _advance(pool: Pool, encoded: Encoded, params: M.ModelParams):
+    """(B, P) raw pointer scores for every beam of the pool, plus the
+    advanced hidden and cell states."""
+    if pool.tokens[0]:
+        prev = Tensor(encoded.pi_embs[[t[-1] for t in pool.tokens]])
     else:
-        prev = M.start_embedding(params)
-    raw, state = M.decoder_advance(beam.state, prev, pi_embs, params)
-    return raw.data.copy(), state
+        prev = M.start_embedding(params)  # only the start beam has no tokens
+    raw, hidden, cell = M.decoder_advance(
+        Tensor(pool.hidden), Tensor(pool.cell), prev, encoded.keys, params
+    )
+    return raw.data.reshape(len(pool.tokens), -1), hidden.data, cell.data
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Row-wise log-softmax of a (B, P) array."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def greedy_decode(graph: CircuitGraph, params: M.ModelParams) -> VarOrder:
-    """Argmax decoding; the visited mask guarantees a permutation."""
-    emb = M.encode(graph, params)
-    pi_embs = M.pi_embeddings(graph, emb)
-    num_pis = graph.num_pis
-    beam = Beam(tokens=(), score=0.0, state=M.initial_state(params))
-    for _ in range(num_pis):
-        raw, state = _advance(beam, pi_embs, params)
-        masked = raw + M.visited_mask(beam.state.visited, num_pis)
-        token = int(np.argmax(masked))
-        logp = _log_softmax(masked)[token]
-        beam = Beam(
-            tokens=beam.tokens + (token,),
-            score=beam.score + float(logp),
-            state=M.DecoderState(
-                state.hidden,
-                state.cell,
-                beam.state.visited | {token},
-                beam.state.step + 1,
-            ),
-        )
-    return VarOrder(beam.tokens)
+def _penalized(raw: np.ndarray, claimed: np.ndarray, config: SearchConfig) -> np.ndarray:
+    """Raw scores with the tokens claimed by earlier groups penalized."""
+    if not claimed.any():
+        return raw
+    if config.penalty == "scale":
+        return raw * np.where(claimed, 1.0 - config.alpha, 1.0)
+    span = raw.max(axis=1, keepdims=True) - raw.min(axis=1, keepdims=True)
+    return raw - np.where(claimed, config.alpha * span, 0.0)
 
 
-def _expand_scores(beam: Beam, raw: np.ndarray, num_pis: int, penalized=None,
-                   alpha: float = 0.0, penalty: str = "scale") -> np.ndarray:
-    """Per-token log-probabilities for one beam, with the group penalty applied
-    to raw scores before normalization."""
-    scores = raw.copy()
-    if penalized:
-        if penalty == "scale":
-            for t in penalized:
-                scores[t] = (1.0 - alpha) * scores[t]
-        else:
-            span = float(scores.max() - scores.min())
-            for t in penalized:
-                scores[t] = scores[t] - alpha * span
-    return _log_softmax(scores + M.visited_mask(beam.state.visited, num_pis))
-
-
-def diverse_beam_search(
-    graph: CircuitGraph, params: M.ModelParams, config: SearchConfig
+def _decode(
+    encoded: Encoded, params: M.ModelParams, config: SearchConfig
 ) -> list[tuple[VarOrder, float]]:
-    """Grouped beam search over one shared pool; see the module docstring.
-
-    Returns up to beam_width complete orderings sorted by score descending
-    (fewer only when the number of permutations is smaller).
-    """
-    emb = M.encode(graph, params)
-    pi_embs = M.pi_embeddings(graph, emb)
-    num_pis = graph.num_pis
+    """Grouped beam search over one shared pool; see the module docstring."""
+    num_pis, hdim = encoded.pi_embs.shape[0], params.config.hidden
     quota = config.beam_width // config.groups
-    pool = [Beam(tokens=(), score=0.0, state=M.initial_state(params))]
+    pool = Pool(
+        tokens=[()],
+        scores=np.zeros(1),
+        visited=np.zeros((1, num_pis), dtype=bool),
+        hidden=np.zeros((1, hdim)),
+        cell=np.zeros((1, hdim)),
+    )
     for step in range(num_pis):
-        advanced = []
-        for beam in pool:
-            raw, state = _advance(beam, pi_embs, params)
-            advanced.append((beam, raw, state))
-        taken: set[tuple[int, int]] = set()  # (beam index, token)
-        step_tokens: set[int] = set()  # tokens claimed by earlier groups
-        next_pool: list[Beam] = []
+        with no_grad():
+            raw, hidden, cell = _advance(pool, encoded, params)
+        mask = np.where(pool.visited, M.MASK_VALUE, 0.0)
+        taken = pool.visited.copy()  # visited, or claimed by an earlier group
+        claimed = np.zeros(num_pis, dtype=bool)  # tokens taken at this step
+        rows: list[int] = []
+        cols: list[int] = []
+        scores: list[float] = []
         for group in range(config.groups):
-            candidates = []
-            for b_idx, (beam, raw, state) in enumerate(advanced):
-                log_probs = _expand_scores(
-                    beam, raw, num_pis, step_tokens, config.alpha, config.penalty
-                )
-                for token in range(num_pis):
-                    if token in beam.state.visited or (b_idx, token) in taken:
-                        continue
-                    candidates.append(
-                        (beam.score + float(log_probs[token]), b_idx, token)
-                    )
-            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-            for score, b_idx, token in candidates[:quota]:
-                beam, _, state = advanced[b_idx]
-                taken.add((b_idx, token))
-                step_tokens.add(token)
-                next_pool.append(
-                    Beam(
-                        tokens=beam.tokens + (token,),
-                        score=score,
-                        state=M.DecoderState(
-                            state.hidden,
-                            state.cell,
-                            beam.state.visited | {token},
-                            beam.state.step + 1,
-                        ),
-                    )
-                )
+            total = pool.scores[:, None] + _log_softmax(
+                _penalized(raw, claimed, config) + mask
+            )
+            # row-major order breaks score ties by (beam, token)
+            flat = np.where(taken, -np.inf, total).ravel()
+            for k in np.argsort(-flat, kind="stable")[:quota].tolist():
+                score = float(flat[k])
+                if score == -np.inf:
+                    break  # fewer continuations left than the quota
+                b, token = divmod(k, num_pis)
+                taken[b, token] = claimed[token] = True
+                rows.append(b)
+                cols.append(token)
+                scores.append(score)
                 if config.trace is not None:
                     config.trace.append(
                         {
                             "step": step,
                             "group": group,
-                            "beam": len(next_pool) - 1,
+                            "beam": len(rows) - 1,
                             "token": token,
                             "score": score,
                         }
                     )
-        pool = next_pool
-    pool.sort(key=lambda b: (-b.score, b.tokens))
-    return [(VarOrder(b.tokens), b.score) for b in pool]
+        visited = pool.visited[rows]
+        visited[np.arange(len(rows)), cols] = True
+        pool = Pool(
+            tokens=[pool.tokens[b] + (t,) for b, t in zip(rows, cols)],
+            scores=np.array(scores),
+            visited=visited,
+            hidden=hidden[rows],
+            cell=cell[rows],
+        )
+    ranked = sorted(zip(pool.scores.tolist(), pool.tokens), key=lambda c: (-c[0], c[1]))
+    return [(VarOrder(tokens), score) for score, tokens in ranked]
+
+
+def _encoded(graph, params: M.ModelParams) -> Encoded:
+    return graph if isinstance(graph, Encoded) else encode(graph, params)
+
+
+def greedy_decode(graph: CircuitGraph | Encoded, params: M.ModelParams) -> VarOrder:
+    """Argmax decoding: the one-beam, one-group case of the grouped search."""
+    return _decode(_encoded(graph, params), params, SearchConfig.efficiency())[0][0]
+
+
+def diverse_beam_search(
+    graph: CircuitGraph | Encoded, params: M.ModelParams, config: SearchConfig
+) -> list[tuple[VarOrder, float]]:
+    """Grouped beam search over one shared pool; see the module docstring.
+
+    Returns up to beam_width complete orderings sorted by score descending
+    (fewer only when the number of permutations is smaller). `graph` may be
+    an `encode`d graph, so that several searches share one encoding.
+    """
+    return _decode(_encoded(graph, params), params, config)
 
 
 def beam_search(

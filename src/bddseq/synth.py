@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bdd import FALSE, TRUE, BddManager
-from .blif import Netlist, simulate
+from .blif import Netlist, evaluate, exhaustive_columns
 
 NOT = "t1"
 CNOT = "t2"
@@ -47,9 +47,6 @@ class RevGate:
     @property
     def kind(self) -> str:
         return _KIND_BY_CONTROLS[len(self.controls)]
-
-    def fires(self, state) -> bool:
-        return all(state[line] == pol for line, pol in self.controls)
 
 
 @dataclass
@@ -107,28 +104,32 @@ def transistor_cost(circuit: ReversibleCircuit, model: CostModel = CostModel()) 
     )
 
 
+def run_cascade(circuit: ReversibleCircuit, lines, full: int) -> list[int]:
+    """Run the gates on bit-parallel line values: lines[k] carries line k in
+    every lane of `full` (bit i is its value in lane i)."""
+    state = list(lines)
+    for g in circuit.gates:
+        fire = full
+        for line, pol in g.controls:
+            fire &= state[line] if pol else ~state[line]
+        state[g.target] ^= fire
+    return state
+
+
+def _start_lines(circuit: ReversibleCircuit, inputs, full: int) -> list[int]:
+    """Initial line values: `inputs` in order on the non-constant lines."""
+    it = iter(inputs)
+    return [next(it) if c is None else full * c for c in circuit.constants]
+
+
 def simulate_reversible(circuit: ReversibleCircuit, assignment) -> list[int]:
     """Run the cascade; assignment supplies values for the non-constant lines."""
-    state = []
-    it = iter(assignment)
-    for i in range(circuit.lines):
-        if circuit.constants[i] is None:
-            state.append(int(next(it)))
-        else:
-            state.append(circuit.constants[i])
-    for g in circuit.gates:
-        if g.fires(state):
-            state[g.target] ^= 1
-    return state
+    return run_cascade(circuit, _start_lines(circuit, [int(b) for b in assignment], 1), 1)
 
 
 def apply_to_state(circuit: ReversibleCircuit, state) -> list[int]:
     """Run the cascade on a full line-state vector, ignoring constants."""
-    out = [int(b) for b in state]
-    for g in circuit.gates:
-        if g.fires(out):
-            out[g.target] ^= 1
-    return out
+    return run_cascade(circuit, [int(b) for b in state], 1)
 
 
 def synthesize(
@@ -218,20 +219,22 @@ def synthesize(
 
 
 def verify_synthesis(circuit: ReversibleCircuit, netlist: Netlist) -> bool:
-    """Exhaustive check that PO lines reproduce the netlist on all inputs."""
+    """Exhaustive check that PO lines reproduce the netlist on all inputs.
+
+    All 2**n assignments run at once, one per bit lane, through the netlist
+    and through the cascade.
+    """
     n = len(netlist.primary_inputs)
-    po_lines = {}
-    for i, name in enumerate(circuit.output_names):
-        if name is not None:
-            po_lines[name] = i
-    for i in range(1 << n):
-        assignment = [(i >> (n - 1 - j)) & 1 for j in range(n)]
-        expected = simulate(netlist, assignment)
-        state = simulate_reversible(circuit, assignment)
-        for name, bit in zip(netlist.primary_outputs, expected):
-            if state[po_lines[name]] != bit:
-                return False
-    return True
+    lanes = 1 << n
+    full = (1 << lanes) - 1
+    columns = exhaustive_columns(n)
+    expected = evaluate(netlist, columns, lanes)
+    state = run_cascade(circuit, _start_lines(circuit, columns, full), full)
+    po_lines = {name: i for i, name in enumerate(circuit.output_names) if name is not None}
+    return all(
+        state[po_lines[name]] == table
+        for name, table in zip(netlist.primary_outputs, expected)
+    )
 
 
 def is_bijection(circuit: ReversibleCircuit) -> bool:
@@ -271,54 +274,88 @@ def write_real(circuit: ReversibleCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+class RealFormatError(ValueError):
+    """Malformed `.real` text; `line` is the 1-based line number, 0 when the
+    fault lies in the file as a whole."""
+
+    def __init__(self, message: str, line: int = 0):
+        super().__init__(f"line {line}: {message}" if line else message)
+        self.line = line
+
+
+def _gate(tokens: list[str], index: dict[str, int], lineno: int) -> RevGate:
+    head, operands = tokens[0], tokens[1:]
+    if not operands or not head[1:].isdecimal() or int(head[1:]) != len(operands):
+        raise RealFormatError(f"bad gate line: {' '.join(tokens)!r}", lineno)
+    controls = []
+    for op in operands:
+        name = op[1:] if op.startswith("-") else op
+        if name not in index:
+            raise RealFormatError(f"gate uses undeclared line '{name}'", lineno)
+        controls.append((index[name], not op.startswith("-")))
+    target, positive = controls.pop()
+    if not positive:
+        raise RealFormatError(f"negated target '{operands[-1]}'", lineno)
+    try:
+        return RevGate(tuple(controls), target)
+    except ValueError as exc:
+        raise RealFormatError(str(exc), lineno) from exc
+
+
 def read_real(text: str) -> ReversibleCircuit:
     """Round-trip reader for the subset emitted by write_real."""
     numvars = 0
     names: list[str] = []
+    index: dict[str, int] = {}
     outs: list[str] = []
     constants: list[int | None] = []
     garbage: list[bool] = []
     gates: list[RevGate] = []
     in_body = False
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         head = tokens[0]
-        if head == ".version":
+        field = "".join(tokens[1:])
+        if head in (".version", ".inputs"):
             continue
         if head == ".numvars":
-            numvars = int(tokens[1])
+            if len(tokens) != 2 or not field.isdecimal():
+                raise RealFormatError(f"bad .numvars {field!r}", lineno)
+            numvars = int(field)
         elif head == ".variables":
             names = tokens[1:]
-        elif head == ".inputs":
-            continue
+            index = {name: i for i, name in enumerate(names)}
         elif head == ".outputs":
             outs = tokens[1:]
         elif head == ".constants":
-            constants = [None if c == "-" else int(c) for c in tokens[1]]
+            if set(field) - set("-01"):
+                raise RealFormatError(f"bad .constants {field!r}", lineno)
+            constants = [None if c == "-" else int(c) for c in field]
         elif head == ".garbage":
-            garbage = [c == "1" for c in tokens[1]]
+            if set(field) - set("01"):
+                raise RealFormatError(f"bad .garbage {field!r}", lineno)
+            garbage = [c == "1" for c in field]
         elif head == ".begin":
             in_body = True
         elif head == ".end":
             in_body = False
         elif in_body:
-            arity = int(head[1:])
-            operands = tokens[1:]
-            if len(operands) != arity:
-                raise ValueError(f"bad gate line: {raw!r}")
-            index = {name: i for i, name in enumerate(names)}
-            controls = []
-            for op in operands[:-1]:
-                if op.startswith("-"):
-                    controls.append((index[op[1:]], False))
-                else:
-                    controls.append((index[op], True))
-            gates.append(RevGate(tuple(controls), index[operands[-1]]))
+            gates.append(_gate(tokens, index, lineno))
         else:
-            raise ValueError(f"unknown directive {head}")
+            raise RealFormatError(f"unknown directive {head}", lineno)
+    for field, values in (
+        (".variables", names),
+        (".outputs", outs),
+        (".constants", constants),
+        (".garbage", garbage),
+    ):
+        if len(values) != numvars:
+            raise RealFormatError(
+                f"{field} has {len(values)} entries, .numvars is {numvars}"
+            )
     output_names = [
         None if garbage[i] else outs[i] for i in range(numvars)
     ]

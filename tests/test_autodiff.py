@@ -131,3 +131,15 @@ def test_backward_is_deterministic():
         return a.grad.copy()
 
     assert np.array_equal(run(), run())
+
+
+def test_no_grad_builds_no_graph():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with ad.no_grad():
+        y = ad.tanh(ad.matmul(w, w))
+        assert y._parents == () and y._bwd is None
+        assert not y.requires_grad
+    z = ad.tsum(ad.matmul(w, w))
+    assert z.requires_grad and z._parents
+    z.backward()
+    assert np.allclose(w.grad, 4.0)

@@ -236,3 +236,18 @@ def test_garbage_collection_keeps_roots(pairs6):
     assert node_count(mgr, roots) == live_before
     mgr.check()
     eval_all(mgr, roots[0], pairs6)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_truth_tables_match_per_assignment_eval(seed):
+    r = random.Random(seed + 300)
+    net = random_cover_netlist(r, r.randint(1, 7), r.randint(1, 10), n_outputs=r.randint(1, 3))
+    n = len(net.primary_inputs)
+    expected = [0] * len(net.primary_outputs)
+    for i in range(1 << n):
+        values = {s: (i >> (n - 1 - j)) & 1 for j, s in enumerate(net.primary_inputs)}
+        for g in net.topo_gates():
+            values[g.output] = g.eval([values[s] for s in g.inputs])
+        for k, po in enumerate(net.primary_outputs):
+            expected[k] |= values[po] << i
+    assert output_truth_tables(net) == (n, expected)

@@ -273,3 +273,60 @@ def test_train_diverges_raises(t5):
     cfg = M.TrainConfig(epochs=1, batch_size=1, learning_rate=1e-3, seed=0)
     with pytest.raises(M.TrainingDiverged):
         M.train([(graph, label)], cfg, params=params)
+
+
+@pytest.mark.parametrize("kind", ["params", "checkpoint"])
+def test_every_truncation_raises_weight_format_error(tmp_path, t5, kind):
+    graph = tiny_graph(t5)
+    params = tiny_params(graph, hidden=4, layers=1, heads=2)
+    path = tmp_path / "full.bin"
+    if kind == "params":
+        M.save_params(params, path)
+        load = M.load_params
+    else:
+        opt_state = {
+            "m": {k: np.zeros_like(t.data) for k, t in params.tensors.items()},
+            "v": {k: np.zeros_like(t.data) for k, t in params.tensors.items()},
+            "step": 3,
+        }
+        M.save_checkpoint(params, opt_state, 1, path)
+        load = M.load_checkpoint
+    data = path.read_bytes()
+    load(path)  # the whole file loads
+    cut = tmp_path / "cut.bin"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(M.WeightFormatError, match="byte"):
+            load(cut)
+
+
+def test_garbled_config_raises_weight_format_error(tmp_path, t5):
+    graph = tiny_graph(t5)
+    params = tiny_params(graph, hidden=4, layers=1, heads=2)
+    path = tmp_path / "w.bin"
+    M.save_params(params, path)
+    data = bytearray(path.read_bytes())
+    data[12] = 0xFF  # first byte of the config block: not UTF-8
+    path.write_bytes(bytes(data))
+    with pytest.raises(M.WeightFormatError, match="byte 12"):
+        M.load_params(path)
+
+
+def test_too_many_dimensions_raises_weight_format_error(tmp_path):
+    import struct
+
+    blob = b"feature_dim=1\nhidden=2\nlayers=1\nheads=1\n"
+    data = (
+        b"BSQW"
+        + struct.pack("<II", 1, len(blob))
+        + blob
+        + struct.pack("<IH", 1, 1)
+        + b"x"
+        + struct.pack("<B", 65)  # numpy allows at most 64 dimensions
+        + struct.pack("<I", 1) * 65
+        + struct.pack("<f", 0.0)
+    )
+    path = tmp_path / "w.bin"
+    path.write_bytes(data)
+    with pytest.raises(M.WeightFormatError, match="shape of 'x' at byte"):
+        M.load_tensors(path)

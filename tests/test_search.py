@@ -9,7 +9,7 @@ from bddseq import search
 from bddseq.bdd import VarOrder, build_from_netlist, node_count
 from bddseq.blif import parse_blif
 from bddseq.graph import FeatureConfig, blif2graph
-from bddseq.search import Beam, SearchConfig, beam_search, diverse_beam_search, greedy_decode
+from bddseq.search import SearchConfig, beam_search, diverse_beam_search, greedy_decode
 
 TRI_SRC = """\
 .model tri
@@ -84,6 +84,20 @@ def test_width_one_equals_greedy(seed):
     )
     assert len(results) == 1
     assert results[0][0] == greedy
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("width", [1, 3, 6])
+def test_pool_scores_equal_teacher_forced(seed, width):
+    # every beam of the batched pool scores what training assigns its order
+    _, graph, params = make_toy_model(seed)
+    results = diverse_beam_search(
+        graph, params, SearchConfig(beam_width=width, groups=1, alpha=0.0)
+    )
+    assert len(results) == width
+    for order, score in results:
+        lps = M.forward_teacher_forced(graph, order, params)
+        assert score == pytest.approx(sum(lp.item() for lp in lps), abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -162,8 +176,9 @@ SCRIPT = {
 }
 
 
-def scripted_advance(beam, pi_embs, params):
-    return np.array(SCRIPT[beam.tokens], dtype=np.float64), beam.state
+def scripted_advance(pool, encoded, params):
+    raw = np.stack([np.array(SCRIPT[t], dtype=np.float64) for t in pool.tokens])
+    return raw, pool.hidden, pool.cell
 
 
 def logsumexp(values):

@@ -6,6 +6,7 @@ from bddseq.bdd import VarOrder, build_from_netlist, node_count
 from bddseq.blif import parse_blif
 from bddseq.gen import random_cover_netlist
 from bddseq.synth import (
+    RealFormatError,
     ReversibleCircuit,
     RevGate,
     is_bijection,
@@ -227,3 +228,72 @@ def test_pair_function_order_affects_cost(pairs6):
     bad = synth_for(pairs6, VarOrder((0, 2, 4, 1, 3, 5)))
     assert quantum_cost(good) < quantum_cost(bad)
     assert verify_synthesis(good, pairs6) and verify_synthesis(bad, pairs6)
+
+
+def reference_verify(circuit, net):
+    """Per-assignment check, one gate and one cube at a time."""
+    n = len(net.primary_inputs)
+    po_line = {name: i for i, name in enumerate(circuit.output_names) if name}
+    for i in range(1 << n):
+        bits = [(i >> (n - 1 - j)) & 1 for j in range(n)]
+        values = dict(zip(net.primary_inputs, bits))
+        for g in net.topo_gates():
+            values[g.output] = g.eval([values[s] for s in g.inputs])
+        it = iter(bits)
+        state = [next(it) if c is None else c for c in circuit.constants]
+        for g in circuit.gates:
+            if all(state[line] == pol for line, pol in g.controls):
+                state[g.target] ^= 1
+        if any(state[po_line[po]] != values[po] for po in net.primary_outputs):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gate_deletion_verdicts_match_reference(seed):
+    r = random.Random(seed + 500)
+    net = random_cover_netlist(r, r.randint(2, 6), r.randint(2, 8), n_outputs=r.randint(1, 3))
+    circuit = synth_for(net)
+    assert verify_synthesis(circuit, net) and reference_verify(circuit, net)
+    for k in range(len(circuit.gates)):
+        mutant = ReversibleCircuit(
+            circuit.lines,
+            circuit.line_names,
+            circuit.constants,
+            circuit.garbage,
+            circuit.output_names,
+            circuit.gates[:k] + circuit.gates[k + 1 :],
+        )
+        assert verify_synthesis(mutant, net) == reference_verify(mutant, net), k
+
+
+def test_read_real_undeclared_line_is_typed():
+    text = write_real(synth_for(parse_blif(
+        ".model t\n.inputs a b\n.outputs o\n.names a b o\n11 1\n.end"
+    )))
+    lines = text.splitlines()
+    body = lines.index(".begin") + 1
+    lines[body] = lines[body].rsplit(" ", 1)[0] + " zz"
+    with pytest.raises(RealFormatError, match="undeclared line 'zz'") as info:
+        read_real("\n".join(lines))
+    assert info.value.line == body + 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.replace(".numvars 3", ".numvars x"),
+        lambda t: t.replace(".garbage ", ".garbage 1"),
+        lambda t: t.replace(".constants --0", ".constants --2"),
+        lambda t: t.replace("t3 ", "tq "),
+        lambda t: t.replace(".end", "t0\n.end"),
+        lambda t: t.replace(".begin", ".nonsense"),
+    ],
+)
+def test_read_real_malformed_is_typed(edit):
+    text = write_real(synth_for(parse_blif(
+        ".model t\n.inputs a b\n.outputs o\n.names a b o\n11 1\n.end"
+    )))
+    assert text != edit(text)
+    with pytest.raises(RealFormatError):
+        read_real(edit(text))
