@@ -58,7 +58,7 @@ def main() -> None:
     report(net, "after genetic search", ga)
 
     best, count = brute_force_optimal_order(net)
-    report(net, "exhaustive optimum", best)
+    report(net, "exact optimum", best)
 
 
 if __name__ == "__main__":

@@ -10,12 +10,15 @@ identity, and hence all parent references, survive), independent nodes slide
 down one level, and lower-level nodes that are still referenced from outside
 the swapped band slide up. Reference counts track parent and root references
 so dead lower-level nodes can be dropped during the swap; elsewhere dead nodes
-are left to the mark-and-sweep collector.
+are left to the mark-and-sweep collector. Sifting and the genetic reorderer's
+fitness both move diagrams by these swaps.
+
+Exact orders come from the Friedman-Supowit dynamic program over subsets of
+variables, run on the output truth tables (`brute_force_optimal_order`).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -23,6 +26,7 @@ from .blif import Netlist, evaluate, exhaustive_columns
 
 FALSE = 0
 TRUE = 1
+EXACT_MAX_INPUTS = 12  # largest input count the exact order search accepts
 
 _AND = "and"
 _OR = "or"
@@ -510,23 +514,36 @@ def ga_reorder(
 
     Order crossover plus swap mutation, tournament selection, and elitism,
     so the result is never worse than the best seeded individual. The search
-    is deterministic for a fixed seed.
+    is deterministic for a fixed seed. Fitness is scored on one private copy
+    of the diagrams, moved to each new order by adjacent level swaps; the
+    caller's manager is not touched. An order whose copy outgrows the node
+    cap scores node_cap + 1.
     """
     if population < 2:
         raise ValueError("population must be at least 2")
     n = manager.n
     rng = random.Random(seed)
     fitness_cache: dict[tuple[int, ...], int] = {}
+    try:
+        work, work_roots = transfer(manager, roots, manager.current_order())
+    except NodeCapExceeded:
+        work = None  # even the caller's own order outgrows the cap
+    else:
+        work.collect_garbage()
 
     def fitness(perm: tuple[int, ...]) -> int:
         hit = fitness_cache.get(perm)
         if hit is not None:
             return hit
-        try:
-            dst, new_roots = transfer(manager, roots, VarOrder(perm))
-            cost = node_count(dst, new_roots)
-        except NodeCapExceeded:
-            cost = manager.node_cap + 1
+        cost = manager.node_cap + 1
+        if work is not None:
+            for pos, var in enumerate(perm):
+                work.move_var_to(var, pos)
+                work.maybe_collect()
+                if len(work.nodes) > manager.node_cap:
+                    break
+            else:
+                cost = node_count(work, work_roots)
         fitness_cache[perm] = cost
         return cost
 
@@ -571,7 +588,7 @@ def ga_reorder(
     return VarOrder(elite)
 
 
-# -- brute-force oracle ------------------------------------------------------
+# -- truth-table oracle and exact order search ---------------------------------
 
 
 def output_truth_tables(netlist: Netlist) -> tuple[int, list[int]]:
@@ -588,7 +605,7 @@ class TruthTableBdd:
     """Shannon-expansion construction from explicit truth tables.
 
     Independent of the apply-based engine; used as a structural oracle and to
-    drive the brute-force optimal-order search.
+    cross-check the count of the exact order search.
     """
 
     def __init__(self, n: int):
@@ -679,24 +696,79 @@ def shannon_build(netlist: Netlist, order: VarOrder):
 
 
 def shannon_count(n: int, tables, perm) -> int:
+    """Node count of the truth tables' diagram under perm, built by Shannon expansion."""
     bdd = TruthTableBdd(n)
     roots = [bdd.build(permute_table(t, n, perm)) for t in tables]
     return len(bdd.reachable(roots))
 
 
 def brute_force_optimal_order(netlist: Netlist) -> tuple[VarOrder, int]:
-    """Exhaustive minimum over all orderings; enforced to at most 9 inputs."""
+    """Exact minimum over all orderings by the Friedman-Supowit subset DP.
+
+    Placing the variables of a set I above variable x gives x one node per
+    distinct cofactor, over the assignments to I, of the output functions
+    that depends on x (outputs share nodes, so cofactors are pooled across
+    them). The node count of an order is the sum of these widths plus the
+    terminals the outputs reach, and the cheapest completion below each set
+    is found once per set: O(n 2^n) cofactor sweeps instead of n!
+    constructions. Among optimal orders the lexicographically first is
+    returned. Enforced to at most EXACT_MAX_INPUTS inputs.
+    """
     n = len(netlist.primary_inputs)
-    if n > 9:
-        raise ValueError(f"too many inputs for brute force: {n} > 9")
+    if n > EXACT_MAX_INPUTS:
+        raise ValueError(
+            f"too many inputs for exact search: {n} > {EXACT_MAX_INPUTS}"
+        )
     _, tables = output_truth_tables(netlist)
-    best_perm = None
-    best_count = None
-    for perm in itertools.permutations(range(n)):
-        c = shannon_count(n, tables, perm)
-        if best_count is None or c < best_count:
-            best_perm, best_count = perm, c
-    return VarOrder(best_perm), best_count
+    full = (1 << n) - 1
+    all_bits = (1 << (1 << n)) - 1
+    zero_half = [all_bits ^ column for column in exhaustive_columns(n)]
+    # A cofactor over the set I keeps only the bits where every variable of I
+    # is 0, so equal functions of the remaining variables compare equal.
+    cofactors: list[set[int] | None] = [None] * (1 << n)
+    cofactors[0] = set(tables)
+    width = [[0] * n for _ in range(1 << n)]
+    # by set size, so only two sizes of cofactor sets are held at a time
+    for subset in sorted(range(full), key=int.bit_count):
+        cofs = cofactors[subset]
+        cofactors[subset] = None
+        for x in range(n):
+            if subset >> x & 1:
+                continue
+            step, mask = 1 << (n - 1 - x), zero_half[x]
+            child = subset | 1 << x
+            if cofactors[child] is None:
+                below: set[int] = set()
+                dependent = 0
+                for g in cofs:
+                    lo, hi = g & mask, g >> step & mask
+                    below.add(lo)
+                    below.add(hi)
+                    dependent += lo != hi
+                cofactors[child] = below
+            else:
+                dependent = sum((g & mask) != (g >> step & mask) for g in cofs)
+            width[subset][x] = dependent
+    terminals = len(cofactors[full])
+    # rest[I]: fewest nodes on the levels below the variables of I, reached
+    # by placing next_var[I] first; ties go to the smallest variable
+    rest = [0] * (1 << n)
+    next_var = [0] * (1 << n)
+    for subset in range(full - 1, -1, -1):
+        rest[subset], next_var[subset] = min(
+            (width[subset][x] + rest[subset | 1 << x], x)
+            for x in range(n)
+            if not subset >> x & 1
+        )
+    perm: list[int] = []
+    subset = 0
+    while subset != full:
+        perm.append(next_var[subset])
+        subset |= 1 << perm[-1]
+    count = rest[0] + terminals
+    # independent cross-check against the Shannon construction oracle
+    assert shannon_count(n, tables, perm) == count
+    return VarOrder(tuple(perm)), count
 
 
 # -- label generation ----------------------------------------------------------

@@ -73,30 +73,36 @@ class Netlist:
     primary_outputs: list[str]
     gates: list[LogicGate]
 
-    def gate_by_output(self) -> dict[str, LogicGate]:
-        return {g.output: g for g in self.gates}
-
     def internal_signals(self) -> list[str]:
         return [g.output for g in self.gates]
 
     def topo_gates(self) -> list[LogicGate]:
-        """Gates in dependency order; ready gates are taken in declaration order."""
-        producers = self.gate_by_output()
-        deps = {
-            g.output: [s for s in g.inputs if s in producers] for g in self.gates
-        }
-        placed: set[str] = set()
-        remaining = list(self.gates)
-        ordered: list[LogicGate] = []
-        while remaining:
-            ready = [g for g in remaining if all(d in placed for d in deps[g.output])]
-            if not ready:
-                raise BlifError(f"cyclic gate dependency in model '{self.name}'")
-            for g in ready:
-                ordered.append(g)
-                placed.add(g.output)
-            remaining = [g for g in remaining if g.output not in placed]
-        return ordered
+        """Gates in dependency order: by depth, then in declaration order.
+
+        A gate's depth is one more than the deepest gate feeding it (0 when
+        only primary inputs feed it), so each depth holds the gates that
+        become ready together.
+        """
+        index = {g.output: i for i, g in enumerate(self.gates)}
+        consumers: list[list[int]] = [[] for _ in self.gates]
+        waiting = [0] * len(self.gates)
+        for i, g in enumerate(self.gates):
+            for s in g.inputs:
+                j = index.get(s)
+                if j is not None:
+                    consumers[j].append(i)
+                    waiting[i] += 1
+        depth = [0] * len(self.gates)
+        ready = [i for i, w in enumerate(waiting) if w == 0]
+        for i in ready:  # grows while it is walked
+            for c in consumers[i]:
+                depth[c] = max(depth[c], depth[i] + 1)
+                waiting[c] -= 1
+                if waiting[c] == 0:
+                    ready.append(c)
+        if len(ready) < len(self.gates):
+            raise BlifError(f"cyclic gate dependency in model '{self.name}'")
+        return [self.gates[i] for i in sorted(ready, key=lambda i: (depth[i], i))]
 
     def validate(self) -> None:
         seen: set[str] = set()

@@ -109,7 +109,7 @@ def test_criterion_02_construction_oracle_and_lower_bound():
                 mgr, roots = build_from_netlist(net, order)
                 oracle, oracle_roots = shannon_build(net, order)
                 assert mgr.signature(roots) == oracle.signature(oracle_roots)
-            if n_pi <= 6:
+            if n_pi <= 8:
                 _, optimum = brute_force_optimal_order(net)
                 mgr, roots = build_from_netlist(net, VarOrder.identity(n_pi))
                 sift_reorder(mgr, roots)
@@ -120,7 +120,7 @@ def test_criterion_02_construction_oracle_and_lower_bound():
                 ga_count = node_count(dst, nr)
                 assert optimum <= min(sift_count, ga_count)
                 checked_brute += 1
-        assert checked_brute >= 150
+        assert checked_brute >= 180  # 182 here: 170 of 2-6 inputs, 12 of 7-8
 
 
 def test_criterion_03_sifting_monotone(desk):

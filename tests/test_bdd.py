@@ -4,6 +4,7 @@ import random
 import pytest
 
 from bddseq.bdd import (
+    EXACT_MAX_INPUTS,
     TRUE,
     NodeCapExceeded,
     VarOrder,
@@ -15,6 +16,7 @@ from bddseq.bdd import (
     node_count,
     output_truth_tables,
     shannon_build,
+    shannon_count,
     sift_reorder,
     swap_adjacent_levels,
     transfer,
@@ -157,6 +159,50 @@ def test_ga_deterministic(pairs6):
     assert a == b
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_in_place_moves_match_transfer(seed):
+    # GA fitness moves one copy from order to order by adjacent swaps
+    r = random.Random(seed + 600)
+    net = random_cover_netlist(r, r.randint(3, 8), r.randint(3, 10), n_outputs=3)
+    n = len(net.primary_inputs)
+    mgr, roots = build_from_netlist(net, VarOrder.identity(n))
+    work, work_roots = transfer(mgr, roots, mgr.current_order())
+    for _ in range(50):
+        perm = list(range(n))
+        r.shuffle(perm)
+        for pos, var in enumerate(perm):
+            work.move_var_to(var, pos)
+        assert work.order == perm
+        dst, dst_roots = transfer(mgr, roots, VarOrder(tuple(perm)))
+        assert node_count(work, work_roots) == node_count(dst, dst_roots)
+    work.check()
+
+
+def test_ga_leaves_caller_manager_untouched(pairs6):
+    mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
+    order_before, sig_before = list(mgr.order), mgr.signature(roots)
+    ga_reorder(mgr, roots, population=10, generations=8, seed=5)
+    assert mgr.order == order_before
+    assert mgr.signature(roots) == sig_before
+
+
+@pytest.mark.parametrize("cap", [3, 41])
+def test_ga_tiny_node_cap_returns_permutation(cap):
+    # five two-input products: 12 nodes under the declaration order, up to 64
+    # under others; at cap 41 the working copy fits but many orders do not,
+    # at cap 3 not even the copy fits
+    src = ".model p\n.inputs " + " ".join(f"x{i}" for i in range(10))
+    src += "\n.outputs f\n"
+    src += "".join(f".names x{2 * k} x{2 * k + 1} p{k}\n11 1\n" for k in range(5))
+    src += ".names p0 p1 p2 p3 p4 f\n"
+    src += "".join("-" * k + "1" + "-" * (4 - k) + " 1\n" for k in range(5))
+    net = parse_blif(src + ".end")
+    mgr, roots = build_from_netlist(net, VarOrder.identity(10))
+    mgr.node_cap = cap
+    order = ga_reorder(mgr, roots, population=8, generations=4, seed=1)
+    assert sorted(order.permutation) == list(range(10))
+
+
 def test_brute_force_pair_function(pairs6):
     order, count = brute_force_optimal_order(pairs6)
     assert count == 8
@@ -173,8 +219,6 @@ def test_brute_force_symmetric_majority():
         ".model maj\n.inputs a b c\n.outputs o\n.names a b c o\n11- 1\n1-1 1\n-11 1\n.end"
     )
     n, tables = output_truth_tables(net)
-    from bddseq.bdd import shannon_count
-
     counts = {
         shannon_count(n, tables, perm) for perm in itertools.permutations(range(3))
     }
@@ -182,9 +226,52 @@ def test_brute_force_symmetric_majority():
 
 
 def test_brute_force_too_many_inputs():
-    net = random_cover_netlist(random.Random(0), 10, 4)
+    net = random_cover_netlist(random.Random(0), EXACT_MAX_INPUTS + 1, 4)
     with pytest.raises(ValueError, match="too many inputs"):
         brute_force_optimal_order(net)
+
+
+def enumerate_optimal_order(netlist):
+    """Reference: the first of all n! orders with the fewest Shannon-built nodes."""
+    n, tables = output_truth_tables(netlist)
+    best_perm, best_count = None, None
+    for perm in itertools.permutations(range(n)):
+        c = shannon_count(n, tables, perm)
+        if best_count is None or c < best_count:
+            best_perm, best_count = perm, c
+    return VarOrder(best_perm), best_count
+
+
+EXACT_CASES = {
+    "single_variable": ".model t\n.inputs a\n.outputs o\n.names a o\n1 1\n.end",
+    "constant_output": (
+        ".model t\n.inputs a b c\n.outputs one o\n.names one\n1\n"
+        ".names a c o\n11 1\n.end"
+    ),
+    "symmetric_majority": (
+        ".model maj\n.inputs a b c d\n.outputs o\n.names a b c o\n"
+        "11- 1\n1-1 1\n-11 1\n.end"
+    ),
+    "shared_outputs": (
+        ".model t\n.inputs a b c d\n.outputs f g\n.names a d f\n11 1\n"
+        ".names a d c g\n11- 1\n--1 1\n.end"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_search_matches_enumeration_on_edge_cases(case):
+    net = parse_blif(EXACT_CASES[case])
+    assert brute_force_optimal_order(net) == enumerate_optimal_order(net)
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_exact_search_matches_enumeration(seed):
+    r = random.Random(seed + 900)
+    net = random_cover_netlist(
+        r, r.randint(1, 6), r.randint(1, 9), n_outputs=1 + seed % 4
+    )
+    assert brute_force_optimal_order(net) == enumerate_optimal_order(net)
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -55,6 +55,32 @@ def test_parse_cycle_rejected():
         parse_blif(src)
 
 
+def round_based_topo(net):
+    """Reference order: each round takes every ready gate in declaration order."""
+    producers = {g.output for g in net.gates}
+    placed, ordered, remaining = set(), [], list(net.gates)
+    while remaining:
+        ready = [
+            g for g in remaining
+            if all(s in placed for s in g.inputs if s in producers)
+        ]
+        assert ready, "cycle"
+        ordered += ready
+        placed |= {g.output for g in ready}
+        remaining = [g for g in remaining if g.output not in placed]
+    return ordered
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_topo_gates_matches_round_based_order(seed):
+    r = random.Random(seed + 500)
+    net = random_cover_netlist(r, r.randint(1, 8), r.randint(1, 25), max_arity=4)
+    gates = list(net.gates)
+    r.shuffle(gates)  # declaration order no longer topological
+    shuffled = Netlist(net.name, net.primary_inputs, net.primary_outputs, gates)
+    assert shuffled.topo_gates() == round_based_topo(shuffled)
+
+
 def test_parse_rejects_latches():
     with pytest.raises(BlifError, match="latch"):
         parse_blif(".model t\n.inputs a\n.outputs o\n.latch a o re clk 0\n.end")
