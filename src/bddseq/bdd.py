@@ -10,8 +10,11 @@ identity, and hence all parent references, survive), independent nodes slide
 down one level, and lower-level nodes that are still referenced from outside
 the swapped band slide up. Reference counts track parent and root references
 so dead lower-level nodes can be dropped during the swap; elsewhere dead nodes
-are left to the mark-and-sweep collector. Sifting and the genetic reorderer's
-fitness both move diagrams by these swaps.
+are left to the mark-and-sweep collector. `check()` audits every refcount.
+Sifting and the genetic reorderer's fitness both move diagrams by these swaps.
+A swap frees every node it orphans, so after one collection the store holds
+exactly the live nodes; sifting collects once and then reads each node count
+from the store size instead of walking the diagrams.
 
 Exact orders come from the Friedman-Supowit dynamic program over subsets of
 variables, run on the output truth tables (`brute_force_optimal_order`).
@@ -276,6 +279,15 @@ class BddManager:
             (rec[0], rec[1], rec[2]) for rec in self.nodes.values()
         ]
         assert len(keys) == len(set(keys)), "duplicate (level, low, high) triple"
+        # a refcount counts the store nodes naming the node as low or high,
+        # plus its entries in the protected list
+        refs = dict.fromkeys(self.nodes, 0)
+        for ref in [c for rec in self.nodes.values() for c in rec[1:3]] + self.protected:
+            if ref > TRUE:
+                assert ref in refs, f"dangling reference to node {ref}"
+                refs[ref] += 1
+        for nid, rec in self.nodes.items():
+            assert rec[3] == refs[nid], f"node {nid} refcount {rec[3]}, {refs[nid]} references"
 
     # -- garbage collection --------------------------------------------------
 
@@ -442,32 +454,43 @@ def build_from_netlist(
     return mgr, roots
 
 
-def swap_adjacent_levels(manager: BddManager, level: int) -> BddManager:
-    return manager.swap_adjacent_levels(level)
-
-
 def sift_reorder(manager: BddManager, roots) -> VarOrder:
     """Rudell-style sifting: park each variable at its best position.
+
+    Precondition: every diagram the manager protects belongs to the roots,
+    and every internal root is protected, as `build_from_netlist` leaves
+    them. The pass first collects garbage, so the store holds exactly the
+    nodes under the roots. A swap keeps it that way: it frees every node it
+    orphans, after the nodes replacing it have re-referenced its children.
+    So each count is the store size plus the terminals the roots reach, with
+    no walk; one walk before and one after the pass check this. A manager
+    that breaks the precondition raises ValueError before any swap.
 
     Ties go to the smallest position. If the node cap is hit while exploring,
     the pass for that variable stops and it is parked at the best position
     seen so far; the final count never exceeds the initial count.
     """
+    if any(r > TRUE and r not in manager.protected for r in roots):
+        raise ValueError("sifting needs every internal root protected")
+    manager.collect_garbage()
+    # a reduced nonconstant diagram reaches both terminals
+    terminals = 2 if any(r > TRUE for r in roots) else len(set(roots))
+    if node_count(manager, roots) != len(manager.nodes) + terminals:
+        raise ValueError("the manager protects diagrams beyond the roots")
     n = manager.n
     for var in range(n):
-        counts = {manager.var2level[var]: node_count(manager, roots)}
+        counts = {manager.var2level[var]: len(manager.nodes) + terminals}
         overflow = False
         while manager.var2level[var] < n - 1:
             manager.swap_adjacent_levels(manager.var2level[var])
-            c = node_count(manager, roots)
-            counts[manager.var2level[var]] = c
+            counts[manager.var2level[var]] = len(manager.nodes) + terminals
             if len(manager.nodes) > manager.node_cap:
                 overflow = True
                 break
         if not overflow:
             while manager.var2level[var] > 0:
                 manager.swap_adjacent_levels(manager.var2level[var] - 1)
-                c = node_count(manager, roots)
+                c = len(manager.nodes) + terminals
                 pos = manager.var2level[var]
                 if pos not in counts or c < counts[pos]:
                     counts[pos] = c
@@ -475,6 +498,7 @@ def sift_reorder(manager: BddManager, roots) -> VarOrder:
                     break
         best_pos = min(counts, key=lambda p: (counts[p], p))
         manager.move_var_to(var, best_pos)
+    assert node_count(manager, roots) == len(manager.nodes) + terminals
     return manager.current_order()
 
 

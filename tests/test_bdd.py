@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bddseq.bdd import (
     EXACT_MAX_INPUTS,
+    FALSE,
     TRUE,
     NodeCapExceeded,
     VarOrder,
@@ -18,11 +21,11 @@ from bddseq.bdd import (
     shannon_build,
     shannon_count,
     sift_reorder,
-    swap_adjacent_levels,
     transfer,
 )
-from bddseq.blif import parse_blif, simulate
-from bddseq.gen import random_cover_netlist
+from bddseq.blif import Cube, LogicGate, Netlist, parse_blif, simulate
+from bddseq.gen import pair_products, random_cover_netlist, read_once_tree
+from bddseq.synth import synthesize, verify_synthesis
 
 NATURAL6 = VarOrder.identity(6)
 # the interleaved order that separates every product's two inputs
@@ -64,8 +67,8 @@ def test_build_matches_simulation(pairs6):
 def test_swap_involution(pairs6):
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
     before = node_count(mgr, roots)
-    swap_adjacent_levels(mgr, 2)
-    swap_adjacent_levels(mgr, 2)
+    mgr.swap_adjacent_levels(2)
+    mgr.swap_adjacent_levels(2)
     assert node_count(mgr, roots) == before
     assert mgr.current_order() == SCRAMBLED6
 
@@ -74,7 +77,7 @@ def test_swap_preserves_function(pairs6):
     # moving x1 above x3 reunites the x0*x1 product, shrinking the diagram
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
     before = node_count(mgr, roots)
-    swap_adjacent_levels(mgr, 2)
+    mgr.swap_adjacent_levels(2)
     mgr.check()
     assert node_count(mgr, roots) != before
     eval_all(mgr, roots[0], pairs6)
@@ -85,7 +88,7 @@ def test_swap_independent_variables_keeps_count():
     net = parse_blif(".model t\n.inputs x0 x1 x2\n.outputs o\n.names x0 o\n1 1\n.end")
     mgr, roots = build_from_netlist(net, VarOrder.identity(3))
     before = node_count(mgr, roots)
-    swap_adjacent_levels(mgr, 1)
+    mgr.swap_adjacent_levels(1)
     assert node_count(mgr, roots) == before
 
 
@@ -125,6 +128,137 @@ def test_sift_monotone(seed):
     before = node_count(mgr, roots)
     sift_reorder(mgr, roots)
     assert node_count(mgr, roots) <= before
+
+
+def walk_sift(mgr, roots):
+    """Reference sifting that walks the diagrams for a count after every swap."""
+    n = mgr.n
+    for var in range(n):
+        counts = {mgr.var2level[var]: node_count(mgr, roots)}
+        overflow = False
+        while mgr.var2level[var] < n - 1:
+            mgr.swap_adjacent_levels(mgr.var2level[var])
+            counts[mgr.var2level[var]] = node_count(mgr, roots)
+            if len(mgr.nodes) > mgr.node_cap:
+                overflow = True
+                break
+        if not overflow:
+            while mgr.var2level[var] > 0:
+                mgr.swap_adjacent_levels(mgr.var2level[var] - 1)
+                c = node_count(mgr, roots)
+                pos = mgr.var2level[var]
+                if pos not in counts or c < counts[pos]:
+                    counts[pos] = c
+                if len(mgr.nodes) > mgr.node_cap:
+                    break
+        best_pos = min(counts, key=lambda p: (counts[p], p))
+        mgr.move_var_to(var, best_pos)
+    return mgr.current_order()
+
+
+def sift_case(case):
+    """Random netlists with 1-4 outputs sharing nodes, and small instances of
+    the wide-sifting families: read-once trees, pair products, 4-output covers."""
+    family, seed = case.split("-")
+    r = random.Random(int(seed) + 700)
+    if family == "tree":
+        return read_once_tree(r, 12)
+    if family == "pairs":
+        return pair_products(r, 6)
+    if family == "cover4":
+        return random_cover_netlist(r, 12, 24, n_outputs=4)
+    n_outputs = 1 + int(seed) % 4
+    return random_cover_netlist(r, r.randint(2, 10), r.randint(4, 14), n_outputs=n_outputs)
+
+
+SIFT_CASES = [f"random-{s}" for s in range(40)] + [
+    f"{family}-{s}" for family in ("tree", "pairs", "cover4") for s in range(2)
+]
+
+
+@pytest.mark.parametrize("case", SIFT_CASES)
+def test_live_count_sift_matches_walking_sift(case):
+    net = sift_case(case)
+    n = len(net.primary_inputs)
+    ref, ref_roots = build_from_netlist(net, VarOrder.identity(n))
+    expected = walk_sift(ref, ref_roots)
+    mgr, roots = build_from_netlist(net, VarOrder.identity(n))
+    swap, swaps = mgr.swap_adjacent_levels, []
+
+    def checked_swap(level):
+        # the store holds exactly the internal nodes under the roots, so its
+        # size plus the terminals reached is the node count
+        swap(level)
+        swaps.append(level)
+        assert set(mgr.nodes) == mgr.reachable(roots) - {FALSE, TRUE}
+
+    mgr.swap_adjacent_levels = checked_swap
+    assert sift_reorder(mgr, roots) == expected
+    assert swaps
+    assert node_count(mgr, roots) == node_count(ref, ref_roots)
+    mgr.check()
+
+
+@pytest.mark.parametrize("breach", ["extra_function", "unprotected_root"])
+def test_sift_rejects_store_beyond_roots(pairs6, breach):
+    mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
+    if breach == "extra_function":
+        mgr.protect(mgr.apply("xor", mgr.var(0), mgr.var(5)))
+    else:
+        mgr.unprotect(roots[0])
+    held, signature = list(roots), mgr.signature(roots)
+    with pytest.raises(ValueError):
+        sift_reorder(mgr, roots)
+    assert roots == held
+    assert mgr.signature(roots) == signature
+    assert mgr.current_order() == SCRAMBLED6
+    mgr.check()
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_check_audits_refcounts(pairs6, delta):
+    mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
+    mgr.check()
+    mgr.nodes[mgr.low(roots[0])][3] += delta
+    with pytest.raises(AssertionError, match="refcount"):
+        mgr.check()
+
+
+@st.composite
+def netlists_with_swaps(draw):
+    """A random netlist of at most 8 inputs and levels to swap before sifting."""
+    n = draw(st.integers(1, 8))
+    inputs = [f"x{i}" for i in range(n)]
+    signals, gates = list(inputs), []
+    for g in range(draw(st.integers(1, 10))):
+        ins = draw(st.lists(st.sampled_from(signals), min_size=1, max_size=3, unique=True))
+        pattern = st.text("01-", min_size=len(ins), max_size=len(ins))
+        patterns = draw(st.lists(pattern, min_size=1, max_size=3, unique=True))
+        polarity = draw(st.integers(0, 1))
+        gates.append(LogicGate(ins, f"g{g}", [Cube(p, polarity) for p in sorted(patterns)]))
+        signals.append(f"g{g}")
+    outputs = draw(
+        st.lists(st.sampled_from([g.output for g in gates]), min_size=1, max_size=4, unique=True)
+    )
+    net = Netlist(name="fuzz", primary_inputs=inputs, primary_outputs=outputs, gates=gates)
+    net.validate()
+    swaps = draw(st.lists(st.integers(0, n - 2), max_size=12)) if n > 1 else []
+    return net, swaps
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists_with_swaps())
+def test_swaps_then_sift_keep_invariants(case):
+    net, swaps = case
+    mgr, roots = build_from_netlist(net, VarOrder.identity(len(net.primary_inputs)))
+    for level in swaps:
+        mgr.swap_adjacent_levels(level)
+    mgr.check()
+    sift_reorder(mgr, roots)
+    mgr.check()
+    oracle, oracle_roots = shannon_build(net, mgr.current_order())
+    assert mgr.signature(roots) == oracle.signature(oracle_roots)
+    assert verify_synthesis(synthesize(mgr, roots, net), net)
 
 
 def test_ga_zero_generations_returns_best_seeded(pairs6):
