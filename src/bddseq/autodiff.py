@@ -90,22 +90,6 @@ class Tensor:
             if node._bwd is not None and node.grad is not None:
                 node._bwd(node.grad)
 
-    # operators delegate to the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -200,11 +184,6 @@ def exp(a) -> Tensor:
     return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g * y))
 
 
-def log(a) -> Tensor:
-    a = _wrap(a)
-    return Tensor(np.log(a.data), parents=(a,), bwd=lambda g: a._accumulate(g / a.data))
-
-
 def tsum(a) -> Tensor:
     a = _wrap(a)
     return Tensor(
@@ -243,21 +222,6 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
         a._accumulate(acc)
 
     return Tensor(a.data[:, start:stop], parents=(a,), bwd=bwd)
-
-
-def concat_rows(tensors) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    sizes = [t.data.shape[0] for t in tensors]
-
-    def bwd(g):
-        off = 0
-        for t, sz in zip(tensors, sizes):
-            if t.requires_grad:
-                t._accumulate(g[off : off + sz])
-            off += sz
-
-    data = np.concatenate([t.data for t in tensors], axis=0)
-    return Tensor(data, parents=tuple(tensors), bwd=bwd)
 
 
 def heads_dot(h, a, heads: int) -> Tensor:

@@ -629,13 +629,15 @@ class TruthTableBdd:
     """Shannon-expansion construction from explicit truth tables.
 
     Independent of the apply-based engine; used as a structural oracle and to
-    cross-check the count of the exact order search.
+    cross-check the count of the exact order search. Its `nodes` records are
+    (level, low, high), the layout the manager's `reachable` and `signature`
+    read, so the oracle shares them.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.unique: dict[tuple[int, int, int], int] = {}
-        self.children: dict[int, tuple[int, int, int]] = {}
+        self.nodes: dict[int, tuple[int, int, int]] = {}
         self._next = 2
 
     def build(self, table: int, level: int = 0) -> int:
@@ -660,69 +662,29 @@ class TruthTableBdd:
         nid = self._next
         self._next += 1
         self.unique[key] = nid
-        self.children[nid] = key
+        self.nodes[nid] = key
         return nid
 
-    def reachable(self, roots) -> set[int]:
-        seen: set[int] = set()
-        stack = list(roots)
-        while stack:
-            ref = stack.pop()
-            if ref in seen:
-                continue
-            seen.add(ref)
-            if ref > TRUE:
-                _, lo, hi = self.children[ref]
-                stack.extend((lo, hi))
-        return seen
-
-    def signature(self, roots) -> tuple:
-        index: dict[int, int] = {}
-        out: list[tuple] = []
-
-        def visit(ref: int) -> int:
-            if ref in index:
-                return index[ref]
-            if ref <= TRUE:
-                index[ref] = -1 - ref
-                return index[ref]
-            level, lo, hi = self.children[ref]
-            a = visit(lo)
-            b = visit(hi)
-            idx = len(out)
-            index[ref] = idx
-            out.append((level, a, b))
-            return idx
-
-        root_ids = tuple(visit(r) for r in roots)
-        return (tuple(out), root_ids)
-
-
-def permute_table(table: int, n: int, perm) -> int:
-    """Reindex a truth table so position k of perm becomes bit weight n-1-k."""
-    out = 0
-    for i in range(1 << n):
-        j = 0
-        for k, v in enumerate(perm):
-            if (i >> (n - 1 - k)) & 1:
-                j |= 1 << (n - 1 - v)
-        if (table >> j) & 1:
-            out |= 1 << i
-    return out
+    reachable = BddManager.reachable
+    signature = BddManager.signature
 
 
 def shannon_build(netlist: Netlist, order: VarOrder):
-    """Truth-table construction oracle under the given order."""
-    n, tables = output_truth_tables(netlist)
+    """Truth-table construction oracle under the given order.
+
+    The netlist is evaluated with input v on the exhaustive column of its
+    level, so each output table is indexed level-major, as `build` splits it.
+    """
+    n = len(netlist.primary_inputs)
+    columns = exhaustive_columns(n)
+    tables = evaluate(netlist, [columns[order.position_of(v)] for v in range(n)], 1 << n)
     bdd = TruthTableBdd(n)
-    roots = [bdd.build(permute_table(t, n, order.permutation)) for t in tables]
-    return bdd, roots
+    return bdd, [bdd.build(t) for t in tables]
 
 
-def shannon_count(n: int, tables, perm) -> int:
-    """Node count of the truth tables' diagram under perm, built by Shannon expansion."""
-    bdd = TruthTableBdd(n)
-    roots = [bdd.build(permute_table(t, n, perm)) for t in tables]
+def shannon_count(netlist: Netlist, perm) -> int:
+    """Node count of the netlist's diagram under perm, built by Shannon expansion."""
+    bdd, roots = shannon_build(netlist, VarOrder.of(perm))
     return len(bdd.reachable(roots))
 
 
@@ -791,7 +753,7 @@ def brute_force_optimal_order(netlist: Netlist) -> tuple[VarOrder, int]:
         subset |= 1 << perm[-1]
     count = rest[0] + terminals
     # independent cross-check against the Shannon construction oracle
-    assert shannon_count(n, tables, perm) == count
+    assert shannon_count(netlist, perm) == count
     return VarOrder(tuple(perm)), count
 
 

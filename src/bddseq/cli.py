@@ -58,6 +58,8 @@ def _graph_for(netlist, cfg: RunConfig):
 
 
 def cmd_augment(args, cfg: RunConfig) -> int:
+    if args.variants is not None:
+        cfg.variants_per_circuit = args.variants
     in_dir, out_dir = Path(args.input), Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "blif").mkdir(exist_ok=True)
@@ -75,7 +77,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
         entries.append(
             CorpusEntry(base, copy_path, src_path.name, "copy", split_of(base, cfg.seed))
         )
-        for j in range(args.variants):
+        for j in range(cfg.variants_per_circuit):
             variant_id = f"{base}_v{j}"
             rng_seed = _variant_seed(cfg.seed, base, j)
             decomposed = bound_fanin(source, cfg.decompose_arity)
@@ -310,13 +312,16 @@ def cmd_predict(args, cfg: RunConfig) -> int:
 # -- synth -----------------------------------------------------------------------
 
 
+VERIFY_MAX_INPUTS = 16  # largest input count synthesize_circuit verifies exhaustively
+
+
 def synthesize_circuit(netlist, order, cfg: RunConfig):
     prepared = _prepare_netlist(netlist, cfg)
     start = time.perf_counter()
     mgr, roots = bdd.build_from_netlist(prepared, order, node_cap=cfg.node_cap)
     circuit = synth.synthesize(mgr, roots, prepared)
     elapsed = _clock(cfg, start)
-    if len(prepared.primary_inputs) <= 10:
+    if len(prepared.primary_inputs) <= VERIFY_MAX_INPUTS:
         if not synth.verify_synthesis(circuit, prepared):
             raise RuntimeError(
                 f"synthesized circuit does not match netlist '{netlist.name}'"
@@ -534,7 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="decompose and negate source circuits")
     p.add_argument("input", help="directory of .blif sources")
-    p.add_argument("--variants", type=int, default=3, help="variants per circuit")
+    p.add_argument(
+        "--variants", type=int, help="variants per circuit (default: variants_per_circuit)"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_augment)
 

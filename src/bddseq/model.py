@@ -62,14 +62,6 @@ class ModelParams:
         return self.tensors[name]
 
 
-@dataclass
-class DecoderState:
-    hidden: Tensor
-    cell: Tensor
-    visited: frozenset[int]
-    step: int
-
-
 def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     h = config.hidden
     shapes: dict[str, tuple[int, ...]] = {
@@ -174,24 +166,6 @@ def pi_embeddings(graph: CircuitGraph, embeddings: Tensor) -> Tensor:
     return ad.gather_rows(embeddings, np.asarray(graph.pi_positions, dtype=np.int64))
 
 
-def initial_state(params: ModelParams) -> DecoderState:
-    h = params.config.hidden
-    return DecoderState(
-        hidden=Tensor(np.zeros((1, h))),
-        cell=Tensor(np.zeros((1, h))),
-        visited=frozenset(),
-        step=0,
-    )
-
-
-def start_embedding(params: ModelParams) -> Tensor:
-    return params["dec.start"]
-
-
-def selection_embedding(pi_embs: Tensor, index: int) -> Tensor:
-    return ad.gather_rows(pi_embs, np.asarray([index], dtype=np.int64))
-
-
 def pointer_keys(pi_embs: Tensor, params: ModelParams) -> Tensor:
     """Pointer-attention keys of the primary inputs, (P, H)."""
     return ad.matmul(pi_embs, params["ptr.Wk"])
@@ -225,49 +199,30 @@ def decoder_advance(
 MASK_VALUE = -1e9
 
 
-def visited_mask(visited, num_pis: int) -> np.ndarray:
-    mask = np.zeros(num_pis)
-    for i in visited:
-        mask[i] = MASK_VALUE
-    return mask
-
-
-def pointer_step(
-    state: DecoderState, prev_emb: Tensor, pi_embs: Tensor, params: ModelParams
-) -> tuple[Tensor, DecoderState]:
-    """Masked log-probabilities over unvisited primary inputs."""
-    num_pis = pi_embs.data.shape[0]
-    if len(state.visited) >= num_pis:
-        raise ValueError("all positions already visited")
-    raw, hidden, cell = decoder_advance(
-        state.hidden, state.cell, prev_emb, pointer_keys(pi_embs, params), params
-    )
-    log_probs = ad.log_softmax_vec(ad.flatten(raw), visited_mask(state.visited, num_pis))
-    return log_probs, DecoderState(hidden, cell, state.visited, state.step)
-
-
 def forward_teacher_forced(
     graph: CircuitGraph, label: VarOrder, params: ModelParams
 ) -> list[Tensor]:
-    """Per-step log-probabilities of the label tokens under teacher forcing."""
+    """Per-step log-probabilities of the label tokens under teacher forcing.
+
+    Each token is one `decoder_advance` step with B = 1, fed the embedding of
+    the previous label token; chosen inputs are masked with MASK_VALUE.
+    """
     num_pis = graph.num_pis
     if sorted(label.permutation) != list(range(num_pis)):
         raise ValueError("label does not permute the primary inputs")
-    emb = encode(graph, params)
-    pis = pi_embeddings(graph, emb)
-    state = initial_state(params)
-    prev = start_embedding(params)
+    pis = pi_embeddings(graph, encode(graph, params))
+    hidden = Tensor(np.zeros((1, params.config.hidden)))
+    cell = Tensor(np.zeros((1, params.config.hidden)))
+    prev = params["dec.start"]
+    mask = np.zeros(num_pis)
     out: list[Tensor] = []
     for token in label.permutation:
-        log_probs, state = pointer_step(state, prev, pis, params)
-        out.append(ad.take(log_probs, token))
-        state = DecoderState(
-            hidden=state.hidden,
-            cell=state.cell,
-            visited=state.visited | {token},
-            step=state.step + 1,
-        )
-        prev = selection_embedding(pis, token)
+        # keys per step, not per graph: hoisting them changes gradients by rounding
+        keys = pointer_keys(pis, params)
+        raw, hidden, cell = decoder_advance(hidden, cell, prev, keys, params)
+        out.append(ad.take(ad.log_softmax_vec(ad.flatten(raw), mask), token))
+        mask[token] = MASK_VALUE
+        prev = ad.gather_rows(pis, [token])
     return out
 
 
@@ -366,11 +321,12 @@ def train(
         row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
         if val_dataset:
             vals = []
-            for graph_i, label_i in val_dataset:
-                lps, ms, ws = sample_loss_terms(
-                    graph_i, label_i, params, config.uniform_weights
-                )
-                vals.append(loss([lps], [ms], ws).item())
+            with ad.no_grad():
+                for graph_i, label_i in val_dataset:
+                    lps, ms, ws = sample_loss_terms(
+                        graph_i, label_i, params, config.uniform_weights
+                    )
+                    vals.append(loss([lps], [ms], ws).item())
             row["val_loss"] = float(np.mean(vals))
         if eval_fn is not None and val_dataset:
             row.update(eval_fn(params, val_dataset))
@@ -401,8 +357,9 @@ def gradient_check(
     """
 
     def value() -> float:
-        lps, ms, ws = sample_loss_terms(graph, label, params)
-        return loss([lps], [ms], ws).item()
+        with ad.no_grad():
+            lps, ms, ws = sample_loss_terms(graph, label, params)
+            return loss([lps], [ms], ws).item()
 
     lps, ms, ws = sample_loss_terms(graph, label, params)
     for p in params.tensors.values():

@@ -103,7 +103,7 @@ def _advance(pool: Pool, encoded: Encoded, params: M.ModelParams):
     if pool.tokens[0]:
         prev = Tensor(encoded.pi_embs[[t[-1] for t in pool.tokens]])
     else:
-        prev = M.start_embedding(params)  # only the start beam has no tokens
+        prev = params["dec.start"]  # only the start beam has no tokens
     raw, hidden, cell = M.decoder_advance(
         Tensor(pool.hidden), Tensor(pool.cell), prev, encoded.keys, params
     )

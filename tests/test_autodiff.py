@@ -58,7 +58,6 @@ def test_activations_grad():
     fd_check(lambda a: ad.sigmoid(a), [(3, 4)])
     fd_check(lambda a: ad.leaky_relu(a), [(3, 4)])
     fd_check(lambda a: ad.exp(a), [(2, 3)])
-    fd_check(lambda a: ad.log(ad.add(ad.mul(a, a), Tensor(np.ones((2, 3))))), [(2, 3)])
 
 
 def test_gather_scatter_grad():
@@ -69,7 +68,6 @@ def test_gather_scatter_grad():
 
 def test_slice_concat_flatten_take_grad():
     fd_check(lambda a: ad.slice_cols(a, 1, 3), [(3, 5)])
-    fd_check(lambda a, b: ad.concat_rows([a, b]), [(2, 3), (4, 3)])
     fd_check(lambda a: ad.flatten(a), [(3, 4)])
     fd_check(lambda a: ad.take(ad.flatten(a), 5), [(3, 4)])
 

@@ -352,10 +352,7 @@ def test_brute_force_symmetric_majority():
     net = parse_blif(
         ".model maj\n.inputs a b c\n.outputs o\n.names a b c o\n11- 1\n1-1 1\n-11 1\n.end"
     )
-    n, tables = output_truth_tables(net)
-    counts = {
-        shannon_count(n, tables, perm) for perm in itertools.permutations(range(3))
-    }
+    counts = {shannon_count(net, perm) for perm in itertools.permutations(range(3))}
     assert len(counts) == 1
 
 
@@ -367,10 +364,10 @@ def test_brute_force_too_many_inputs():
 
 def enumerate_optimal_order(netlist):
     """Reference: the first of all n! orders with the fewest Shannon-built nodes."""
-    n, tables = output_truth_tables(netlist)
+    n = len(netlist.primary_inputs)
     best_perm, best_count = None, None
     for perm in itertools.permutations(range(n)):
-        c = shannon_count(n, tables, perm)
+        c = shannon_count(netlist, perm)
         if best_count is None or c < best_count:
             best_perm, best_count = perm, c
     return VarOrder(best_perm), best_count

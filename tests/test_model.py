@@ -76,35 +76,11 @@ def test_encode_isomorphic_components_equal():
 
 
 def test_pointer_step_single_unvisited(t5):
+    # the last step leaves one input unmasked, so it is certain
     graph = tiny_graph(t5)
     params = tiny_params(graph)
-    emb = M.encode(graph, params)
-    pis = M.pi_embeddings(graph, emb)
-    state = M.DecoderState(
-        hidden=Tensor(np.zeros((1, 8))),
-        cell=Tensor(np.zeros((1, 8))),
-        visited=frozenset({0, 1, 2, 3}),
-        step=4,
-    )
-    log_probs, _ = M.pointer_step(state, M.start_embedding(params), pis, params)
-    assert log_probs.data[4] == pytest.approx(0.0, abs=1e-12)
-    probs = np.exp(log_probs.data)
-    assert probs[list({0, 1, 2, 3})].sum() == 0.0
-
-
-def test_pointer_step_all_visited_raises(t5):
-    graph = tiny_graph(t5)
-    params = tiny_params(graph)
-    emb = M.encode(graph, params)
-    pis = M.pi_embeddings(graph, emb)
-    state = M.DecoderState(
-        hidden=Tensor(np.zeros((1, 8))),
-        cell=Tensor(np.zeros((1, 8))),
-        visited=frozenset(range(5)),
-        step=5,
-    )
-    with pytest.raises(ValueError, match="visited"):
-        M.pointer_step(state, M.start_embedding(params), pis, params)
+    lps = M.forward_teacher_forced(graph, VarOrder((3, 1, 0, 2, 4)), params)
+    assert lps[-1].item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pointer_uniform_with_zero_weights(t5):
@@ -112,28 +88,30 @@ def test_pointer_uniform_with_zero_weights(t5):
     params = tiny_params(graph, jitter=0.0)
     for name in ("ptr.Wq", "ptr.Wk", "ptr.v"):
         params[name].data[:] = 0.0
-    emb = M.encode(graph, params)
-    pis = M.pi_embeddings(graph, emb)
-    state = M.initial_state(params)
-    log_probs, _ = M.pointer_step(state, M.start_embedding(params), pis, params)
-    assert np.allclose(log_probs.data, np.log(1 / 5), atol=1e-12)
+    lps = M.forward_teacher_forced(graph, VarOrder((4, 2, 0, 1, 3)), params)
+    for t, lp in enumerate(lps):
+        assert lp.item() == pytest.approx(np.log(1 / (5 - t)), abs=1e-12)
 
 
 def test_teacher_forced_proper_distributions(t5):
     graph = tiny_graph(t5)
     params = tiny_params(graph)
     label = VarOrder((4, 2, 0, 1, 3))
-    emb = M.encode(graph, params)
-    pis = M.pi_embeddings(graph, emb)
-    state = M.initial_state(params)
-    prev = M.start_embedding(params)
-    for token in label.permutation:
-        log_probs, state = M.pointer_step(state, prev, pis, params)
-        assert np.exp(log_probs.data).sum() == pytest.approx(1.0, abs=1e-6)
-        state = M.DecoderState(
-            state.hidden, state.cell, state.visited | {token}, state.step + 1
-        )
-        prev = M.selection_embedding(pis, token)
+    lps = M.forward_teacher_forced(graph, label, params)
+    pis = M.pi_embeddings(graph, M.encode(graph, params))
+    keys = M.pointer_keys(pis, params)
+    hidden = cell = Tensor(np.zeros((1, 8)))
+    prev = params["dec.start"]
+    mask = np.zeros(5)
+    for t, token in enumerate(label.permutation):
+        raw, hidden, cell = M.decoder_advance(hidden, cell, prev, keys, params)
+        log_probs = ad.log_softmax_vec(ad.flatten(raw), mask).data
+        probs = np.exp(log_probs)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert probs[mask != 0].sum() == 0.0
+        assert log_probs[token] == pytest.approx(lps[t].item(), abs=1e-12)
+        mask[token] = M.MASK_VALUE
+        prev = ad.gather_rows(pis, [token])
 
 
 def test_teacher_forced_single_pi():

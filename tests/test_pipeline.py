@@ -1,12 +1,14 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from bddseq import model as M
+from bddseq import synth
 from bddseq.bdd import VarOrder, brute_force_optimal_order
 from bddseq.blif import parse_blif, write_blif
-from bddseq.cli import main, predict_order
+from bddseq.cli import VERIFY_MAX_INPUTS, main, predict_order, synthesize_circuit
 from bddseq.corpus import (
     RunConfig,
     names_to_order,
@@ -16,7 +18,7 @@ from bddseq.corpus import (
     read_orders,
     split_of,
 )
-from bddseq.gen import desk_corpus
+from bddseq.gen import desk_corpus, read_once_tree
 from tests.conftest import PAIRS6_SRC
 
 
@@ -76,6 +78,25 @@ def test_augment_zero_variants_copies_only(tmp_path, cfg_file):
     entries = read_manifest(out / "manifest.csv")
     assert len(entries) == 4
     assert all(e.transform == "copy" for e in entries)
+
+
+def test_augment_variants_default_from_config(tmp_path):
+    src = tmp_path / "src"
+    write_sources(src, count=3, min_pis=4, max_pis=5)
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text("seed = 7\nvariants_per_circuit = 1\nrecord_times = false\n")
+    one = tmp_path / "one"
+    assert main(["--config", str(cfg_file), "augment", str(src), "--out", str(one)]) == 0
+    entries = read_manifest(one / "manifest.csv")
+    assert [e.transform == "copy" for e in entries] == [True, False] * 3
+    assert "variants_per_circuit = 1\n" in (one / "manifest.csv").read_text()
+    # an explicit flag wins and is what the manifest's config block reports
+    zero = tmp_path / "zero"
+    assert main(
+        ["--config", str(cfg_file), "augment", str(src), "--variants", "0", "--out", str(zero)]
+    ) == 0
+    assert len(read_manifest(zero / "manifest.csv")) == 3
+    assert "variants_per_circuit = 0\n" in (zero / "manifest.csv").read_text()
 
 
 def test_augment_counts_and_determinism(tmp_path, cfg_file):
@@ -227,6 +248,27 @@ def test_synth_command(labeled_corpus, cfg_file, trained_run, tmp_path):
     assert header == ["circuit", "mode", "gates", "lines", "qc", "transistor_cost", "time_seconds"]
     assert rows[0][0] == blif.stem
     assert rows[0][6] == "0.000000"  # record_times = false
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_synthesis_verified_up_to_guard(monkeypatch, extra):
+    n = VERIFY_MAX_INPUTS + extra
+    net = read_once_tree(random.Random(n), n)
+    real_synthesize = synth.synthesize
+
+    def drop_one_gate(*args):
+        circuit = real_synthesize(*args)
+        circuit.gates.pop()
+        return circuit
+
+    monkeypatch.setattr(synth, "synthesize", drop_one_gate)
+    cfg = RunConfig(record_times=False)
+    if extra == 0:
+        with pytest.raises(RuntimeError, match="does not match"):
+            synthesize_circuit(net, VarOrder.identity(n), cfg)
+    else:
+        circuit, _, _ = synthesize_circuit(net, VarOrder.identity(n), cfg)
+        assert not synth.verify_synthesis(circuit, net)  # wrong, yet returned
 
 
 def test_eval_report_totals_and_refusal(labeled_corpus, cfg_file, trained_run, tmp_path, capsys):
