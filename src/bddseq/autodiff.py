@@ -12,6 +12,7 @@ no backward closure, so inference builds no graph.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from math import prod
 
 import numpy as np
 
@@ -193,24 +194,49 @@ def tsum(a) -> Tensor:
     )
 
 
+def _segment_sum(values: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """Blocks of `values` (one per entry of idx) summed into n_rows rows.
+
+    One bincount over the flattened (row * C + col) bins adds in input
+    order, as `np.add.at` does, so the sums are bit for bit the same.
+    """
+    tail = values.shape[idx.ndim :]
+    cols = prod(tail)
+    bins = (idx.reshape(-1, 1) * cols + np.arange(cols)).ravel()
+    out = np.bincount(bins, weights=values.ravel(), minlength=n_rows * cols)
+    return out.reshape((n_rows,) + tail)
+
+
 def gather_rows(a, idx) -> Tensor:
+    """Rows of `a` picked by an integer index of any shape: a[idx]."""
     a = _wrap(a)
     idx = np.asarray(idx, dtype=np.int64)
-
-    def bwd(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, idx, g)
-        a._accumulate(acc)
-
-    return Tensor(a.data[idx], parents=(a,), bwd=bwd)
+    n_rows = a.data.shape[0]
+    return Tensor(
+        a.data[idx],
+        parents=(a,),
+        bwd=lambda g: a._accumulate(_segment_sum(g, idx, n_rows)),
+    )
 
 
 def scatter_add_rows(a, idx, n_rows: int) -> Tensor:
     a = _wrap(a)
     idx = np.asarray(idx, dtype=np.int64)
-    data = np.zeros((n_rows,) + a.data.shape[1:], dtype=np.float64)
-    np.add.at(data, idx, a.data)
+    data = _segment_sum(a.data, idx, n_rows)
     return Tensor(data, parents=(a,), bwd=lambda g: a._accumulate(g[idx]))
+
+
+def concat_rows(parts) -> Tensor:
+    """Stack tensors of equal width on top of each other."""
+    parts = [_wrap(p) for p in parts]
+    ends = np.cumsum([p.data.shape[0] for p in parts])
+
+    def bwd(g):
+        for p, stop in zip(parts, ends):
+            if p.requires_grad:
+                p._accumulate(g[stop - p.data.shape[0] : stop])
+
+    return Tensor(np.concatenate([p.data for p in parts]), parents=tuple(parts), bwd=bwd)
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -258,53 +284,47 @@ def heads_scale(h, s, heads: int) -> Tensor:
     return Tensor(data, parents=(h, s), bwd=bwd)
 
 
-def log_softmax_vec(a, mask_add=None) -> Tensor:
-    """Log-softmax over a 1-D tensor; mask_add is a constant additive bias."""
-    a = _wrap(a)
-    x = a.data if mask_add is None else a.data + mask_add
-    m = x.max()
-    z = x - m
-    lse = np.log(np.exp(z).sum())
-    y = z - lse
-    p = np.exp(y)
-    return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g - p * g.sum()))
-
-
 def outer_add(a, b) -> Tensor:
-    """All row sums: (B, H) and (P, H) -> (B*P, H), row b*P + p = a[b] + b[p]."""
+    """All row sums of (B, H) rows and (P, H) keys, as (B*P, H): row r*P + p
+    is a[r] + b[p] for keys (P, H) shared by every row, or a[r] + b[r, p]
+    for keys (B, P, H) of one block per row."""
     a, b = _wrap(a), _wrap(b)
-    rows, cols = a.data.shape[0], b.data.shape[0]
+    shared = b.data.ndim == 2
+    keys = b.data[None] if shared else b.data
+    rows, cols = a.data.shape[0], keys.shape[1]
 
     def bwd(g):
         g3 = g.reshape(rows, cols, -1)
         if a.requires_grad:
             a._accumulate(g3.sum(axis=1))
         if b.requires_grad:
-            b._accumulate(g3.sum(axis=0))
+            b._accumulate(g3.sum(axis=0) if shared else g3)
 
-    data = (a.data[:, None, :] + b.data[None, :, :]).reshape(rows * cols, -1)
+    data = (a.data[:, None, :] + keys).reshape(rows * cols, -1)
     return Tensor(data, parents=(a, b), bwd=bwd)
 
 
-def flatten(a) -> Tensor:
-    a = _wrap(a)
-    return Tensor(
-        a.data.reshape(-1),
-        parents=(a,),
-        bwd=lambda g: a._accumulate(g.reshape(a.data.shape)),
-    )
+def log_softmax_pick(a, mask_add: np.ndarray, picks) -> Tensor:
+    """Masked log-softmax over the last axis, keeping one picked entry per row.
 
-
-def take(a, i: int) -> Tensor:
-    """Scalar pick from a 1-D tensor."""
+    `a` holds the scores of mask_add's shape (..., C) in any layout of the
+    same size; mask_add is a constant additive bias and picks (...) names
+    one column per row. Returns the picked log-probabilities, shaped picks.
+    """
     a = _wrap(a)
+    picks = np.asarray(picks, dtype=np.int64)
+    cols = mask_add.shape[-1]
+    x = a.data.reshape(mask_add.shape) + mask_add
+    z = x - x.max(axis=-1, keepdims=True)
+    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    flat = np.arange(picks.size) * cols + picks.ravel()  # picked entries of y.ravel()
 
     def bwd(g):
-        acc = np.zeros_like(a.data)
-        acc[i] = g
-        a._accumulate(acc)
+        acc = -np.exp(y) * g[..., None]
+        acc.reshape(-1)[flat] += g.ravel()
+        a._accumulate(acc.reshape(a.data.shape))
 
-    return Tensor(a.data[i], parents=(a,), bwd=bwd)
+    return Tensor(y.reshape(-1)[flat].reshape(picks.shape), parents=(a,), bwd=bwd)
 
 
 class Adam:

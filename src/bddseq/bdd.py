@@ -776,29 +776,19 @@ def generate_label_report(
     ga_tournament: int = 3,
     ga_mutation: float = 0.2,
 ) -> LabelReport:
-    """Run the heuristic set {natural, sifting, GA} and keep the best order."""
+    """Run the heuristic set {natural, sifting, GA} and keep the best order.
+
+    One identity-order diagram serves all three: the natural count and the
+    GA read it (the GA scores orders on a private copy), then sifting
+    reorders it in place. Ties go to the earlier of natural, sifting, GA.
+    """
     n = len(netlist.primary_inputs)
-    candidates: list[tuple[str, VarOrder, int]] = []
-
-    def try_candidate(name, fn):
-        try:
-            order, count = fn()
-            candidates.append((name, order, count))
-        except NodeCapExceeded:
-            pass
-
-    def natural():
-        order = VarOrder.identity(n)
-        mgr, roots = build_from_netlist(netlist, order, node_cap)
-        return order, node_count(mgr, roots)
-
-    def sifted():
+    try:
         mgr, roots = build_from_netlist(netlist, VarOrder.identity(n), node_cap)
-        order = sift_reorder(mgr, roots)
-        return order, node_count(mgr, roots)
-
-    def genetic():
-        mgr, roots = build_from_netlist(netlist, VarOrder.identity(n), node_cap)
+    except NodeCapExceeded as exc:
+        raise NodeCapExceeded("all labeling heuristics exceeded the node cap") from exc
+    found = {"natural": (VarOrder.identity(n), node_count(mgr, roots))}
+    try:
         order = ga_reorder(
             mgr,
             roots,
@@ -809,16 +799,17 @@ def generate_label_report(
             mutation_prob=ga_mutation,
         )
         dst, new_roots = transfer(mgr, roots, order)
-        return order, node_count(dst, new_roots)
-
-    try_candidate("natural", natural)
-    try_candidate("sifting", sifted)
-    try_candidate("ga", genetic)
-    if not candidates:
-        raise NodeCapExceeded("all labeling heuristics exceeded the node cap")
-    winner, order, _ = min(candidates, key=lambda t: t[2])
+        ga = (order, node_count(dst, new_roots))
+    except NodeCapExceeded:
+        ga = None
+    found["sifting"] = (sift_reorder(mgr, roots), node_count(mgr, roots))
+    if ga is not None:
+        found["ga"] = ga
+    winner = min(found, key=lambda name: found[name][1])
     return LabelReport(
-        order=order, winner=winner, counts={name: c for name, _, c in candidates}
+        order=found[winner][0],
+        winner=winner,
+        counts={name: count for name, (_, count) in found.items()},
     )
 
 

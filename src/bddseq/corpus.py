@@ -48,6 +48,10 @@ class RunConfig:
     # wall-time columns are zeroed when false so outputs are byte-reproducible
     record_times: bool = True
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+
     def to_text(self) -> str:
         lines = []
         for f in fields(self):

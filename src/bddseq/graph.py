@@ -44,6 +44,31 @@ class CircuitGraph:
         return len(self.pi_positions)
 
 
+def disjoint_union(graphs: list[CircuitGraph]) -> CircuitGraph:
+    """One graph holding every given graph as a component, in order.
+
+    Node, edge and primary-input indices of each graph are offset by the
+    node count of the graphs before it; this is how a minibatch of graphs is
+    encoded in one pass (Fey & Lenssen, PyTorch Geometric, 2019).
+    """
+    names: list[str] = []
+    edges: list[tuple[int, int]] = []
+    pis: list[int] = []
+    for g in graphs:
+        offset = len(names)
+        names += g.node_names
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        pis += [p + offset for p in g.pi_positions]
+    return CircuitGraph(
+        node_names=names,
+        edges=edges,
+        features=np.concatenate([g.features for g in graphs]),
+        raw_structural=np.concatenate([g.raw_structural for g in graphs]),
+        pi_positions=pis,
+        max_table_len=graphs[0].max_table_len,
+    )
+
+
 def truth_table_embedding(gate: LogicGate, max_table_len: int) -> np.ndarray:
     """Bit vector of the gate function over lexicographic input combinations.
 

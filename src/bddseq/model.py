@@ -7,6 +7,13 @@ layer. The decoder is an LSTM that, at each step, consumes the previously
 selected input's embedding, attends over the primary-input embeddings, masks
 already-chosen positions, and emits log-probabilities over the rest.
 
+Training teacher-forces a whole minibatch in one pass. Its graphs are encoded
+as one disjoint-union graph; attention normalises per destination node, so
+the union changes no node's embedding. The pointer keys of every sample's
+primary inputs are computed once per batch, padded to the largest input
+count, and each step is one `decoder_advance` over the B samples, with padded
+and already chosen inputs masked.
+
 Desk-scale defaults are hidden=64 / 3 layers / 4 heads / batch 8; the study
 this reproduces ran hidden=512 / 6 layers at batch 16.
 """
@@ -23,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
 from .bdd import VarOrder
-from .graph import CircuitGraph
+from .graph import CircuitGraph, disjoint_union
 
 
 class WeightFormatError(Exception):
@@ -176,9 +183,11 @@ def decoder_advance(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """One LSTM step for B sequences at once, then pointer attention.
 
-    hidden, cell and prev_emb are (B, H), keys is (P, H). Returns the raw
-    pointer scores as a (B*P, 1) column, row b*P + p for sequence b and
-    input p, and the advanced hidden and cell states.
+    hidden, cell and prev_emb are (B, H); keys are (P, H), shared by every
+    sequence as in search, or (B, P, H), one block per sequence as in
+    training. Returns the raw pointer scores as a (B*P, 1) column, row
+    b*P + p for sequence b and input p, and the advanced hidden and cell
+    states.
     """
     hdim = params.config.hidden
     z = ad.add(
@@ -199,31 +208,46 @@ def decoder_advance(
 MASK_VALUE = -1e9
 
 
-def forward_teacher_forced(
-    graph: CircuitGraph, label: VarOrder, params: ModelParams
-) -> list[Tensor]:
-    """Per-step log-probabilities of the label tokens under teacher forcing.
+def forward_teacher_forced(batch, params: ModelParams) -> tuple[Tensor, np.ndarray]:
+    """Log-probabilities of the label tokens of a minibatch under teacher forcing.
 
-    Each token is one `decoder_advance` step with B = 1, fed the embedding of
-    the previous label token; chosen inputs are masked with MASK_VALUE.
+    batch is a sequence of B (CircuitGraph, VarOrder) pairs. Step t is one
+    `decoder_advance` over all B samples, each fed the embedding of its
+    previous label token against its own keys; inputs beyond a sample's
+    count and inputs already chosen are masked with MASK_VALUE. Returns the
+    (T, B) log-probabilities, row t for step t, with T the largest input
+    count, and the (T, B) 0/1 mask of real steps: a sample with P inputs
+    has T - P padded steps at the end.
     """
-    num_pis = graph.num_pis
-    if sorted(label.permutation) != list(range(num_pis)):
-        raise ValueError("label does not permute the primary inputs")
-    pis = pi_embeddings(graph, encode(graph, params))
-    hidden = Tensor(np.zeros((1, params.config.hidden)))
-    cell = Tensor(np.zeros((1, params.config.hidden)))
+    for graph, label in batch:
+        if sorted(label.permutation) != list(range(graph.num_pis)):
+            raise ValueError("label does not permute the primary inputs")
+    sizes = np.array([graph.num_pis for graph, _ in batch])
+    b, t_len = len(batch), int(sizes.max())
+    union = disjoint_union([graph for graph, _ in batch])
+    pis = pi_embeddings(union, encode(union, params))  # (sum of P, H)
+    starts = np.cumsum(sizes) - sizes  # each sample's first row of pis
+    tokens = np.zeros((t_len, b), dtype=np.int64)  # padded steps pick input 0
+    for i, (_, label) in enumerate(batch):
+        tokens[: sizes[i], i] = label.permutation
+    real = np.arange(t_len) < sizes[:, None]  # (B, T): real inputs, real steps
+    keys = ad.gather_rows(
+        pointer_keys(pis, params), np.where(real, starts[:, None] + np.arange(t_len), 0)
+    )  # (B, T, H); padded rows repeat a real key and are always masked
+    masks = np.empty((t_len, b, t_len))
+    masks[0] = np.where(real, 0.0, MASK_VALUE)
+    hidden = cell = Tensor(np.zeros((b, params.config.hidden)))
     prev = params["dec.start"]
-    mask = np.zeros(num_pis)
-    out: list[Tensor] = []
-    for token in label.permutation:
-        # keys per step, not per graph: hoisting them changes gradients by rounding
-        keys = pointer_keys(pis, params)
+    raws = []
+    for t in range(t_len):
+        if t:
+            masks[t] = masks[t - 1]
+            masks[t, np.arange(b), tokens[t - 1]] = MASK_VALUE
+            prev = ad.gather_rows(pis, starts + tokens[t - 1])
         raw, hidden, cell = decoder_advance(hidden, cell, prev, keys, params)
-        out.append(ad.take(ad.log_softmax_vec(ad.flatten(raw), mask), token))
-        mask[token] = MASK_VALUE
-        prev = ad.gather_rows(pis, [token])
-    return out
+        raws.append(raw)
+    log_probs = ad.log_softmax_pick(ad.concat_rows(raws), masks, tokens)
+    return log_probs, real.T.astype(np.float64)
 
 
 def position_weight(t: int) -> float:
@@ -231,22 +255,21 @@ def position_weight(t: int) -> float:
     return 1.0 / _ln(t + 2)
 
 
-def loss(log_probs, masks, weights) -> Tensor:
-    """Mean over the batch of mask-normalized weighted negative log-likelihoods."""
-    batch = len(log_probs)
+def loss(log_probs: Tensor, mask, weights) -> Tensor:
+    """Mean over the batch of mask-normalized weighted negative log-likelihoods.
+
+    log_probs and mask are (T, B), one column per sample; weights holds at
+    least one weight per step.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    t_len, batch = mask.shape
     if batch == 0:
         raise ValueError("empty batch")
-    total = Tensor(0.0)
-    for lps, ms in zip(log_probs, masks):
-        denom = float(sum(ms))
-        if denom == 0.0:
-            raise ZeroDivisionError("sample with all-zero mask")
-        num = Tensor(0.0)
-        for t, (lp, m) in enumerate(zip(lps, ms)):
-            if m:
-                num = ad.add(num, ad.scale(lp, -float(weights[t]) * float(m)))
-        total = ad.add(total, ad.scale(num, 1.0 / denom))
-    return ad.scale(total, 1.0 / batch)
+    denom = mask.sum(axis=0)
+    if not denom.all():
+        raise ZeroDivisionError("sample with all-zero mask")
+    w = np.asarray(weights[:t_len], dtype=np.float64)[:, None]
+    return ad.tsum(ad.mul(log_probs, Tensor(-w * mask / denom / batch)))
 
 
 @dataclass
@@ -257,12 +280,20 @@ class TrainConfig:
     seed: int = 42
     uniform_weights: bool = False  # disable the early-position emphasis
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
-def sample_loss_terms(graph, label, params, uniform_weights=False):
-    lps = forward_teacher_forced(graph, label, params)
-    t_len = len(lps)
-    ws = [1.0 if uniform_weights else position_weight(t) for t in range(t_len)]
-    return lps, [1] * t_len, ws
+
+def sample_loss_terms(batch, params, uniform_weights=False):
+    """(log-probabilities, mask, weights) of a minibatch, the arguments of `loss`."""
+    lps, mask = forward_teacher_forced(batch, params)
+    ws = [1.0 if uniform_weights else position_weight(t) for t in range(len(mask))]
+    return lps, mask, ws
+
+
+def _chunks(items: list, size: int) -> list[list]:
+    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def train(
@@ -294,22 +325,11 @@ def train(
     history = []
     for epoch in range(start_epoch, start_epoch + config.epochs):
         rng = np.random.default_rng((config.seed, epoch))
-        indices = rng.permutation(len(dataset))
+        shuffled = [dataset[i] for i in rng.permutation(len(dataset))]
         epoch_losses = []
-        for ofs in range(0, len(indices), config.batch_size):
-            batch = indices[ofs : ofs + config.batch_size]
+        for batch in _chunks(shuffled, config.batch_size):
             opt.zero_grad()
-            lps_b, ms_b, ws_max = [], [], []
-            for i in batch:
-                graph_i, label_i = dataset[i]
-                lps, ms, ws = sample_loss_terms(
-                    graph_i, label_i, params, config.uniform_weights
-                )
-                lps_b.append(lps)
-                ms_b.append(ms)
-                if len(ws) > len(ws_max):
-                    ws_max = ws
-            batch_loss = loss(lps_b, ms_b, ws_max)
+            batch_loss = loss(*sample_loss_terms(batch, params, config.uniform_weights))
             value = batch_loss.item()
             if not np.isfinite(value):
                 raise TrainingDiverged(
@@ -320,14 +340,12 @@ def train(
             epoch_losses.append(value)
         row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
         if val_dataset:
-            vals = []
+            total = 0.0
             with ad.no_grad():
-                for graph_i, label_i in val_dataset:
-                    lps, ms, ws = sample_loss_terms(
-                        graph_i, label_i, params, config.uniform_weights
-                    )
-                    vals.append(loss([lps], [ms], ws).item())
-            row["val_loss"] = float(np.mean(vals))
+                for batch in _chunks(list(val_dataset), config.batch_size):
+                    terms = sample_loss_terms(batch, params, config.uniform_weights)
+                    total += loss(*terms).item() * len(batch)
+            row["val_loss"] = total / len(val_dataset)
         if eval_fn is not None and val_dataset:
             row.update(eval_fn(params, val_dataset))
         history.append(row)
@@ -343,14 +361,14 @@ def perturb_params(params: ModelParams, scale: float, seed: int) -> None:
 
 
 def gradient_check(
-    graph: CircuitGraph,
-    label: VarOrder,
+    batch,
     params: ModelParams,
     eps: float = 1e-5,
     probes_per_group: int = 8,
     seed: int = 0,
 ) -> dict[str, float]:
-    """Central finite differences vs backward() on the teacher-forced loss.
+    """Central finite differences vs backward() on the teacher-forced loss of
+    a minibatch of (CircuitGraph, VarOrder) pairs.
 
     Returns the vector-norm relative error per parameter group over the
     probed entries.
@@ -358,13 +376,11 @@ def gradient_check(
 
     def value() -> float:
         with ad.no_grad():
-            lps, ms, ws = sample_loss_terms(graph, label, params)
-            return loss([lps], [ms], ws).item()
+            return loss(*sample_loss_terms(batch, params)).item()
 
-    lps, ms, ws = sample_loss_terms(graph, label, params)
     for p in params.tensors.values():
         p.grad = None
-    loss([lps], [ms], ws).backward()
+    loss(*sample_loss_terms(batch, params)).backward()
     rng = np.random.default_rng(seed)
     errors: dict[str, float] = {}
     for name, p in params.tensors.items():

@@ -58,10 +58,12 @@ FEATURES = FeatureConfig(max_table_len=16)
 @pytest.fixture(scope="session")
 def desk():
     """Labeled desk corpus (>= 100 circuits, <= 12 PIs) and a trained model."""
+    start = time.time()
     nets = desk_corpus(120, seed=SEED, min_pis=6, max_pis=10)
     labels = {}
     for net in nets:
         labels[net.name] = generate_label(net, seed=SEED)
+    print(f"DESK FIXTURE labels: {len(nets)} circuits [{time.time() - start:.1f}s]")
     datasets = {"train": [], "val": [], "test": []}
     graphs = {}
     for net in nets:
@@ -72,7 +74,9 @@ def desk():
     params = M.init_params(config, seed=SEED)
     tconfig = M.TrainConfig(epochs=40, batch_size=8, learning_rate=3e-3, seed=SEED)
     train_pairs = [(g, l) for _, g, l in datasets["train"]]
+    start = time.time()
     params, history, _ = M.train(train_pairs, tconfig, params=params)
+    print(f"DESK FIXTURE training: {tconfig.epochs} epochs [{time.time() - start:.1f}s]")
     return {
         "nets": {n.name: n for n in nets},
         "labels": labels,
@@ -203,16 +207,21 @@ def test_criterion_05_rank_metric_formulas():
 
 def test_criterion_06_gradient_check():
     with criterion(6, "analytic vs central-difference gradients"):
-        net = parse_blif(T5_SRC)
-        graph = blif2graph(net, FeatureConfig(max_table_len=4))
+        # a minibatch of two circuits with 5 and 3 inputs: one is padded
+        features = FeatureConfig(max_table_len=4)
+        batch = [
+            (blif2graph(parse_blif(T5_SRC), features), VarOrder((2, 0, 1, 4, 3))),
+            (
+                blif2graph(random_cover_netlist(random.Random(6), 3, 3, max_arity=2), features),
+                VarOrder((1, 2, 0)),
+            ),
+        ]
         config = M.ModelConfig(
-            feature_dim=graph.features.shape[1], hidden=8, layers=2, heads=2
+            feature_dim=batch[0][0].features.shape[1], hidden=8, layers=2, heads=2
         )
         params = M.init_params(config, seed=1)
         M.perturb_params(params, 0.05, seed=99)
-        errors = M.gradient_check(
-            graph, VarOrder((2, 0, 1, 4, 3)), params, probes_per_group=8
-        )
+        errors = M.gradient_check(batch, params, probes_per_group=8)
         worst = max(errors.values())
         print(f"    worst per-group relative error: {worst:.3e}")
         assert worst < 1e-4

@@ -64,12 +64,40 @@ def test_gather_scatter_grad():
     idx = np.array([0, 2, 1, 2])
     fd_check(lambda a: ad.gather_rows(a, idx), [(3, 4)])
     fd_check(lambda a: ad.scatter_add_rows(a, np.array([0, 2, 1, 2, 0]), 3), [(5, 4)])
+    fd_check(lambda a: ad.scatter_add_rows(a, np.array([1, 1, 0]), 4), [(3,)])
 
 
-def test_slice_concat_flatten_take_grad():
+@pytest.mark.parametrize("cols", [1, 2, 3, 8, 17, 64])
+def test_segment_sums_equal_add_at(cols):
+    rng = np.random.default_rng(cols)
+    rows = 9
+    idx = rng.integers(0, rows - 3, size=40)  # repeats, and rows never hit
+    values = rng.standard_normal((40, cols)) * 10.0 ** rng.integers(-8, 8, size=(40, 1))
+    expected = np.zeros((rows, cols))
+    np.add.at(expected, idx, values)
+    assert np.array_equal(ad.scatter_add_rows(values, idx, rows).data, expected)
+    a = Tensor(rng.standard_normal((rows, cols)), requires_grad=True)
+    ad.gather_rows(a, idx).backward(values)
+    assert np.array_equal(a.grad, expected)
+
+
+def test_slice_concat_gather_grad():
     fd_check(lambda a: ad.slice_cols(a, 1, 3), [(3, 5)])
-    fd_check(lambda a: ad.flatten(a), [(3, 4)])
-    fd_check(lambda a: ad.take(ad.flatten(a), 5), [(3, 4)])
+    fd_check(lambda a, b: ad.concat_rows([a, b, a]), [(2, 3), (4, 3)])
+    fd_check(lambda a: ad.gather_rows(a, np.array([[0, 2], [2, 2]])), [(3, 4)])
+
+
+def test_outer_add_grad():
+    fd_check(lambda a, b: ad.outer_add(a, b), [(3, 4), (5, 4)])  # shared keys
+    fd_check(lambda a, b: ad.outer_add(a, b), [(3, 4), (3, 5, 4)])  # per-row keys
+
+
+def test_outer_add_per_row_matches_shared():
+    rng = np.random.default_rng(1)
+    a, keys = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+    shared = ad.outer_add(a, keys).data
+    per_row = ad.outer_add(a, np.broadcast_to(keys, (3, 5, 4))).data
+    assert np.array_equal(shared, per_row)
 
 
 def test_heads_ops_grad():
@@ -78,15 +106,19 @@ def test_heads_ops_grad():
 
 
 def test_log_softmax_grad_masked():
-    mask = np.array([0, -1e9, 0, 0, -1e9, 0.0])
-    fd_check(lambda a: ad.take(ad.log_softmax_vec(a, mask), 2), [(6,)])
-    fd_check(lambda a: ad.take(ad.log_softmax_vec(a), 0), [(6,)])
+    mask = np.array([[0, -1e9, 0, 0, -1e9, 0.0], [0, 0, 0, -1e9, 0, 0]])
+    fd_check(lambda a: ad.log_softmax_pick(a, mask, [2, 5]), [(2, 6)])
+    fd_check(lambda a: ad.log_softmax_pick(a, mask, [0, 1]), [(12, 1)])
+    fd_check(lambda a: ad.log_softmax_pick(a, np.zeros((2, 2, 3)), [[0, 2], [1, 1]]), [(12,)])
 
 
 def test_log_softmax_probabilities():
-    x = Tensor(np.array([0.3, -1.2, 2.0]))
-    y = ad.log_softmax_vec(x)
-    assert np.exp(y.data).sum() == pytest.approx(1.0, abs=1e-12)
+    x = Tensor(np.array([[0.3, -1.2, 2.0], [5.0, 5.0, -3.0]]))
+    mask = np.array([[0.0, 0.0, 0.0], [0.0, -1e9, 0.0]])
+    picked = [ad.log_softmax_pick(x, mask, [c, c]).data for c in range(3)]
+    probs = np.exp(np.stack(picked, axis=1))
+    assert probs.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert probs[1, 1] == 0.0
 
 
 def test_shared_subgraph_accumulates():

@@ -24,7 +24,7 @@ from bddseq.bdd import (
     transfer,
 )
 from bddseq.blif import Cube, LogicGate, Netlist, parse_blif, simulate
-from bddseq.gen import pair_products, random_cover_netlist, read_once_tree
+from bddseq.gen import desk_corpus, pair_products, random_cover_netlist, read_once_tree
 from bddseq.synth import synthesize, verify_synthesis
 
 NATURAL6 = VarOrder.identity(6)
@@ -440,6 +440,75 @@ def test_generate_label_ga_beats_sifting():
     assert report.winner == "ga"
     mgr, roots = build_from_netlist(net, report.order)
     assert node_count(mgr, roots) == report.counts["ga"]
+
+
+def three_build_label_report(netlist, seed=0, node_cap=2_000_000, **ga):
+    """Reference: each heuristic builds its own identity-order diagram."""
+    n = len(netlist.primary_inputs)
+    candidates = []
+
+    def natural():
+        mgr, roots = build_from_netlist(netlist, VarOrder.identity(n), node_cap)
+        return VarOrder.identity(n), node_count(mgr, roots)
+
+    def sifted():
+        mgr, roots = build_from_netlist(netlist, VarOrder.identity(n), node_cap)
+        order = sift_reorder(mgr, roots)
+        return order, node_count(mgr, roots)
+
+    def genetic():
+        mgr, roots = build_from_netlist(netlist, VarOrder.identity(n), node_cap)
+        order = ga_reorder(mgr, roots, seed=seed, **ga)
+        dst, new_roots = transfer(mgr, roots, order)
+        return order, node_count(dst, new_roots)
+
+    for name, fn in (("natural", natural), ("sifting", sifted), ("ga", genetic)):
+        try:
+            candidates.append((name, *fn()))
+        except NodeCapExceeded:
+            pass
+    winner, order, _ = min(candidates, key=lambda t: t[2])
+    return order, winner, {name: count for name, _, count in candidates}
+
+
+def label_matches_reference(net, seed, **ga):
+    report = generate_label_report(
+        net,
+        seed=seed,
+        ga_population=ga.get("population", 32),
+        ga_generations=ga.get("generations", 50),
+    )
+    expected = three_build_label_report(net, seed=seed, **ga)
+    assert (report.order, report.winner, report.counts) == expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_label_report_matches_three_builds_random(seed):
+    r = random.Random(seed)
+    n = r.randint(2, 8)
+    net = random_cover_netlist(r, n, r.randint(2, 9), max_arity=3, n_outputs=r.randint(1, 3))
+    label_matches_reference(net, seed, population=8, generations=6)
+
+
+def test_label_report_matches_three_builds_desk():
+    for i, net in enumerate(desk_corpus(12, seed=5, min_pis=6, max_pis=10)):
+        label_matches_reference(net, i)
+
+
+def test_label_report_builds_once(monkeypatch, pairs6):
+    import bddseq.bdd as bdd
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_from_netlist(*args, **kwargs)
+
+    monkeypatch.setattr(bdd, "build_from_netlist", counted)
+    for net in (pairs6, read_once_tree(random.Random(3), 7)):
+        calls.clear()
+        generate_label_report(net, seed=0, ga_population=8, ga_generations=6)
+        assert len(calls) == 1
 
 
 def test_node_cap_signals_blowup(pairs6):

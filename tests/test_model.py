@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from bddseq import model as M
 from bddseq.autodiff import Tensor
 from bddseq.bdd import VarOrder
 from bddseq.blif import parse_blif
-from bddseq.graph import CircuitGraph, FeatureConfig, blif2graph
+from bddseq.gen import random_cover_netlist
+from bddseq.graph import CircuitGraph, FeatureConfig, blif2graph, disjoint_union
 
 
 def tiny_graph(net, L=4):
@@ -75,12 +78,19 @@ def test_encode_isomorphic_components_equal():
     assert np.allclose(emb[1], emb[3])
 
 
+def teacher_forced(graph, label, params):
+    """Per-step log-probabilities of one sample, through the batched path."""
+    lps, mask = M.forward_teacher_forced([(graph, label)], params)
+    assert mask.shape == (graph.num_pis, 1) and mask.all()
+    return lps.data[:, 0]
+
+
 def test_pointer_step_single_unvisited(t5):
     # the last step leaves one input unmasked, so it is certain
     graph = tiny_graph(t5)
     params = tiny_params(graph)
-    lps = M.forward_teacher_forced(graph, VarOrder((3, 1, 0, 2, 4)), params)
-    assert lps[-1].item() == pytest.approx(0.0, abs=1e-12)
+    lps = teacher_forced(graph, VarOrder((3, 1, 0, 2, 4)), params)
+    assert lps[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pointer_uniform_with_zero_weights(t5):
@@ -88,16 +98,16 @@ def test_pointer_uniform_with_zero_weights(t5):
     params = tiny_params(graph, jitter=0.0)
     for name in ("ptr.Wq", "ptr.Wk", "ptr.v"):
         params[name].data[:] = 0.0
-    lps = M.forward_teacher_forced(graph, VarOrder((4, 2, 0, 1, 3)), params)
+    lps = teacher_forced(graph, VarOrder((4, 2, 0, 1, 3)), params)
     for t, lp in enumerate(lps):
-        assert lp.item() == pytest.approx(np.log(1 / (5 - t)), abs=1e-12)
+        assert lp == pytest.approx(np.log(1 / (5 - t)), abs=1e-12)
 
 
 def test_teacher_forced_proper_distributions(t5):
     graph = tiny_graph(t5)
     params = tiny_params(graph)
     label = VarOrder((4, 2, 0, 1, 3))
-    lps = M.forward_teacher_forced(graph, label, params)
+    lps = teacher_forced(graph, label, params)
     pis = M.pi_embeddings(graph, M.encode(graph, params))
     keys = M.pointer_keys(pis, params)
     hidden = cell = Tensor(np.zeros((1, 8)))
@@ -105,11 +115,12 @@ def test_teacher_forced_proper_distributions(t5):
     mask = np.zeros(5)
     for t, token in enumerate(label.permutation):
         raw, hidden, cell = M.decoder_advance(hidden, cell, prev, keys, params)
-        log_probs = ad.log_softmax_vec(ad.flatten(raw), mask).data
+        x = raw.data.reshape(-1) + mask
+        log_probs = x - x.max() - np.log(np.exp(x - x.max()).sum())
         probs = np.exp(log_probs)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert probs[mask != 0].sum() == 0.0
-        assert log_probs[token] == pytest.approx(lps[t].item(), abs=1e-12)
+        assert log_probs[token] == pytest.approx(lps[t], abs=1e-12)
         mask[token] = M.MASK_VALUE
         prev = ad.gather_rows(pis, [token])
 
@@ -118,52 +129,147 @@ def test_teacher_forced_single_pi():
     net = parse_blif(".model t\n.inputs a\n.outputs o\n.names a o\n1 1\n.end")
     graph = tiny_graph(net)
     params = tiny_params(graph)
-    lps = M.forward_teacher_forced(graph, VarOrder((0,)), params)
+    lps = teacher_forced(graph, VarOrder((0,)), params)
     assert len(lps) == 1
-    assert lps[0].item() == pytest.approx(0.0, abs=1e-12)
+    assert lps[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_teacher_forced_rejects_bad_label(t5):
     graph = tiny_graph(t5)
     params = tiny_params(graph)
     with pytest.raises(ValueError):
-        M.forward_teacher_forced(graph, VarOrder((0, 1, 2)), params)
+        M.forward_teacher_forced([(graph, VarOrder((0, 1, 2)))], params)
 
 
 def test_loss_identities():
-    zero = M.loss([[Tensor(0.0)]], [[1]], [1.0])
+    zero = M.loss(Tensor([[0.0]]), [[1]], [1.0])
     assert zero.item() == pytest.approx(0.0)
-    one = M.loss([[Tensor(-1.0), Tensor(-1.0)]], [[1, 1]], [1.0, 1.0])
+    one = M.loss(Tensor([[-1.0], [-1.0]]), [[1], [1]], [1.0, 1.0])
     assert one.item() == pytest.approx(1.0)
 
 
 def test_loss_padded_batch_matches_per_sample():
     rng = np.random.default_rng(3)
-    lp_a = [Tensor(-float(x)) for x in rng.uniform(0.1, 2.0, size=3)]
-    lp_b = [Tensor(-float(x)) for x in rng.uniform(0.1, 2.0, size=5)]
+    lp_a = -rng.uniform(0.1, 2.0, size=3)
+    lp_b = -rng.uniform(0.1, 2.0, size=5)
     weights = [M.position_weight(t) for t in range(5)]
     padded = M.loss(
-        [lp_a + [Tensor(0.0), Tensor(0.0)], lp_b],
-        [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]],
+        Tensor(np.stack([np.concatenate([lp_a, [0.0, 0.0]]), lp_b], axis=1)),
+        np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]]).T,
         weights,
     )
     separate = 0.5 * (
-        M.loss([lp_a], [[1, 1, 1]], weights).item()
-        + M.loss([lp_b], [[1] * 5], weights).item()
+        M.loss(Tensor(lp_a[:, None]), [[1]] * 3, weights).item()
+        + M.loss(Tensor(lp_b[:, None]), [[1]] * 5, weights).item()
     )
     assert padded.item() == pytest.approx(separate)
 
 
 def test_loss_all_zero_mask_raises():
     with pytest.raises(ZeroDivisionError):
-        M.loss([[Tensor(-1.0)]], [[0]], [1.0])
+        M.loss(Tensor([[-1.0]]), [[0]], [1.0])
 
 
 def test_gradient_check_tiny_model(t5):
     graph = tiny_graph(t5)
     params = tiny_params(graph, hidden=8, layers=2, heads=2)
-    errors = M.gradient_check(graph, VarOrder((2, 0, 1, 4, 3)), params, probes_per_group=4)
+    errors = M.gradient_check(
+        [(graph, VarOrder((2, 0, 1, 4, 3)))], params, probes_per_group=4
+    )
     assert max(errors.values()) < 1e-4
+
+
+def toy_batch(seed, sizes):
+    """Random-cover circuits with the given input counts, random labels."""
+    r = random.Random(seed)
+    batch = []
+    for i, n in enumerate(sizes):
+        net = random_cover_netlist(r, n, r.randint(1, 4), max_arity=3, n_outputs=1)
+        perm = list(range(n))
+        r.shuffle(perm)
+        batch.append((blif2graph(net, FeatureConfig(max_table_len=8)), VarOrder(tuple(perm))))
+    return batch
+
+
+def toy_params(batch, seed):
+    cfg = M.ModelConfig(
+        feature_dim=batch[0][0].features.shape[1], hidden=8, layers=2, heads=2
+    )
+    params = M.init_params(cfg, seed=seed)
+    M.perturb_params(params, 0.3, seed=seed + 1)
+    return params
+
+
+def batch_loss(batch, params, uniform=False):
+    return M.loss(*M.sample_loss_terms(batch, params, uniform))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("sizes", [(1,), (4,), (1, 5), (3, 1, 6, 2), (5, 5, 2, 1, 4)])
+def test_batched_loss_is_mean_of_single_losses(seed, sizes):
+    batch = toy_batch(seed, sizes)
+    params = toy_params(batch, seed)
+    for uniform in (False, True):
+        single = [batch_loss([sample], params, uniform).item() for sample in batch]
+        assert batch_loss(batch, params, uniform).item() == pytest.approx(
+            np.mean(single), abs=1e-9
+        )
+
+
+def test_encode_disjoint_union_matches_components():
+    batch = toy_batch(7, (3, 6, 1, 4))
+    params = toy_params(batch, 7)
+    union = disjoint_union([g for g, _ in batch])
+    emb = M.encode(union, params).data
+    offset = 0
+    for graph, _ in batch:
+        part = M.encode(graph, params).data
+        assert np.allclose(emb[offset : offset + graph.num_nodes], part, atol=1e-12)
+        offset += graph.num_nodes
+    assert offset == len(emb)
+
+
+def test_gradient_check_mixed_batch():
+    batch = toy_batch(11, (5, 2, 4))
+    params = toy_params(batch, 11)
+    errors = M.gradient_check(batch, params, probes_per_group=4)
+    assert max(errors.values()) < 1e-4
+
+
+def test_padded_key_rows_change_nothing(monkeypatch):
+    batch = toy_batch(5, (2, 6, 4))
+    params = toy_params(batch, 5)
+    sizes = [g.num_pis for g, _ in batch]
+    real = np.arange(max(sizes)) < np.array(sizes)[:, None]
+
+    def run():
+        for p in params.tensors.values():
+            p.grad = None
+        out = batch_loss(batch, params)
+        out.backward()
+        return out.item(), {k: p.grad.copy() for k, p in params.tensors.items()}
+
+    loss_a, grads_a = run()
+    outer_add = ad.outer_add
+    noise = np.random.default_rng(0).standard_normal((len(batch), max(sizes), 8)) * 5.0
+    noise[real] = 0.0
+
+    def perturbed(a, keys):
+        if keys.data.ndim == 3:  # per-sample keys: shift the padded rows
+            keys = ad.add(keys, Tensor(noise))
+        return outer_add(a, keys)
+
+    monkeypatch.setattr(ad, "outer_add", perturbed)
+    loss_b, grads_b = run()
+    assert loss_a == loss_b
+    for k in grads_a:
+        assert np.array_equal(grads_a[k], grads_b[k]), k
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_train_config_rejects_non_positive_batch(size):
+    with pytest.raises(ValueError, match="batch_size"):
+        M.TrainConfig(batch_size=size)
 
 
 def test_train_zero_lr_keeps_params(t5):

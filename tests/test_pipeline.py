@@ -49,6 +49,12 @@ def test_runconfig_rejects_unknown_key():
         RunConfig.from_text("bogus = 1\n")
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_runconfig_rejects_non_positive_batch(size):
+    with pytest.raises(ValueError, match="batch_size"):
+        RunConfig.from_text(f"batch_size = {size}\n")
+
+
 def test_split_deterministic_and_proportioned():
     ids = [f"c{i}" for i in range(3000)]
     splits = [split_of(i, seed=42) for i in ids]
