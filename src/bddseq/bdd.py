@@ -13,8 +13,10 @@ so dead lower-level nodes can be dropped during the swap; elsewhere dead nodes
 are left to the mark-and-sweep collector. `check()` audits every refcount.
 Sifting and the genetic reorderer's fitness both move diagrams by these swaps.
 A swap frees every node it orphans, so after one collection the store holds
-exactly the live nodes; sifting collects once and then reads each node count
-from the store size instead of walking the diagrams.
+exactly the live nodes; sifting, the genetic fitness and the search's re-rank
+collect once and then read each node count from the store size instead of
+walking the diagrams. `shuffle_to` moves a diagram to a whole new order, with
+the node cap checked on every swap.
 
 Exact orders come from the Friedman-Supowit dynamic program over subsets of
 variables, run on the output truth tables (`brute_force_optimal_order`).
@@ -409,10 +411,40 @@ class BddManager:
         while self.var2level[var] > position:
             self.swap_adjacent_levels(self.var2level[var] - 1)
 
+    def shuffle_to(self, permutation) -> bool:
+        """Reorder to `permutation` in place by adjacent swaps.
+
+        As CUDD's `Cudd_ShuffleHeap` does, each variable in turn, from the
+        top, moves up to its position, so positions that already hold their
+        variable cost no swap. The cap holds on every swap: the move stops
+        as soon as the store passes `node_cap`, leaves the manager at that
+        intermediate (valid) order and returns False; True when it arrives.
+        No collection is needed on the way: a swap frees what it orphans, so
+        a collected store stays exactly the live nodes.
+        """
+        if len(permutation) != self.n:
+            raise ValueError("order does not permute the manager's variables")
+        for pos, var in enumerate(permutation):
+            while self.var2level[var] > pos:
+                self.swap_adjacent_levels(self.var2level[var] - 1)
+                if len(self.nodes) > self.node_cap:
+                    return False
+        return True
+
 
 def node_count(manager: BddManager, roots) -> int:
     """Distinct nodes reachable from the roots, terminals included."""
     return len(manager.reachable(roots))
+
+
+def terminal_count(roots) -> int:
+    """Terminals the reduced diagrams under the roots reach.
+
+    A store that holds exactly the nodes under the roots counts
+    `len(manager.nodes) + terminal_count(roots)` nodes, with no walk.
+    """
+    # a reduced nonconstant diagram reaches both terminals
+    return 2 if any(r > TRUE for r in roots) else len(set(roots))
 
 
 def build_from_netlist(
@@ -473,8 +505,7 @@ def sift_reorder(manager: BddManager, roots) -> VarOrder:
     if any(r > TRUE and r not in manager.protected for r in roots):
         raise ValueError("sifting needs every internal root protected")
     manager.collect_garbage()
-    # a reduced nonconstant diagram reaches both terminals
-    terminals = 2 if any(r > TRUE for r in roots) else len(set(roots))
+    terminals = terminal_count(roots)
     if node_count(manager, roots) != len(manager.nodes) + terminals:
         raise ValueError("the manager protects diagrams beyond the roots")
     n = manager.n
@@ -539,9 +570,10 @@ def ga_reorder(
     Order crossover plus swap mutation, tournament selection, and elitism,
     so the result is never worse than the best seeded individual. The search
     is deterministic for a fixed seed. Fitness is scored on one private copy
-    of the diagrams, moved to each new order by adjacent level swaps; the
-    caller's manager is not touched. An order whose copy outgrows the node
-    cap scores node_cap + 1.
+    of the diagrams, collected once and then moved to each new order by
+    adjacent level swaps (`shuffle_to`), so each count is the store size; the
+    caller's manager is not touched. An order whose copy passes the node cap
+    on any swap scores node_cap + 1.
     """
     if population < 2:
         raise ValueError("population must be at least 2")
@@ -554,20 +586,15 @@ def ga_reorder(
         work = None  # even the caller's own order outgrows the cap
     else:
         work.collect_garbage()
+        terminals = terminal_count(work_roots)
 
     def fitness(perm: tuple[int, ...]) -> int:
         hit = fitness_cache.get(perm)
         if hit is not None:
             return hit
         cost = manager.node_cap + 1
-        if work is not None:
-            for pos, var in enumerate(perm):
-                work.move_var_to(var, pos)
-                work.maybe_collect()
-                if len(work.nodes) > manager.node_cap:
-                    break
-            else:
-                cost = node_count(work, work_roots)
+        if work is not None and work.shuffle_to(perm):
+            cost = len(work.nodes) + terminals
         fitness_cache[perm] = cost
         return cost
 

@@ -50,10 +50,6 @@ def _prepare_netlist(netlist, cfg: RunConfig):
     return bound_fanin(netlist, cfg.decompose_arity)
 
 
-def _graph_for(netlist, cfg: RunConfig):
-    return blif2graph(_prepare_netlist(netlist, cfg), _feature_config(cfg))
-
-
 # -- augment -------------------------------------------------------------------
 
 
@@ -263,8 +259,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def predict_order(netlist, params, mode: str, cfg: RunConfig, trace=None):
     """Decode candidates for the given mode and re-rank by BDD size."""
-    graph = _graph_for(netlist, cfg)
     prepared = _prepare_netlist(netlist, cfg)
+    graph = blif2graph(prepared, _feature_config(cfg))
     if mode == "efficiency":
         order = search.greedy_decode(graph, params)
         candidates = [order]

@@ -1,5 +1,5 @@
 """Sequence decoding over a trained model: greedy, beam, and grouped
-diversity-promoting beam search.
+diversity-promoting beam search, and the re-rank of its candidates by BDD size.
 
 The diverse search ranks one shared pool of beams. At every step the groups
 act in a fixed order on the pool's candidate continuations: group i rescales
@@ -12,8 +12,18 @@ one-beam group is greedy decoding.
 
 The pool advances in lockstep: each position is one decoder step over all
 B beams (`_advance`, a (B, H) LSTM step to (B, P) raw scores, run without
-autodiff graphs), and each group then claims its quota from the (B, P)
-scores with one sort.
+autodiff graphs). The penalised scores depend only on the set of tokens
+claimed so far at the step, so the (B, P) scores and their stable sort are
+computed once per change of that set: a group that follows a group which
+claimed no new token walks on through the same ranking from where that group
+stopped, skipping the continuations already taken. A stable sort orders the
+untaken entries as the sort of the pool with the taken ones masked out does,
+so this claims exactly what a fresh ranking per group would.
+
+`select_best_order` builds one diagram per circuit and moves it from
+candidate to candidate by adjacent swaps, reading each count from the
+store size. Only after a candidate passes the node cap is the next one
+built afresh.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ import numpy as np
 
 from . import model as M
 from .autodiff import Tensor, no_grad
-from .bdd import NodeCapExceeded, VarOrder, build_from_netlist, node_count
+from .bdd import NodeCapExceeded, VarOrder, build_from_netlist, terminal_count
 from .blif import Netlist
 from .graph import CircuitGraph
 
@@ -65,6 +75,10 @@ class SearchConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        if self.penalty not in ("scale", "subtract"):
+            raise ValueError(
+                f"penalty must be 'scale' or 'subtract', not {self.penalty!r}"
+            )
 
     @staticmethod
     def efficiency() -> "SearchConfig":
@@ -143,23 +157,34 @@ def _decode(
         with no_grad():
             raw, hidden, cell = _advance(pool, encoded, params)
         mask = np.where(pool.visited, M.MASK_VALUE, 0.0)
-        taken = pool.visited.copy()  # visited, or claimed by an earlier group
+        taken = pool.visited.ravel().tolist()  # visited, or claimed by an earlier group
         claimed = np.zeros(num_pis, dtype=bool)  # tokens taken at this step
+        stale = True  # claimed has gained a token since the last ranking
         rows: list[int] = []
         cols: list[int] = []
         scores: list[float] = []
         for group in range(config.groups):
-            total = pool.scores[:, None] + _log_softmax(
-                _penalized(raw, claimed, config) + mask
-            )
-            # row-major order breaks score ties by (beam, token)
-            flat = np.where(taken, -np.inf, total).ravel()
-            for k in np.argsort(-flat, kind="stable")[:quota].tolist():
-                score = float(flat[k])
+            if stale:
+                scored = pool.scores[:, None] + _log_softmax(
+                    _penalized(raw, claimed, config) + mask
+                )
+                # row-major order breaks score ties by (beam, token)
+                ranking = np.argsort(-scored.ravel(), kind="stable").tolist()
+                total = scored.ravel().tolist()
+                pos, stale = 0, False
+            got = 0
+            while got < quota and pos < len(ranking):
+                k = ranking[pos]
+                pos += 1
+                if taken[k]:
+                    continue
+                score = total[k]
                 if score == -np.inf:
                     break  # fewer continuations left than the quota
                 b, token = divmod(k, num_pis)
-                taken[b, token] = claimed[token] = True
+                stale = stale or not claimed[token]
+                taken[k] = claimed[token] = True
+                got += 1
                 rows.append(b)
                 cols.append(token)
                 scores.append(score)
@@ -219,29 +244,38 @@ def beam_search(
 def select_best_order(
     candidates, netlist: Netlist, node_cap: int = 2_000_000
 ) -> VarOrder:
-    """Re-rank candidate orders by actual BDD size.
+    """Re-rank candidate orders by actual BDD size, on one diagram.
 
-    Candidates must arrive sorted by model score descending; on node-count
-    ties the earlier (higher-scoring) candidate wins. Candidates that blow
-    the node cap are skipped.
+    The candidates are visited in lexicographic order of their permutations,
+    so consecutive ones share prefixes. The first is built from the netlist
+    and collected once; every later one is reached from the previous one by
+    `BddManager.shuffle_to`, and its count is the store size plus terminals.
+    Candidates must arrive sorted by model score descending: the winner is
+    the least (count, original index), so on node-count ties the earlier
+    (higher-scoring) candidate wins. A candidate whose build, or any swap on
+    the way to it, passes the node cap is skipped, and the next one is built
+    afresh; NodeCapExceeded is raised when no candidate fits.
     """
     if not candidates:
         raise ValueError("no candidate orders")
-    best = None
-    best_count = None
-    failures = 0
-    for cand in candidates:
-        order = cand if isinstance(cand, VarOrder) else VarOrder.of(cand)
-        try:
-            mgr, roots = build_from_netlist(netlist, order, node_cap=node_cap)
-        except NodeCapExceeded:
-            failures += 1
+    orders = [c if isinstance(c, VarOrder) else VarOrder.of(c) for c in candidates]
+    fits: list[tuple[int, int]] = []  # (count, index) of every candidate within the cap
+    mgr = None
+    for index in sorted(range(len(orders)), key=lambda i: orders[i].permutation):
+        order = orders[index]
+        if mgr is None:
+            try:
+                mgr, roots = build_from_netlist(netlist, order, node_cap=node_cap)
+            except NodeCapExceeded:
+                continue
+            mgr.collect_garbage()
+            terminals = terminal_count(roots)
+        elif not mgr.shuffle_to(order.permutation):
+            mgr = None  # build the next candidate afresh
             continue
-        count = node_count(mgr, roots)
-        if best_count is None or count < best_count:
-            best, best_count = order, count
-    if best is None:
+        fits.append((len(mgr.nodes) + terminals, index))
+    if not fits:
         raise NodeCapExceeded(
-            f"all {failures} candidate orders exceeded the node cap"
+            f"all {len(orders)} candidate orders exceeded the node cap"
         )
-    return best
+    return orders[min(fits)[1]]

@@ -21,6 +21,7 @@ from bddseq.bdd import (
     shannon_build,
     shannon_count,
     sift_reorder,
+    terminal_count,
     transfer,
 )
 from bddseq.blif import Cube, LogicGate, Netlist, parse_blif, simulate
@@ -225,8 +226,8 @@ def test_check_audits_refcounts(pairs6, delta):
 
 
 @st.composite
-def netlists_with_swaps(draw):
-    """A random netlist of at most 8 inputs and levels to swap before sifting."""
+def netlists(draw):
+    """A random netlist of at most 8 inputs and 1-4 outputs sharing nodes."""
     n = draw(st.integers(1, 8))
     inputs = [f"x{i}" for i in range(n)]
     signals, gates = list(inputs), []
@@ -242,6 +243,14 @@ def netlists_with_swaps(draw):
     )
     net = Netlist(name="fuzz", primary_inputs=inputs, primary_outputs=outputs, gates=gates)
     net.validate()
+    return net
+
+
+@st.composite
+def netlists_with_swaps(draw):
+    """A random netlist and levels to swap before sifting."""
+    net = draw(netlists())
+    n = len(net.primary_inputs)
     swaps = draw(st.lists(st.integers(0, n - 2), max_size=12)) if n > 1 else []
     return net, swaps
 
@@ -295,20 +304,22 @@ def test_ga_deterministic(pairs6):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_in_place_moves_match_transfer(seed):
-    # GA fitness moves one copy from order to order by adjacent swaps
+    # GA fitness moves one collected copy from order to order by adjacent
+    # swaps and reads each count from the store size
     r = random.Random(seed + 600)
     net = random_cover_netlist(r, r.randint(3, 8), r.randint(3, 10), n_outputs=3)
     n = len(net.primary_inputs)
     mgr, roots = build_from_netlist(net, VarOrder.identity(n))
     work, work_roots = transfer(mgr, roots, mgr.current_order())
+    work.collect_garbage()
     for _ in range(50):
         perm = list(range(n))
         r.shuffle(perm)
-        for pos, var in enumerate(perm):
-            work.move_var_to(var, pos)
+        assert work.shuffle_to(perm)
         assert work.order == perm
         dst, dst_roots = transfer(mgr, roots, VarOrder(tuple(perm)))
-        assert node_count(work, work_roots) == node_count(dst, dst_roots)
+        assert work.signature(work_roots) == dst.signature(dst_roots)
+        assert len(work.nodes) + terminal_count(work_roots) == node_count(dst, dst_roots)
     work.check()
 
 
@@ -320,21 +331,45 @@ def test_ga_leaves_caller_manager_untouched(pairs6):
     assert mgr.signature(roots) == sig_before
 
 
-@pytest.mark.parametrize("cap", [3, 41])
-def test_ga_tiny_node_cap_returns_permutation(cap):
-    # five two-input products: 12 nodes under the declaration order, up to 64
-    # under others; at cap 41 the working copy fits but many orders do not,
-    # at cap 3 not even the copy fits
+def five_products():
+    """Five two-input products: 12 nodes under the declaration order, up to
+    64 under others, such as the interleaved order."""
     src = ".model p\n.inputs " + " ".join(f"x{i}" for i in range(10))
     src += "\n.outputs f\n"
     src += "".join(f".names x{2 * k} x{2 * k + 1} p{k}\n11 1\n" for k in range(5))
     src += ".names p0 p1 p2 p3 p4 f\n"
     src += "".join("-" * k + "1" + "-" * (4 - k) + " 1\n" for k in range(5))
-    net = parse_blif(src + ".end")
+    return parse_blif(src + ".end")
+
+
+INTERLEAVED10 = (0, 2, 4, 6, 8, 1, 3, 5, 7, 9)
+
+
+@pytest.mark.parametrize("cap", [3, 41])
+def test_ga_tiny_node_cap_returns_permutation(cap):
+    # at cap 41 the working copy fits but many orders do not, at cap 3 not
+    # even the copy fits
+    net = five_products()
     mgr, roots = build_from_netlist(net, VarOrder.identity(10))
     mgr.node_cap = cap
     order = ga_reorder(mgr, roots, population=8, generations=4, seed=1)
     assert sorted(order.permutation) == list(range(10))
+
+
+def test_shuffle_to_stops_on_the_swap_that_passes_the_cap():
+    mgr, roots = build_from_netlist(five_products(), VarOrder.identity(10))
+    mgr.collect_garbage()
+    mgr.node_cap = 40  # the identity order holds 10 nodes, the interleaved 62
+    assert not mgr.shuffle_to(INTERLEAVED10)
+    assert len(mgr.nodes) > 40
+    assert mgr.order != list(INTERLEAVED10)
+    mgr.check()
+    # the store stays exact at the intermediate order, and moves on from it
+    assert len(mgr.nodes) + terminal_count(roots) == node_count(mgr, roots)
+    assert mgr.shuffle_to(range(10))
+    assert len(mgr.nodes) == 10
+    with pytest.raises(ValueError):
+        mgr.shuffle_to(range(9))
 
 
 def test_brute_force_pair_function(pairs6):

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_bdd import INTERLEAVED10, five_products, netlists
 
 from bddseq import model as M
 from bddseq import search
-from bddseq.bdd import VarOrder, build_from_netlist, node_count
+from bddseq.bdd import NodeCapExceeded, VarOrder, build_from_netlist, node_count, terminal_count
 from bddseq.blif import parse_blif
 from bddseq.graph import FeatureConfig, blif2graph
 from bddseq.search import SearchConfig, beam_search, diverse_beam_search, greedy_decode
@@ -152,6 +155,11 @@ def test_group_width_divisibility_checked():
         SearchConfig(beam_width=5, groups=2)
 
 
+def test_unknown_penalty_rejected():
+    with pytest.raises(ValueError, match="penalty"):
+        SearchConfig(penalty="scaled")
+
+
 def test_mode_presets():
     balance = SearchConfig.balance()
     assert (balance.beam_width, balance.groups, balance.alpha) == (20, 10, 0.25)
@@ -264,7 +272,187 @@ def test_subtractive_penalty_variant(tri_graph, tri_params, monkeypatch):
         assert sorted(order.permutation) == [0, 1, 2]
 
 
+# -- the claim loop against a fresh ranking per group ---------------------------
+
+
+def per_group_decode(encoded, params, config):
+    """Reference: every group log-softmaxes and stably sorts the whole pool,
+    with the continuations taken so far masked out."""
+    num_pis, hdim = encoded.pi_embs.shape[0], params.config.hidden
+    quota = config.beam_width // config.groups
+    pool = search.Pool(
+        tokens=[()],
+        scores=np.zeros(1),
+        visited=np.zeros((1, num_pis), dtype=bool),
+        hidden=np.zeros((1, hdim)),
+        cell=np.zeros((1, hdim)),
+    )
+    for step in range(num_pis):
+        raw, hidden, cell = search._advance(pool, encoded, params)
+        mask = np.where(pool.visited, M.MASK_VALUE, 0.0)
+        taken = pool.visited.copy()
+        claimed = np.zeros(num_pis, dtype=bool)
+        rows, cols, scores = [], [], []
+        for group in range(config.groups):
+            total = pool.scores[:, None] + search._log_softmax(
+                search._penalized(raw, claimed, config) + mask
+            )
+            flat = np.where(taken, -np.inf, total).ravel()
+            for k in np.argsort(-flat, kind="stable")[:quota].tolist():
+                score = float(flat[k])
+                if score == -np.inf:
+                    break
+                b, token = divmod(k, num_pis)
+                taken[b, token] = claimed[token] = True
+                rows.append(b)
+                cols.append(token)
+                scores.append(score)
+                config.trace.append(
+                    {
+                        "step": step,
+                        "group": group,
+                        "beam": len(rows) - 1,
+                        "token": token,
+                        "score": score,
+                    }
+                )
+        visited = pool.visited[rows]
+        visited[np.arange(len(rows)), cols] = True
+        pool = search.Pool(
+            tokens=[pool.tokens[b] + (t,) for b, t in zip(rows, cols)],
+            scores=np.array(scores),
+            visited=visited,
+            hidden=hidden[rows],
+            cell=cell[rows],
+        )
+    ranked = sorted(zip(pool.scores.tolist(), pool.tokens), key=lambda c: (-c[0], c[1]))
+    return [(VarOrder(tokens), score) for score, tokens in ranked]
+
+
+def claim_loop_model(name):
+    if name == "zero":  # every raw score is 0, so every ranking is all ties
+        _, graph, params = make_toy_model(0, n_pis=5)
+        for p in params.tensors.values():
+            p.data[...] = 0.0
+        return graph, params
+    seed = int(name[3:])
+    _, graph, params = make_toy_model(seed, n_pis=4 + seed % 3, n_gates=4)
+    return graph, params
+
+
+@pytest.mark.parametrize("model", ["toy0", "toy1", "toy2", "toy3", "zero"])
+@pytest.mark.parametrize("quota", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("penalty", ["scale", "subtract"])
+def test_claim_loop_matches_per_group_ranking(model, quota, alpha, penalty):
+    graph, params = claim_loop_model(model)
+    encoded = search.encode(graph, params)
+    for groups in (1, 2, 5):
+        configs = [
+            SearchConfig(
+                beam_width=groups * quota, groups=groups, alpha=alpha, penalty=penalty, trace=[]
+            )
+            for _ in range(2)
+        ]
+        got = diverse_beam_search(encoded, params, configs[0])
+        expected = per_group_decode(encoded, params, configs[1])
+        assert got == expected  # orders and scores, exactly
+        assert configs[0].trace == configs[1].trace
+
+
 # -- re-ranking ------------------------------------------------------------------
+
+
+def rebuild_select_best_order(candidates, netlist, node_cap=2_000_000):
+    """Reference: build every candidate from the netlist, keep the first least."""
+    best, best_count = None, None
+    for cand in candidates:
+        order = cand if isinstance(cand, VarOrder) else VarOrder.of(cand)
+        try:
+            mgr, roots = build_from_netlist(netlist, order, node_cap=node_cap)
+        except NodeCapExceeded:
+            continue
+        count = node_count(mgr, roots)
+        if best_count is None or count < best_count:
+            best, best_count = order, count
+    return best
+
+
+@st.composite
+def rerank_cases(draw):
+    """A netlist and candidates with duplicates and ties, as tuples or orders."""
+    net = draw(netlists())
+    perms = st.permutations(range(len(net.primary_inputs))).map(tuple)
+    pool = draw(st.lists(perms, min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool) | perms, min_size=1, max_size=12))
+    wrap = draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+    return net, [VarOrder(p) if w else p for p, w in zip(picks, wrap)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rerank_cases())
+def test_rerank_in_place_matches_rebuilds(case):
+    net, candidates = case
+    assert search.select_best_order(candidates, net) == rebuild_select_best_order(candidates, net)
+    # the walk select_best_order makes: one build, then swaps in lexicographic order
+    mgr = None
+    for perm in sorted(tuple(c) for c in candidates):
+        if mgr is None:
+            mgr, roots = build_from_netlist(net, VarOrder(perm))
+            mgr.collect_garbage()
+        else:
+            assert mgr.shuffle_to(perm)
+        mgr.check()
+        fresh, fresh_roots = build_from_netlist(net, VarOrder(perm))
+        assert len(mgr.nodes) + terminal_count(roots) == node_count(fresh, fresh_roots)
+
+
+def counted_builds(monkeypatch):
+    calls = []
+
+    def counted(netlist, order, **kwargs):
+        calls.append(order.permutation)
+        return build_from_netlist(netlist, order, **kwargs)
+
+    monkeypatch.setattr(search, "build_from_netlist", counted)
+    return calls
+
+
+def test_rerank_builds_once(monkeypatch, pairs6):
+    builds = counted_builds(monkeypatch)
+    candidates = list(itertools.permutations(range(6)))[::37]
+    search.select_best_order(candidates, pairs6)
+    assert builds == [candidates[0]]
+
+
+# five products under a cap of 40 nodes: orders that keep each product's
+# inputs together build within it (10 live nodes), the interleaved order
+# (62 live nodes) neither builds within it nor is reached by swaps within it
+PAIRED10 = (1, 0, 3, 2, 5, 4, 7, 6, 9, 8)
+
+
+def test_rerank_skips_a_candidate_whose_build_passes_the_cap():
+    # the interleaved order comes first lexicographically, so it is built first
+    chosen = search.select_best_order([INTERLEAVED10, PAIRED10], five_products(), node_cap=40)
+    assert chosen == VarOrder(PAIRED10)
+
+
+def test_rerank_skips_a_candidate_whose_swaps_pass_the_cap(monkeypatch):
+    # visited as identity, interleaved (skipped on the way), then PAIRED10,
+    # built afresh; it ties the identity and wins as the earlier candidate
+    builds = counted_builds(monkeypatch)
+    net = five_products()
+    candidates = [PAIRED10, INTERLEAVED10, tuple(range(10))]
+    assert search.select_best_order(candidates, net, node_cap=40) == VarOrder(PAIRED10)
+    assert builds == [tuple(range(10)), PAIRED10]
+    assert search.select_best_order(candidates[1:], net, node_cap=40) == VarOrder.identity(10)
+
+
+def test_rerank_raises_when_no_candidate_fits():
+    over = [INTERLEAVED10, (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)]
+    with pytest.raises(NodeCapExceeded):
+        search.select_best_order(over, five_products(), node_cap=40)
+
 
 
 def test_select_best_single_candidate(pairs6):
