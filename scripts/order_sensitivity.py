@@ -12,7 +12,6 @@ from bddseq.bdd import (
     ga_reorder,
     node_count,
     sift_reorder,
-    transfer,
 )
 from bddseq.blif import parse_blif
 from bddseq.synth import quantum_cost, synthesize, transistor_cost

@@ -144,11 +144,6 @@ def div(a, b) -> Tensor:
     return Tensor(a.data / b.data, parents=(a, b), bwd=bwd)
 
 
-def scale(a, k: float) -> Tensor:
-    a = _wrap(a)
-    return Tensor(a.data * k, parents=(a,), bwd=lambda g: a._accumulate(g * k))
-
-
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
 

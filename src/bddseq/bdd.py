@@ -807,7 +807,10 @@ def generate_label_report(
 
     One identity-order diagram serves all three: the natural count and the
     GA read it (the GA scores orders on a private copy), then sifting
-    reorders it in place. Ties go to the earlier of natural, sifting, GA.
+    reorders it in place, and the sifted diagram moves on to the GA's order
+    by adjacent swaps, which counts it from the store size. A GA order that
+    passes the node cap on the way gets no entry. Ties go to the earlier of
+    natural, sifting, GA.
     """
     n = len(netlist.primary_inputs)
     try:
@@ -815,23 +818,18 @@ def generate_label_report(
     except NodeCapExceeded as exc:
         raise NodeCapExceeded("all labeling heuristics exceeded the node cap") from exc
     found = {"natural": (VarOrder.identity(n), node_count(mgr, roots))}
-    try:
-        order = ga_reorder(
-            mgr,
-            roots,
-            population=ga_population,
-            generations=ga_generations,
-            seed=seed,
-            tournament=ga_tournament,
-            mutation_prob=ga_mutation,
-        )
-        dst, new_roots = transfer(mgr, roots, order)
-        ga = (order, node_count(dst, new_roots))
-    except NodeCapExceeded:
-        ga = None
+    ga_order = ga_reorder(
+        mgr,
+        roots,
+        population=ga_population,
+        generations=ga_generations,
+        seed=seed,
+        tournament=ga_tournament,
+        mutation_prob=ga_mutation,
+    )
     found["sifting"] = (sift_reorder(mgr, roots), node_count(mgr, roots))
-    if ga is not None:
-        found["ga"] = ga
+    if mgr.shuffle_to(ga_order.permutation):  # sifting left the store collected
+        found["ga"] = (ga_order, len(mgr.nodes) + terminal_count(roots))
     winner = min(found, key=lambda name: found[name][1])
     return LabelReport(
         order=found[winner][0],

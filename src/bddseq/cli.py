@@ -258,24 +258,18 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def predict_order(netlist, params, mode: str, cfg: RunConfig, trace=None):
-    """Decode candidates for the given mode and re-rank by BDD size."""
+    """Decode candidates for the given mode and re-rank by BDD size.
+
+    Beam modes add the greedy order as a candidate when their search missed it.
+    """
+    if mode not in search.MODES:
+        raise ValueError(f"unknown mode '{mode}'")
+    beam_width, groups = search.MODES[mode]
     prepared = _prepare_netlist(netlist, cfg)
-    graph = blif2graph(prepared, _feature_config(cfg))
-    if mode == "efficiency":
-        order = search.greedy_decode(graph, params)
-        candidates = [order]
-    else:
-        config = search.SearchConfig.for_mode(mode)
-        config = search.SearchConfig(
-            beam_width=config.beam_width,
-            groups=config.groups,
-            alpha=cfg.alpha,
-            mode=mode,
-            trace=trace,
-        )
-        encoded = search.encode(graph, params)
-        scored = search.diverse_beam_search(encoded, params, config)
-        candidates = [order for order, _ in scored]
+    encoded = search.encode(blif2graph(prepared, _feature_config(cfg)), params)
+    config = search.SearchConfig(beam_width, groups, cfg.alpha, trace)
+    candidates = [order for order, _ in search.diverse_beam_search(encoded, params, config)]
+    if beam_width > 1:
         greedy = search.greedy_decode(encoded, params)
         if greedy not in candidates:
             candidates.append(greedy)
@@ -478,7 +472,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             )
 
         run("ga", genetic)
-        for mode in ("efficiency", "balance", "quality"):
+        for mode in search.MODES:
             run(
                 f"model_{mode}",
                 lambda mode=mode: predict_order(netlist, params, mode, cfg)[0],
@@ -557,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument(
         "--mode",
-        choices=["efficiency", "balance", "quality"],
+        choices=list(search.MODES),
         default="balance",
     )
     p.add_argument("--trace", action="store_true", help="dump a JSONL search trace")

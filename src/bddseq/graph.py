@@ -143,36 +143,3 @@ def blif2graph(netlist: Netlist, config: FeatureConfig) -> CircuitGraph:
         pi_positions=list(range(len(netlist.primary_inputs))),
         max_table_len=L,
     )
-
-
-def serialize_graph(graph: CircuitGraph) -> str:
-    """Line-oriented dump: header, one feature row per node, one edge per line."""
-    lines = [
-        f"{graph.num_nodes} {len(graph.edges)} {graph.max_table_len} {graph.num_pis}"
-    ]
-    for row in graph.features:
-        lines.append(" ".join(f"{v:.9g}" for v in row))
-    for src, dst in graph.edges:
-        lines.append(f"{src} {dst}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_graph(text: str) -> CircuitGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n_nodes, n_edges, L, n_pis = (int(t) for t in lines[0].split())
-    feats = np.array(
-        [[float(t) for t in lines[1 + i].split()] for i in range(n_nodes)],
-        dtype=np.float64,
-    ).reshape(n_nodes, L + 4)
-    edges = []
-    for i in range(n_edges):
-        src, dst = lines[1 + n_nodes + i].split()
-        edges.append((int(src), int(dst)))
-    return CircuitGraph(
-        node_names=[f"n{i}" for i in range(n_nodes)],
-        edges=edges,
-        features=feats,
-        raw_structural=np.zeros((n_nodes, 4), dtype=np.int64),
-        pi_positions=list(range(n_pis)),
-        max_table_len=L,
-    )

@@ -49,6 +49,9 @@ class ModelConfig:
     heads: int = 4
 
     def __post_init__(self):
+        for name in ("feature_dim", "hidden", "layers", "heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.hidden % self.heads != 0:
             raise ValueError("hidden must be divisible by heads")
 
@@ -426,10 +429,7 @@ def _parse_config(blob: bytes, offset: int) -> ModelConfig:
             if line.strip():
                 key, value = line.split("=", 1)
                 fields[key.strip()] = int(value)
-        sizes = {k: fields[k] for k in ("feature_dim", "hidden", "layers", "heads")}
-        if min(sizes.values()) < 1:
-            raise ValueError(f"non-positive size in {sizes}")
-        return ModelConfig(**sizes)
+        return ModelConfig(**{k: fields[k] for k in ("feature_dim", "hidden", "layers", "heads")})
     except KeyError as exc:
         raise WeightFormatError(f"config missing field {exc}") from exc
     except ValueError as exc:  # includes undecodable bytes

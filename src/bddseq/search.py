@@ -2,10 +2,13 @@
 diversity-promoting beam search, and the re-rank of its candidates by BDD size.
 
 The diverse search ranks one shared pool of beams. At every step the groups
-act in a fixed order on the pool's candidate continuations: group i rescales
+act in a fixed order on the pool's candidate continuations: group i lowers
 the raw pointer score of any token that an earlier group has already taken
-at this step by (1 - alpha) before the log-softmax, then claims its
-group-quota of best remaining (beam, token) continuations. Claimed
+at this step by alpha times the span (max - min) of the beam's raw scores
+before the log-softmax, as diverse beam search subtracts its diversity term,
+then claims its group-quota of best remaining (beam, token) continuations.
+The penalty lowers a claimed token's score whatever the sign of its logit,
+and it is shift invariant as the log-softmax is. Claimed
 continuations are excluded from later groups, so with alpha = 0 the groups
 jointly reproduce exactly the plain width-m beam search, and a single
 one-beam group is greedy decoding.
@@ -13,12 +16,12 @@ one-beam group is greedy decoding.
 The pool advances in lockstep: each position is one decoder step over all
 B beams (`_advance`, a (B, H) LSTM step to (B, P) raw scores, run without
 autodiff graphs). The penalised scores depend only on the set of tokens
-claimed so far at the step, so the (B, P) scores and their stable sort are
-computed once per change of that set: a group that follows a group which
-claimed no new token walks on through the same ranking from where that group
-stopped, skipping the continuations already taken. A stable sort orders the
-untaken entries as the sort of the pool with the taken ones masked out does,
-so this claims exactly what a fresh ranking per group would.
+claimed so far at the step, so the (B, P) scores are computed once per change
+of that set: a group that follows a group which claimed no new token goes on
+with the same scores. Each claim takes the first maximum of the untaken
+continuations and sets it to -inf, which is the next entry of a stable sort
+of the pool with the taken ones masked out, so this claims exactly what a
+fresh ranking per group would.
 
 `select_best_order` builds one diagram per circuit and moves it from
 candidate to candidate by adjacent swaps, reading each count from the
@@ -59,13 +62,15 @@ class Pool:
     cell: np.ndarray  # (B, H)
 
 
+# mode -> (beam_width, groups); alpha comes from the run configuration
+MODES = {"efficiency": (1, 1), "balance": (20, 10), "quality": (50, 25)}
+
+
 @dataclass
 class SearchConfig:
     beam_width: int = 20
     groups: int = 10
     alpha: float = 0.25
-    mode: str = "balance"
-    penalty: str = "scale"  # "scale": score *= (1-alpha); "subtract": score -= alpha*range
     trace: list | None = None
 
     def __post_init__(self):
@@ -75,33 +80,6 @@ class SearchConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.penalty not in ("scale", "subtract"):
-            raise ValueError(
-                f"penalty must be 'scale' or 'subtract', not {self.penalty!r}"
-            )
-
-    @staticmethod
-    def efficiency() -> "SearchConfig":
-        return SearchConfig(beam_width=1, groups=1, alpha=0.0, mode="efficiency")
-
-    @staticmethod
-    def balance() -> "SearchConfig":
-        return SearchConfig(beam_width=20, groups=10, alpha=0.25, mode="balance")
-
-    @staticmethod
-    def quality() -> "SearchConfig":
-        return SearchConfig(beam_width=50, groups=25, alpha=0.25, mode="quality")
-
-    @staticmethod
-    def for_mode(mode: str) -> "SearchConfig":
-        key = mode.lower()
-        if key == "efficiency":
-            return SearchConfig.efficiency()
-        if key == "balance":
-            return SearchConfig.balance()
-        if key == "quality":
-            return SearchConfig.quality()
-        raise ValueError(f"unknown mode '{mode}'")
 
 
 def encode(graph: CircuitGraph, params: M.ModelParams) -> Encoded:
@@ -131,11 +109,10 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def _penalized(raw: np.ndarray, claimed: np.ndarray, config: SearchConfig) -> np.ndarray:
-    """Raw scores with the tokens claimed by earlier groups penalized."""
+    """Raw scores less alpha times each row's span on the tokens claimed by
+    earlier groups."""
     if not claimed.any():
         return raw
-    if config.penalty == "scale":
-        return raw * np.where(claimed, 1.0 - config.alpha, 1.0)
     span = raw.max(axis=1, keepdims=True) - raw.min(axis=1, keepdims=True)
     return raw - np.where(claimed, config.alpha * span, 0.0)
 
@@ -157,7 +134,6 @@ def _decode(
         with no_grad():
             raw, hidden, cell = _advance(pool, encoded, params)
         mask = np.where(pool.visited, M.MASK_VALUE, 0.0)
-        taken = pool.visited.ravel().tolist()  # visited, or claimed by an earlier group
         claimed = np.zeros(num_pis, dtype=bool)  # tokens taken at this step
         stale = True  # claimed has gained a token since the last ranking
         rows: list[int] = []
@@ -165,26 +141,22 @@ def _decode(
         scores: list[float] = []
         for group in range(config.groups):
             if stale:
-                scored = pool.scores[:, None] + _log_softmax(
-                    _penalized(raw, claimed, config) + mask
-                )
-                # row-major order breaks score ties by (beam, token)
-                ranking = np.argsort(-scored.ravel(), kind="stable").tolist()
-                total = scored.ravel().tolist()
-                pos, stale = 0, False
-            got = 0
-            while got < quota and pos < len(ranking):
-                k = ranking[pos]
-                pos += 1
-                if taken[k]:
-                    continue
-                score = total[k]
+                flat = (
+                    pool.scores[:, None] + _log_softmax(_penalized(raw, claimed, config) + mask)
+                ).ravel()
+                # visited, or claimed by an earlier group
+                flat[pool.visited.ravel()] = -np.inf
+                flat[[b * num_pis + t for b, t in zip(rows, cols)]] = -np.inf
+                stale = False
+            for _ in range(quota):
+                k = int(flat.argmax())  # the first maximum: ties go to (beam, token) order
+                score = float(flat[k])
                 if score == -np.inf:
                     break  # fewer continuations left than the quota
+                flat[k] = -np.inf
                 b, token = divmod(k, num_pis)
                 stale = stale or not claimed[token]
-                taken[k] = claimed[token] = True
-                got += 1
+                claimed[token] = True
                 rows.append(b)
                 cols.append(token)
                 scores.append(score)
@@ -217,7 +189,7 @@ def _encoded(graph, params: M.ModelParams) -> Encoded:
 
 def greedy_decode(graph: CircuitGraph | Encoded, params: M.ModelParams) -> VarOrder:
     """Argmax decoding: the one-beam, one-group case of the grouped search."""
-    return _decode(_encoded(graph, params), params, SearchConfig.efficiency())[0][0]
+    return _decode(_encoded(graph, params), params, SearchConfig(*MODES["efficiency"]))[0][0]
 
 
 def diverse_beam_search(
@@ -237,7 +209,7 @@ def beam_search(
 ) -> list[tuple[VarOrder, float]]:
     """Plain beam search keeping the best `width` partial sequences."""
     return diverse_beam_search(
-        graph, params, SearchConfig(beam_width=width, groups=1, alpha=0.0, mode="beam")
+        graph, params, SearchConfig(beam_width=width, groups=1, alpha=0.0)
     )
 
 

@@ -72,36 +72,32 @@ class ReversibleCircuit:
                 assert not self.garbage[i]
 
 
-@dataclass
-class CostModel:
-    not_cost: int = 1
-    cnot_cost: int = 1
-    toffoli_cost: int = 5
-    toffoli_two_negative_cost: int = 6
-    transistors_per_control: int = 8
+NOT_COST = 1
+CNOT_COST = 1
+TOFFOLI_COST = 5
+TOFFOLI_TWO_NEGATIVE_COST = 6
+TRANSISTORS_PER_CONTROL = 8
 
 
-def quantum_cost(circuit: ReversibleCircuit, model: CostModel = CostModel()) -> int:
+def quantum_cost(circuit: ReversibleCircuit) -> int:
     total = 0
     for g in circuit.gates:
         n_controls = len(g.controls)
         if n_controls == 0:
-            total += model.not_cost
+            total += NOT_COST
         elif n_controls == 1:
-            total += model.cnot_cost
+            total += CNOT_COST
         else:
             negatives = sum(1 for _, pol in g.controls if not pol)
             if negatives == 2:
-                total += model.toffoli_two_negative_cost
+                total += TOFFOLI_TWO_NEGATIVE_COST
             else:
-                total += model.toffoli_cost
+                total += TOFFOLI_COST
     return total
 
 
-def transistor_cost(circuit: ReversibleCircuit, model: CostModel = CostModel()) -> int:
-    return sum(
-        model.transistors_per_control * len(g.controls) for g in circuit.gates
-    )
+def transistor_cost(circuit: ReversibleCircuit) -> int:
+    return sum(TRANSISTORS_PER_CONTROL * len(g.controls) for g in circuit.gates)
 
 
 def run_cascade(circuit: ReversibleCircuit, lines, full: int) -> list[int]:

@@ -546,6 +546,25 @@ def test_label_report_builds_once(monkeypatch, pairs6):
         assert len(calls) == 1
 
 
+def test_label_report_transfers_once(monkeypatch, pairs6):
+    # the GA's private copy is the only transfer; the winner is counted on
+    # the sifted diagram moved to the GA's order
+    import bddseq.bdd as bdd
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return transfer(*args, **kwargs)
+
+    monkeypatch.setattr(bdd, "transfer", counted)
+    for net in (pairs6, read_once_tree(random.Random(3), 7)):
+        calls.clear()
+        report = generate_label_report(net, seed=0, ga_population=8, ga_generations=6)
+        assert len(calls) == 1
+        assert "ga" in report.counts
+
+
 def test_node_cap_signals_blowup(pairs6):
     with pytest.raises(NodeCapExceeded):
         build_from_netlist(pairs6, SCRAMBLED6, node_cap=4)

@@ -1,12 +1,9 @@
-import numpy as np
 import pytest
 
 from bddseq.blif import Cube, LogicGate, Netlist, parse_blif
 from bddseq.graph import (
     FeatureConfig,
     blif2graph,
-    parse_graph,
-    serialize_graph,
     structural_features,
     truth_table_embedding,
 )
@@ -95,23 +92,6 @@ def test_feature_vector_width_uniform(pairs6, c17):
     for net in (pairs6, c17):
         graph = blif2graph(net, config)
         assert graph.features.shape == (graph.num_nodes, 16 + 4)
-
-
-def test_serialization_deterministic(pairs6):
-    config = FeatureConfig(max_table_len=8)
-    a = serialize_graph(blif2graph(pairs6, config))
-    b = serialize_graph(blif2graph(pairs6, config))
-    assert a == b
-
-
-def test_serialization_roundtrip(pairs6):
-    config = FeatureConfig(max_table_len=8)
-    graph = blif2graph(pairs6, config)
-    back = parse_graph(serialize_graph(graph))
-    assert back.num_nodes == graph.num_nodes
-    assert back.edges == graph.edges
-    assert back.pi_positions == graph.pi_positions
-    assert np.allclose(back.features, graph.features)
 
 
 def test_feature_config_validation():

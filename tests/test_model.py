@@ -272,6 +272,14 @@ def test_train_config_rejects_non_positive_batch(size):
         M.TrainConfig(batch_size=size)
 
 
+@pytest.mark.parametrize("field", ["feature_dim", "hidden", "layers", "heads"])
+@pytest.mark.parametrize("size", [0, -4])
+def test_model_config_rejects_non_positive_sizes(field, size):
+    sizes = {"feature_dim": 20, "hidden": 8, "layers": 2, "heads": 2, field: size}
+    with pytest.raises(ValueError, match=field):
+        M.ModelConfig(**sizes)
+
+
 def test_train_zero_lr_keeps_params(t5):
     graph = tiny_graph(t5)
     label = VarOrder((2, 0, 1, 4, 3))

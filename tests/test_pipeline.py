@@ -220,6 +220,38 @@ def test_predict_modes_and_trace(labeled_corpus, cfg_file, trained_run, tmp_path
     assert n_candidates == min(20, len(kept))
 
 
+def test_predict_efficiency_trace_has_one_record_per_input(
+    labeled_corpus, cfg_file, trained_run, tmp_path
+):
+    blif = sorted((labeled_corpus / "blif").glob("*.blif"))[0]
+    out = tmp_path / "pred"
+    assert main(
+        ["--config", str(cfg_file), "predict", str(blif), "--weights",
+         str(trained_run / "weights.bin"), "--mode", "efficiency", "--trace", "--out", str(out)]
+    ) == 0
+    trace_lines = (out / f"{blif.stem}.trace.jsonl").read_text().splitlines()
+    kept = [json.loads(l) for l in trace_lines[1:]]
+    n = len(parse_blif(blif.read_text()).primary_inputs)
+    assert [(e["step"], e["group"], e["beam"]) for e in kept] == [(i, 0, 0) for i in range(n)]
+    assert sorted(e["token"] for e in kept) == list(range(n))
+    names = read_orders(out / f"{blif.stem}.order")[blif.stem]
+    order = names_to_order(parse_blif(blif.read_text()), names)
+    assert tuple(e["token"] for e in kept) == order.permutation
+
+
+def test_predict_rejects_unknown_mode(t5, trained_run, cfg_file):
+    params = M.load_params(trained_run / "weights.bin")
+    with pytest.raises(ValueError, match="unknown mode"):
+        predict_order(t5, params, "fast", RunConfig.load(cfg_file))
+
+
+def test_train_rejects_zero_heads(labeled_corpus, tmp_path):
+    cfg = tmp_path / "heads0.txt"
+    cfg.write_text("epochs = 1\nhidden = 16\nlayers = 2\nheads = 0\n")
+    with pytest.raises(ValueError, match="heads"):
+        main(["--config", str(cfg), "train", str(labeled_corpus), "--out", str(tmp_path / "run")])
+
+
 def test_predict_reranks_with_bdd_counts(t5, trained_run, cfg_file):
     params = M.load_params(trained_run / "weights.bin")
     cfg = RunConfig.load(cfg_file)

@@ -155,17 +155,11 @@ def test_group_width_divisibility_checked():
         SearchConfig(beam_width=5, groups=2)
 
 
-def test_unknown_penalty_rejected():
-    with pytest.raises(ValueError, match="penalty"):
-        SearchConfig(penalty="scaled")
-
-
 def test_mode_presets():
-    balance = SearchConfig.balance()
-    assert (balance.beam_width, balance.groups, balance.alpha) == (20, 10, 0.25)
-    quality = SearchConfig.quality()
-    assert (quality.beam_width, quality.groups) == (50, 25)
-    assert SearchConfig.efficiency().beam_width == 1
+    assert search.MODES == {"efficiency": (1, 1), "balance": (20, 10), "quality": (50, 25)}
+    for width, groups in search.MODES.values():
+        config = SearchConfig(width, groups)  # each mode's groups divide its width
+        assert (config.beam_width, config.groups, config.alpha) == (width, groups, 0.25)
 
 
 # -- hand-traced execution against scripted pointer scores ----------------------
@@ -220,12 +214,16 @@ def test_scripted_brute_force_ranking(tri_graph, tri_params, monkeypatch):
 def test_scripted_hand_trace_with_penalty(tri_graph, tri_params, monkeypatch):
     """Two groups of one beam, alpha = 0.5, traced step by step by hand.
 
-    Step 0: group 0 takes token 0 (best raw score); group 1 sees token 0
-    rescaled by 0.5 so tokens 0 and 1 tie at raw 1.0, and the start-beam
-    candidate (token 0) is already claimed, so it takes token 1.
+    A claimed token's raw score drops by alpha times the span (max - min) of
+    its beam's raw scores, visited tokens included.
+    Step 0: group 0 takes token 0 (best raw score); group 1 sees token 0 at
+    2.0 - 0.5 * 2.0 = 1.0, tied with token 1, and the start-beam candidate
+    (token 0) is already claimed, so it takes token 1.
     Step 1: group 0 extends (0,) with token 1 (raw 3.0 dominates); group 1
-    sees token 1 halved, and the best remaining candidate is (1,) + token 2.
-    Step 2: single tokens remain, log-prob 0 each.
+    sees beam (0,)'s token 1 at 3.0 - 0.5 * 8.9 = -1.45, so (0,) + token 2
+    now beats the best continuation of (1,), token 2.
+    Step 2: single tokens remain, log-prob 0 each; the penalized score of
+    (0, 2) now leads, so group 0 extends it.
     """
     monkeypatch.setattr(search, "_advance", scripted_advance)
     trace = []
@@ -234,21 +232,17 @@ def test_scripted_hand_trace_with_penalty(tri_graph, tri_params, monkeypatch):
         tri_params,
         SearchConfig(beam_width=2, groups=2, alpha=0.5, trace=trace),
     )
-    assert [o.permutation for o, _ in results] == [(0, 1, 2), (1, 2, 0)]
+    assert [o.permutation for o, _ in results] == [(0, 2, 1), (0, 1, 2)]
 
-    s_012 = (
-        2.0
-        - logsumexp([2.0, 1.0, 0.0])
-        + 3.0
-        - logsumexp([3.0, 1.0])
-        + 0.0
-    )
-    # group 1, step 0: penalized scores [1.0, 1.0, 0.0]
-    s_1 = 1.0 - logsumexp([1.0, 1.0, 0.0])
-    # group 1, step 1: beam (1,) unpenalized on its remaining tokens {0, 2}
-    s_120 = s_1 + 2.5 - logsumexp([2.0, 2.5]) + 0.0
-    assert results[0][1] == pytest.approx(s_012, abs=1e-9)
-    assert results[1][1] == pytest.approx(s_120, abs=1e-9)
+    s_0 = 2.0 - logsumexp([2.0, 1.0, 0.0])
+    # group 1, step 1: beam (0,) with token 1 penalized, on its tokens {1, 2}
+    s_021 = s_0 + 1.0 - logsumexp([3.0 - 0.5 * 8.9, 1.0]) + 0.0
+    s_012 = s_0 + 3.0 - logsumexp([3.0, 1.0]) + 0.0
+    s_1 = 1.0 - logsumexp([1.0, 1.0, 0.0])  # group 1, step 0
+    s_12 = s_1 + 2.5 - logsumexp([2.0, 2.5])
+    assert s_021 > s_12  # why group 1 extends (0,) at step 1
+    assert results[0][1] == pytest.approx(s_021, abs=1e-9)
+    assert results[1][1] == pytest.approx(s_012, abs=1e-9)
 
     chosen = [(e["step"], e["group"], e["token"]) for e in trace]
     assert chosen == [
@@ -256,20 +250,69 @@ def test_scripted_hand_trace_with_penalty(tri_graph, tri_params, monkeypatch):
         (0, 1, 1),
         (1, 0, 1),
         (1, 1, 2),
-        (2, 0, 2),
-        (2, 1, 0),
+        (2, 0, 1),
+        (2, 1, 2),
     ]
+    assert [e["score"] for e in trace[:2]] == pytest.approx([s_0, s_1], abs=1e-9)
 
 
-def test_subtractive_penalty_variant(tri_graph, tri_params, monkeypatch):
-    monkeypatch.setattr(search, "_advance", scripted_advance)
+# every raw score negative: a penalty that rescaled the logit would raise a
+# claimed token; subtracting the span must lower it
+NEGATIVE_SCRIPT = {
+    (): [-1.0, -1.5, -4.0],
+    (0,): [-9.0, -1.0, -1.2],
+    (1,): [-1.0, -9.0, -2.0],
+    (2,): [-2.0, -3.0, -9.0],
+    (0, 1): [-9.0, -9.0, -0.5],
+    (0, 2): [-9.0, -0.5, -9.0],
+    (1, 0): [-9.0, -9.0, -0.5],
+    (1, 2): [-0.5, -9.0, -9.0],
+    (2, 0): [-9.0, -0.5, -9.0],
+    (2, 1): [-0.5, -9.0, -9.0],
+}
+
+
+def negative_advance(pool, encoded, params):
+    raw = np.stack([np.array(NEGATIVE_SCRIPT[t], dtype=np.float64) for t in pool.tokens])
+    return raw, pool.hidden, pool.cell
+
+
+def test_penalty_lowers_a_claimed_negative_score(tri_graph, tri_params, monkeypatch):
+    """Two groups of one beam, alpha = 0.5, every raw score negative.
+
+    Step 0: group 0 takes token 0; group 1 sees it at -1.0 - 0.5 * 3.0 = -2.5,
+    below its raw -1.0, so the log-probability of token 1, which group 1
+    takes, rises above its unpenalized value.
+    Step 1: group 0 extends (1,) with token 0, the best of the pool; group 1
+    sees that token of (1,) at -1.0 - 0.5 * 8.0 = -5.0, which lifts (1,) +
+    token 2 above (0,) + token 1.
+    Step 2: single tokens remain, log-prob 0 each.
+    """
+    monkeypatch.setattr(search, "_advance", negative_advance)
+    trace = []
     results = diverse_beam_search(
         tri_graph,
         tri_params,
-        SearchConfig(beam_width=2, groups=2, alpha=0.5, penalty="subtract"),
+        SearchConfig(beam_width=2, groups=2, alpha=0.5, trace=trace),
     )
-    for order, _ in results:
-        assert sorted(order.permutation) == [0, 1, 2]
+    s_0 = -1.0 - logsumexp([-1.0, -1.5, -4.0])
+    s_1 = -1.5 - logsumexp([-2.5, -1.5, -4.0])
+    assert s_1 > -1.5 - logsumexp([-1.0, -1.5, -4.0])  # token 0's share fell
+    assert [e["score"] for e in trace[:2]] == pytest.approx([s_0, s_1], abs=1e-9)
+
+    s_10 = s_1 - 1.0 - logsumexp([-1.0, -2.0])
+    s_12 = s_1 - 2.0 - logsumexp([-5.0, -2.0])
+    assert s_12 > s_0 - 1.0 - logsumexp([-1.0, -1.2])  # why group 1 extends (1,)
+    assert [(e["step"], e["group"], e["token"]) for e in trace] == [
+        (0, 0, 0),
+        (0, 1, 1),
+        (1, 0, 0),
+        (1, 1, 2),
+        (2, 0, 0),
+        (2, 1, 2),
+    ]
+    assert [o.permutation for o, _ in results] == [(1, 2, 0), (1, 0, 2)]
+    assert [s for _, s in results] == pytest.approx([s_12, s_10], abs=1e-9)
 
 
 # -- the claim loop against a fresh ranking per group ---------------------------
@@ -340,18 +383,28 @@ def claim_loop_model(name):
     return graph, params
 
 
+# transforms of the model's raw scores: sharper rankings and wider spans, or
+# every score shifted negative
+RAW_TRANSFORMS = {"scale": lambda raw: 3.0 * raw, "subtract": lambda raw: raw - 5.0}
+
+
 @pytest.mark.parametrize("model", ["toy0", "toy1", "toy2", "toy3", "zero"])
 @pytest.mark.parametrize("quota", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
-@pytest.mark.parametrize("penalty", ["scale", "subtract"])
-def test_claim_loop_matches_per_group_ranking(model, quota, alpha, penalty):
+@pytest.mark.parametrize("transform", ["scale", "subtract"])
+def test_claim_loop_matches_per_group_ranking(model, quota, alpha, transform, monkeypatch):
     graph, params = claim_loop_model(model)
     encoded = search.encode(graph, params)
+    advance = search._advance
+
+    def transformed(pool, encoded, params):
+        raw, hidden, cell = advance(pool, encoded, params)
+        return RAW_TRANSFORMS[transform](raw), hidden, cell
+
+    monkeypatch.setattr(search, "_advance", transformed)
     for groups in (1, 2, 5):
         configs = [
-            SearchConfig(
-                beam_width=groups * quota, groups=groups, alpha=alpha, penalty=penalty, trace=[]
-            )
+            SearchConfig(beam_width=groups * quota, groups=groups, alpha=alpha, trace=[])
             for _ in range(2)
         ]
         got = diverse_beam_search(encoded, params, configs[0])
