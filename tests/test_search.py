@@ -256,6 +256,17 @@ def test_scripted_hand_trace_with_penalty(tri_graph, tri_params, monkeypatch):
     assert [e["score"] for e in trace[:2]] == pytest.approx([s_0, s_1], abs=1e-9)
 
 
+def test_subtractive_penalty_variant(tri_graph, tri_params, monkeypatch):
+    monkeypatch.setattr(search, "_advance", scripted_advance)
+    results = diverse_beam_search(
+        tri_graph,
+        tri_params,
+        SearchConfig(beam_width=2, groups=2, alpha=0.5),
+    )
+    for order, _ in results:
+        assert sorted(order.permutation) == [0, 1, 2]
+
+
 # every raw score negative: a penalty that rescaled the logit would raise a
 # claimed token; subtracting the span must lower it
 NEGATIVE_SCRIPT = {
