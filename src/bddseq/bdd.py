@@ -4,19 +4,22 @@ Levels index positions in the variable order; the variable tested at a level
 is `order.permutation[level]`. Terminals live at level n. Node counts include
 the terminals and count nodes shared between output roots once.
 
-Reordering is done by the standard in-place adjacent level swap: nodes at the
-upper level that depend on the lower variable are rewritten in place (their
-identity, and hence all parent references, survive), independent nodes slide
-down one level, and lower-level nodes that are still referenced from outside
-the swapped band slide up. Reference counts track parent and root references
-so dead lower-level nodes can be dropped during the swap; elsewhere dead nodes
-are left to the mark-and-sweep collector. `check()` audits every refcount.
-Sifting and the genetic reorderer's fitness both move diagrams by these swaps.
-A swap frees every node it orphans, so after one collection the store holds
-exactly the live nodes; sifting, the genetic fitness and the search's re-rank
-collect once and then read each node count from the store size instead of
-walking the diagrams. `shuffle_to` moves a diagram to a whole new order, with
-the node cap checked on every swap.
+Reordering has one mechanism, the standard in-place adjacent level swap:
+nodes at the upper level that depend on the lower variable are rewritten in
+place (their identity, and hence all parent references, survive), independent
+nodes slide down one level, and lower-level nodes that are still referenced
+from outside the swapped band slide up. Reference counts track parent and
+root references. `check()` audits every refcount.
+
+Garbage has one rule: a collected store holds exactly the live nodes, and a
+swap keeps it that way, since it frees every node it orphans. Construction
+leaves dead nodes behind for the mark-and-sweep collector, so every reorder
+(sifting, the genetic fitness, the search's re-rank, label making) collects
+once before its first swap and then reads each node count from the store
+size instead of walking the diagrams. `shuffle_to` moves a diagram to a whole
+new order, with the node cap checked on every swap. `transfer` copies the
+live nodes under some roots into a fresh, collected manager with the same
+order; a new order is reached from there by swaps.
 
 Exact orders come from the Friedman-Supowit dynamic program over subsets of
 variables, run on the output truth tables (`brute_force_optimal_order`).
@@ -35,7 +38,6 @@ EXACT_MAX_INPUTS = 12  # largest input count the exact order search accepts
 
 _AND = "and"
 _OR = "or"
-_XOR = "xor"
 _NOT = "not"
 
 
@@ -112,9 +114,6 @@ class BddManager:
     def var_of(self, ref: int) -> int:
         return self.order[self.nodes[ref][0]]
 
-    def is_terminal(self, ref: int) -> bool:
-        return ref <= TRUE
-
     def _incref(self, ref: int) -> None:
         if ref > TRUE:
             self.nodes[ref][3] += 1
@@ -186,21 +185,10 @@ class BddManager:
                 return f
             if f == g:
                 return f
-        elif op == _XOR:
-            if f == FALSE:
-                return g
-            if g == FALSE:
-                return f
-            if f == TRUE:
-                return self.apply_not(g)
-            if g == TRUE:
-                return self.apply_not(f)
-            if f == g:
-                return FALSE
         else:
             raise ValueError(f"unknown op {op}")
         if f > g:
-            f, g = g, f  # all three ops are commutative
+            f, g = g, f  # both ops are commutative
         key = (op, f, g)
         hit = self.cache.get(key)
         if hit is not None:
@@ -214,15 +202,6 @@ class BddManager:
         )
         self.cache[key] = out
         return out
-
-    def ite_var(self, v: int, then_ref: int, else_ref: int) -> int:
-        """if-then-else on a bare variable, used when transferring functions."""
-        x = self.var(v)
-        return self.apply(
-            _OR,
-            self.apply(_AND, x, then_ref),
-            self.apply(_AND, self.apply_not(x), else_ref),
-        )
 
     # -- evaluation and counting -------------------------------------------
 
@@ -319,16 +298,6 @@ class BddManager:
 
     # -- adjacent level swap -------------------------------------------------
 
-    def _purge_dead(self, level: int) -> None:
-        table = self.unique[level]
-        dead = [(key, nid) for key, nid in table.items() if self.nodes[nid][3] <= 0]
-        for key, nid in dead:
-            rec = self.nodes[nid]
-            self._decref(rec[1])
-            self._decref(rec[2])
-            del self.nodes[nid]
-            del table[key]
-
     def _inner_node(self, level: int, low: int, high: int, table) -> int:
         if low == high:
             return low
@@ -344,12 +313,15 @@ class BddManager:
         return nid
 
     def swap_adjacent_levels(self, level: int) -> "BddManager":
-        """Exchange the variables at positions level and level+1 in place."""
+        """Exchange the variables at positions level and level+1 in place.
+
+        Expects a collected store, and leaves one: every node the swap
+        orphans is freed. On an uncollected store the functions and refcounts
+        still come out right, but the garbage already there is left in place.
+        """
         if not 0 <= level < self.n - 1:
             raise ValueError(f"level {level} out of range")
         self.cache.clear()
-        self._purge_dead(level)
-        self._purge_dead(level + 1)
         lower = level + 1
         old_up = self.unique[level]
         old_lo = self.unique[lower]
@@ -533,27 +505,24 @@ def sift_reorder(manager: BddManager, roots) -> VarOrder:
     return manager.current_order()
 
 
-def transfer(manager: BddManager, roots, order: VarOrder, node_cap=None):
-    """Rebuild the root functions in a fresh manager under another order."""
-    cap = node_cap if node_cap is not None else manager.node_cap
-    dst = BddManager(order, node_cap=cap)
-    memo: dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+def transfer(manager: BddManager, roots):
+    """Copy the diagrams under the roots into a fresh, collected manager.
 
-    def walk(ref: int) -> int:
-        hit = memo.get(ref)
-        if hit is not None:
-            return hit
-        rec = manager.nodes[ref]
-        lo = walk(rec[1])
-        hi = walk(rec[2])
-        out = dst.ite_var(manager.order[rec[0]], hi, lo)
-        memo[ref] = out
-        return out
-
-    new_roots = [walk(r) for r in roots]
-    for r in new_roots:
-        dst.protect(r)
-    return dst, new_roots
+    The copy has the manager's order and node cap, protects the roots and
+    holds exactly the live nodes under them, each under its own id, so the
+    roots keep their ids. The caller's manager is not touched. Raises
+    NodeCapExceeded when the live nodes are over the cap.
+    """
+    dst = BddManager(manager.current_order(), node_cap=manager.node_cap)
+    dst.nodes = {
+        ref: list(manager.nodes[ref]) for ref in manager.reachable(roots) if ref > TRUE
+    }
+    if len(dst.nodes) > dst.node_cap:
+        raise NodeCapExceeded(f"node cap {dst.node_cap} exceeded")
+    dst.protected = list(roots)
+    dst._next_id = manager._next_id
+    dst.collect_garbage()  # rebuilds the unique table and every refcount
+    return dst, list(roots)
 
 
 def ga_reorder(
@@ -569,8 +538,8 @@ def ga_reorder(
 
     Order crossover plus swap mutation, tournament selection, and elitism,
     so the result is never worse than the best seeded individual. The search
-    is deterministic for a fixed seed. Fitness is scored on one private copy
-    of the diagrams, collected once and then moved to each new order by
+    is deterministic for a fixed seed. Fitness is scored on one private,
+    collected `transfer` copy of the diagrams, moved to each new order by
     adjacent level swaps (`shuffle_to`), so each count is the store size; the
     caller's manager is not touched. An order whose copy passes the node cap
     on any swap scores node_cap + 1.
@@ -581,11 +550,10 @@ def ga_reorder(
     rng = random.Random(seed)
     fitness_cache: dict[tuple[int, ...], int] = {}
     try:
-        work, work_roots = transfer(manager, roots, manager.current_order())
+        work, work_roots = transfer(manager, roots)
     except NodeCapExceeded:
         work = None  # even the caller's own order outgrows the cap
     else:
-        work.collect_garbage()
         terminals = terminal_count(work_roots)
 
     def fitness(perm: tuple[int, ...]) -> int:
@@ -836,7 +804,3 @@ def generate_label_report(
         winner=winner,
         counts={name: count for name, (_, count) in found.items()},
     )
-
-
-def generate_label(netlist: Netlist, seed: int = 0, node_cap: int = 2_000_000) -> VarOrder:
-    return generate_label_report(netlist, seed=seed, node_cap=node_cap).order

@@ -306,6 +306,11 @@ VERIFY_MAX_INPUTS = 16  # largest input count synthesize_circuit verifies exhaus
 
 
 def synthesize_circuit(netlist, order, cfg: RunConfig):
+    """(circuit, node count, build + synthesis seconds) under `order`.
+
+    Raises RuntimeError when a circuit of at most VERIFY_MAX_INPUTS inputs
+    fails exhaustive verification.
+    """
     prepared = _prepare_netlist(netlist, cfg)
     start = time.perf_counter()
     mgr, roots = bdd.build_from_netlist(prepared, order, node_cap=cfg.node_cap)
@@ -425,10 +430,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             start = time.perf_counter()
             order = order_fn()
             order_secs = _clock(cfg, start)
-            start = time.perf_counter()
-            mgr, roots = bdd.build_from_netlist(netlist, order, node_cap=cfg.node_cap)
-            circuit = synth.synthesize(mgr, roots, netlist)
-            synth_secs = _clock(cfg, start)
+            circuit, nodes, synth_secs = synthesize_circuit(netlist, order, cfg)
             tau = rho = ""
             if label is not None and method.startswith("model") and n >= 2:
                 t = kendall_tau(order.permutation, label.permutation)
@@ -439,7 +441,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             record(
                 entry.circuit_id,
                 method,
-                bdd.node_count(mgr, roots),
+                nodes,
                 synth.quantum_cost(circuit),
                 order_secs,
                 synth_secs,

@@ -18,6 +18,10 @@ from .bdd import VarOrder
 from .blif import Netlist, parse_blif
 
 
+# the spellings a config file may use for a boolean
+BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 @dataclass
 class RunConfig:
     seed: int = 42
@@ -77,7 +81,11 @@ class RunConfig:
                 raise ValueError(f"config line {lineno}: unknown key '{key}'")
             kind = known[key]
             if kind in ("bool", bool):
-                values[key] = val.lower() in ("1", "true", "yes")
+                if val.lower() not in BOOLEANS:
+                    raise ValueError(
+                        f"config line {lineno}: '{key}' needs one of 1/0, true/false, yes/no"
+                    )
+                values[key] = BOOLEANS[val.lower()]
             elif kind in ("int", int):
                 values[key] = int(val)
             elif kind in ("float", float):
@@ -140,16 +148,23 @@ def write_manifest(path, entries, config: RunConfig) -> None:
 
 
 def read_manifest(path) -> list[CorpusEntry]:
+    """Manifest entries in file order; a malformed file raises ValueError."""
     rows = [
-        line
-        for line in Path(path).read_text().splitlines()
+        (lineno, next(csv.reader([line])))
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1)
         if line.strip() and not line.startswith("#")
     ]
-    reader = csv.reader(rows)
-    header = next(reader)
+    if not rows:
+        raise ValueError(f"{path}: empty manifest, expected the header {MANIFEST_FIELDS}")
+    (lineno, header), body = rows[0], rows[1:]
     if header != MANIFEST_FIELDS:
-        raise ValueError(f"unexpected manifest header {header}")
-    return [CorpusEntry(*row) for row in reader]
+        raise ValueError(f"{path} line {lineno}: unexpected manifest header {header}")
+    for lineno, row in body:
+        if len(row) != len(MANIFEST_FIELDS):
+            raise ValueError(
+                f"{path} line {lineno}: expected {len(MANIFEST_FIELDS)} fields, got {len(row)}"
+            )
+    return [CorpusEntry(*row) for _, row in body]
 
 
 def load_corpus(root) -> Corpus:

@@ -22,11 +22,10 @@ from bddseq.bdd import (
     brute_force_optimal_order,
     build_from_netlist,
     ga_reorder,
-    generate_label,
+    generate_label_report,
     node_count,
     shannon_build,
     sift_reorder,
-    transfer,
 )
 from bddseq.blif import parse_blif, write_blif
 from bddseq.cli import main
@@ -62,7 +61,7 @@ def desk():
     nets = desk_corpus(120, seed=SEED, min_pis=6, max_pis=10)
     labels = {}
     for net in nets:
-        labels[net.name] = generate_label(net, seed=SEED)
+        labels[net.name] = generate_label_report(net, seed=SEED).order
     print(f"DESK FIXTURE labels: {len(nets)} circuits [{time.time() - start:.1f}s]")
     datasets = {"train": [], "val": [], "test": []}
     graphs = {}
@@ -120,7 +119,7 @@ def test_criterion_02_construction_oracle_and_lower_bound():
                 sift_count = node_count(mgr, roots)
                 mgr2, roots2 = build_from_netlist(net, VarOrder.identity(n_pi))
                 ga = ga_reorder(mgr2, roots2, population=8, generations=6, seed=i)
-                dst, nr = transfer(mgr2, roots2, ga)
+                dst, nr = build_from_netlist(net, ga)
                 ga_count = node_count(dst, nr)
                 assert optimum <= min(sift_count, ga_count)
                 checked_brute += 1
@@ -231,7 +230,7 @@ def test_criterion_07_memorization():
     with criterion(7, "single-circuit memorization within 2000 steps"):
         net = parse_blif(T5_SRC)
         graph = blif2graph(net, FEATURES)
-        label = generate_label(net, seed=SEED)
+        label = generate_label_report(net, seed=SEED).order
         config = M.ModelConfig(feature_dim=16 + 4, hidden=32, layers=2, heads=4)
         params = M.init_params(config, seed=SEED)
         tconfig = M.TrainConfig(epochs=1, batch_size=1, learning_rate=3e-3, seed=SEED)
@@ -360,7 +359,7 @@ def test_criterion_10_c17_reproduction():
     with criterion(10, "C17 costs within 20 percent, gates and lines per templates"):
         net = parse_blif(C17_SRC)
         n = len(net.primary_inputs)
-        order = generate_label(net, seed=SEED)
+        order = generate_label_report(net, seed=SEED).order
         mgr, roots = build_from_netlist(net, order)
         circuit = synthesize(mgr, roots, net)
         assert verify_synthesis(circuit, net)

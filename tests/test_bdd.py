@@ -14,7 +14,6 @@ from bddseq.bdd import (
     brute_force_optimal_order,
     build_from_netlist,
     ga_reorder,
-    generate_label,
     generate_label_report,
     node_count,
     output_truth_tables,
@@ -204,7 +203,7 @@ def test_live_count_sift_matches_walking_sift(case):
 def test_sift_rejects_store_beyond_roots(pairs6, breach):
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
     if breach == "extra_function":
-        mgr.protect(mgr.apply("xor", mgr.var(0), mgr.var(5)))
+        mgr.protect(mgr.apply("and", mgr.var(0), mgr.var(5)))
     else:
         mgr.unprotect(roots[0])
     held, signature = list(roots), mgr.signature(roots)
@@ -281,7 +280,7 @@ def test_ga_zero_generations_returns_best_seeded(pairs6):
         rng.shuffle(perm)
         pop.append(tuple(perm))
     def count_of(perm):
-        dst, nr = transfer(mgr, roots, VarOrder(perm))
+        dst, nr = build_from_netlist(pairs6, VarOrder(perm))
         return node_count(dst, nr)
     best = min(pop, key=lambda p: (count_of(p), p))
     assert order.permutation == best
@@ -290,7 +289,7 @@ def test_ga_zero_generations_returns_best_seeded(pairs6):
 def test_ga_finds_optimum(pairs6):
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
     order = ga_reorder(mgr, roots, population=20, generations=30, seed=7)
-    dst, nr = transfer(mgr, roots, order)
+    dst, nr = build_from_netlist(pairs6, order)
     assert node_count(dst, nr) == 8
 
 
@@ -310,17 +309,74 @@ def test_in_place_moves_match_transfer(seed):
     net = random_cover_netlist(r, r.randint(3, 8), r.randint(3, 10), n_outputs=3)
     n = len(net.primary_inputs)
     mgr, roots = build_from_netlist(net, VarOrder.identity(n))
-    work, work_roots = transfer(mgr, roots, mgr.current_order())
-    work.collect_garbage()
+    work, work_roots = transfer(mgr, roots)
     for _ in range(50):
         perm = list(range(n))
         r.shuffle(perm)
         assert work.shuffle_to(perm)
         assert work.order == perm
-        dst, dst_roots = transfer(mgr, roots, VarOrder(tuple(perm)))
+        dst, dst_roots = build_from_netlist(net, VarOrder(tuple(perm)))
         assert work.signature(work_roots) == dst.signature(dst_roots)
         assert len(work.nodes) + terminal_count(work_roots) == node_count(dst, dst_roots)
     work.check()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_transfer_copies_live_nodes(seed):
+    r = random.Random(seed + 900)
+    net = random_cover_netlist(r, r.randint(2, 8), r.randint(2, 10), n_outputs=3)
+    n = len(net.primary_inputs)
+    perm = list(range(n))
+    r.shuffle(perm)
+    mgr, roots = build_from_netlist(net, VarOrder(tuple(perm)))
+    store = {nid: list(rec) for nid, rec in mgr.nodes.items()}
+    protected, signature = list(mgr.protected), mgr.signature(roots)
+    dst, dst_roots = transfer(mgr, roots)
+    assert dst_roots == roots
+    assert dst.order == perm
+    assert dst.signature(dst_roots) == signature
+    assert set(dst.nodes) == mgr.reachable(roots) - {FALSE, TRUE}
+    dst.check()
+    # the caller's order, diagrams and store are untouched
+    assert mgr.order == perm
+    assert mgr.signature(roots) == signature
+    assert mgr.nodes == store
+    assert mgr.protected == protected
+    # nodes the copy makes later get fresh ids
+    for level in range(n - 1):
+        dst.swap_adjacent_levels(level)
+        dst.check()
+    ref, ref_roots = build_from_netlist(net, dst.current_order())
+    assert dst.signature(dst_roots) == ref.signature(ref_roots)
+    assert len(dst.nodes) + terminal_count(dst_roots) == node_count(ref, ref_roots)
+
+
+def test_transfer_respects_node_cap(pairs6):
+    mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
+    live = len(mgr.reachable(roots) - {FALSE, TRUE})
+    assert len(mgr.nodes) > live  # the build left garbage the copy drops
+    mgr.node_cap = live - 1
+    with pytest.raises(NodeCapExceeded):
+        transfer(mgr, roots)
+    mgr.node_cap = live
+    dst, _ = transfer(mgr, roots)
+    assert len(dst.nodes) == live
+    assert dst.node_cap == live
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists_with_swaps())
+def test_swaps_keep_collected_store_live(case):
+    # a swap frees every node it orphans, so a collected store stays
+    # exactly the live nodes after each swap
+    net, swaps = case
+    mgr, roots = build_from_netlist(net, VarOrder.identity(len(net.primary_inputs)))
+    mgr.collect_garbage()
+    terminals = terminal_count(roots)
+    for level in swaps:
+        mgr.swap_adjacent_levels(level)
+        assert len(mgr.nodes) + terminals == node_count(mgr, roots)
+        mgr.check()
 
 
 def test_ga_leaves_caller_manager_untouched(pairs6):
@@ -453,7 +509,7 @@ def test_apply_build_structurally_equals_shannon(seed):
 
 
 def test_generate_label_optimal(pairs6):
-    order = generate_label(pairs6, seed=0)
+    order = generate_label_report(pairs6, seed=0).order
     mgr, roots = build_from_netlist(pairs6, order)
     _, optimum = brute_force_optimal_order(pairs6)
     assert node_count(mgr, roots) == optimum == 8
@@ -494,7 +550,7 @@ def three_build_label_report(netlist, seed=0, node_cap=2_000_000, **ga):
     def genetic():
         mgr, roots = build_from_netlist(netlist, VarOrder.identity(n), node_cap)
         order = ga_reorder(mgr, roots, seed=seed, **ga)
-        dst, new_roots = transfer(mgr, roots, order)
+        dst, new_roots = build_from_netlist(netlist, order, node_cap)
         return order, node_count(dst, new_roots)
 
     for name, fn in (("natural", natural), ("sifting", sifted), ("ga", genetic)):

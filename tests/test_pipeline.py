@@ -1,8 +1,11 @@
 import json
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bddseq import model as M
 from bddseq import synth
@@ -53,6 +56,61 @@ def test_runconfig_rejects_unknown_key():
 def test_runconfig_rejects_non_positive_batch(size):
     with pytest.raises(ValueError, match="batch_size"):
         RunConfig.from_text(f"batch_size = {size}\n")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("1", True), ("TRUE", True), ("yes", True), ("0", False), ("False", False), ("no", False)],
+)
+def test_runconfig_reads_booleans(text, expected):
+    assert RunConfig.from_text(f"record_times = {text}\n").record_times is expected
+
+
+@pytest.mark.parametrize("text", ["maybe", "", "2", "off"])
+def test_runconfig_rejects_other_booleans(text):
+    with pytest.raises(ValueError, match="config line 2: 'record_times'"):
+        RunConfig.from_text(f"seed = 3\nrecord_times = {text}\n")
+
+
+MANIFEST_TEXT = (
+    "# seed = 7\n"
+    "circuit_id,path,source,transform,split\n"
+    "c0,blif/c0.blif,c0,identity,train\n"
+    "c1,blif/c1.blif,c1,identity,test\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("", "empty manifest"),
+        ("# only a comment\n\n", "empty manifest"),
+        ("circuit_id,path\n", "line 1: unexpected manifest header"),
+        (MANIFEST_TEXT + "c2,blif/c2.blif,c2,identity\n", "line 5: expected 5 fields, got 4"),
+        (MANIFEST_TEXT.replace("test", "test,extra"), "line 4: expected 5 fields, got 6"),
+    ],
+)
+def test_read_manifest_names_bad_line(tmp_path, text, match):
+    path = tmp_path / "manifest.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_manifest(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, len(MANIFEST_TEXT)),
+    st.integers(0, 12),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+def test_read_manifest_fuzz_raises_only_value_error(pos, cut, insert):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.csv"
+        path.write_text(MANIFEST_TEXT[:pos] + insert + MANIFEST_TEXT[pos + cut :])
+        try:
+            read_manifest(path)
+        except ValueError:
+            pass
 
 
 def test_split_deterministic_and_proportioned():
@@ -332,6 +390,22 @@ def test_eval_report_totals_and_refusal(labeled_corpus, cfg_file, trained_run, t
     )
     assert rc == 1
     assert "split" in capsys.readouterr().err
+
+
+def test_eval_verifies_every_circuit(labeled_corpus, cfg_file, trained_run, tmp_path, monkeypatch):
+    real_synthesize = synth.synthesize
+
+    def drop_one_gate(*args):
+        circuit = real_synthesize(*args)
+        circuit.gates.pop()
+        return circuit
+
+    monkeypatch.setattr(synth, "synthesize", drop_one_gate)
+    with pytest.raises(RuntimeError, match="does not match"):
+        main(
+            ["--config", str(cfg_file), "eval", str(labeled_corpus), "--weights",
+             str(trained_run / "weights.bin"), "--out", str(tmp_path / "eval")]
+        )
 
 
 def test_perfect_predictor_scores_one(labeled_corpus, cfg_file, monkeypatch):
