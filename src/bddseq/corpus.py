@@ -86,10 +86,14 @@ class RunConfig:
                         f"config line {lineno}: '{key}' needs one of 1/0, true/false, yes/no"
                     )
                 values[key] = BOOLEANS[val.lower()]
-            elif kind in ("int", int):
-                values[key] = int(val)
-            elif kind in ("float", float):
-                values[key] = float(val)
+            elif kind in ("int", int, "float", float):
+                number = int if kind in ("int", int) else float
+                try:
+                    values[key] = number(val)
+                except ValueError:
+                    raise ValueError(
+                        f"config line {lineno}: '{key}' is not a valid {number.__name__}: '{val}'"
+                    ) from None
             else:
                 values[key] = val
         return RunConfig(**values)

@@ -500,6 +500,8 @@ def load_tensors(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         rank = reader.unpack("<B", f"rank of '{name}'")
         shape = tuple(reader.unpack("<I", f"shape of '{name}'") for _ in range(rank))
         data = np.frombuffer(reader.take(4 * prod(shape), f"data of '{name}'"), np.float32)
+        if not np.isfinite(data).all():
+            raise WeightFormatError(f"non-finite value in '{name}'")
         try:
             named[name] = data.reshape(shape).astype(np.float64)
         except ValueError as exc:  # more dimensions than numpy allows

@@ -269,6 +269,81 @@ def test_swaps_then_sift_keep_invariants(case):
     assert verify_synthesis(synthesize(mgr, roots, net), net)
 
 
+def count_swaps(mgr):
+    """Count the manager's adjacent swaps; returns a one-item list."""
+    swap, swaps = mgr.swap_adjacent_levels, [0]
+
+    def counted(level):
+        swaps[0] += 1
+        return swap(level)
+
+    mgr.swap_adjacent_levels = counted
+    return swaps
+
+
+def sift_against_walk(net, swaps=()):
+    """Sift one diagram and walk-sift another from the same start; return
+    their orders, signatures and swap counts."""
+    start = VarOrder.identity(len(net.primary_inputs))
+    out = []
+    for sift in (sift_reorder, walk_sift):
+        mgr, roots = build_from_netlist(net, start)
+        for level in swaps:
+            mgr.swap_adjacent_levels(level)
+        counter = count_swaps(mgr)
+        order = sift(mgr, roots)
+        out.append((order, mgr.signature(roots), counter[0]))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists_with_swaps())
+def test_bounded_sift_matches_walk_sift(case):
+    # the lower bound only skips positions that cannot win
+    (order, signature, swaps), (ref_order, ref_signature, ref_swaps) = sift_against_walk(*case)
+    assert order == ref_order
+    assert signature == ref_signature
+    assert swaps <= ref_swaps
+
+
+@pytest.mark.parametrize(
+    "family, share",
+    # over 60 seeded 20-input trees the share runs from 0.46 to 0.78 (this
+    # one 0.64); pair products sit near 0.35
+    [("tree", 0.7), ("pairs", 0.4)],
+)
+def test_bounded_sift_prunes_swaps(family, share):
+    r = random.Random(11)
+    net = read_once_tree(r, 20) if family == "tree" else pair_products(r, 10)
+    (order, signature, swaps), (ref_order, ref_signature, ref_swaps) = sift_against_walk(net)
+    assert (order, signature) == (ref_order, ref_signature)
+    assert swaps <= share * ref_swaps
+
+
+def test_sift_node_cap_hit_mid_pass():
+    # a cap just above the collected store, which sifting passes while it
+    # explores (from 42 stored nodes it visits orders of up to 54)
+    net = sift_case("pairs-1")
+    mgr, roots = build_from_netlist(net, VarOrder.identity(len(net.primary_inputs)))
+    mgr.collect_garbage()
+    before = node_count(mgr, roots)
+    mgr.node_cap = len(mgr.nodes) + 1
+    swap, largest = mgr.swap_adjacent_levels, [0]
+
+    def watched(level):
+        swap(level)
+        largest[0] = max(largest[0], len(mgr.nodes))
+
+    mgr.swap_adjacent_levels = watched
+    order = sift_reorder(mgr, roots)
+    assert largest[0] > mgr.node_cap  # the cap stopped some variable's pass
+    assert node_count(mgr, roots) <= before
+    assert mgr.current_order() == order
+    mgr.check()
+    oracle, oracle_roots = shannon_build(net, order)
+    assert mgr.signature(roots) == oracle.signature(oracle_roots)
+
+
 def test_ga_zero_generations_returns_best_seeded(pairs6):
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
     order = ga_reorder(mgr, roots, population=12, generations=0, seed=3)

@@ -367,22 +367,26 @@ def test_train_diverges_raises(t5):
         M.train([(graph, label)], cfg, params=params)
 
 
-@pytest.mark.parametrize("kind", ["params", "checkpoint"])
-def test_every_truncation_raises_weight_format_error(tmp_path, t5, kind):
-    graph = tiny_graph(t5)
-    params = tiny_params(graph, hidden=4, layers=1, heads=2)
-    path = tmp_path / "full.bin"
+def saved_weights(path, t5, kind):
+    """Save tiny weights as a params file or a checkpoint; return the params
+    and the matching loader."""
+    params = tiny_params(tiny_graph(t5), hidden=4, layers=1, heads=2)
     if kind == "params":
         M.save_params(params, path)
-        load = M.load_params
-    else:
-        opt_state = {
-            "m": {k: np.zeros_like(t.data) for k, t in params.tensors.items()},
-            "v": {k: np.zeros_like(t.data) for k, t in params.tensors.items()},
-            "step": 3,
-        }
-        M.save_checkpoint(params, opt_state, 1, path)
-        load = M.load_checkpoint
+        return params, M.load_params
+    opt_state = {
+        "m": {k: np.zeros_like(t.data) for k, t in params.tensors.items()},
+        "v": {k: np.zeros_like(t.data) for k, t in params.tensors.items()},
+        "step": 3,
+    }
+    M.save_checkpoint(params, opt_state, 1, path)
+    return params, M.load_checkpoint
+
+
+@pytest.mark.parametrize("kind", ["params", "checkpoint"])
+def test_every_truncation_raises_weight_format_error(tmp_path, t5, kind):
+    path = tmp_path / "full.bin"
+    _, load = saved_weights(path, t5, kind)
     data = path.read_bytes()
     load(path)  # the whole file loads
     cut = tmp_path / "cut.bin"
@@ -402,6 +406,24 @@ def test_garbled_config_raises_weight_format_error(tmp_path, t5):
     path.write_bytes(bytes(data))
     with pytest.raises(M.WeightFormatError, match="byte 12"):
         M.load_params(path)
+
+
+@pytest.mark.parametrize("kind", ["params", "checkpoint"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_weight_raises_weight_format_error(tmp_path, t5, kind, value):
+    path = tmp_path / "w.bin"
+    params, load = saved_weights(path, t5, kind)
+    load(path)
+    # overwrite the last value of 'ptr.v' in the saved bytes
+    data = bytearray(path.read_bytes())
+    name = b"ptr.v"
+    at = data.index(name) + len(name)
+    shape = params.tensors["ptr.v"].data.shape
+    end = at + 1 + 4 * len(shape) + 4 * int(np.prod(shape))
+    data[end - 4 : end] = np.float32(value).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(M.WeightFormatError, match="non-finite value in 'ptr.v'"):
+        load(path)
 
 
 def test_too_many_dimensions_raises_weight_format_error(tmp_path):

@@ -72,6 +72,15 @@ def test_runconfig_rejects_other_booleans(text):
         RunConfig.from_text(f"seed = 3\nrecord_times = {text}\n")
 
 
+@pytest.mark.parametrize(
+    "line, needs", [("seed = x", "int"), ("seed = 1.5", "int"), ("learning_rate = fast", "float")]
+)
+def test_runconfig_rejects_bad_numbers(line, needs):
+    key = line.split()[0]
+    with pytest.raises(ValueError, match=f"config line 2: '{key}' is not a valid {needs}"):
+        RunConfig.from_text(f"batch_size = 4\n{line}\n")
+
+
 MANIFEST_TEXT = (
     "# seed = 7\n"
     "circuit_id,path,source,transform,split\n"
