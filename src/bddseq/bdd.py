@@ -601,10 +601,27 @@ def ga_reorder(
     adjacent level swaps (`shuffle_to`), so each count is the store size; the
     caller's manager is not touched. An order whose copy passes the node cap
     on any swap scores node_cap + 1.
+
+    Each individual is scored once per generation, in population order (the
+    seeded population, then each new generation as it was bred), and the
+    tournaments read those scores; a cache keeps an order from being scored
+    twice. The scoring order is part of the result: under the cap, whether an
+    order scores node_cap + 1 depends on the order the copy moves from. A
+    circuit with fewer than two inputs has one order, the caller's, which is
+    returned before any draw.
     """
-    if population < 2:
-        raise ValueError("population must be at least 2")
+    for name, value, low in (
+        ("population", population, 2),
+        ("generations", generations, 0),
+        ("tournament", tournament, 1),
+    ):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    if not 0 <= mutation_prob <= 1:
+        raise ValueError(f"mutation_prob must be in [0, 1], got {mutation_prob}")
     n = manager.n
+    if n < 2:
+        return manager.current_order()
     rng = random.Random(seed)
     fitness_cache: dict[tuple[int, ...], int] = {}
     try:
@@ -626,18 +643,13 @@ def ga_reorder(
 
     def order_crossover(p1, p2):
         a, b = sorted(rng.sample(range(n), 2))
-        child = [None] * n
-        child[a : b + 1] = p1[a : b + 1]
-        held = set(p1[a : b + 1])
+        middle = p1[a : b + 1]
+        held = set(middle)
         fill = [v for v in p2 if v not in held]
-        it = iter(fill)
-        for i in range(n):
-            if child[i] is None:
-                child[i] = next(it)
-        return tuple(child)
+        return (*fill[:a], *middle, *fill[a:])
 
     def mutate(perm):
-        if rng.random() < mutation_prob and n >= 2:
+        if rng.random() < mutation_prob:
             i, j = rng.sample(range(n), 2)
             lst = list(perm)
             lst[i], lst[j] = lst[j], lst[i]
@@ -650,19 +662,20 @@ def ga_reorder(
         rng.shuffle(perm)
         pop.append(tuple(perm))
 
-    def best_of(candidates):
-        return min(candidates, key=lambda p: (fitness(p), p))
+    def tournament_winner(keys):
+        return min(keys[rng.randrange(population)] for _ in range(tournament))[1]
 
-    elite = best_of(pop)
+    keys = [(fitness(p), p) for p in pop]
+    elite = min(keys)
     for _ in range(generations):
-        nxt = [elite]
-        while len(nxt) < population:
-            p1 = best_of([pop[rng.randrange(population)] for _ in range(tournament)])
-            p2 = best_of([pop[rng.randrange(population)] for _ in range(tournament)])
-            nxt.append(mutate(order_crossover(p1, p2)))
-        pop = nxt
-        elite = best_of([elite, best_of(pop)])
-    return VarOrder(elite)
+        pop = [elite[1]]
+        while len(pop) < population:
+            p1 = tournament_winner(keys)
+            p2 = tournament_winner(keys)
+            pop.append(mutate(order_crossover(p1, p2)))
+        keys = [(fitness(p), p) for p in pop]
+        elite = min(elite, min(keys))
+    return VarOrder(elite[1])
 
 
 # -- truth-table oracle and exact order search ---------------------------------

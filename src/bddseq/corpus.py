@@ -53,8 +53,16 @@ class RunConfig:
     record_times: bool = True
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        for key, low in (
+            ("batch_size", 1),
+            ("ga_population", 2),
+            ("ga_generations", 0),
+            ("ga_tournament", 1),
+        ):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        if not 0 <= self.ga_mutation <= 1:
+            raise ValueError(f"ga_mutation must be in [0, 1], got {self.ga_mutation}")
 
     def to_text(self) -> str:
         lines = []

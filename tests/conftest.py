@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from bddseq.blif import parse_blif
 
@@ -64,6 +65,26 @@ T5_SRC = """\
 10 1
 .end
 """
+
+
+@st.composite
+def mutated(draw, text):
+    """The text after one to four edits: each inserts a few of its own
+    characters or one of its tokens, deletes a span, or truncates it."""
+    pieces = st.one_of(
+        st.text(sorted(set(text) | set("\\#\t")), min_size=1, max_size=6),
+        st.sampled_from(text.split()),
+    )
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.sampled_from(range(len(text) + 1)))
+        edit = draw(st.sampled_from(["insert", "delete", "truncate"]))
+        if edit == "insert":
+            text = text[:at] + draw(pieces) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 12)) :]
+        else:
+            text = text[:at]
+    return text
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from bddseq.bdd import (
     EXACT_MAX_INPUTS,
     FALSE,
     TRUE,
+    BddManager,
     NodeCapExceeded,
     VarOrder,
     brute_force_optimal_order,
@@ -359,6 +360,176 @@ def test_ga_zero_generations_returns_best_seeded(pairs6):
         return node_count(dst, nr)
     best = min(pop, key=lambda p: (count_of(p), p))
     assert order.permutation == best
+
+
+def reference_ga(
+    manager, roots, population=32, generations=50, seed=0, tournament=3, mutation_prob=0.2
+):
+    """Reference GA that scores every tournament entrant again through the
+    fitness cache, `min(candidates, key=lambda p: (fitness(p), p))`; for at
+    least two inputs."""
+    n = manager.n
+    rng = random.Random(seed)
+    fitness_cache = {}
+    try:
+        work, work_roots = transfer(manager, roots)
+    except NodeCapExceeded:
+        work = None
+    else:
+        terminals = terminal_count(work_roots)
+
+    def fitness(perm):
+        hit = fitness_cache.get(perm)
+        if hit is not None:
+            return hit
+        cost = manager.node_cap + 1
+        if work is not None and work.shuffle_to(perm):
+            cost = len(work.nodes) + terminals
+        fitness_cache[perm] = cost
+        return cost
+
+    def order_crossover(p1, p2):
+        a, b = sorted(rng.sample(range(n), 2))
+        child = [None] * n
+        child[a : b + 1] = p1[a : b + 1]
+        held = set(p1[a : b + 1])
+        it = iter([v for v in p2 if v not in held])
+        for i in range(n):
+            if child[i] is None:
+                child[i] = next(it)
+        return tuple(child)
+
+    def mutate(perm):
+        if rng.random() < mutation_prob:
+            i, j = rng.sample(range(n), 2)
+            lst = list(perm)
+            lst[i], lst[j] = lst[j], lst[i]
+            return tuple(lst)
+        return perm
+
+    pop = [tuple(manager.order)]
+    while len(pop) < population:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pop.append(tuple(perm))
+
+    def best_of(candidates):
+        return min(candidates, key=lambda p: (fitness(p), p))
+
+    elite = best_of(pop)
+    for _ in range(generations):
+        nxt = [elite]
+        while len(nxt) < population:
+            p1 = best_of([pop[rng.randrange(population)] for _ in range(tournament)])
+            p2 = best_of([pop[rng.randrange(population)] for _ in range(tournament)])
+            nxt.append(mutate(order_crossover(p1, p2)))
+        pop = nxt
+        elite = best_of([elite, best_of(pop)])
+    return VarOrder(elite)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    netlists_with_swaps(),
+    st.integers(0, 1000),
+    st.integers(2, 10),
+    st.integers(0, 6),
+    st.integers(1, 4),
+    st.floats(0, 1),
+    st.none() | st.integers(0, 8),
+)
+def test_ga_matches_reference_ga(case, seed, population, generations, tournament, mutation, slack):
+    # a cap a few nodes above the collected store makes some orders pass it
+    # on the way, and which ones depends on the order the copy moves from
+    net, swaps = case
+    mgr, roots = build_from_netlist(net, VarOrder.identity(len(net.primary_inputs)))
+    for level in swaps:
+        mgr.swap_adjacent_levels(level)
+    if slack is not None:
+        mgr.node_cap = len(mgr.reachable(roots) - {FALSE, TRUE}) + slack
+    args = dict(
+        population=population,
+        generations=generations,
+        seed=seed,
+        tournament=tournament,
+        mutation_prob=mutation,
+    )
+    order = ga_reorder(mgr, roots, **args)
+    if mgr.n < 2:
+        assert order == mgr.current_order()
+    else:
+        assert order == reference_ga(mgr, roots, **args)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_ga_matches_reference_ga_on_pair_products(seed):
+    # pair products under a tight cap: interleaving orders blow up, so the
+    # order in which the copy visits them decides which ones pass the cap
+    r = random.Random(seed + 5000)
+    net = pair_products(r, 2 * r.randint(2, 5))
+    mgr, roots = build_from_netlist(net, VarOrder.identity(len(net.primary_inputs)))
+    mgr.node_cap = len(mgr.reachable(roots) - {FALSE, TRUE}) + r.randint(0, 8)
+    args = dict(
+        population=r.randint(2, 12),
+        generations=r.randint(0, 8),
+        seed=seed,
+        tournament=r.randint(1, 4),
+        mutation_prob=r.random(),
+    )
+    assert ga_reorder(mgr, roots, **args) == reference_ga(mgr, roots, **args)
+
+
+@pytest.mark.parametrize("cap", [41, 2_000_000])
+def test_ga_scores_each_order_once(monkeypatch, cap):
+    mgr, roots = build_from_netlist(five_products(), VarOrder.identity(10))
+    mgr.node_cap = cap
+    shuffle, scored = BddManager.shuffle_to, []
+
+    def counted(self, permutation):
+        arrived = shuffle(self, permutation)
+        scored.append((tuple(permutation), arrived))
+        return arrived
+
+    monkeypatch.setattr(BddManager, "shuffle_to", counted)
+    ga_reorder(mgr, roots, population=16, generations=10, seed=2)
+    orders = [perm for perm, _ in scored]
+    assert len(orders) > 16
+    assert len(orders) == len(set(orders))
+    # at cap 41 some orders pass the cap, and are not scored again either
+    assert all(arrived for _, arrived in scored) == (cap > 41)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("population", 1),
+        ("generations", -1),
+        ("tournament", 0),
+        ("mutation_prob", 1.5),
+        ("mutation_prob", -0.2),
+        ("mutation_prob", float("nan")),
+    ],
+)
+def test_ga_rejects_bad_arguments(pairs6, name, value):
+    mgr, roots = build_from_netlist(pairs6, NATURAL6)
+    with pytest.raises(ValueError, match=name):
+        ga_reorder(mgr, roots, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "src, count",
+    [
+        (".model t\n.inputs a\n.outputs o\n.names a o\n0 1\n.end", 3),
+        (".model t\n.outputs one\n.names one\n1\n.end", 1),
+    ],
+)
+def test_label_report_on_fewer_than_two_inputs(src, count):
+    # one order only: the GA returns it before drawing anything
+    net = parse_blif(src)
+    report = generate_label_report(net, seed=0)
+    assert report.order == VarOrder.identity(len(net.primary_inputs))
+    assert report.winner == "natural"
+    assert report.counts == {"natural": count, "sifting": count, "ga": count}
 
 
 def test_ga_finds_optimum(pairs6):

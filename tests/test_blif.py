@@ -17,6 +17,7 @@ from bddseq.blif import (
     write_blif,
 )
 from bddseq.gen import random_cover_netlist
+from tests.conftest import C17_SRC, PAIRS6_SRC, mutated
 
 
 def all_assignments(n):
@@ -211,3 +212,13 @@ def test_roundtrip_random(seed):
     r = random.Random(seed)
     net = random_cover_netlist(r, r.randint(1, 6), r.randint(1, 8), max_arity=4)
     assert parse_blif(write_blif(net)) == net
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([C17_SRC, PAIRS6_SRC]).flatmap(mutated))
+def test_parse_blif_fuzz_fails_typed(text):
+    # an edited fixture parses, or fails with BlifError and nothing else
+    try:
+        parse_blif(text)
+    except BlifError:
+        pass

@@ -59,6 +59,22 @@ def test_runconfig_rejects_non_positive_batch(size):
 
 
 @pytest.mark.parametrize(
+    "line",
+    [
+        "ga_population = 1",
+        "ga_generations = -1",
+        "ga_tournament = 0",
+        "ga_mutation = 1.5",
+        "ga_mutation = -0.2",
+        "ga_mutation = nan",
+    ],
+)
+def test_runconfig_rejects_bad_ga_settings(line):
+    with pytest.raises(ValueError, match=line.split()[0]):
+        RunConfig.from_text(f"{line}\n")
+
+
+@pytest.mark.parametrize(
     "text, expected",
     [("1", True), ("TRUE", True), ("yes", True), ("0", False), ("False", False), ("no", False)],
 )

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from bddseq.bdd import VarOrder, build_from_netlist, node_count
 from bddseq.blif import parse_blif
@@ -18,6 +19,7 @@ from bddseq.synth import (
     verify_synthesis,
     write_real,
 )
+from tests.conftest import C17_SRC, mutated
 
 
 def synth_for(net, order=None):
@@ -297,3 +299,16 @@ def test_read_real_malformed_is_typed(edit):
     assert text != edit(text)
     with pytest.raises(RealFormatError):
         read_real(edit(text))
+
+
+C17_REAL = write_real(synth_for(parse_blif(C17_SRC)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated(C17_REAL))
+def test_read_real_fuzz_fails_typed(text):
+    # an edited C17 circuit reads, or fails with RealFormatError and nothing else
+    try:
+        read_real(text)
+    except RealFormatError:
+        pass
