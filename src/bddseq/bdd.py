@@ -36,6 +36,7 @@ variables, run on the output truth tables (`brute_force_optimal_order`).
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 
 from .blif import Netlist, evaluate, exhaustive_columns
@@ -606,9 +607,10 @@ def ga_reorder(
     seeded population, then each new generation as it was bred), and the
     tournaments read those scores; a cache keeps an order from being scored
     twice. The scoring order is part of the result: under the cap, whether an
-    order scores node_cap + 1 depends on the order the copy moves from. A
-    circuit with fewer than two inputs has one order, the caller's, which is
-    returned before any draw.
+    order scores node_cap + 1 depends on the order the copy moves from. The
+    caller's order comes back before any draw when it is the only order (fewer
+    than two inputs) or when its own live nodes are over the cap, so that no
+    order could be measured.
     """
     for name, value, low in (
         ("population", population, 2),
@@ -622,21 +624,20 @@ def ga_reorder(
     n = manager.n
     if n < 2:
         return manager.current_order()
-    rng = random.Random(seed)
-    fitness_cache: dict[tuple[int, ...], int] = {}
     try:
         work, work_roots = transfer(manager, roots)
     except NodeCapExceeded:
-        work = None  # even the caller's own order outgrows the cap
-    else:
-        terminals = terminal_count(work_roots)
+        return manager.current_order()
+    terminals = terminal_count(work_roots)
+    rng = random.Random(seed)
+    fitness_cache: dict[tuple[int, ...], int] = {}
 
     def fitness(perm: tuple[int, ...]) -> int:
         hit = fitness_cache.get(perm)
         if hit is not None:
             return hit
         cost = manager.node_cap + 1
-        if work is not None and work.shuffle_to(perm):
+        if work.shuffle_to(perm):
             cost = len(work.nodes) + terminals
         fitness_cache[perm] = cost
         return cost
@@ -826,11 +827,17 @@ def brute_force_optimal_order(netlist: Netlist) -> tuple[VarOrder, int]:
 # -- label generation ----------------------------------------------------------
 
 
+# the classical heuristics, in tie order: a tie goes to the earlier name
+HEURISTICS = ("natural", "sifting", "ga")
+
+
 @dataclass
 class LabelReport:
-    order: VarOrder
+    order: VarOrder  # the winner's
     winner: str
-    counts: dict[str, int]
+    counts: dict[str, int]  # node counts; none for a GA order over the cap
+    orders: dict[str, VarOrder]  # every heuristic's order
+    seconds: dict[str, float]  # every heuristic's ordering time
 
 
 def generate_label_report(
@@ -842,21 +849,25 @@ def generate_label_report(
     ga_tournament: int = 3,
     ga_mutation: float = 0.2,
 ) -> LabelReport:
-    """Run the heuristic set {natural, sifting, GA} and keep the best order.
+    """Run the classical heuristics (HEURISTICS) and keep the best order.
 
     One identity-order diagram serves all three: the natural count and the
     GA read it (the GA scores orders on a private copy), then sifting
     reorders it in place, and the sifted diagram moves on to the GA's order
     by adjacent swaps, which counts it from the store size. A GA order that
-    passes the node cap on the way gets no entry. Ties go to the earlier of
-    natural, sifting, GA.
+    passes the node cap on the way gets no count. Ties go to the earlier
+    name in HEURISTICS. The ordering time is zero for the natural order; for
+    sifting and the GA it is the one identity build plus the sift or the GA.
     """
     n = len(netlist.primary_inputs)
+    natural = VarOrder.identity(n)
+    start = time.perf_counter()
     try:
-        mgr, roots = build_from_netlist(netlist, VarOrder.identity(n), node_cap)
+        mgr, roots = build_from_netlist(netlist, natural, node_cap)
     except NodeCapExceeded as exc:
         raise NodeCapExceeded("all labeling heuristics exceeded the node cap") from exc
-    found = {"natural": (VarOrder.identity(n), node_count(mgr, roots))}
+    built = time.perf_counter()
+    counts = {"natural": node_count(mgr, roots)}
     ga_order = ga_reorder(
         mgr,
         roots,
@@ -866,12 +877,22 @@ def generate_label_report(
         tournament=ga_tournament,
         mutation_prob=ga_mutation,
     )
-    found["sifting"] = (sift_reorder(mgr, roots), node_count(mgr, roots))
+    ga_done = time.perf_counter()
+    sift_order = sift_reorder(mgr, roots)
+    sift_done = time.perf_counter()
+    counts["sifting"] = node_count(mgr, roots)
     if mgr.shuffle_to(ga_order.permutation):  # sifting left the store collected
-        found["ga"] = (ga_order, len(mgr.nodes) + terminal_count(roots))
-    winner = min(found, key=lambda name: found[name][1])
+        counts["ga"] = len(mgr.nodes) + terminal_count(roots)
+    orders = dict(zip(HEURISTICS, (natural, sift_order, ga_order)))
+    winner = min((name for name in HEURISTICS if name in counts), key=counts.get)
     return LabelReport(
-        order=found[winner][0],
+        order=orders[winner],
         winner=winner,
-        counts={name: count for name, (_, count) in found.items()},
+        counts=counts,
+        orders=orders,
+        seconds={
+            "natural": 0.0,
+            "sifting": (built - start) + (sift_done - ga_done),
+            "ga": ga_done - start,
+        },
     )

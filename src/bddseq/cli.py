@@ -50,6 +50,18 @@ def _prepare_netlist(netlist, cfg: RunConfig):
     return bound_fanin(netlist, cfg.decompose_arity)
 
 
+def _label_report(netlist, cfg: RunConfig) -> bdd.LabelReport:
+    return bdd.generate_label_report(
+        netlist,
+        seed=cfg.seed,
+        node_cap=cfg.node_cap,
+        ga_population=cfg.ga_population,
+        ga_generations=cfg.ga_generations,
+        ga_tournament=cfg.ga_tournament,
+        ga_mutation=cfg.ga_mutation,
+    )
+
+
 # -- augment -------------------------------------------------------------------
 
 
@@ -115,15 +127,7 @@ def cmd_label(args, cfg: RunConfig) -> int:
         netlist = _prepare_netlist(corpus.load_netlist(entry), cfg)
         start = time.perf_counter()
         try:
-            report = bdd.generate_label_report(
-                netlist,
-                seed=cfg.seed,
-                node_cap=cfg.node_cap,
-                ga_population=cfg.ga_population,
-                ga_generations=cfg.ga_generations,
-                ga_tournament=cfg.ga_tournament,
-                ga_mutation=cfg.ga_mutation,
-            )
+            report = _label_report(netlist, cfg)
         except bdd.NodeCapExceeded:
             print(
                 f"warning: {entry.circuit_id} exceeded the node cap; dropped",
@@ -136,9 +140,7 @@ def cmd_label(args, cfg: RunConfig) -> int:
             [
                 entry.circuit_id,
                 report.winner,
-                report.counts.get("natural", ""),
-                report.counts.get("sifting", ""),
-                report.counts.get("ga", ""),
+                *(report.counts.get(name, "") for name in bdd.HEURISTICS),
                 min(report.counts.values()),
                 f"{elapsed:.6f}",
             ]
@@ -151,7 +153,7 @@ def cmd_label(args, cfg: RunConfig) -> int:
     write_orders(corpus.root / "labels.txt", ordered, cfg)
     write_csv(
         corpus.root / "label_report.csv",
-        ["circuit_id", "winner", "natural", "sifting", "ga", "label_count", "time_seconds"],
+        ["circuit_id", "winner", *bdd.HEURISTICS, "label_count", "time_seconds"],
         rows,
         cfg,
     )
@@ -383,8 +385,9 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         print("error: empty test split", file=sys.stderr)
         return 1
 
-    # ordering time (heuristic or model inference) is reported separately
-    # from BDD construction + synthesis time; time_seconds is their sum
+    # ordering time (the label report's, for a classical heuristic, or model
+    # inference) is reported apart from BDD construction + synthesis time;
+    # time_seconds is their sum
     header = [
         "circuit",
         "method",
@@ -401,36 +404,23 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     taus: dict[str, list[float]] = {}
     rhos: dict[str, list[float]] = {}
 
-    def record(circuit_id, method, nodes, qc, order_secs, synth_secs, tau="", rho=""):
-        rows.append(
-            [
-                circuit_id,
-                method,
-                nodes,
-                qc,
-                f"{order_secs:.6f}",
-                f"{synth_secs:.6f}",
-                f"{order_secs + synth_secs:.6f}",
-                tau,
-                rho,
-            ]
-        )
-        totals.setdefault(method, [0.0, 0.0, 0.0])
-        totals[method][0] += nodes
-        totals[method][1] += qc
-        totals[method][2] += order_secs + synth_secs
-
     for entry in test_entries:
         netlist = _prepare_netlist(corpus.load_netlist(entry), cfg)
         n = len(netlist.primary_inputs)
         label_names = corpus.labels.get(entry.circuit_id)
         label = names_to_order(netlist, label_names) if label_names else None
-
-        def run(method, order_fn):
+        report = _label_report(netlist, cfg)
+        ordered = [
+            (name, report.orders[name], report.seconds[name] if cfg.record_times else 0.0)
+            for name in bdd.HEURISTICS
+        ]
+        for mode in search.MODES:
             start = time.perf_counter()
-            order = order_fn()
-            order_secs = _clock(cfg, start)
+            order = predict_order(netlist, params, mode, cfg)[0]
+            ordered.append((f"model_{mode}", order, _clock(cfg, start)))
+        for method, order, order_secs in ordered:
             circuit, nodes, synth_secs = synthesize_circuit(netlist, order, cfg)
+            qc = synth.quantum_cost(circuit)
             tau = rho = ""
             if label is not None and method.startswith("model") and n >= 2:
                 t = kendall_tau(order.permutation, label.permutation)
@@ -438,47 +428,23 @@ def cmd_eval(args, cfg: RunConfig) -> int:
                 taus.setdefault(method, []).append(t)
                 rhos.setdefault(method, []).append(r)
                 tau, rho = f"{t:.4f}", f"{r:.4f}"
-            record(
-                entry.circuit_id,
-                method,
-                nodes,
-                synth.quantum_cost(circuit),
-                order_secs,
-                synth_secs,
-                tau,
-                rho,
+            rows.append(
+                [
+                    entry.circuit_id,
+                    method,
+                    nodes,
+                    qc,
+                    f"{order_secs:.6f}",
+                    f"{synth_secs:.6f}",
+                    f"{order_secs + synth_secs:.6f}",
+                    tau,
+                    rho,
+                ]
             )
-
-        run("natural", lambda: bdd.VarOrder.identity(n))
-
-        def sifted():
-            mgr, roots = bdd.build_from_netlist(
-                netlist, bdd.VarOrder.identity(n), node_cap=cfg.node_cap
-            )
-            return bdd.sift_reorder(mgr, roots)
-
-        run("sifting", sifted)
-
-        def genetic():
-            mgr, roots = bdd.build_from_netlist(
-                netlist, bdd.VarOrder.identity(n), node_cap=cfg.node_cap
-            )
-            return bdd.ga_reorder(
-                mgr,
-                roots,
-                population=cfg.ga_population,
-                generations=cfg.ga_generations,
-                seed=cfg.seed,
-                tournament=cfg.ga_tournament,
-                mutation_prob=cfg.ga_mutation,
-            )
-
-        run("ga", genetic)
-        for mode in search.MODES:
-            run(
-                f"model_{mode}",
-                lambda mode=mode: predict_order(netlist, params, mode, cfg)[0],
-            )
+            total = totals.setdefault(method, [0.0, 0.0, 0.0])
+            total[0] += nodes
+            total[1] += qc
+            total[2] += order_secs + synth_secs
 
     for method in sorted(totals):
         rows.append(
@@ -496,7 +462,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         )
     for method in sorted(totals):
         if method.startswith("model") and totals[method][1] > 0:
-            for base in ("natural", "sifting", "ga"):
+            for base in bdd.HEURISTICS:
                 rows.append(
                     [
                         "RATIO",

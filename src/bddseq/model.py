@@ -515,9 +515,19 @@ def save_params(params: ModelParams, path) -> None:
     )
 
 
+def _file_shapes(config: ModelConfig, named: dict[str, np.ndarray]):
+    # each layer has three tensors: a corrupt layer count fails here, before
+    # expected_shapes spells out a shape per layer
+    if 3 * config.layers > len(named):
+        raise WeightFormatError(
+            f"config has {config.layers} layers; the file holds {len(named)} tensors"
+        )
+    return expected_shapes(config)
+
+
 def load_params(path) -> ModelParams:
     config, named = load_tensors(path)
-    shapes = expected_shapes(config)
+    shapes = _file_shapes(config, named)
     tensors: dict[str, Tensor] = {}
     for name, shape in shapes.items():
         if name not in named:
@@ -543,7 +553,7 @@ def save_checkpoint(params: ModelParams, opt_state, next_epoch: int, path) -> No
 
 def load_checkpoint(path):
     config, named = load_tensors(path)
-    shapes = expected_shapes(config)
+    shapes = _file_shapes(config, named)
     expected = dict(shapes)
     for moment in ("m", "v"):
         expected.update({f"opt.{moment}.{k}": shape for k, shape in shapes.items()})

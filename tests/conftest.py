@@ -87,6 +87,45 @@ def mutated(draw, text):
     return text
 
 
+@st.composite
+def mutated_lines(draw, text):
+    """The text after one to four line edits: each deletes, repeats or moves
+    a line, or inserts a line of the text's own tokens."""
+    lines = text.splitlines(keepends=True)
+    tokens = text.split() + ["="]
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["delete", "repeat", "move", "insert"]))
+        if edit == "insert" or not lines:
+            line = " ".join(draw(st.lists(st.sampled_from(tokens), max_size=4))) + "\n"
+            lines.insert(at, line)
+            continue
+        line = lines.pop(min(at, len(lines) - 1))
+        if edit == "repeat":
+            lines[at:at] = [line, line]
+        elif edit == "move":
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    return "".join(lines)
+
+
+@st.composite
+def mutated_bytes(draw, data):
+    """The bytes after one to four edits: each inserts a few bytes, deletes
+    a span, overwrites one byte or truncates them."""
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["insert", "delete", "overwrite", "truncate"]))
+        if edit == "insert":
+            data = data[:at] + draw(st.binary(min_size=1, max_size=6)) + data[at:]
+        elif edit == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 12)) :]
+        elif edit == "overwrite":
+            data = data[:at] + draw(st.binary(min_size=1, max_size=1)) + data[at + 1 :]
+        else:
+            data = data[:at]
+    return data
+
+
 @pytest.fixture
 def pairs6():
     """f = x0*x1 + x2*x3 + x4*x5: three disjoint two-input products."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bddseq.bdd import (
     EXACT_MAX_INPUTS,
     FALSE,
+    HEURISTICS,
     TRUE,
     BddManager,
     NodeCapExceeded,
@@ -532,6 +533,13 @@ def test_label_report_on_fewer_than_two_inputs(src, count):
     assert report.counts == {"natural": count, "sifting": count, "ga": count}
 
 
+def test_ga_over_the_cap_returns_the_callers_order(pairs6):
+    # even the caller's diagram is over the cap, so no order can be measured
+    mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
+    mgr.node_cap = 3
+    assert ga_reorder(mgr, roots, seed=0) == SCRAMBLED6
+
+
 def test_ga_finds_optimum(pairs6):
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
     order = ga_reorder(mgr, roots, population=20, generations=30, seed=7)
@@ -805,7 +813,8 @@ def three_build_label_report(netlist, seed=0, node_cap=2_000_000, **ga):
         except NodeCapExceeded:
             pass
     winner, order, _ = min(candidates, key=lambda t: t[2])
-    return order, winner, {name: count for name, _, count in candidates}
+    orders = {name: order for name, order, _ in candidates}
+    return order, winner, {name: count for name, _, count in candidates}, orders
 
 
 def label_matches_reference(net, seed, **ga):
@@ -815,8 +824,10 @@ def label_matches_reference(net, seed, **ga):
         ga_population=ga.get("population", 32),
         ga_generations=ga.get("generations", 50),
     )
-    expected = three_build_label_report(net, seed=seed, **ga)
-    assert (report.order, report.winner, report.counts) == expected
+    *expected, orders = three_build_label_report(net, seed=seed, **ga)
+    assert (report.order, report.winner, report.counts) == tuple(expected)
+    assert {name: report.orders[name] for name in orders} == orders
+    assert set(report.orders) == set(report.seconds) == set(HEURISTICS)
 
 
 @pytest.mark.parametrize("seed", range(12))

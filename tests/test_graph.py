@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bddseq.blif import Cube, LogicGate, Netlist, parse_blif
 from bddseq.graph import (
@@ -22,6 +24,24 @@ def test_truth_table_or2():
 def test_truth_table_inverter():
     gate = LogicGate(["a"], "o", [Cube("0", 1)])
     assert truth_table_embedding(gate, 4).tolist() == [1, 0, 0, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 1),
+            st.lists(st.text("01-", min_size=n, max_size=n), max_size=5),
+        )
+    )
+)
+def test_truth_table_matches_one_bit_eval(case):
+    # covers of either polarity, empty covers included, against LogicGate.eval
+    n, polarity, patterns = case
+    gate = LogicGate([f"i{j}" for j in range(n)], "o", [Cube(p, polarity) for p in patterns])
+    expected = [gate.eval([(i >> (n - 1 - j)) & 1 for j in range(n)]) for i in range(1 << n)]
+    assert truth_table_embedding(gate, 16).tolist() == expected + [0] * (16 - (1 << n))
 
 
 def test_truth_table_arity_overflow():

@@ -1,7 +1,12 @@
 import random
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bddseq import autodiff as ad
 from bddseq import model as M
@@ -10,6 +15,7 @@ from bddseq.bdd import VarOrder
 from bddseq.blif import parse_blif
 from bddseq.gen import random_cover_netlist
 from bddseq.graph import CircuitGraph, FeatureConfig, blif2graph, disjoint_union
+from tests.conftest import T5_SRC, mutated_bytes
 
 
 def tiny_graph(net, L=4):
@@ -427,8 +433,6 @@ def test_non_finite_weight_raises_weight_format_error(tmp_path, t5, kind, value)
 
 
 def test_too_many_dimensions_raises_weight_format_error(tmp_path):
-    import struct
-
     blob = b"feature_dim=1\nhidden=2\nlayers=1\nheads=1\n"
     data = (
         b"BSQW"
@@ -444,3 +448,43 @@ def test_too_many_dimensions_raises_weight_format_error(tmp_path):
     path.write_bytes(data)
     with pytest.raises(M.WeightFormatError, match="shape of 'x' at byte"):
         M.load_tensors(path)
+
+
+@pytest.mark.parametrize("load", [M.load_params, M.load_checkpoint])
+def test_layer_count_is_checked_against_the_tensors(tmp_path, load):
+    # a corrupt layer count fails before a shape is spelt out per layer
+    blob = b"feature_dim=1\nhidden=2\nlayers=1000\nheads=1\n"
+    path = tmp_path / "w.bin"
+    path.write_bytes(b"BSQW" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 0))
+    with pytest.raises(M.WeightFormatError, match="1000 layers"):
+        load(path)
+
+
+def weight_file(kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.bin"
+        saved_weights(path, parse_blif(T5_SRC), kind)
+        return path.read_bytes()
+
+
+WEIGHT_FILES = {"params": weight_file("params"), "checkpoint": weight_file("checkpoint")}
+LOADERS = {"params": M.load_params, "checkpoint": M.load_checkpoint}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(WEIGHT_FILES)).flatmap(
+        lambda kind: st.tuples(st.just(kind), mutated_bytes(WEIGHT_FILES[kind]))
+    )
+)
+def test_load_weights_fuzz_fails_typed(case):
+    # an edited weight file or checkpoint loads, or fails with
+    # WeightFormatError and nothing else
+    kind, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.bin"
+        path.write_bytes(data)
+        try:
+            LOADERS[kind](path)
+        except M.WeightFormatError:
+            pass

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bddseq import model as M
 from bddseq import synth
-from bddseq.bdd import VarOrder, brute_force_optimal_order
+from bddseq.bdd import VarOrder, brute_force_optimal_order, build_from_netlist
 from bddseq.blif import parse_blif, write_blif
 from bddseq.cli import VERIFY_MAX_INPUTS, main, predict_order, synthesize_circuit
 from bddseq.corpus import (
@@ -20,9 +20,10 @@ from bddseq.corpus import (
     read_manifest,
     read_orders,
     split_of,
+    write_orders,
 )
 from bddseq.gen import desk_corpus, read_once_tree
-from tests.conftest import PAIRS6_SRC
+from tests.conftest import PAIRS6_SRC, mutated, mutated_bytes, mutated_lines
 
 
 def write_sources(path: Path, count=8, seed=11, **kw):
@@ -97,6 +98,18 @@ def test_runconfig_rejects_bad_numbers(line, needs):
         RunConfig.from_text(f"batch_size = 4\n{line}\n")
 
 
+CONFIG_TEXT = RunConfig(seed=9, record_times=False).to_text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mutated(CONFIG_TEXT), mutated_lines(CONFIG_TEXT)))
+def test_runconfig_fuzz_raises_only_value_error(text):
+    try:
+        RunConfig.from_text(text)
+    except ValueError:
+        pass
+
+
 MANIFEST_TEXT = (
     "# seed = 7\n"
     "circuit_id,path,source,transform,split\n"
@@ -134,6 +147,34 @@ def test_read_manifest_fuzz_raises_only_value_error(pos, cut, insert):
         path.write_text(MANIFEST_TEXT[:pos] + insert + MANIFEST_TEXT[pos + cut :])
         try:
             read_manifest(path)
+        except ValueError:
+            pass
+
+
+def orders_text():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.txt"
+        write_orders(path, {"c17": ["G3", "G1", "G6"], "pairs6": ["x0", "x1"]}, RunConfig())
+        return path.read_text()
+
+
+ORDERS_TEXT = orders_text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        mutated(ORDERS_TEXT).map(str.encode),
+        mutated_lines(ORDERS_TEXT).map(str.encode),
+        mutated_bytes(ORDERS_TEXT.encode()),
+    )
+)
+def test_read_orders_fuzz_raises_only_value_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.txt"
+        path.write_bytes(data)
+        try:
+            read_orders(path)
         except ValueError:
             pass
 
@@ -218,7 +259,7 @@ def test_label_matches_brute_force(labeled_corpus):
     orders = read_orders(labeled_corpus / "labels.txt")
     net = parse_blif((labeled_corpus / "blif" / "pairs6.blif").read_text())
     label = names_to_order(net, orders["pairs6"])
-    from bddseq.bdd import build_from_netlist, node_count
+    from bddseq.bdd import node_count
 
     mgr, roots = build_from_netlist(net, label)
     _, optimum = brute_force_optimal_order(net)
@@ -338,7 +379,7 @@ def test_train_rejects_zero_heads(labeled_corpus, tmp_path):
 def test_predict_reranks_with_bdd_counts(t5, trained_run, cfg_file):
     params = M.load_params(trained_run / "weights.bin")
     cfg = RunConfig.load(cfg_file)
-    from bddseq.bdd import build_from_netlist, node_count
+    from bddseq.bdd import node_count
     from bddseq.search import greedy_decode
     from bddseq.graph import FeatureConfig, blif2graph
 
@@ -415,6 +456,37 @@ def test_eval_report_totals_and_refusal(labeled_corpus, cfg_file, trained_run, t
     )
     assert rc == 1
     assert "split" in capsys.readouterr().err
+
+
+def test_eval_shares_the_label_report(labeled_corpus, cfg_file, trained_run, tmp_path, monkeypatch):
+    # per test circuit: one identity build for the label report, which gives
+    # the natural, sifting and GA orders, a synthesis build for each of them,
+    # and a re-rank and a synthesis build for each model mode
+    from bddseq import bdd, search
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_from_netlist(*args, **kwargs)
+
+    monkeypatch.setattr(bdd, "build_from_netlist", counted)
+    monkeypatch.setattr(search, "build_from_netlist", counted)
+    out = tmp_path / "eval"
+    assert main(
+        ["--config", str(cfg_file), "eval", str(labeled_corpus), "--weights",
+         str(trained_run / "weights.bin"), "--out", str(out)]
+    ) == 0
+    _, rows = read_csv(out / "eval_report.csv")
+    circuits = {row[0] for row in rows} - {"TOTAL", "RATIO"}
+    assert circuits and len(calls) == 10 * len(circuits)
+    # the classical rows synthesize the label report's orders
+    _, label_rows = read_csv(labeled_corpus / "label_report.csv")
+    label_counts = {row[0]: dict(zip(bdd.HEURISTICS, row[2:5])) for row in label_rows}
+    classical = [row for row in rows if row[0] in circuits and row[1] in bdd.HEURISTICS]
+    assert len(classical) == 3 * len(circuits)
+    for row in classical:
+        assert row[2] == label_counts[row[0]][row[1]]
 
 
 def test_eval_verifies_every_circuit(labeled_corpus, cfg_file, trained_run, tmp_path, monkeypatch):
