@@ -43,12 +43,11 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
 
-    def __init__(self, data, requires_grad=False, parents=(), bwd=None, name=""):
+    def __init__(self, data, requires_grad=False, parents=(), bwd=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.name = name
         if _grad_enabled:
             self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
             self._parents = parents

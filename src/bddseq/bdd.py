@@ -865,7 +865,7 @@ def generate_label_report(
     try:
         mgr, roots = build_from_netlist(netlist, natural, node_cap)
     except NodeCapExceeded as exc:
-        raise NodeCapExceeded("all labeling heuristics exceeded the node cap") from exc
+        raise NodeCapExceeded("the natural-order diagram exceeded the node cap") from exc
     built = time.perf_counter()
     counts = {"natural": node_count(mgr, roots)}
     ga_order = ga_reorder(

@@ -177,11 +177,17 @@ def _dataset(corpus: Corpus, cfg: RunConfig, split: str):
 
 
 def _decode_metrics(params, val_dataset):
+    """Mean rank correlations of greedy orders with the labels, over the
+    graphs of two or more inputs; none when there is no such graph."""
     taus, rhos = [], []
     for graph, label in val_dataset:
+        if graph.num_pis < 2:
+            continue
         order = search.greedy_decode(graph, params)
         taus.append(kendall_tau(order.permutation, label.permutation))
         rhos.append(spearman_rho(order.permutation, label.permutation))
+    if not taus:
+        return {}
     return {"val_tau": float(np.mean(taus)), "val_rho": float(np.mean(rhos))}
 
 
@@ -247,7 +253,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     M.save_params(params, out_dir / "weights.bin")
     M.save_checkpoint(params, opt_state, start_epoch + cfg.epochs, out_dir / "checkpoint.bin")
     if best_tau is None:
-        print(f"trained {cfg.epochs} epochs on {len(train_set)} circuits (no val split)")
+        print(f"trained {cfg.epochs} epochs on {len(train_set)} circuits (no val tau)")
     else:
         print(
             f"trained {cfg.epochs} epochs on {len(train_set)} circuits; "
@@ -403,23 +409,32 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     totals: dict[str, list[float]] = {}
     taus: dict[str, list[float]] = {}
     rhos: dict[str, list[float]] = {}
+    skipped = 0  # circuits with a diagram over the node cap
 
     for entry in test_entries:
         netlist = _prepare_netlist(corpus.load_netlist(entry), cfg)
         n = len(netlist.primary_inputs)
         label_names = corpus.labels.get(entry.circuit_id)
         label = names_to_order(netlist, label_names) if label_names else None
-        report = _label_report(netlist, cfg)
-        ordered = [
-            (name, report.orders[name], report.seconds[name] if cfg.record_times else 0.0)
-            for name in bdd.HEURISTICS
-        ]
-        for mode in search.MODES:
-            start = time.perf_counter()
-            order = predict_order(netlist, params, mode, cfg)[0]
-            ordered.append((f"model_{mode}", order, _clock(cfg, start)))
-        for method, order, order_secs in ordered:
-            circuit, nodes, synth_secs = synthesize_circuit(netlist, order, cfg)
+        try:
+            report = _label_report(netlist, cfg)
+            ordered = [
+                (name, report.orders[name], report.seconds[name] if cfg.record_times else 0.0)
+                for name in bdd.HEURISTICS
+            ]
+            for mode in search.MODES:
+                start = time.perf_counter()
+                order = predict_order(netlist, params, mode, cfg)[0]
+                ordered.append((f"model_{mode}", order, _clock(cfg, start)))
+            built = [
+                (method, order, order_secs, *synthesize_circuit(netlist, order, cfg))
+                for method, order, order_secs in ordered
+            ]
+        except bdd.NodeCapExceeded as exc:
+            print(f"warning: {entry.circuit_id}: {exc}; skipped", file=sys.stderr)
+            skipped += 1
+            continue
+        for method, order, order_secs, circuit, nodes, synth_secs in built:
             qc = synth.quantum_cost(circuit)
             tau = rho = ""
             if label is not None and method.startswith("model") and n >= 2:
@@ -445,6 +460,9 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             total[0] += nodes
             total[1] += qc
             total[2] += order_secs + synth_secs
+    if skipped == len(test_entries):
+        print("error: every test circuit exceeded the node cap", file=sys.stderr)
+        return 1
 
     for method in sorted(totals):
         rows.append(
@@ -479,7 +497,10 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "eval_report.csv", header, rows, cfg)
-    print(f"evaluated {len(test_entries)} test circuits -> {out_dir / 'eval_report.csv'}")
+    print(
+        f"evaluated {len(test_entries) - skipped} test circuits, skipped {skipped} "
+        f"over the node cap -> {out_dir / 'eval_report.csv'}"
+    )
     return 0
 
 

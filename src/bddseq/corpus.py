@@ -151,12 +151,8 @@ MANIFEST_FIELDS = ["circuit_id", "path", "source", "transform", "split"]
 
 
 def write_manifest(path, entries, config: RunConfig) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MANIFEST_FIELDS)
-    for e in entries:
-        writer.writerow([e.circuit_id, e.path, e.source, e.transform, e.split])
-    Path(path).write_text(config.comment_block() + buf.getvalue())
+    rows = [[e.circuit_id, e.path, e.source, e.transform, e.split] for e in entries]
+    write_csv(path, MANIFEST_FIELDS, rows, config)
 
 
 def read_manifest(path) -> list[CorpusEntry]:

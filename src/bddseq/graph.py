@@ -31,9 +31,7 @@ class CircuitGraph:
     node_names: list[str]  # primary inputs first, then gates topologically
     edges: list[tuple[int, int]]
     features: np.ndarray  # (N, L + 4) floats, consumed by the encoder
-    raw_structural: np.ndarray  # (N, 4) raw rank/depth/fanin/fanout counts
     pi_positions: list[int]
-    max_table_len: int
 
     @property
     def num_nodes(self) -> int:
@@ -63,9 +61,7 @@ def disjoint_union(graphs: list[CircuitGraph]) -> CircuitGraph:
         node_names=names,
         edges=edges,
         features=np.concatenate([g.features for g in graphs]),
-        raw_structural=np.concatenate([g.raw_structural for g in graphs]),
         pi_positions=pis,
-        max_table_len=graphs[0].max_table_len,
     )
 
 
@@ -111,34 +107,24 @@ def blif2graph(netlist: Netlist, config: FeatureConfig) -> CircuitGraph:
     topo = netlist.topo_gates()
     names = list(netlist.primary_inputs) + [g.output for g in topo]
     index = {s: i for i, s in enumerate(names)}
-    stats = structural_features(netlist)
-
-    edges = []
-    for g in topo:
-        for s in g.inputs:
-            edges.append((index[s], index[g.output]))
+    edges = [(index[s], index[g.output]) for g in topo for s in g.inputs]
 
     n_nodes = len(names)
     features = np.zeros((n_nodes, L + 4), dtype=np.float64)
-    raw = np.zeros((n_nodes, 4), dtype=np.int64)
     for g in topo:
         features[index[g.output], :L] = truth_table_embedding(g, L)
-    for s, tup in stats.items():
-        raw[index[s]] = tup
-
-    scalars = raw.astype(np.float64)
+    for s, tup in structural_features(netlist).items():
+        features[index[s], L:] = tup
     if config.normalize_structural and n_nodes > 0:
+        scalars = features[:, L:]
         lo = scalars.min(axis=0)
         hi = scalars.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
-        scalars = (scalars - lo) / span
-    features[:, L:] = scalars
+        features[:, L:] = (scalars - lo) / span
 
     return CircuitGraph(
         node_names=names,
         edges=edges,
         features=features,
-        raw_structural=raw,
         pi_positions=list(range(len(netlist.primary_inputs))),
-        max_table_len=L,
     )

@@ -106,26 +106,24 @@ def init_params(config: ModelConfig, seed: int = 42) -> ModelParams:
         else:
             fan_in = shape[0]
             data = rng.standard_normal(shape) / np.sqrt(fan_in)
-        tensors[name] = Tensor(data, requires_grad=True, name=name)
+        tensors[name] = Tensor(data, requires_grad=True)
     return ModelParams(config=config, tensors=tensors)
 
 
 def message_edges(graph: CircuitGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edges plus reverses and self-loops, deduplicated."""
-    seen = set()
-    src, dst = [], []
-    for u, v in graph.edges:
-        for a, b in ((u, v), (v, u)):
-            if (a, b) not in seen:
-                seen.add((a, b))
-                src.append(a)
-                dst.append(b)
-    for i in range(graph.num_nodes):
-        if (i, i) not in seen:
-            seen.add((i, i))
-            src.append(i)
-            dst.append(i)
-    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    """(src, dst) of each edge followed by its reverse, then one self-loop
+    per node.
+
+    Graphs from `blif2graph` and `disjoint_union` have unique, acyclic edges,
+    so no message repeats. The order sets the summation order of the
+    per-node sums in `encode`, and with it the bits of the embeddings.
+    """
+    edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
+    loops = np.arange(graph.num_nodes, dtype=np.int64)
+    return (
+        np.concatenate([edges.ravel(), loops]),
+        np.concatenate([edges[:, ::-1].ravel(), loops]),
+    )
 
 
 def _segment_max(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
@@ -186,9 +184,9 @@ def decoder_advance(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """One LSTM step for B sequences at once, then pointer attention.
 
-    hidden, cell and prev_emb are (B, H); keys are (P, H), shared by every
-    sequence as in search, or (B, P, H), one block per sequence as in
-    training. Returns the raw pointer scores as a (B*P, 1) column, row
+    hidden, cell and prev_emb are (B, H) tensors or arrays; keys are (P, H),
+    shared by every sequence as in search, or (B, P, H), one block per
+    sequence as in training. Returns the raw pointer scores as a (B*P, 1) column, row
     b*P + p for sequence b and input p, and the advanced hidden and cell
     states.
     """
@@ -302,7 +300,7 @@ def _chunks(items: list, size: int) -> list[list]:
 def train(
     dataset,
     config: TrainConfig,
-    params: ModelParams | None = None,
+    params: ModelParams,
     val_dataset=None,
     eval_fn=None,
     optimizer_state=None,
@@ -317,9 +315,6 @@ def train(
     """
     if not dataset:
         raise ValueError("empty dataset")
-    if params is None:
-        feature_dim = dataset[0][0].features.shape[1]
-        params = init_params(ModelConfig(feature_dim=feature_dim), seed=config.seed)
     opt = Adam(params.tensors, lr=config.learning_rate)
     if optimizer_state is not None:
         opt.m = {k: v.astype(np.float64) for k, v in optimizer_state["m"].items()}
@@ -515,30 +510,38 @@ def save_params(params: ModelParams, path) -> None:
     )
 
 
-def _file_shapes(config: ModelConfig, named: dict[str, np.ndarray]):
+def _load_checked(path, checkpoint: bool):
+    """Parameters of a weight file, and all its tensors by name.
+
+    Every tensor the file's config implies must be present with its shape;
+    a checkpoint must also hold both Adam moments of each and `opt.meta`.
+    """
+    config, named = load_tensors(path)
     # each layer has three tensors: a corrupt layer count fails here, before
     # expected_shapes spells out a shape per layer
     if 3 * config.layers > len(named):
         raise WeightFormatError(
             f"config has {config.layers} layers; the file holds {len(named)} tensors"
         )
-    return expected_shapes(config)
-
-
-def load_params(path) -> ModelParams:
-    config, named = load_tensors(path)
-    shapes = _file_shapes(config, named)
-    tensors: dict[str, Tensor] = {}
-    for name, shape in shapes.items():
+    shapes = expected_shapes(config)
+    expected = dict(shapes)
+    if checkpoint:
+        for moment in ("m", "v"):
+            expected.update({f"opt.{moment}.{k}": shape for k, shape in shapes.items()})
+        expected["opt.meta"] = (2,)
+    for name, shape in expected.items():
         if name not in named:
             raise WeightFormatError(f"missing tensor '{name}'")
         if named[name].shape != shape:
             raise WeightFormatError(
-                f"tensor '{name}' has shape {named[name].shape}, "
-                f"config implies {shape}"
+                f"tensor '{name}' has shape {named[name].shape}, config implies {shape}"
             )
-        tensors[name] = Tensor(named[name], requires_grad=True, name=name)
-    return ModelParams(config=config, tensors=tensors)
+    tensors = {name: Tensor(named[name], requires_grad=True) for name in shapes}
+    return ModelParams(config=config, tensors=tensors), named
+
+
+def load_params(path) -> ModelParams:
+    return _load_checked(path, checkpoint=False)[0]
 
 
 def save_checkpoint(params: ModelParams, opt_state, next_epoch: int, path) -> None:
@@ -552,23 +555,10 @@ def save_checkpoint(params: ModelParams, opt_state, next_epoch: int, path) -> No
 
 
 def load_checkpoint(path):
-    config, named = load_tensors(path)
-    shapes = _file_shapes(config, named)
-    expected = dict(shapes)
-    for moment in ("m", "v"):
-        expected.update({f"opt.{moment}.{k}": shape for k, shape in shapes.items()})
-    expected["opt.meta"] = (2,)
-    for name, shape in expected.items():
-        if name not in named or named[name].shape != shape:
-            raise WeightFormatError(f"checkpoint missing or misshaped '{name}'")
-    tensors = {
-        name: Tensor(named[name], requires_grad=True, name=name) for name in shapes
-    }
-    params = ModelParams(config=config, tensors=tensors)
+    params, named = _load_checked(path, checkpoint=True)
     opt_state = {
-        "m": {k: named[f"opt.m.{k}"] for k in shapes},
-        "v": {k: named[f"opt.v.{k}"] for k in shapes},
+        "m": {k: named[f"opt.m.{k}"] for k in params.tensors},
+        "v": {k: named[f"opt.v.{k}"] for k in params.tensors},
         "step": int(named["opt.meta"][0]),
     }
-    next_epoch = int(named["opt.meta"][1])
-    return params, opt_state, next_epoch
+    return params, opt_state, int(named["opt.meta"][1])

@@ -93,12 +93,10 @@ def _advance(pool: Pool, encoded: Encoded, params: M.ModelParams):
     """(B, P) raw pointer scores for every beam of the pool, plus the
     advanced hidden and cell states."""
     if pool.tokens[0]:
-        prev = Tensor(encoded.pi_embs[[t[-1] for t in pool.tokens]])
+        prev = encoded.pi_embs[[t[-1] for t in pool.tokens]]
     else:
         prev = params["dec.start"]  # only the start beam has no tokens
-    raw, hidden, cell = M.decoder_advance(
-        Tensor(pool.hidden), Tensor(pool.cell), prev, encoded.keys, params
-    )
+    raw, hidden, cell = M.decoder_advance(pool.hidden, pool.cell, prev, encoded.keys, params)
     return raw.data.reshape(len(pool.tokens), -1), hidden.data, cell.data
 
 
@@ -202,15 +200,6 @@ def diverse_beam_search(
     an `encode`d graph, so that several searches share one encoding.
     """
     return _decode(_encoded(graph, params), params, config)
-
-
-def beam_search(
-    graph: CircuitGraph, params: M.ModelParams, width: int
-) -> list[tuple[VarOrder, float]]:
-    """Plain beam search keeping the best `width` partial sequences."""
-    return diverse_beam_search(
-        graph, params, SearchConfig(beam_width=width, groups=1, alpha=0.0)
-    )
 
 
 def select_best_order(

@@ -33,7 +33,7 @@ from bddseq.corpus import split_of
 from bddseq.gen import desk_corpus, random_cover_netlist
 from bddseq.graph import FeatureConfig, blif2graph
 from bddseq.metrics import kendall_tau, spearman_rho
-from bddseq.search import SearchConfig, beam_search, diverse_beam_search, greedy_decode
+from bddseq.search import SearchConfig, diverse_beam_search, greedy_decode
 from bddseq.synth import is_bijection, quantum_cost, synthesize, transistor_cost, verify_synthesis
 
 from tests.conftest import C17_SRC, PAIRS6_SRC, T5_SRC
@@ -154,7 +154,7 @@ def test_criterion_04_search_reductions():
             )
             assert single[0][0] == greedy
             m = 4
-            plain = beam_search(graph, params, m)
+            plain = diverse_beam_search(graph, params, SearchConfig(m, 1, 0.0))
             for groups in (2, 4):
                 grouped = diverse_beam_search(
                     graph, params, SearchConfig(beam_width=m, groups=groups, alpha=0.0)

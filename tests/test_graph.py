@@ -85,7 +85,8 @@ def test_blif2graph_and2(and2):
 def test_blif2graph_pairs6(pairs6):
     graph = blif2graph(pairs6, FeatureConfig(max_table_len=8))
     assert graph.num_nodes == 6 + 4
-    assert all(graph.raw_structural[i][3] == 1 for i in graph.pi_positions)
+    stats = structural_features(pairs6)
+    assert all(stats[graph.node_names[i]][3] == 1 for i in graph.pi_positions)
     # one edge per gate input
     assert len(graph.edges) == sum(g.arity for g in pairs6.gates)
 

@@ -13,7 +13,7 @@ from bddseq import model as M
 from bddseq.autodiff import Tensor
 from bddseq.bdd import VarOrder
 from bddseq.blif import parse_blif
-from bddseq.gen import random_cover_netlist
+from bddseq.gen import desk_corpus, random_cover_netlist
 from bddseq.graph import CircuitGraph, FeatureConfig, blif2graph, disjoint_union
 from tests.conftest import T5_SRC, mutated_bytes
 
@@ -37,9 +37,7 @@ def test_encode_single_node_finite():
         node_names=["a"],
         edges=[],
         features=np.ones((1, 8)),
-        raw_structural=np.zeros((1, 4), dtype=np.int64),
         pi_positions=[0],
-        max_table_len=4,
     )
     params = tiny_params(graph)
     emb = M.encode(graph, params)
@@ -57,9 +55,7 @@ def test_encode_permutation_equivariance(t5):
         node_names=[graph.node_names[p] for p in perm],
         edges=[(inv[u], inv[v]) for u, v in graph.edges],
         features=graph.features[perm],
-        raw_structural=graph.raw_structural[perm],
         pi_positions=[inv[i] for i in graph.pi_positions],
-        max_table_len=graph.max_table_len,
     )
     emb_p = M.encode(permuted, params).data
     assert np.allclose(emb_p, emb[perm], atol=1e-9)
@@ -74,9 +70,7 @@ def test_encode_isomorphic_components_equal():
         node_names=["a", "g", "b", "h"],
         edges=[(0, 1), (2, 3)],
         features=feats,
-        raw_structural=np.zeros((4, 4), dtype=np.int64),
         pi_positions=[0, 2],
-        max_table_len=4,
     )
     params = tiny_params(graph)
     emb = M.encode(graph, params).data
@@ -233,6 +227,34 @@ def test_encode_disjoint_union_matches_components():
         assert np.allclose(emb[offset : offset + graph.num_nodes], part, atol=1e-12)
         offset += graph.num_nodes
     assert offset == len(emb)
+
+
+def set_message_edges(graph):
+    """Reference: each edge, then its reverse, then a self-loop per node,
+    skipping any pair already listed."""
+    seen = set()
+    src, dst = [], []
+    pairs = [p for u, v in graph.edges for p in ((u, v), (v, u))]
+    for a, b in pairs + [(i, i) for i in range(graph.num_nodes)]:
+        if (a, b) not in seen:
+            seen.add((a, b))
+            src.append(a)
+            dst.append(b)
+    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_message_edges_match_set_reference(seed):
+    r = random.Random(seed)
+    nets = desk_corpus(6, seed=seed, min_pis=2, max_pis=9)
+    nets += [random_cover_netlist(r, r.randint(1, 7), r.randint(0, 6)) for _ in range(6)]
+    graphs = [blif2graph(net, FeatureConfig(max_table_len=8)) for net in nets]
+    for graph in graphs + [disjoint_union(graphs), disjoint_union(graphs[::-1])]:
+        src, dst = M.message_edges(graph)
+        ref_src, ref_dst = set_message_edges(graph)
+        assert src.dtype == dst.dtype == np.int64
+        assert src.tolist() == ref_src.tolist()
+        assert dst.tolist() == ref_dst.tolist()
 
 
 def test_gradient_check_mixed_batch():

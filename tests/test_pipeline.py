@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,15 +12,25 @@ from bddseq import model as M
 from bddseq import synth
 from bddseq.bdd import VarOrder, brute_force_optimal_order, build_from_netlist
 from bddseq.blif import parse_blif, write_blif
-from bddseq.cli import VERIFY_MAX_INPUTS, main, predict_order, synthesize_circuit
+from bddseq.cli import (
+    VERIFY_MAX_INPUTS,
+    _dataset,
+    _decode_metrics,
+    main,
+    predict_order,
+    synthesize_circuit,
+)
 from bddseq.corpus import (
+    CorpusEntry,
     RunConfig,
+    load_corpus,
     names_to_order,
     order_to_names,
     read_csv,
     read_manifest,
     read_orders,
     split_of,
+    write_manifest,
     write_orders,
 )
 from bddseq.gen import desk_corpus, read_once_tree
@@ -246,12 +257,15 @@ def test_augment_counts_and_determinism(tmp_path, cfg_file):
 @pytest.fixture
 def labeled_corpus(tmp_path, cfg_file):
     src = tmp_path / "src"
-    # 16 circuits at seed 3 put at least one circuit in every split
-    write_sources(src, count=16, seed=3, min_pis=4, max_pis=6)
+    # 20 circuits at seed 0 put three circuits in the test split, so that
+    # eval sums and ratios run over more than one
+    write_sources(src, count=20, seed=0, min_pis=4, max_pis=6)
     (src / "pairs6.blif").write_text(PAIRS6_SRC)
     out = tmp_path / "corpus"
     assert main(["--config", str(cfg_file), "augment", str(src), "--variants", "0", "--out", str(out)]) == 0
     assert main(["--config", str(cfg_file), "label", str(out)]) == 0
+    splits = [e.split for e in read_manifest(out / "manifest.csv")]
+    assert splits.count("test") >= 3 and "val" in splits
     return out
 
 
@@ -505,11 +519,65 @@ def test_eval_verifies_every_circuit(labeled_corpus, cfg_file, trained_run, tmp_
         )
 
 
+def test_train_skips_one_input_validation_circuits(tmp_path, cfg_file):
+    # rank correlations need two inputs: a one-input validation circuit adds
+    # nothing to val_tau, and with no other one there is no val_tau at all
+    corpus = tmp_path / "corpus"
+    (corpus / "blif").mkdir(parents=True)
+    one = parse_blif(".model one\n.inputs a\n.outputs o\n.names a o\n0 1\n.end\n")
+    nets = desk_corpus(3, seed=5, min_pis=4, max_pis=5) + [one]
+    entries = []
+    for net, split in zip(nets, ("train", "train", "val", "val")):
+        path = f"blif/{net.name}.blif"
+        (corpus / path).write_text(write_blif(net))
+        entries.append(CorpusEntry(net.name, path, path, "copy", split))
+    cfg = RunConfig.load(cfg_file)
+    write_manifest(corpus / "manifest.csv", entries, cfg)
+    write_orders(corpus / "labels.txt", {net.name: net.primary_inputs for net in nets})
+    run = tmp_path / "run"
+    assert main(["--config", str(cfg_file), "train", str(corpus), "--out", str(run)]) == 0
+    _, rows = read_csv(run / "loss_trace.csv")
+    assert len(rows) == cfg.epochs
+    assert all(-1.0 <= float(row[3]) <= 1.0 for row in rows)
+
+    val = _dataset(load_corpus(corpus), cfg, "val")
+    assert [g.num_pis for g, _ in val] == [len(nets[2].primary_inputs), 1]
+    params = M.load_params(run / "weights.bin")
+    assert _decode_metrics(params, val) == _decode_metrics(params, val[:1])
+    assert _decode_metrics(params, val[1:]) == {}
+
+
+def test_eval_skips_circuits_over_the_node_cap(
+    labeled_corpus, cfg_file, trained_run, tmp_path, capsys
+):
+    # at node cap 20 some natural-order diagrams of the test split are too
+    # large; at 4 every one is, and eval writes no report
+    test_ids = {e.circuit_id for e in read_manifest(labeled_corpus / "manifest.csv")
+                if e.split == "test"}
+    for cap, code in ((20, 0), (4, 1)):
+        capped = tmp_path / f"cap{cap}.txt"
+        capped.write_text(cfg_file.read_text() + f"node_cap = {cap}\n")
+        out = tmp_path / f"eval{cap}"
+        assert main(
+            ["--config", str(capped), "eval", str(labeled_corpus), "--weights",
+             str(trained_run / "weights.bin"), "--out", str(out)]
+        ) == code
+        printed = capsys.readouterr()
+        skipped = re.findall(r"warning: (\w+): .*node cap.*; skipped", printed.err)
+        assert skipped and set(skipped) <= test_ids and len(set(skipped)) == len(skipped)
+        if code:
+            assert set(skipped) == test_ids
+            assert not (out / "eval_report.csv").exists()
+            continue
+        _, rows = read_csv(out / "eval_report.csv")
+        assert {row[0] for row in rows} - {"TOTAL", "RATIO"} == test_ids - set(skipped)
+        kept = len(test_ids) - len(skipped)
+        assert f"evaluated {kept} test circuits, skipped {len(skipped)} over" in printed.out
+
+
 def test_perfect_predictor_scores_one(labeled_corpus, cfg_file, monkeypatch):
     # feeding labels back as predictions must report tau = rho = 1.0
     from bddseq import cli
-    from bddseq.cli import _dataset, _decode_metrics
-    from bddseq.corpus import load_corpus
 
     corpus = load_corpus(labeled_corpus)
     cfg = RunConfig.load(cfg_file)

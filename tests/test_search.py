@@ -12,7 +12,7 @@ from bddseq import search
 from bddseq.bdd import NodeCapExceeded, VarOrder, build_from_netlist, node_count, terminal_count
 from bddseq.blif import parse_blif
 from bddseq.graph import FeatureConfig, blif2graph
-from bddseq.search import SearchConfig, beam_search, diverse_beam_search, greedy_decode
+from bddseq.search import SearchConfig, diverse_beam_search, greedy_decode
 
 TRI_SRC = """\
 .model tri
@@ -108,7 +108,7 @@ def test_pool_scores_equal_teacher_forced(seed, width):
 def test_alpha_zero_equals_plain_beam(seed, groups):
     _, graph, params = make_toy_model(seed)
     m = 4
-    plain = beam_search(graph, params, m)
+    plain = diverse_beam_search(graph, params, SearchConfig(m, 1, 0.0))
     grouped = diverse_beam_search(
         graph, params, SearchConfig(beam_width=m, groups=groups, alpha=0.0)
     )
