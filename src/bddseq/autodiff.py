@@ -5,8 +5,10 @@ arithmetic, matmul, activations, row gather/scatter, per-head reductions and
 a masked log-softmax. Everything runs in float64 with a fixed summation
 order, so runs are reproducible and finite-difference checks are tight.
 
-Inside `no_grad()` the ops compute values only: results keep no parents and
-no backward closure, so inference builds no graph.
+Every op takes Tensors or float64 arrays and computes its value once. With
+grad on it returns a Tensor that holds its inputs and backward closure;
+inside `no_grad()` it returns the bare ndarray, so inference makes no Tensor
+objects and builds no graph.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ _grad_enabled = True
 
 @contextmanager
 def no_grad():
-    """Record no graph for tensors built inside the block."""
+    """Inside the block, ops return bare arrays and record no graph."""
     global _grad_enabled
     previous, _grad_enabled = _grad_enabled, False
     try:
@@ -48,12 +50,9 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), bwd=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        if _grad_enabled:
-            self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-            self._parents = parents
-            self._bwd = bwd
-        else:
-            self.requires_grad, self._parents, self._bwd = False, (), None
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self._parents = parents
+        self._bwd = bwd
 
     @property
     def shape(self):
@@ -91,11 +90,19 @@ class Tensor:
                 node._bwd(node.grad)
 
 
+def value(x) -> np.ndarray:
+    """The array an op computes with: a Tensor's data, or x itself (float64)."""
+    return x.data if isinstance(x, Tensor) else x
+
+
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def add(a, b) -> Tensor:
+def add(a, b):
+    out = value(a) + value(b)
+    if not _grad_enabled:
+        return out
     a, b = _wrap(a), _wrap(b)
 
     def bwd(g):
@@ -104,10 +111,13 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    return Tensor(a.data + b.data, parents=(a, b), bwd=bwd)
+    return Tensor(out, parents=(a, b), bwd=bwd)
 
 
-def sub(a, b) -> Tensor:
+def sub(a, b):
+    out = value(a) - value(b)
+    if not _grad_enabled:
+        return out
     a, b = _wrap(a), _wrap(b)
 
     def bwd(g):
@@ -116,10 +126,13 @@ def sub(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.shape))
 
-    return Tensor(a.data - b.data, parents=(a, b), bwd=bwd)
+    return Tensor(out, parents=(a, b), bwd=bwd)
 
 
-def mul(a, b) -> Tensor:
+def mul(a, b):
+    out = value(a) * value(b)
+    if not _grad_enabled:
+        return out
     a, b = _wrap(a), _wrap(b)
 
     def bwd(g):
@@ -128,10 +141,13 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-    return Tensor(a.data * b.data, parents=(a, b), bwd=bwd)
+    return Tensor(out, parents=(a, b), bwd=bwd)
 
 
-def div(a, b) -> Tensor:
+def div(a, b):
+    out = value(a) / value(b)
+    if not _grad_enabled:
+        return out
     a, b = _wrap(a), _wrap(b)
 
     def bwd(g):
@@ -140,10 +156,13 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return Tensor(a.data / b.data, parents=(a, b), bwd=bwd)
+    return Tensor(out, parents=(a, b), bwd=bwd)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b):
+    out = value(a) @ value(b)
+    if not _grad_enabled:
+        return out
     a, b = _wrap(a), _wrap(b)
 
     def bwd(g):
@@ -152,40 +171,49 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    return Tensor(a.data @ b.data, parents=(a, b), bwd=bwd)
+    return Tensor(out, parents=(a, b), bwd=bwd)
 
 
-def tanh(a) -> Tensor:
+def tanh(a):
+    y = np.tanh(value(a))
+    if not _grad_enabled:
+        return y
     a = _wrap(a)
-    y = np.tanh(a.data)
     return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g * (1.0 - y * y)))
 
 
-def sigmoid(a) -> Tensor:
+def sigmoid(a):
+    y = 1.0 / (1.0 + np.exp(-value(a)))
+    if not _grad_enabled:
+        return y
     a = _wrap(a)
-    y = 1.0 / (1.0 + np.exp(-a.data))
     return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g * y * (1.0 - y)))
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
+def leaky_relu(a, slope: float = 0.2):
+    x = value(a)
+    mask = np.where(x > 0, 1.0, slope)
+    out = x * mask
+    if not _grad_enabled:
+        return out
     a = _wrap(a)
-    mask = np.where(a.data > 0, 1.0, slope)
-    return Tensor(a.data * mask, parents=(a,), bwd=lambda g: a._accumulate(g * mask))
+    return Tensor(out, parents=(a,), bwd=lambda g: a._accumulate(g * mask))
 
 
-def exp(a) -> Tensor:
+def exp(a):
+    y = np.exp(value(a))
+    if not _grad_enabled:
+        return y
     a = _wrap(a)
-    y = np.exp(a.data)
     return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g * y))
 
 
-def tsum(a) -> Tensor:
+def tsum(a):
+    out = value(a).sum()
+    if not _grad_enabled:
+        return out
     a = _wrap(a)
-    return Tensor(
-        a.data.sum(),
-        parents=(a,),
-        bwd=lambda g: a._accumulate(np.full_like(a.data, float(g))),
-    )
+    return Tensor(out, parents=(a,), bwd=lambda g: a._accumulate(np.full_like(a.data, float(g))))
 
 
 def _segment_sum(values: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
@@ -201,27 +229,32 @@ def _segment_sum(values: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray
     return out.reshape((n_rows,) + tail)
 
 
-def gather_rows(a, idx) -> Tensor:
+def gather_rows(a, idx):
     """Rows of `a` picked by an integer index of any shape: a[idx]."""
-    a = _wrap(a)
+    x = value(a)
     idx = np.asarray(idx, dtype=np.int64)
-    n_rows = a.data.shape[0]
-    return Tensor(
-        a.data[idx],
-        parents=(a,),
-        bwd=lambda g: a._accumulate(_segment_sum(g, idx, n_rows)),
-    )
-
-
-def scatter_add_rows(a, idx, n_rows: int) -> Tensor:
+    out = x[idx]
+    if not _grad_enabled:
+        return out
     a = _wrap(a)
+    n_rows = x.shape[0]
+    return Tensor(out, parents=(a,), bwd=lambda g: a._accumulate(_segment_sum(g, idx, n_rows)))
+
+
+def scatter_add_rows(a, idx, n_rows: int):
     idx = np.asarray(idx, dtype=np.int64)
-    data = _segment_sum(a.data, idx, n_rows)
-    return Tensor(data, parents=(a,), bwd=lambda g: a._accumulate(g[idx]))
+    out = _segment_sum(value(a), idx, n_rows)
+    if not _grad_enabled:
+        return out
+    a = _wrap(a)
+    return Tensor(out, parents=(a,), bwd=lambda g: a._accumulate(g[idx]))
 
 
-def concat_rows(parts) -> Tensor:
+def concat_rows(parts):
     """Stack tensors of equal width on top of each other."""
+    out = np.concatenate([value(p) for p in parts])
+    if not _grad_enabled:
+        return out
     parts = [_wrap(p) for p in parts]
     ends = np.cumsum([p.data.shape[0] for p in parts])
 
@@ -230,10 +263,13 @@ def concat_rows(parts) -> Tensor:
             if p.requires_grad:
                 p._accumulate(g[stop - p.data.shape[0] : stop])
 
-    return Tensor(np.concatenate([p.data for p in parts]), parents=tuple(parts), bwd=bwd)
+    return Tensor(out, parents=tuple(parts), bwd=bwd)
 
 
-def slice_cols(a, start: int, stop: int) -> Tensor:
+def slice_cols(a, start: int, stop: int):
+    out = value(a)[:, start:stop]
+    if not _grad_enabled:
+        return out
     a = _wrap(a)
 
     def bwd(g):
@@ -241,15 +277,18 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
         acc[:, start:stop] = g
         a._accumulate(acc)
 
-    return Tensor(a.data[:, start:stop], parents=(a,), bwd=bwd)
+    return Tensor(out, parents=(a,), bwd=bwd)
 
 
-def heads_dot(h, a, heads: int) -> Tensor:
+def heads_dot(h, a, heads: int):
     """Per-head inner product: (N, heads*d) x (heads, d) -> (N, heads)."""
+    hx, ax = value(h), value(a)
+    n, d = hx.shape[0], ax.shape[1]
+    h3 = hx.reshape(n, heads, d)
+    out = np.einsum("nhd,hd->nh", h3, ax)
+    if not _grad_enabled:
+        return out
     h, a = _wrap(h), _wrap(a)
-    n = h.data.shape[0]
-    d = a.data.shape[1]
-    h3 = h.data.reshape(n, heads, d)
 
     def bwd(g):
         if h.requires_grad:
@@ -257,15 +296,19 @@ def heads_dot(h, a, heads: int) -> Tensor:
         if a.requires_grad:
             a._accumulate(np.einsum("nh,nhd->hd", g, h3))
 
-    return Tensor(np.einsum("nhd,hd->nh", h3, a.data), parents=(h, a), bwd=bwd)
+    return Tensor(out, parents=(h, a), bwd=bwd)
 
 
-def heads_scale(h, s, heads: int) -> Tensor:
+def heads_scale(h, s, heads: int):
     """Scale each head block of (E, heads*d) by the matching (E, heads) column."""
+    hx, sx = value(h), value(s)
+    e = hx.shape[0]
+    d = hx.shape[1] // heads
+    h3 = hx.reshape(e, heads, d)
+    out = (h3 * sx[:, :, None]).reshape(e, heads * d)
+    if not _grad_enabled:
+        return out
     h, s = _wrap(h), _wrap(s)
-    e = h.data.shape[0]
-    d = h.data.shape[1] // heads
-    h3 = h.data.reshape(e, heads, d)
 
     def bwd(g):
         g3 = g.reshape(e, heads, d)
@@ -274,18 +317,21 @@ def heads_scale(h, s, heads: int) -> Tensor:
         if s.requires_grad:
             s._accumulate(np.einsum("ehd,ehd->eh", g3, h3))
 
-    data = (h3 * s.data[:, :, None]).reshape(e, heads * d)
-    return Tensor(data, parents=(h, s), bwd=bwd)
+    return Tensor(out, parents=(h, s), bwd=bwd)
 
 
-def outer_add(a, b) -> Tensor:
+def outer_add(a, b):
     """All row sums of (B, H) rows and (P, H) keys, as (B*P, H): row r*P + p
     is a[r] + b[p] for keys (P, H) shared by every row, or a[r] + b[r, p]
     for keys (B, P, H) of one block per row."""
+    ax, bx = value(a), value(b)
+    shared = bx.ndim == 2
+    keys = bx[None] if shared else bx
+    rows, cols = ax.shape[0], keys.shape[1]
+    out = (ax[:, None, :] + keys).reshape(rows * cols, -1)
+    if not _grad_enabled:
+        return out
     a, b = _wrap(a), _wrap(b)
-    shared = b.data.ndim == 2
-    keys = b.data[None] if shared else b.data
-    rows, cols = a.data.shape[0], keys.shape[1]
 
     def bwd(g):
         g3 = g.reshape(rows, cols, -1)
@@ -294,31 +340,33 @@ def outer_add(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(g3.sum(axis=0) if shared else g3)
 
-    data = (a.data[:, None, :] + keys).reshape(rows * cols, -1)
-    return Tensor(data, parents=(a, b), bwd=bwd)
+    return Tensor(out, parents=(a, b), bwd=bwd)
 
 
-def log_softmax_pick(a, mask_add: np.ndarray, picks) -> Tensor:
+def log_softmax_pick(a, mask_add: np.ndarray, picks):
     """Masked log-softmax over the last axis, keeping one picked entry per row.
 
     `a` holds the scores of mask_add's shape (..., C) in any layout of the
     same size; mask_add is a constant additive bias and picks (...) names
     one column per row. Returns the picked log-probabilities, shaped picks.
     """
-    a = _wrap(a)
     picks = np.asarray(picks, dtype=np.int64)
     cols = mask_add.shape[-1]
-    x = a.data.reshape(mask_add.shape) + mask_add
+    x = value(a).reshape(mask_add.shape) + mask_add
     z = x - x.max(axis=-1, keepdims=True)
     y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     flat = np.arange(picks.size) * cols + picks.ravel()  # picked entries of y.ravel()
+    out = y.reshape(-1)[flat].reshape(picks.shape)
+    if not _grad_enabled:
+        return out
+    a = _wrap(a)
 
     def bwd(g):
         acc = -np.exp(y) * g[..., None]
         acc.reshape(-1)[flat] += g.ravel()
         a._accumulate(acc.reshape(a.data.shape))
 
-    return Tensor(y.reshape(-1)[flat].reshape(picks.shape), parents=(a,), bwd=bwd)
+    return Tensor(out, parents=(a,), bwd=bwd)
 
 
 class Adam:

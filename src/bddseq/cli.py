@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,7 @@ def _label_report(netlist, cfg: RunConfig) -> bdd.LabelReport:
 
 def cmd_augment(args, cfg: RunConfig) -> int:
     if args.variants is not None:
-        cfg.variants_per_circuit = args.variants
+        cfg = replace(cfg, variants_per_circuit=args.variants)  # checks the range
     in_dir, out_dir = Path(args.input), Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "blif").mkdir(exist_ok=True)
@@ -567,7 +568,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)  # checks the range
     return args.fn(args, cfg)
 
 

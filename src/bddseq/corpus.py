@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -54,15 +55,30 @@ class RunConfig:
 
     def __post_init__(self):
         for key, low in (
+            ("seed", 0),
+            ("node_cap", 1),
+            ("max_table_len", 4),
+            ("decompose_arity", 2),
+            ("hidden", 1),
+            ("layers", 1),
+            ("heads", 1),
+            ("epochs", 1),
             ("batch_size", 1),
             ("ga_population", 2),
             ("ga_generations", 0),
             ("ga_tournament", 1),
+            ("variants_per_circuit", 0),
+            ("negations_per_variant", 0),
         ):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
-        if not 0 <= self.ga_mutation <= 1:
-            raise ValueError(f"ga_mutation must be in [0, 1], got {self.ga_mutation}")
+        for key in ("ga_mutation", "alpha"):
+            if not 0 <= getattr(self, key) <= 1:
+                raise ValueError(f"{key} must be in [0, 1], got {getattr(self, key)}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
 
     def to_text(self) -> str:
         lines = []

@@ -133,7 +133,7 @@ def _segment_max(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def encode(graph: CircuitGraph, params: ModelParams) -> Tensor:
-    """Node embeddings of shape (num_nodes, hidden)."""
+    """Node embeddings of shape (num_nodes, hidden); a bare array under `no_grad()`."""
     cfg = params.config
     if graph.features.shape[1] != cfg.feature_dim:
         raise ValueError(
@@ -155,7 +155,7 @@ def encode(graph: CircuitGraph, params: ModelParams) -> Tensor:
             ad.add(ad.gather_rows(s_src, src), ad.gather_rows(s_dst, dst))
         )  # (E, heads)
         # per-destination softmax; the max shift is constant w.r.t. gradients
-        shift = _segment_max(e.data, dst, n)[dst]
+        shift = _segment_max(ad.value(e), dst, n)[dst]
         ex = ad.exp(ad.sub(e, Tensor(shift)))
         denom = ad.scatter_add_rows(ex, dst, n)  # (N, heads)
         alpha = ad.div(ex, ad.gather_rows(denom, dst))
@@ -188,7 +188,7 @@ def decoder_advance(
     shared by every sequence as in search, or (B, P, H), one block per
     sequence as in training. Returns the raw pointer scores as a (B*P, 1) column, row
     b*P + p for sequence b and input p, and the advanced hidden and cell
-    states.
+    states: Tensors, or bare arrays under `no_grad()`.
     """
     hdim = params.config.hidden
     z = ad.add(

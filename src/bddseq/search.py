@@ -14,11 +14,11 @@ jointly reproduce exactly the plain width-m beam search, and a single
 one-beam group is greedy decoding.
 
 The pool advances in lockstep: each position is one decoder step over all
-B beams (`_advance`, a (B, H) LSTM step to (B, P) raw scores, run without
-autodiff graphs). The penalised scores depend only on the set of tokens
-claimed so far at the step, so the (B, P) scores are computed once per change
-of that set: a group that follows a group which claimed no new token goes on
-with the same scores. Each claim takes the first maximum of the untaken
+B beams (`_advance`, a (B, H) LSTM step to (B, P) raw scores, run under
+`no_grad()` on bare arrays). The penalised scores depend only on the set of
+tokens claimed so far at the step, so the (B, P) scores are computed once per
+change of that set: a group that follows a group which claimed no new token
+goes on with the same scores. Each claim takes the first maximum of the untaken
 continuations and sets it to -inf, which is the next entry of a stable sort
 of the pool with the taken ones masked out, so this claims exactly what a
 fresh ranking per group would.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .autodiff import Tensor, no_grad
+from .autodiff import no_grad
 from .bdd import NodeCapExceeded, VarOrder, build_from_netlist, terminal_count
 from .blif import Netlist
 from .graph import CircuitGraph
@@ -48,7 +48,7 @@ class Encoded:
     pointer keys, both (P, H), computed once and shared by every beam."""
 
     pi_embs: np.ndarray
-    keys: Tensor
+    keys: np.ndarray
 
 
 @dataclass
@@ -86,7 +86,7 @@ def encode(graph: CircuitGraph, params: M.ModelParams) -> Encoded:
     """Run the encoder once; every search over the graph can share the result."""
     with no_grad():
         pi_embs = M.pi_embeddings(graph, M.encode(graph, params))
-        return Encoded(pi_embs.data, M.pointer_keys(pi_embs, params))
+        return Encoded(pi_embs, M.pointer_keys(pi_embs, params))
 
 
 def _advance(pool: Pool, encoded: Encoded, params: M.ModelParams):
@@ -96,8 +96,9 @@ def _advance(pool: Pool, encoded: Encoded, params: M.ModelParams):
         prev = encoded.pi_embs[[t[-1] for t in pool.tokens]]
     else:
         prev = params["dec.start"]  # only the start beam has no tokens
-    raw, hidden, cell = M.decoder_advance(pool.hidden, pool.cell, prev, encoded.keys, params)
-    return raw.data.reshape(len(pool.tokens), -1), hidden.data, cell.data
+    with no_grad():
+        raw, hidden, cell = M.decoder_advance(pool.hidden, pool.cell, prev, encoded.keys, params)
+    return raw.reshape(len(pool.tokens), -1), hidden, cell
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -106,13 +107,22 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _penalized(raw: np.ndarray, claimed: np.ndarray, config: SearchConfig) -> np.ndarray:
-    """Raw scores less alpha times each row's span on the tokens claimed by
-    earlier groups."""
+def _span(raw: np.ndarray) -> np.ndarray:
+    """Each row's span (max - min) of raw scores, (B, 1)."""
+    return raw.max(axis=1, keepdims=True) - raw.min(axis=1, keepdims=True)
+
+
+def _penalized(
+    scores: np.ndarray, claimed: np.ndarray, config: SearchConfig, span=None
+) -> np.ndarray:
+    """Scores less alpha times each row's span on the tokens claimed by
+    earlier groups. The span is that of `scores` unless the span of the raw
+    scores is passed, as `_decode` does once per step for masked scores."""
     if not claimed.any():
-        return raw
-    span = raw.max(axis=1, keepdims=True) - raw.min(axis=1, keepdims=True)
-    return raw - np.where(claimed, config.alpha * span, 0.0)
+        return scores
+    if span is None:
+        span = _span(scores)
+    return scores - np.where(claimed, config.alpha * span, 0.0)
 
 
 def _decode(
@@ -129,9 +139,10 @@ def _decode(
         cell=np.zeros((1, hdim)),
     )
     for step in range(num_pis):
-        with no_grad():
-            raw, hidden, cell = _advance(pool, encoded, params)
-        mask = np.where(pool.visited, M.MASK_VALUE, 0.0)
+        raw, hidden, cell = _advance(pool, encoded, params)
+        # the mask is added before the penalty: an unvisited entry gets the
+        # same bits either way, and visited ones are set to -inf below
+        masked, span = raw + np.where(pool.visited, M.MASK_VALUE, 0.0), _span(raw)
         claimed = np.zeros(num_pis, dtype=bool)  # tokens taken at this step
         stale = True  # claimed has gained a token since the last ranking
         rows: list[int] = []
@@ -140,7 +151,7 @@ def _decode(
         for group in range(config.groups):
             if stale:
                 flat = (
-                    pool.scores[:, None] + _log_softmax(_penalized(raw, claimed, config) + mask)
+                    pool.scores[:, None] + _log_softmax(_penalized(masked, claimed, config, span))
                 ).ravel()
                 # visited, or claimed by an earlier group
                 flat[pool.visited.ravel()] = -np.inf

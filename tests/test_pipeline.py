@@ -87,6 +87,65 @@ def test_runconfig_rejects_bad_ga_settings(line):
 
 
 @pytest.mark.parametrize(
+    "line",
+    [
+        "alpha = 2",
+        "alpha = -0.1",
+        "alpha = nan",
+        "node_cap = 0",
+        "epochs = -3",
+        "epochs = 0",
+        "learning_rate = nan",
+        "learning_rate = inf",
+        "learning_rate = 0",
+        "learning_rate = -0.001",
+        "hidden = 0",
+        "layers = 0",
+        "heads = 0",
+        "decompose_arity = 1",
+        "max_table_len = 2",
+        "variants_per_circuit = -1",
+        "negations_per_variant = -1",
+        "seed = -1",
+    ],
+)
+def test_runconfig_rejects_out_of_range_values(line):
+    with pytest.raises(ValueError, match=f"^{line.split()[0]} must be"):
+        RunConfig.from_text(f"{line}\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "alpha = 0",
+        "alpha = 1",
+        "node_cap = 1",
+        "epochs = 1",
+        "decompose_arity = 2",
+        "variants_per_circuit = 0",
+        "learning_rate = 1e-9",
+        "seed = 0",
+    ],
+)
+def test_runconfig_accepts_boundary_values(line):
+    key, _, value = line.partition(" = ")
+    assert getattr(RunConfig.from_text(f"{line}\n"), key) == float(value)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["--seed", "-1", "augment"], "seed"),
+        (["augment", "--variants", "-1"], "variants_per_circuit"),
+    ],
+)
+def test_cli_overrides_are_range_checked(argv, key, tmp_path):
+    with pytest.raises(ValueError, match=f"^{key} must be at least 0"):
+        main(argv + [str(tmp_path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "text, expected",
     [("1", True), ("TRUE", True), ("yes", True), ("0", False), ("False", False), ("no", False)],
 )

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_bdd import INTERLEAVED10, five_products, netlists
 
+from bddseq import autodiff as ad
 from bddseq import model as M
 from bddseq import search
 from bddseq.bdd import NodeCapExceeded, VarOrder, build_from_netlist, node_count, terminal_count
@@ -114,6 +115,25 @@ def test_alpha_zero_equals_plain_beam(seed, groups):
     )
     assert [o.permutation for o, _ in plain] == [o.permutation for o, _ in grouped]
     assert [s for _, s in plain] == pytest.approx([s for _, s in grouped])
+
+
+def test_search_on_an_encoded_graph_makes_no_tensors(monkeypatch):
+    _, graph, params = make_toy_model(2, n_pis=5)
+    encoded = search.encode(graph, params)
+    assert type(encoded.pi_embs) is np.ndarray and type(encoded.keys) is np.ndarray
+    made = []
+    init = ad.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting)
+    results = diverse_beam_search(encoded, params, SearchConfig(beam_width=6, groups=3))
+    greedy_decode(encoded, params)
+    assert len(results) == 6 and made == []
+    ad.matmul(params["ptr.Wq"], params["ptr.Wk"])  # the count works: grad is on here
+    assert made
 
 
 def test_all_outputs_are_permutations(tri_graph, tri_params):
