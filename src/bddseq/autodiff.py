@@ -5,10 +5,14 @@ arithmetic, matmul, activations, row gather/scatter, per-head reductions and
 a masked log-softmax. Everything runs in float64 with a fixed summation
 order, so runs are reproducible and finite-difference checks are tight.
 
-Every op takes Tensors or float64 arrays and computes its value once. With
-grad on it returns a Tensor that holds its inputs and backward closure;
-inside `no_grad()` it returns the bare ndarray, so inference makes no Tensor
-objects and builds no graph.
+Every op takes Tensors or float64 arrays, computes its value once and hands
+`_node` that value, its inputs and one vector-Jacobian product (VJP) per
+input, a function from the output's gradient to that input's gradient.
+`_node` alone reads the grad mode: inside `no_grad()` it returns the bare
+ndarray, so inference makes no Tensor objects and builds no graph; with
+grad on it wraps array inputs as constant Tensors and records the inputs
+and VJPs on a new Tensor. `Tensor.backward` alone routes gradients: it
+calls each input's VJP only when that input requires grad, in input order.
 """
 
 from __future__ import annotations
@@ -32,8 +36,10 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    if grad.shape == tuple(shape):
+def _unbroadcast(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """`grad` summed over the axes that broadcasting stretched `like` along."""
+    shape = like.shape
+    if grad.shape == shape:
         return grad
     g = grad
     while g.ndim > len(shape):
@@ -45,14 +51,14 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
 
-    def __init__(self, data, requires_grad=False, parents=(), bwd=None):
+    def __init__(self, data, requires_grad=False, parents=(), vjps=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or any([p.requires_grad for p in parents])
         self._parents = parents
-        self._bwd = bwd
+        self._vjps = vjps
 
     @property
     def shape(self):
@@ -86,8 +92,11 @@ class Tensor:
                 stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=np.float64))
         for node in reversed(topo):
-            if node._bwd is not None and node.grad is not None:
-                node._bwd(node.grad)
+            g = node.grad
+            if g is not None:
+                for parent, vjp in zip(node._parents, node._vjps):
+                    if parent.requires_grad:
+                        parent._accumulate(vjp(g))
 
 
 def value(x) -> np.ndarray:
@@ -95,125 +104,74 @@ def value(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else x
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _node(out, inputs, *vjps):
+    """An op's result: the bare `out` under `no_grad()`, else a Tensor of it
+    that keeps the inputs (arrays as constant Tensors) and one VJP per input."""
+    if not _grad_enabled:
+        return out
+    parents = tuple([x if isinstance(x, Tensor) else Tensor(x) for x in inputs])
+    return Tensor(out, parents=parents, vjps=vjps)
 
 
 def add(a, b):
-    out = value(a) + value(b)
-    if not _grad_enabled:
-        return out
-    a, b = _wrap(a), _wrap(b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-
-    return Tensor(out, parents=(a, b), bwd=bwd)
+    xa, xb = value(a), value(b)
+    return _node(xa + xb, (a, b), lambda g: _unbroadcast(g, xa), lambda g: _unbroadcast(g, xb))
 
 
 def sub(a, b):
-    out = value(a) - value(b)
-    if not _grad_enabled:
-        return out
-    a, b = _wrap(a), _wrap(b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-    return Tensor(out, parents=(a, b), bwd=bwd)
+    xa, xb = value(a), value(b)
+    return _node(xa - xb, (a, b), lambda g: _unbroadcast(g, xa), lambda g: _unbroadcast(-g, xb))
 
 
 def mul(a, b):
-    out = value(a) * value(b)
-    if not _grad_enabled:
-        return out
-    a, b = _wrap(a), _wrap(b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return Tensor(out, parents=(a, b), bwd=bwd)
+    xa, xb = value(a), value(b)
+    return _node(
+        xa * xb,
+        (a, b),
+        lambda g: _unbroadcast(g * xb, xa),
+        lambda g: _unbroadcast(g * xa, xb),
+    )
 
 
 def div(a, b):
-    out = value(a) / value(b)
-    if not _grad_enabled:
-        return out
-    a, b = _wrap(a), _wrap(b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return Tensor(out, parents=(a, b), bwd=bwd)
+    xa, xb = value(a), value(b)
+    return _node(
+        xa / xb,
+        (a, b),
+        lambda g: _unbroadcast(g / xb, xa),
+        lambda g: _unbroadcast(-g * xa / (xb * xb), xb),
+    )
 
 
 def matmul(a, b):
-    out = value(a) @ value(b)
-    if not _grad_enabled:
-        return out
-    a, b = _wrap(a), _wrap(b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return Tensor(out, parents=(a, b), bwd=bwd)
+    xa, xb = value(a), value(b)
+    return _node(xa @ xb, (a, b), lambda g: g @ xb.T, lambda g: xa.T @ g)
 
 
 def tanh(a):
     y = np.tanh(value(a))
-    if not _grad_enabled:
-        return y
-    a = _wrap(a)
-    return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g * (1.0 - y * y)))
+    return _node(y, (a,), lambda g: g * (1.0 - y * y))
 
 
 def sigmoid(a):
     y = 1.0 / (1.0 + np.exp(-value(a)))
-    if not _grad_enabled:
-        return y
-    a = _wrap(a)
-    return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g * y * (1.0 - y)))
+    return _node(y, (a,), lambda g: g * y * (1.0 - y))
 
 
 def leaky_relu(a, slope: float = 0.2):
     x = value(a)
     mask = np.where(x > 0, 1.0, slope)
-    out = x * mask
-    if not _grad_enabled:
-        return out
-    a = _wrap(a)
-    return Tensor(out, parents=(a,), bwd=lambda g: a._accumulate(g * mask))
+    return _node(x * mask, (a,), lambda g: g * mask)
 
 
 def exp(a):
     y = np.exp(value(a))
-    if not _grad_enabled:
-        return y
-    a = _wrap(a)
-    return Tensor(y, parents=(a,), bwd=lambda g: a._accumulate(g * y))
+    return _node(y, (a,), lambda g: g * y)
 
 
 def tsum(a):
-    out = value(a).sum()
-    if not _grad_enabled:
-        return out
-    a = _wrap(a)
-    return Tensor(out, parents=(a,), bwd=lambda g: a._accumulate(np.full_like(a.data, float(g))))
+    x = value(a)
+    return _node(x.sum(), (a,), lambda g: np.full_like(x, float(g)))
 
 
 def _segment_sum(values: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
@@ -233,51 +191,36 @@ def gather_rows(a, idx):
     """Rows of `a` picked by an integer index of any shape: a[idx]."""
     x = value(a)
     idx = np.asarray(idx, dtype=np.int64)
-    out = x[idx]
-    if not _grad_enabled:
-        return out
-    a = _wrap(a)
-    n_rows = x.shape[0]
-    return Tensor(out, parents=(a,), bwd=lambda g: a._accumulate(_segment_sum(g, idx, n_rows)))
+    return _node(x[idx], (a,), lambda g: _segment_sum(g, idx, x.shape[0]))
 
 
 def scatter_add_rows(a, idx, n_rows: int):
     idx = np.asarray(idx, dtype=np.int64)
-    out = _segment_sum(value(a), idx, n_rows)
-    if not _grad_enabled:
-        return out
-    a = _wrap(a)
-    return Tensor(out, parents=(a,), bwd=lambda g: a._accumulate(g[idx]))
+    return _node(_segment_sum(value(a), idx, n_rows), (a,), lambda g: g[idx])
+
+
+def _rows(start: int, stop: int):
+    """The VJP of one part of `concat_rows`: its rows of the gradient."""
+    return lambda g: g[start:stop]
 
 
 def concat_rows(parts):
     """Stack tensors of equal width on top of each other."""
-    out = np.concatenate([value(p) for p in parts])
-    if not _grad_enabled:
-        return out
-    parts = [_wrap(p) for p in parts]
-    ends = np.cumsum([p.data.shape[0] for p in parts])
-
-    def bwd(g):
-        for p, stop in zip(parts, ends):
-            if p.requires_grad:
-                p._accumulate(g[stop - p.data.shape[0] : stop])
-
-    return Tensor(out, parents=tuple(parts), bwd=bwd)
+    arrays = [value(p) for p in parts]
+    ends = np.cumsum([x.shape[0] for x in arrays])
+    vjps = [_rows(stop - x.shape[0], stop) for x, stop in zip(arrays, ends)]
+    return _node(np.concatenate(arrays), parts, *vjps)
 
 
 def slice_cols(a, start: int, stop: int):
-    out = value(a)[:, start:stop]
-    if not _grad_enabled:
-        return out
-    a = _wrap(a)
+    x = value(a)
 
-    def bwd(g):
-        acc = np.zeros_like(a.data)
+    def vjp(g):
+        acc = np.zeros_like(x)
         acc[:, start:stop] = g
-        a._accumulate(acc)
+        return acc
 
-    return Tensor(out, parents=(a,), bwd=bwd)
+    return _node(x[:, start:stop], (a,), vjp)
 
 
 def heads_dot(h, a, heads: int):
@@ -285,18 +228,12 @@ def heads_dot(h, a, heads: int):
     hx, ax = value(h), value(a)
     n, d = hx.shape[0], ax.shape[1]
     h3 = hx.reshape(n, heads, d)
-    out = np.einsum("nhd,hd->nh", h3, ax)
-    if not _grad_enabled:
-        return out
-    h, a = _wrap(h), _wrap(a)
-
-    def bwd(g):
-        if h.requires_grad:
-            h._accumulate((g[:, :, None] * a.data[None]).reshape(n, heads * d))
-        if a.requires_grad:
-            a._accumulate(np.einsum("nh,nhd->hd", g, h3))
-
-    return Tensor(out, parents=(h, a), bwd=bwd)
+    return _node(
+        np.einsum("nhd,hd->nh", h3, ax),
+        (h, a),
+        lambda g: (g[:, :, None] * ax[None]).reshape(n, heads * d),
+        lambda g: np.einsum("nh,nhd->hd", g, h3),
+    )
 
 
 def heads_scale(h, s, heads: int):
@@ -305,19 +242,12 @@ def heads_scale(h, s, heads: int):
     e = hx.shape[0]
     d = hx.shape[1] // heads
     h3 = hx.reshape(e, heads, d)
-    out = (h3 * sx[:, :, None]).reshape(e, heads * d)
-    if not _grad_enabled:
-        return out
-    h, s = _wrap(h), _wrap(s)
-
-    def bwd(g):
-        g3 = g.reshape(e, heads, d)
-        if h.requires_grad:
-            h._accumulate((g3 * s.data[:, :, None]).reshape(e, heads * d))
-        if s.requires_grad:
-            s._accumulate(np.einsum("ehd,ehd->eh", g3, h3))
-
-    return Tensor(out, parents=(h, s), bwd=bwd)
+    return _node(
+        (h3 * sx[:, :, None]).reshape(e, heads * d),
+        (h, s),
+        lambda g: (g.reshape(e, heads, d) * sx[:, :, None]).reshape(e, heads * d),
+        lambda g: np.einsum("ehd,ehd->eh", g.reshape(e, heads, d), h3),
+    )
 
 
 def outer_add(a, b):
@@ -328,19 +258,17 @@ def outer_add(a, b):
     shared = bx.ndim == 2
     keys = bx[None] if shared else bx
     rows, cols = ax.shape[0], keys.shape[1]
-    out = (ax[:, None, :] + keys).reshape(rows * cols, -1)
-    if not _grad_enabled:
-        return out
-    a, b = _wrap(a), _wrap(b)
 
-    def bwd(g):
+    def vjp_b(g):
         g3 = g.reshape(rows, cols, -1)
-        if a.requires_grad:
-            a._accumulate(g3.sum(axis=1))
-        if b.requires_grad:
-            b._accumulate(g3.sum(axis=0) if shared else g3)
+        return g3.sum(axis=0) if shared else g3
 
-    return Tensor(out, parents=(a, b), bwd=bwd)
+    return _node(
+        (ax[:, None, :] + keys).reshape(rows * cols, -1),
+        (a, b),
+        lambda g: g.reshape(rows, cols, -1).sum(axis=1),
+        vjp_b,
+    )
 
 
 def log_softmax_pick(a, mask_add: np.ndarray, picks):
@@ -356,17 +284,13 @@ def log_softmax_pick(a, mask_add: np.ndarray, picks):
     z = x - x.max(axis=-1, keepdims=True)
     y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     flat = np.arange(picks.size) * cols + picks.ravel()  # picked entries of y.ravel()
-    out = y.reshape(-1)[flat].reshape(picks.shape)
-    if not _grad_enabled:
-        return out
-    a = _wrap(a)
 
-    def bwd(g):
+    def vjp(g):
         acc = -np.exp(y) * g[..., None]
         acc.reshape(-1)[flat] += g.ravel()
-        a._accumulate(acc.reshape(a.data.shape))
+        return acc.reshape(value(a).shape)
 
-    return Tensor(out, parents=(a,), bwd=bwd)
+    return _node(y.reshape(-1)[flat].reshape(picks.shape), (a,), vjp)
 
 
 class Adam:

@@ -9,6 +9,7 @@ record_times to make those reproducible too).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import time
 from dataclasses import replace
@@ -41,10 +42,7 @@ def _clock(cfg: RunConfig, start: float) -> float:
 
 
 def _feature_config(cfg: RunConfig) -> FeatureConfig:
-    return FeatureConfig(
-        max_table_len=cfg.max_table_len,
-        normalize_structural=cfg.normalize_structural,
-    )
+    return FeatureConfig(cfg.max_table_len, cfg.normalize_structural)
 
 
 def _prepare_netlist(netlist, cfg: RunConfig):
@@ -110,9 +108,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
 
 
 def _variant_seed(seed: int, base: str, j: int) -> int:
-    return int.from_bytes(
-        __import__("hashlib").sha256(f"{seed}:{base}:{j}".encode()).digest()[:4], "big"
-    )
+    return int.from_bytes(hashlib.sha256(f"{seed}:{base}:{j}".encode()).digest()[:4], "big")
 
 
 # -- label ---------------------------------------------------------------------
@@ -166,14 +162,19 @@ def cmd_label(args, cfg: RunConfig) -> int:
 
 
 def _dataset(corpus: Corpus, cfg: RunConfig, split: str):
-    data = []
+    data, no_inputs = [], 0
     for entry in corpus.by_split(split):
         names = corpus.labels.get(entry.circuit_id)
         if names is None:
             continue
         netlist = _prepare_netlist(corpus.load_netlist(entry), cfg)
+        if not netlist.primary_inputs:  # nothing to order
+            no_inputs += 1
+            continue
         graph = blif2graph(netlist, _feature_config(cfg))
         data.append((graph, names_to_order(netlist, names)))
+    if no_inputs:
+        print(f"skipping {no_inputs} {split} circuits with no primary inputs", file=sys.stderr)
     return data
 
 
@@ -282,9 +283,8 @@ def predict_order(netlist, params, mode: str, cfg: RunConfig, trace=None):
         greedy = search.greedy_decode(encoded, params)
         if greedy not in candidates:
             candidates.append(greedy)
-    return search.select_best_order(candidates, prepared, node_cap=cfg.node_cap), len(
-        candidates
-    )
+    best = search.select_best_order(candidates, prepared, node_cap=cfg.node_cap)
+    return best, len(candidates)
 
 
 def cmd_predict(args, cfg: RunConfig) -> int:

@@ -351,56 +351,6 @@ def train(
     return params, history, opt_state
 
 
-def perturb_params(params: ModelParams, scale: float, seed: int) -> None:
-    """Jitter all parameters to a generic point (kinks off exact zeros)."""
-    rng = np.random.default_rng(seed)
-    for p in params.tensors.values():
-        p.data += scale * rng.standard_normal(p.data.shape)
-
-
-def gradient_check(
-    batch,
-    params: ModelParams,
-    eps: float = 1e-5,
-    probes_per_group: int = 8,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Central finite differences vs backward() on the teacher-forced loss of
-    a minibatch of (CircuitGraph, VarOrder) pairs.
-
-    Returns the vector-norm relative error per parameter group over the
-    probed entries.
-    """
-
-    def value() -> float:
-        with ad.no_grad():
-            return loss(*sample_loss_terms(batch, params)).item()
-
-    for p in params.tensors.values():
-        p.grad = None
-    loss(*sample_loss_terms(batch, params)).backward()
-    rng = np.random.default_rng(seed)
-    errors: dict[str, float] = {}
-    for name, p in params.tensors.items():
-        flat = p.data.reshape(-1)
-        grad = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-        idxs = rng.choice(flat.size, size=min(probes_per_group, flat.size), replace=False)
-        fd = np.zeros(len(idxs))
-        an = np.zeros(len(idxs))
-        for k, i in enumerate(idxs):
-            old = flat[i]
-            flat[i] = old + eps
-            up = value()
-            flat[i] = old - eps
-            down = value()
-            flat[i] = old
-            fd[k] = (up - down) / (2.0 * eps)
-            an[k] = grad[i]
-        denom = max(np.linalg.norm(fd), np.linalg.norm(an), 1e-12)
-        errors[name] = float(np.linalg.norm(fd - an) / denom)
-    return errors
-
-
 # -- persistence ----------------------------------------------------------------
 
 _MAGIC = b"BSQW"

@@ -37,6 +37,7 @@ from bddseq.search import SearchConfig, diverse_beam_search, greedy_decode
 from bddseq.synth import is_bijection, quantum_cost, synthesize, transistor_cost, verify_synthesis
 
 from tests.conftest import C17_SRC, PAIRS6_SRC, T5_SRC
+from tests.gradcheck import gradient_check, perturb_params
 
 
 @contextmanager
@@ -147,7 +148,7 @@ def test_criterion_04_search_reductions():
                 feature_dim=graph.features.shape[1], hidden=8, layers=1, heads=2
             )
             params = M.init_params(config, seed=seed)
-            M.perturb_params(params, 0.5, seed=seed + 1)
+            perturb_params(params, 0.5, seed=seed + 1)
             greedy = greedy_decode(graph, params)
             single = diverse_beam_search(
                 graph, params, SearchConfig(beam_width=1, groups=1, alpha=0.4)
@@ -219,8 +220,8 @@ def test_criterion_06_gradient_check():
             feature_dim=batch[0][0].features.shape[1], hidden=8, layers=2, heads=2
         )
         params = M.init_params(config, seed=1)
-        M.perturb_params(params, 0.05, seed=99)
-        errors = M.gradient_check(batch, params, probes_per_group=8)
+        perturb_params(params, 0.05, seed=99)
+        errors = gradient_check(batch, params, probes_per_group=8)
         worst = max(errors.values())
         print(f"    worst per-group relative error: {worst:.3e}")
         assert worst < 1e-4

@@ -3,6 +3,7 @@ import pytest
 
 from bddseq import autodiff as ad
 from bddseq.autodiff import Adam, Tensor
+from tests.gradcheck import central_difference_errors
 
 
 def fd_check(build, shapes, eps=1e-5, tol=1e-6, seed=0, probes=6):
@@ -18,31 +19,67 @@ def fd_check(build, shapes, eps=1e-5, tol=1e-6, seed=0, probes=6):
     for p in params:
         p.grad = None
     loss.backward()
-    for p in params:
-        flat = p.data.reshape(-1)
-        grad = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-        idxs = rng.choice(flat.size, size=min(probes, flat.size), replace=False)
-        fd = np.zeros(len(idxs))
-        an = np.zeros(len(idxs))
-        for k, i in enumerate(idxs):
-            old = flat[i]
-            flat[i] = old + eps
-            up = value().item()
-            flat[i] = old - eps
-            down = value().item()
-            flat[i] = old
-            fd[k] = (up - down) / (2 * eps)
-            an[k] = grad[i]
-        denom = max(np.linalg.norm(fd), np.linalg.norm(an), 1e-12)
-        assert np.linalg.norm(fd - an) / denom < tol
+    errors = central_difference_errors(params, lambda: value().item(), eps, probes, rng)
+    assert max(errors) < tol
 
 
-def test_matmul_grad():
-    fd_check(lambda a, b: ad.matmul(a, b), [(3, 4), (4, 2)])
+MASK = np.array([[0, -1e9, 0, 0, -1e9, 0.0], [0, 0, 0, -1e9, 0, 0]])
+# op -> (build, input shapes); every op of the module, both outer_add key layouts
+OPS = {
+    "add": (ad.add, [(3, 4), (1, 4)]),
+    "sub": (ad.sub, [(3, 4), (3, 4)]),
+    "mul": (ad.mul, [(3, 4), (1, 4)]),
+    "div": (ad.div, [(3, 4), (3, 4)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "tanh": (ad.tanh, [(3, 4)]),
+    "sigmoid": (ad.sigmoid, [(3, 4)]),
+    "leaky_relu": (ad.leaky_relu, [(3, 4)]),
+    "exp": (ad.exp, [(3, 4)]),
+    "tsum": (ad.tsum, [(3, 4)]),
+    "gather_rows": (lambda a: ad.gather_rows(a, np.array([[0, 2], [2, 1]])), [(3, 4)]),
+    "scatter_add_rows": (
+        lambda a: ad.scatter_add_rows(a, np.array([0, 2, 1, 2, 0]), 3),
+        [(5, 4)],
+    ),
+    "concat_rows": (lambda a, b: ad.concat_rows([a, b, a]), [(2, 3), (4, 3)]),
+    "slice_cols": (lambda a: ad.slice_cols(a, 1, 3), [(3, 5)]),
+    "heads_dot": (lambda h, a: ad.heads_dot(h, a, 2), [(5, 6), (2, 3)]),
+    "heads_scale": (lambda h, s: ad.heads_scale(h, s, 2), [(5, 6), (5, 2)]),
+    "outer_add_shared": (ad.outer_add, [(3, 4), (5, 4)]),
+    "outer_add_per_row": (ad.outer_add, [(3, 4), (3, 5, 4)]),
+    "log_softmax_pick": (lambda a: ad.log_softmax_pick(a, MASK, [2, 5]), [(2, 6)]),
+}
 
 
-def test_add_broadcast_grad():
-    fd_check(lambda a, b: ad.add(a, b), [(3, 4), (1, 4)])
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_op_grad_matches_central_differences(name):
+    fd_check(*OPS[name])
+
+
+@pytest.mark.parametrize("frozen", ["array", "tensor"])
+@pytest.mark.parametrize("name", sorted(name for name in OPS if len(OPS[name][1]) > 1))
+def test_input_without_grad_gets_none(name, frozen):
+    # backward skips an input that needs no gradient and gives every other
+    # input the same bits as when all of them need one
+    build, shapes = OPS[name]
+    rng = np.random.default_rng(3)
+    arrays = [rng.standard_normal(s) for s in shapes]
+
+    def grads(skip):
+        inputs = [Tensor(x, requires_grad=k != skip) for k, x in enumerate(arrays)]
+        if frozen == "array" and skip is not None:
+            inputs[skip] = arrays[skip]
+        out = build(*inputs)
+        out.backward(np.random.default_rng(4).standard_normal(out.shape))
+        return [x.grad if isinstance(x, Tensor) else None for x in inputs]
+
+    every = grads(None)
+    for skip in range(len(arrays)):
+        got = grads(skip)
+        assert got[skip] is None
+        for k, (g, want) in enumerate(zip(got, every)):
+            if k != skip:
+                assert g.tobytes() == want.tobytes()
 
 
 def test_mul_div_grad():
@@ -54,16 +91,14 @@ def test_mul_div_grad():
 
 
 def test_activations_grad():
-    fd_check(lambda a: ad.tanh(a), [(3, 4)])
-    fd_check(lambda a: ad.sigmoid(a), [(3, 4)])
-    fd_check(lambda a: ad.leaky_relu(a), [(3, 4)])
+    # the default slope and shapes are in OPS
+    fd_check(lambda a: ad.leaky_relu(a, slope=0.05), [(3, 4)])
     fd_check(lambda a: ad.exp(a), [(2, 3)])
 
 
 def test_gather_scatter_grad():
     idx = np.array([0, 2, 1, 2])
     fd_check(lambda a: ad.gather_rows(a, idx), [(3, 4)])
-    fd_check(lambda a: ad.scatter_add_rows(a, np.array([0, 2, 1, 2, 0]), 3), [(5, 4)])
     fd_check(lambda a: ad.scatter_add_rows(a, np.array([1, 1, 0]), 4), [(3,)])
 
 
@@ -87,11 +122,6 @@ def test_slice_concat_gather_grad():
     fd_check(lambda a: ad.gather_rows(a, np.array([[0, 2], [2, 2]])), [(3, 4)])
 
 
-def test_outer_add_grad():
-    fd_check(lambda a, b: ad.outer_add(a, b), [(3, 4), (5, 4)])  # shared keys
-    fd_check(lambda a, b: ad.outer_add(a, b), [(3, 4), (3, 5, 4)])  # per-row keys
-
-
 def test_outer_add_per_row_matches_shared():
     rng = np.random.default_rng(1)
     a, keys = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
@@ -100,15 +130,8 @@ def test_outer_add_per_row_matches_shared():
     assert np.array_equal(shared, per_row)
 
 
-def test_heads_ops_grad():
-    fd_check(lambda h, a: ad.heads_dot(h, a, 2), [(5, 6), (2, 3)])
-    fd_check(lambda h, s: ad.heads_scale(h, s, 2), [(5, 6), (5, 2)])
-
-
 def test_log_softmax_grad_masked():
-    mask = np.array([[0, -1e9, 0, 0, -1e9, 0.0], [0, 0, 0, -1e9, 0, 0]])
-    fd_check(lambda a: ad.log_softmax_pick(a, mask, [2, 5]), [(2, 6)])
-    fd_check(lambda a: ad.log_softmax_pick(a, mask, [0, 1]), [(12, 1)])
+    fd_check(lambda a: ad.log_softmax_pick(a, MASK, [0, 1]), [(12, 1)])
     fd_check(lambda a: ad.log_softmax_pick(a, np.zeros((2, 2, 3)), [[0, 2], [1, 1]]), [(12,)])
 
 
@@ -173,34 +196,6 @@ def test_no_grad_builds_no_graph():
     assert z.requires_grad and z._parents
     z.backward()
     assert np.allclose(w.grad, 4.0)
-
-
-MASK = np.array([[0, -1e9, 0, 0, -1e9, 0.0], [0, 0, 0, -1e9, 0, 0]])
-# op -> (build, input shapes); every op of the module, both outer_add key layouts
-OPS = {
-    "add": (ad.add, [(3, 4), (1, 4)]),
-    "sub": (ad.sub, [(3, 4), (3, 4)]),
-    "mul": (ad.mul, [(3, 4), (1, 4)]),
-    "div": (ad.div, [(3, 4), (3, 4)]),
-    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
-    "tanh": (ad.tanh, [(3, 4)]),
-    "sigmoid": (ad.sigmoid, [(3, 4)]),
-    "leaky_relu": (ad.leaky_relu, [(3, 4)]),
-    "exp": (ad.exp, [(3, 4)]),
-    "tsum": (ad.tsum, [(3, 4)]),
-    "gather_rows": (lambda a: ad.gather_rows(a, np.array([[0, 2], [2, 1]])), [(3, 4)]),
-    "scatter_add_rows": (
-        lambda a: ad.scatter_add_rows(a, np.array([0, 2, 1, 2, 0]), 3),
-        [(5, 4)],
-    ),
-    "concat_rows": (lambda a, b: ad.concat_rows([a, b, a]), [(2, 3), (4, 3)]),
-    "slice_cols": (lambda a: ad.slice_cols(a, 1, 3), [(3, 5)]),
-    "heads_dot": (lambda h, a: ad.heads_dot(h, a, 2), [(5, 6), (2, 3)]),
-    "heads_scale": (lambda h, s: ad.heads_scale(h, s, 2), [(5, 6), (5, 2)]),
-    "outer_add_shared": (ad.outer_add, [(3, 4), (5, 4)]),
-    "outer_add_per_row": (ad.outer_add, [(3, 4), (3, 5, 4)]),
-    "log_softmax_pick": (lambda a: ad.log_softmax_pick(a, MASK, [2, 5]), [(2, 6)]),
-}
 
 
 @pytest.mark.parametrize("name", sorted(OPS))

@@ -16,6 +16,7 @@ from bddseq.blif import parse_blif
 from bddseq.gen import desk_corpus, random_cover_netlist
 from bddseq.graph import CircuitGraph, FeatureConfig, blif2graph, disjoint_union
 from tests.conftest import T5_SRC, mutated_bytes
+from tests.gradcheck import gradient_check, perturb_params
 
 
 def tiny_graph(net, L=4):
@@ -28,7 +29,7 @@ def tiny_params(graph, hidden=8, layers=2, heads=2, seed=1, jitter=0.05):
     )
     params = M.init_params(cfg, seed=seed)
     if jitter:
-        M.perturb_params(params, jitter, seed=seed + 1)
+        perturb_params(params, jitter, seed=seed + 1)
     return params
 
 
@@ -173,7 +174,7 @@ def test_loss_all_zero_mask_raises():
 def test_gradient_check_tiny_model(t5):
     graph = tiny_graph(t5)
     params = tiny_params(graph, hidden=8, layers=2, heads=2)
-    errors = M.gradient_check(
+    errors = gradient_check(
         [(graph, VarOrder((2, 0, 1, 4, 3)))], params, probes_per_group=4
     )
     assert max(errors.values()) < 1e-4
@@ -196,7 +197,7 @@ def toy_params(batch, seed):
         feature_dim=batch[0][0].features.shape[1], hidden=8, layers=2, heads=2
     )
     params = M.init_params(cfg, seed=seed)
-    M.perturb_params(params, 0.3, seed=seed + 1)
+    perturb_params(params, 0.3, seed=seed + 1)
     return params
 
 
@@ -260,7 +261,7 @@ def test_message_edges_match_set_reference(seed):
 def test_gradient_check_mixed_batch():
     batch = toy_batch(11, (5, 2, 4))
     params = toy_params(batch, 11)
-    errors = M.gradient_check(batch, params, probes_per_group=4)
+    errors = gradient_check(batch, params, probes_per_group=4)
     assert max(errors.values()) < 1e-4
 
 

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -604,6 +605,34 @@ def test_train_skips_one_input_validation_circuits(tmp_path, cfg_file):
     params = M.load_params(run / "weights.bin")
     assert _decode_metrics(params, val) == _decode_metrics(params, val[:1])
     assert _decode_metrics(params, val[1:]) == {}
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_skips_circuits_without_inputs(tmp_path, cfg_file, capsys, split):
+    # a constant circuit has nothing to order: augment and label keep it with
+    # an empty label, and train leaves it out of either split
+    src = tmp_path / "src"
+    src.mkdir()
+    rng = random.Random(3)
+    for i in range(8):
+        net = read_once_tree(rng, rng.randint(3, 5), name=f"t{i}")
+        (src / f"{net.name}.blif").write_text(write_blif(net))
+    (src / "const.blif").write_text(".model const\n.outputs y\n.names y\n1\n.end\n")
+    corpus = tmp_path / "corpus"
+    assert main(["--config", str(cfg_file), "augment", str(src), "--variants", "0", "--out", str(corpus)]) == 0
+    assert main(["--config", str(cfg_file), "label", str(corpus)]) == 0
+    assert read_orders(corpus / "labels.txt")["const"] == []
+    entries = read_manifest(corpus / "manifest.csv")
+    entries = [replace(e, split=split) if e.circuit_id == "const" else e for e in entries]
+    write_manifest(corpus / "manifest.csv", entries, RunConfig.load(cfg_file))
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["--config", str(cfg_file), "train", str(corpus), "--out", str(run)]) == 0
+    assert f"skipping 1 {split} circuits with no primary inputs" in capsys.readouterr().err
+    loaded = load_corpus(corpus)
+    data = _dataset(loaded, RunConfig.load(cfg_file), split)
+    assert len(data) == len(loaded.by_split(split)) - 1
+    assert all(g.num_pis > 0 for g, _ in data)
 
 
 def test_eval_skips_circuits_over_the_node_cap(

@@ -14,6 +14,7 @@ from bddseq.bdd import NodeCapExceeded, VarOrder, build_from_netlist, node_count
 from bddseq.blif import parse_blif
 from bddseq.graph import FeatureConfig, blif2graph
 from bddseq.search import SearchConfig, diverse_beam_search, greedy_decode
+from tests.gradcheck import perturb_params
 
 TRI_SRC = """\
 .model tri
@@ -39,7 +40,7 @@ def tri_params(tri_graph):
         feature_dim=tri_graph.features.shape[1], hidden=8, layers=2, heads=2
     )
     params = M.init_params(cfg, seed=3)
-    M.perturb_params(params, 0.3, seed=4)
+    perturb_params(params, 0.3, seed=4)
     return params
 
 
@@ -53,7 +54,7 @@ def make_toy_model(seed, n_pis=4, n_gates=3):
     graph = blif2graph(net, FeatureConfig(max_table_len=8))
     cfg = M.ModelConfig(feature_dim=graph.features.shape[1], hidden=8, layers=1, heads=2)
     params = M.init_params(cfg, seed=seed)
-    M.perturb_params(params, 0.5, seed=seed + 1)
+    perturb_params(params, 0.5, seed=seed + 1)
     return net, graph, params
 
 
