@@ -180,17 +180,17 @@ def _dataset(corpus: Corpus, cfg: RunConfig, split: str):
 
 def _decode_metrics(params, val_dataset):
     """Mean rank correlations of greedy orders with the labels, over the
-    graphs of two or more inputs; none when there is no such graph."""
-    taus, rhos = [], []
-    for graph, label in val_dataset:
-        if graph.num_pis < 2:
-            continue
-        order = search.greedy_decode(graph, params)
-        taus.append(kendall_tau(order.permutation, label.permutation))
-        rhos.append(spearman_rho(order.permutation, label.permutation))
-    if not taus:
+    graphs of two or more inputs; none when there is no such graph. Those
+    graphs are greedily decoded as one batch (a single one as a batch of one)."""
+    pairs = [(graph, label) for graph, label in val_dataset if graph.num_pis >= 2]
+    if not pairs:
         return {}
-    return {"val_tau": float(np.mean(taus)), "val_rho": float(np.mean(rhos))}
+    orders = search.greedy_decode([graph for graph, _ in pairs], params)
+    perms = [(order.permutation, label.permutation) for order, (_, label) in zip(orders, pairs)]
+    return {
+        "val_tau": float(np.mean([kendall_tau(*p) for p in perms])),
+        "val_rho": float(np.mean([spearman_rho(*p) for p in perms])),
+    }
 
 
 def cmd_train(args, cfg: RunConfig) -> int:

@@ -7,12 +7,14 @@ layer. The decoder is an LSTM that, at each step, consumes the previously
 selected input's embedding, attends over the primary-input embeddings, masks
 already-chosen positions, and emits log-probabilities over the rest.
 
-Training teacher-forces a whole minibatch in one pass. Its graphs are encoded
-as one disjoint-union graph; attention normalises per destination node, so
-the union changes no node's embedding. The pointer keys of every sample's
-primary inputs are computed once per batch, padded to the largest input
-count, and each step is one `decoder_advance` over the B samples, with padded
-and already chosen inputs masked.
+Training teacher-forces a whole minibatch in one pass, and greedy search
+decodes a batch of graphs in lockstep; both lay the batch out with
+`batch_layout`. The batch's graphs are encoded as one disjoint-union graph;
+attention normalises per destination node, so the union changes no node's
+embedding. The pointer keys of every graph's primary inputs are computed
+once per batch, padded to the largest input count, and each step is one
+`decoder_advance` over the B rows, with padded and already chosen inputs
+masked.
 
 Desk-scale defaults are hidden=64 / 3 layers / 4 heads / batch 8; the study
 this reproduces ran hidden=512 / 6 layers at batch 16.
@@ -209,13 +211,35 @@ def decoder_advance(
 MASK_VALUE = -1e9
 
 
+def batch_layout(graphs, params: ModelParams):
+    """Encode B graphs as one disjoint union and lay out their primary inputs
+    for a batched decoder.
+
+    Returns the union's primary-input embeddings, (sum of P, H); each
+    graph's first row in them, (B,); each graph's pointer keys padded to the
+    largest input count, (B, P, H), where a padded key repeats a real one and
+    must be masked; and the (B, P) mask of real inputs. Tensors, or bare
+    arrays under `no_grad()`.
+    """
+    sizes = np.array([graph.num_pis for graph in graphs])
+    union = disjoint_union(graphs)
+    pis = pi_embeddings(union, encode(union, params))
+    starts = np.cumsum(sizes) - sizes
+    real = np.arange(sizes.max()) < sizes[:, None]
+    keys = ad.gather_rows(
+        pointer_keys(pis, params), np.where(real, starts[:, None] + np.arange(real.shape[1]), 0)
+    )
+    return pis, starts, keys, real
+
+
 def forward_teacher_forced(batch, params: ModelParams) -> tuple[Tensor, np.ndarray]:
     """Log-probabilities of the label tokens of a minibatch under teacher forcing.
 
-    batch is a sequence of B (CircuitGraph, VarOrder) pairs. Step t is one
-    `decoder_advance` over all B samples, each fed the embedding of its
-    previous label token against its own keys; inputs beyond a sample's
-    count and inputs already chosen are masked with MASK_VALUE. Returns the
+    batch is a sequence of B (CircuitGraph, VarOrder) pairs, laid out by
+    `batch_layout`. Step t is one `decoder_advance` over all B samples, each
+    fed the embedding of its previous label token against its own keys;
+    inputs beyond a sample's count and inputs already chosen are masked with
+    MASK_VALUE. Returns the
     (T, B) log-probabilities, row t for step t, with T the largest input
     count, and the (T, B) 0/1 mask of real steps: a sample with P inputs
     has T - P padded steps at the end.
@@ -223,18 +247,11 @@ def forward_teacher_forced(batch, params: ModelParams) -> tuple[Tensor, np.ndarr
     for graph, label in batch:
         if sorted(label.permutation) != list(range(graph.num_pis)):
             raise ValueError("label does not permute the primary inputs")
-    sizes = np.array([graph.num_pis for graph, _ in batch])
-    b, t_len = len(batch), int(sizes.max())
-    union = disjoint_union([graph for graph, _ in batch])
-    pis = pi_embeddings(union, encode(union, params))  # (sum of P, H)
-    starts = np.cumsum(sizes) - sizes  # each sample's first row of pis
+    pis, starts, keys, real = batch_layout([graph for graph, _ in batch], params)
+    b, t_len = real.shape  # real: (B, T), real inputs and real steps
     tokens = np.zeros((t_len, b), dtype=np.int64)  # padded steps pick input 0
     for i, (_, label) in enumerate(batch):
-        tokens[: sizes[i], i] = label.permutation
-    real = np.arange(t_len) < sizes[:, None]  # (B, T): real inputs, real steps
-    keys = ad.gather_rows(
-        pointer_keys(pis, params), np.where(real, starts[:, None] + np.arange(t_len), 0)
-    )  # (B, T, H); padded rows repeat a real key and are always masked
+        tokens[: len(label.permutation), i] = label.permutation
     masks = np.empty((t_len, b, t_len))
     masks[0] = np.where(real, 0.0, MASK_VALUE)
     hidden = cell = Tensor(np.zeros((b, params.config.hidden)))

@@ -23,6 +23,13 @@ continuations and sets it to -inf, which is the next entry of a stable sort
 of the pool with the taken ones masked out, so this claims exactly what a
 fresh ranking per group would.
 
+Greedy decoding is batched: `greedy_decode` encodes a list of graphs as one
+disjoint union and runs one pool with a row per graph, each row against its
+own graph's keys (`Pool.graphs`), padded inputs masked. A single circuit is
+a batch of one, so it takes the same path and gets the bits of the one-beam,
+one-group search. Stacked rows change the bits of the matrix products, so a
+graph decoded in a larger batch may score differently in the last bits.
+
 `select_best_order` builds one diagram per circuit and moves it from
 candidate to candidate by adjacent swaps, reading each count from the
 store size. Only after a candidate passes the node cap is the next one
@@ -44,11 +51,15 @@ from .graph import CircuitGraph
 
 @dataclass
 class Encoded:
-    """A graph prepared for decoding: primary-input embeddings and their
-    pointer keys, both (P, H), computed once and shared by every beam."""
+    """A batch of graphs prepared for decoding, computed once and shared by
+    every beam: as `model.batch_layout` lays them out, the primary-input
+    embeddings of all graphs, each graph's first row in them, its pointer
+    keys padded to the largest input count, and the mask of real inputs."""
 
-    pi_embs: np.ndarray
-    keys: np.ndarray
+    pi_embs: np.ndarray  # (sum of P, H)
+    starts: np.ndarray  # (G,)
+    keys: np.ndarray  # (G, P, H)
+    real: np.ndarray  # (G, P) bool
 
 
 @dataclass
@@ -60,6 +71,9 @@ class Pool:
     visited: np.ndarray  # (B, P) bool
     hidden: np.ndarray  # (B, H)
     cell: np.ndarray  # (B, H)
+    # (B,) each row's graph in the encoded batch; None: every row decodes
+    # the batch's one graph, against keys shared by all rows
+    graphs: np.ndarray | None = None
 
 
 # mode -> (beam_width, groups); alpha comes from the run configuration
@@ -74,6 +88,10 @@ class SearchConfig:
     trace: list | None = None
 
     def __post_init__(self):
+        if self.beam_width < 1 or self.groups < 1:
+            raise ValueError(
+                f"beam width {self.beam_width} and groups {self.groups} must be at least 1"
+            )
         if self.beam_width % self.groups != 0:
             raise ValueError(
                 f"groups {self.groups} must divide beam width {self.beam_width}"
@@ -82,22 +100,27 @@ class SearchConfig:
             raise ValueError("alpha must lie in [0, 1]")
 
 
-def encode(graph: CircuitGraph, params: M.ModelParams) -> Encoded:
-    """Run the encoder once; every search over the graph can share the result."""
+def encode(graphs: CircuitGraph | list[CircuitGraph], params: M.ModelParams) -> Encoded:
+    """Run the encoder once over a graph, or over a list of graphs as one
+    disjoint union; every search over them can share the result."""
     with no_grad():
-        pi_embs = M.pi_embeddings(graph, M.encode(graph, params))
-        return Encoded(pi_embs, M.pointer_keys(pi_embs, params))
+        return Encoded(*M.batch_layout(graphs if isinstance(graphs, list) else [graphs], params))
 
 
 def _advance(pool: Pool, encoded: Encoded, params: M.ModelParams):
     """(B, P) raw pointer scores for every beam of the pool, plus the
-    advanced hidden and cell states."""
-    if pool.tokens[0]:
-        prev = encoded.pi_embs[[t[-1] for t in pool.tokens]]
+    advanced hidden and cell states. Each row reads its own graph's keys and
+    input embeddings when the pool names its rows' graphs."""
+    if pool.graphs is None:
+        keys, starts = encoded.keys[0], 0
     else:
-        prev = params["dec.start"]  # only the start beam has no tokens
+        keys, starts = encoded.keys[pool.graphs], encoded.starts[pool.graphs]
+    if pool.tokens[0]:
+        prev = encoded.pi_embs[starts + np.array([t[-1] for t in pool.tokens])]
+    else:
+        prev = params["dec.start"]  # only start beams have no tokens
     with no_grad():
-        raw, hidden, cell = M.decoder_advance(pool.hidden, pool.cell, prev, encoded.keys, params)
+        raw, hidden, cell = M.decoder_advance(pool.hidden, pool.cell, prev, keys, params)
     return raw.reshape(len(pool.tokens), -1), hidden, cell
 
 
@@ -128,7 +151,10 @@ def _penalized(
 def _decode(
     encoded: Encoded, params: M.ModelParams, config: SearchConfig
 ) -> list[tuple[VarOrder, float]]:
-    """Grouped beam search over one shared pool; see the module docstring."""
+    """Grouped beam search over one shared pool of an encoded graph; see the
+    module docstring."""
+    if len(encoded.starts) != 1:
+        raise ValueError(f"beam search decodes one graph, not {len(encoded.starts)}")
     num_pis, hdim = encoded.pi_embs.shape[0], params.config.hidden
     quota = config.beam_width // config.groups
     pool = Pool(
@@ -196,9 +222,43 @@ def _encoded(graph, params: M.ModelParams) -> Encoded:
     return graph if isinstance(graph, Encoded) else encode(graph, params)
 
 
-def greedy_decode(graph: CircuitGraph | Encoded, params: M.ModelParams) -> VarOrder:
-    """Argmax decoding: the one-beam, one-group case of the grouped search."""
-    return _decode(_encoded(graph, params), params, SearchConfig(*MODES["efficiency"]))[0][0]
+def _greedy(encoded: Encoded, params: M.ModelParams) -> list[tuple[VarOrder, float]]:
+    """Argmax decoding of every graph of the batch in lockstep, one pool row
+    per graph: a row takes the first maximum of its score plus the
+    log-softmax of its masked raw scores, as `_decode` ranks, with visited
+    and padded inputs masked, and leaves the pool once its graph's inputs
+    are all ordered. Returns each graph's order and summed log-probability.
+    """
+    sizes = encoded.real.sum(axis=1)
+    tokens: list[tuple[int, ...]] = [()] * len(sizes)  # by graph
+    scores = np.zeros(len(sizes))
+    rows = np.flatnonzero(sizes)  # the pool's graphs: those with inputs left
+    visited = ~encoded.real[rows]  # padded inputs count as visited
+    hidden = cell = np.zeros((len(rows), params.config.hidden))
+    for step in range(encoded.real.shape[1]):
+        pool = Pool([tokens[g] for g in rows], scores[rows], visited, hidden, cell, rows)
+        raw, hidden, cell = _advance(pool, encoded, params)
+        flat = pool.scores[:, None] + _log_softmax(raw + np.where(visited, M.MASK_VALUE, 0.0))
+        flat[visited] = -np.inf
+        cols = flat.argmax(axis=1)  # each row's first maximum
+        scores[rows] = flat[np.arange(len(rows)), cols]
+        visited[np.arange(len(rows)), cols] = True
+        for g, token in zip(rows.tolist(), cols.tolist()):
+            tokens[g] += (token,)
+        live = sizes[rows] > step + 1
+        rows, visited, hidden, cell = rows[live], visited[live], hidden[live], cell[live]
+    return [(VarOrder(t), float(score)) for t, score in zip(tokens, scores)]
+
+
+def greedy_decode(
+    graphs: CircuitGraph | Encoded | list[CircuitGraph], params: M.ModelParams
+) -> VarOrder | list[VarOrder]:
+    """Argmax decoding. A graph, or the `encode`d graph, is a batch of one
+    and gives its VarOrder; a list of graphs is encoded and decoded as one
+    batch and gives one VarOrder per graph."""
+    if isinstance(graphs, list):
+        return [order for order, _ in _greedy(encode(graphs, params), params)]
+    return _greedy(_encoded(graphs, params), params)[0][0]
 
 
 def diverse_beam_search(

@@ -671,12 +671,31 @@ def test_perfect_predictor_scores_one(labeled_corpus, cfg_file, monkeypatch):
     cfg = RunConfig.load(cfg_file)
     data = _dataset(corpus, cfg, "train")[:3]
     labels_by_graph = {id(graph): label for graph, label in data}
-    monkeypatch.setattr(
-        cli.search, "greedy_decode", lambda graph, params: labels_by_graph[id(graph)]
-    )
+    calls = []
+
+    def perfect(graphs, params):  # the graphs arrive as one batch
+        calls.append(len(graphs))
+        return [labels_by_graph[id(graph)] for graph in graphs]
+
+    monkeypatch.setattr(cli.search, "greedy_decode", perfect)
     metrics = _decode_metrics(None, data)
     assert metrics["val_tau"] == 1.0
     assert metrics["val_rho"] == 1.0
+    assert calls == [sum(graph.num_pis >= 2 for graph, _ in data)]
+
+
+def test_decode_metrics_without_a_graph_of_two_inputs_is_empty(monkeypatch):
+    from bddseq import cli
+    from bddseq.graph import FeatureConfig, blif2graph
+
+    def never(graphs, params):
+        raise AssertionError("nothing to decode")
+
+    monkeypatch.setattr(cli.search, "greedy_decode", never)
+    one = parse_blif(".model one\n.inputs a\n.outputs o\n.names a o\n0 1\n.end\n")
+    graph = blif2graph(one, FeatureConfig())
+    assert _decode_metrics(None, []) == {}
+    assert _decode_metrics(None, [(graph, VarOrder((0,)))] * 3) == {}
 
 
 def test_predict_reproducible(labeled_corpus, cfg_file, trained_run, tmp_path):

@@ -92,6 +92,79 @@ def test_width_one_equals_greedy(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
+def test_batch_of_one_equals_width_one_search_bits(seed):
+    _, graph, params = make_toy_model(seed, n_pis=3 + seed % 5)
+    encoded = search.encode(graph, params)
+    (order, score), = search._greedy(encoded, params)
+    beam = diverse_beam_search(encoded, params, SearchConfig(beam_width=1, groups=1))
+    assert beam == [(order, score)]  # the order and the score's bits
+    assert greedy_decode(graph, params) == order == greedy_decode([graph], params)[0]
+
+
+def mixed_batch(seed):
+    """Graphs of 1 to 10 inputs, in shuffled order, and a model over them."""
+    import random
+
+    from bddseq.gen import random_cover_netlist
+
+    r = random.Random(seed)
+    sizes = list(range(1, 11))
+    r.shuffle(sizes)
+    graphs = [
+        blif2graph(random_cover_netlist(r, n, n + 2, n_outputs=2), FeatureConfig(max_table_len=8))
+        for n in sizes
+    ]
+    cfg = M.ModelConfig(feature_dim=graphs[0].features.shape[1], hidden=8, layers=2, heads=2)
+    params = M.init_params(cfg, seed=seed)
+    perturb_params(params, 0.5, seed=seed + 1)
+    return graphs, params
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_greedy_never_picks_a_padded_input(seed, monkeypatch):
+    graphs, params = mixed_batch(seed)
+    advance = search._advance
+    padded = []
+
+    def padded_first(pool, encoded, params):
+        # padded inputs get the best raw score of every row, so only the mask
+        # keeps them out
+        raw, hidden, cell = advance(pool, encoded, params)
+        pad = ~encoded.real[pool.graphs]
+        padded.append(pad.sum())
+        return np.where(pad, 1e6, raw), hidden, cell
+
+    monkeypatch.setattr(search, "_advance", padded_first)
+    orders = greedy_decode(graphs, params)
+    assert [sorted(o.permutation) for o in orders] == [list(range(g.num_pis)) for g in graphs]
+    assert sum(padded) > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_greedy_scores_match_single_graphs(seed):
+    graphs, params = mixed_batch(seed)
+    batched = search._greedy(search.encode(graphs, params), params)
+    assert len(batched) == len(graphs)
+    for graph, (order, score) in zip(graphs, batched):
+        (_, single), = search._greedy(search.encode(graph, params), params)
+        assert score == pytest.approx(single, abs=1e-9)
+        lps, _ = M.forward_teacher_forced([(graph, order)], params)
+        assert score == pytest.approx(lps.data.sum(), abs=1e-9)
+
+
+def test_beam_search_takes_one_graph(tri_graph, tri_params):
+    with pytest.raises(ValueError, match="one graph"):
+        diverse_beam_search(search.encode([tri_graph] * 2, tri_params), tri_params, SearchConfig(2, 1))
+
+
+def test_greedy_of_a_graph_without_inputs_is_empty(tri_graph, tri_params):
+    none = blif2graph(parse_blif(".model c\n.outputs o\n.names o\n1\n.end"), FeatureConfig(4))
+    assert greedy_decode(none, tri_params) == VarOrder(())
+    empty, order, again = greedy_decode([none, tri_graph, none], tri_params)
+    assert empty == again == VarOrder(()) and order == greedy_decode(tri_graph, tri_params)
+
+
+@pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("width", [1, 3, 6])
 def test_pool_scores_equal_teacher_forced(seed, width):
     # every beam of the batched pool scores what training assigns its order
@@ -174,6 +247,14 @@ def test_first_token_diversity_non_decreasing_in_alpha(tri_graph, tri_params):
 def test_group_width_divisibility_checked():
     with pytest.raises(ValueError, match="divide"):
         SearchConfig(beam_width=5, groups=2)
+
+
+@pytest.mark.parametrize(
+    "width, groups", [(4, 0), (0, 1), (-2, 1), (2, -1)], ids=["groups0", "width0", "width-2", "groups-1"]
+)
+def test_width_and_groups_below_one_rejected(width, groups):
+    with pytest.raises(ValueError, match="at least 1"):
+        SearchConfig(beam_width=width, groups=groups)
 
 
 def test_mode_presets():
