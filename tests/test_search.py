@@ -264,6 +264,76 @@ def test_mode_presets():
         assert (config.beam_width, config.groups, config.alpha) == (width, groups, 0.25)
 
 
+# Orders (one digit per input token) and scores of the three
+# search modes on one small model and circuit, and of one batched greedy
+# decode of `mixed_batch(0)`. They were captured from the search as it was
+# before pointer keys became per-row only, so a change of layout that moves
+# a bit of the search shows here.
+GOLDEN = {
+    "efficiency": (
+        "502314",
+        [
+            -5.314900471166665
+        ],
+    ),
+    "balance": (
+        "502134 502431 502314 502341 503214 503241 504231 501234 052314 501324 052341 "
+        "520314 504321 520341 052134 051234 052431 025314 503421 053214",
+        [
+            -5.296514831465006, -5.30609913881398, -5.314900471166665, -5.336013229360766,
+            -5.381711303684758, -5.396676046285189, -5.431421209877073, -5.435275898809092,
+            -5.458987593839366, -5.465281098433624, -5.482440007548386, -5.504324359996017,
+            -5.516370014307924, -5.523482937148052, -5.534336000175734, -5.543647879708085,
+            -5.551860480153705, -5.555381651171109, -5.567336538902562, -5.570253515288306
+        ],
+    ),
+    "quality": (
+        "502134 502431 502314 502341 503214 503241 504231 501234 052314 501324 052341 "
+        "520314 504321 520341 052134 051234 052431 025314 503124 503421 053214 502413 "
+        "025341 053241 502143 520134 504213 051324 025134 520431 054231 501243 025431 "
+        "205314 023514 250314 540231 530214 205341 250341 523014 530241 023541 054321 "
+        "523041 051243 053124 053421 205134 052413",
+        [
+            -5.296514831465006, -5.30609913881398, -5.314900471166665, -5.336013229360766,
+            -5.381711303684758, -5.396676046285189, -5.431421209877073, -5.435275898809092,
+            -5.458987593839366, -5.465281098433624, -5.482440007548386, -5.504324359996017,
+            -5.516370014307924, -5.523482937148052, -5.534336000175734, -5.543647879708085,
+            -5.551860480153705, -5.555381651171109, -5.562709863918326, -5.567336538902562,
+            -5.570253515288306, -5.57211077748729, -5.576813032589337, -5.587363100953755,
+            -5.592957788834174, -5.60329759682915, -5.620299510925614, -5.625084128445353,
+            -5.62589716162589, -5.6345540909008385, -5.636335667169179, -5.63948007836999,
+            -5.65256366830546, -5.6866420453401725, -5.689616064728009, -5.690951332718421,
+            -5.697225247152316, -5.699379047721134, -5.7046000309430855, -5.707858555850871,
+            -5.7098951652385415, -5.714458562624534, -5.7163199748419675,
+            -5.720470458732629, -5.7423761477704245, -5.74621470445449, -5.7486231169516175,
+            -5.756191398567297, -5.760674175714691, -5.762547227303505
+        ],
+    ),
+    "greedy": (
+        "53716204 874305612 10 154302 2310 34102 102 0 1568970342 6310542",
+        [
+            -9.072248406900306, -11.218001520691857, -0.5952506232113168,
+            -5.715009048131002, -2.6101279971038998, -3.875047320518812,
+            -1.5559356204055963, 0.0, -13.135075650437432, -6.461045281429685
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_search_outputs_are_pinned(mode):
+    if mode == "greedy":
+        graphs, params = mixed_batch(0)
+        results = search._greedy(search.encode(graphs, params), params)
+    else:
+        _, graph, params = make_toy_model(5, n_pis=6, n_gates=5)
+        config = SearchConfig(*search.MODES[mode], alpha=0.25)
+        results = diverse_beam_search(graph, params, config)
+    orders, scores = GOLDEN[mode]
+    assert [o.permutation for o, _ in results] == [tuple(map(int, o)) for o in orders.split()]
+    assert [s for _, s in results] == pytest.approx(scores, abs=1e-9)
+
+
 # -- hand-traced execution against scripted pointer scores ----------------------
 
 SCRIPT = {
