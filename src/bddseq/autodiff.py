@@ -251,23 +251,15 @@ def heads_scale(h, s, heads: int):
 
 
 def outer_add(a, b):
-    """All row sums of (B, H) rows and (P, H) keys, as (B*P, H): row r*P + p
-    is a[r] + b[p] for keys (P, H) shared by every row, or a[r] + b[r, p]
-    for keys (B, P, H) of one block per row."""
+    """All sums of (B, H) rows and their (B, P, H) keys, one block of P per
+    row, as (B*P, H): row r*P + p is a[r] + b[r, p]."""
     ax, bx = value(a), value(b)
-    shared = bx.ndim == 2
-    keys = bx[None] if shared else bx
-    rows, cols = ax.shape[0], keys.shape[1]
-
-    def vjp_b(g):
-        g3 = g.reshape(rows, cols, -1)
-        return g3.sum(axis=0) if shared else g3
-
+    rows, cols = bx.shape[:2]
     return _node(
-        (ax[:, None, :] + keys).reshape(rows * cols, -1),
+        (ax[:, None, :] + bx).reshape(rows * cols, -1),
         (a, b),
-        lambda g: g.reshape(rows, cols, -1).sum(axis=1),
-        vjp_b,
+        lambda g: g.reshape(bx.shape).sum(axis=1),
+        lambda g: g.reshape(bx.shape),
     )
 
 

@@ -72,6 +72,13 @@ class RunConfig:
         ):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        # the truth table of a fan-in-bounded gate must fit the feature width
+        table, arity = self.max_table_len, self.decompose_arity
+        if table & (table - 1) or table.bit_length() - 1 < arity:
+            raise ValueError(
+                f"max_table_len must be a power of two of at least 2 ** decompose_arity "
+                f"= 2 ** {arity}, got {table}"
+            )
         for key in ("ga_mutation", "alpha"):
             if not 0 <= getattr(self, key) <= 1:
                 raise ValueError(f"{key} must be in [0, 1], got {getattr(self, key)}")

@@ -7,14 +7,15 @@ layer. The decoder is an LSTM that, at each step, consumes the previously
 selected input's embedding, attends over the primary-input embeddings, masks
 already-chosen positions, and emits log-probabilities over the rest.
 
-Training teacher-forces a whole minibatch in one pass, and greedy search
-decodes a batch of graphs in lockstep; both lay the batch out with
-`batch_layout`. The batch's graphs are encoded as one disjoint-union graph;
-attention normalises per destination node, so the union changes no node's
-embedding. The pointer keys of every graph's primary inputs are computed
-once per batch, padded to the largest input count, and each step is one
-`decoder_advance` over the B rows, with padded and already chosen inputs
-masked.
+Training and search lay a batch of graphs out once, as one `Encoded`
+record from `batch_layout`. The batch's graphs are encoded as one
+disjoint-union graph; attention normalises per destination node, so the
+union changes no node's embedding. The pointer keys of every graph's primary
+inputs are computed once per batch and padded to the largest input count.
+Each decoder step is one `decoder_advance` over B rows, each row against its
+own (P, H) block of keys, gathered per row from the record: a training
+sample's graph, a greedy row's graph, or a beam's one graph. Padded and
+already chosen inputs are masked.
 
 Desk-scale defaults are hidden=64 / 3 layers / 4 heads / batch 8; the study
 this reproduces ran hidden=512 / 6 layers at batch 16.
@@ -186,11 +187,11 @@ def decoder_advance(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """One LSTM step for B sequences at once, then pointer attention.
 
-    hidden, cell and prev_emb are (B, H) tensors or arrays; keys are (P, H),
-    shared by every sequence as in search, or (B, P, H), one block per
-    sequence as in training. Returns the raw pointer scores as a (B*P, 1) column, row
-    b*P + p for sequence b and input p, and the advanced hidden and cell
-    states: Tensors, or bare arrays under `no_grad()`.
+    hidden, cell and prev_emb are (B, H) tensors or arrays, and keys are
+    (B, P, H), one block of P pointer keys per sequence. Returns the raw
+    pointer scores as a (B*P, 1) column, row b*P + p for sequence b and
+    input p, and the advanced hidden and cell states: Tensors, or bare
+    arrays under `no_grad()`.
     """
     hdim = params.config.hidden
     z = ad.add(
@@ -211,15 +212,20 @@ def decoder_advance(
 MASK_VALUE = -1e9
 
 
-def batch_layout(graphs, params: ModelParams):
-    """Encode B graphs as one disjoint union and lay out their primary inputs
-    for a batched decoder.
+@dataclass
+class Encoded:
+    """A batch of B graphs laid out for the decoder by `batch_layout`."""
 
-    Returns the union's primary-input embeddings, (sum of P, H); each
-    graph's first row in them, (B,); each graph's pointer keys padded to the
-    largest input count, (B, P, H), where a padded key repeats a real one and
-    must be masked; and the (B, P) mask of real inputs. Tensors, or bare
-    arrays under `no_grad()`.
+    pi_embs: Tensor  # (sum of P, H) primary-input embeddings of all graphs
+    starts: np.ndarray  # (B,) each graph's first row in pi_embs
+    keys: Tensor  # (B, P, H) pointer keys padded to the largest input count
+    real: np.ndarray  # (B, P) bool, the real inputs; padded keys repeat real ones
+
+
+def batch_layout(graphs, params: ModelParams) -> Encoded:
+    """Encode B graphs as one disjoint union and lay out their primary inputs
+    for a batched decoder. The record holds Tensors, or bare arrays under
+    `no_grad()`.
     """
     sizes = np.array([graph.num_pis for graph in graphs])
     union = disjoint_union(graphs)
@@ -229,7 +235,7 @@ def batch_layout(graphs, params: ModelParams):
     keys = ad.gather_rows(
         pointer_keys(pis, params), np.where(real, starts[:, None] + np.arange(real.shape[1]), 0)
     )
-    return pis, starts, keys, real
+    return Encoded(pis, starts, keys, real)
 
 
 def forward_teacher_forced(batch, params: ModelParams) -> tuple[Tensor, np.ndarray]:
@@ -247,13 +253,13 @@ def forward_teacher_forced(batch, params: ModelParams) -> tuple[Tensor, np.ndarr
     for graph, label in batch:
         if sorted(label.permutation) != list(range(graph.num_pis)):
             raise ValueError("label does not permute the primary inputs")
-    pis, starts, keys, real = batch_layout([graph for graph, _ in batch], params)
-    b, t_len = real.shape  # real: (B, T), real inputs and real steps
+    encoded = batch_layout([graph for graph, _ in batch], params)
+    b, t_len = encoded.real.shape  # real: (B, T), real inputs and real steps
     tokens = np.zeros((t_len, b), dtype=np.int64)  # padded steps pick input 0
     for i, (_, label) in enumerate(batch):
         tokens[: len(label.permutation), i] = label.permutation
     masks = np.empty((t_len, b, t_len))
-    masks[0] = np.where(real, 0.0, MASK_VALUE)
+    masks[0] = np.where(encoded.real, 0.0, MASK_VALUE)
     hidden = cell = Tensor(np.zeros((b, params.config.hidden)))
     prev = params["dec.start"]
     raws = []
@@ -261,11 +267,11 @@ def forward_teacher_forced(batch, params: ModelParams) -> tuple[Tensor, np.ndarr
         if t:
             masks[t] = masks[t - 1]
             masks[t, np.arange(b), tokens[t - 1]] = MASK_VALUE
-            prev = ad.gather_rows(pis, starts + tokens[t - 1])
-        raw, hidden, cell = decoder_advance(hidden, cell, prev, keys, params)
+            prev = ad.gather_rows(encoded.pi_embs, encoded.starts + tokens[t - 1])
+        raw, hidden, cell = decoder_advance(hidden, cell, prev, encoded.keys, params)
         raws.append(raw)
     log_probs = ad.log_softmax_pick(ad.concat_rows(raws), masks, tokens)
-    return log_probs, real.T.astype(np.float64)
+    return log_probs, encoded.real.T.astype(np.float64)
 
 
 def position_weight(t: int) -> float:

@@ -15,20 +15,23 @@ one-beam group is greedy decoding.
 
 The pool advances in lockstep: each position is one decoder step over all
 B beams (`_advance`, a (B, H) LSTM step to (B, P) raw scores, run under
-`no_grad()` on bare arrays). The penalised scores depend only on the set of
-tokens claimed so far at the step, so the (B, P) scores are computed once per
-change of that set: a group that follows a group which claimed no new token
-goes on with the same scores. Each claim takes the first maximum of the untaken
-continuations and sets it to -inf, which is the next entry of a stable sort
-of the pool with the taken ones masked out, so this claims exactly what a
-fresh ranking per group would.
+`no_grad()` on bare arrays). Every pool names each row's graph in the
+encoded batch (`Pool.graphs`), and `_advance` gathers each row's keys and
+input embeddings by it; the beams of a search all name its one graph. The
+penalised scores depend only on the set of tokens claimed so far at the
+step, so the (B, P) scores are computed once per change of that set: a group
+that follows a group which claimed no new token goes on with the same
+scores. Each claim takes the first maximum of the untaken continuations and
+sets it to -inf, which is the next entry of a stable sort of the pool with
+the taken ones masked out, so this claims exactly what a fresh ranking per
+group would.
 
 Greedy decoding is batched: `greedy_decode` encodes a list of graphs as one
-disjoint union and runs one pool with a row per graph, each row against its
-own graph's keys (`Pool.graphs`), padded inputs masked. A single circuit is
-a batch of one, so it takes the same path and gets the bits of the one-beam,
-one-group search. Stacked rows change the bits of the matrix products, so a
-graph decoded in a larger batch may score differently in the last bits.
+disjoint union and runs one pool with a row per graph, padded inputs masked.
+A single circuit is a batch of one, so it takes the same path and gets the
+bits of the one-beam, one-group search. Stacked rows change the bits of the
+matrix products, so a graph decoded in a larger batch may score differently
+in the last bits.
 
 `select_best_order` builds one diagram per circuit and moves it from
 candidate to candidate by adjacent swaps, reading each count from the
@@ -50,19 +53,6 @@ from .graph import CircuitGraph
 
 
 @dataclass
-class Encoded:
-    """A batch of graphs prepared for decoding, computed once and shared by
-    every beam: as `model.batch_layout` lays them out, the primary-input
-    embeddings of all graphs, each graph's first row in them, its pointer
-    keys padded to the largest input count, and the mask of real inputs."""
-
-    pi_embs: np.ndarray  # (sum of P, H)
-    starts: np.ndarray  # (G,)
-    keys: np.ndarray  # (G, P, H)
-    real: np.ndarray  # (G, P) bool
-
-
-@dataclass
 class Pool:
     """B beams (partial sequences) decoded in lockstep, one row each."""
 
@@ -71,9 +61,7 @@ class Pool:
     visited: np.ndarray  # (B, P) bool
     hidden: np.ndarray  # (B, H)
     cell: np.ndarray  # (B, H)
-    # (B,) each row's graph in the encoded batch; None: every row decodes
-    # the batch's one graph, against keys shared by all rows
-    graphs: np.ndarray | None = None
+    graphs: np.ndarray  # (B,) each row's graph in the encoded batch
 
 
 # mode -> (beam_width, groups); alpha comes from the run configuration
@@ -100,21 +88,18 @@ class SearchConfig:
             raise ValueError("alpha must lie in [0, 1]")
 
 
-def encode(graphs: CircuitGraph | list[CircuitGraph], params: M.ModelParams) -> Encoded:
+def encode(graphs: CircuitGraph | list[CircuitGraph], params: M.ModelParams) -> M.Encoded:
     """Run the encoder once over a graph, or over a list of graphs as one
     disjoint union; every search over them can share the result."""
     with no_grad():
-        return Encoded(*M.batch_layout(graphs if isinstance(graphs, list) else [graphs], params))
+        return M.batch_layout(graphs if isinstance(graphs, list) else [graphs], params)
 
 
-def _advance(pool: Pool, encoded: Encoded, params: M.ModelParams):
+def _advance(pool: Pool, encoded: M.Encoded, params: M.ModelParams):
     """(B, P) raw pointer scores for every beam of the pool, plus the
     advanced hidden and cell states. Each row reads its own graph's keys and
-    input embeddings when the pool names its rows' graphs."""
-    if pool.graphs is None:
-        keys, starts = encoded.keys[0], 0
-    else:
-        keys, starts = encoded.keys[pool.graphs], encoded.starts[pool.graphs]
+    input embeddings."""
+    keys, starts = encoded.keys[pool.graphs], encoded.starts[pool.graphs]
     if pool.tokens[0]:
         prev = encoded.pi_embs[starts + np.array([t[-1] for t in pool.tokens])]
     else:
@@ -149,7 +134,7 @@ def _penalized(
 
 
 def _decode(
-    encoded: Encoded, params: M.ModelParams, config: SearchConfig
+    encoded: M.Encoded, params: M.ModelParams, config: SearchConfig
 ) -> list[tuple[VarOrder, float]]:
     """Grouped beam search over one shared pool of an encoded graph; see the
     module docstring."""
@@ -163,6 +148,7 @@ def _decode(
         visited=np.zeros((1, num_pis), dtype=bool),
         hidden=np.zeros((1, hdim)),
         cell=np.zeros((1, hdim)),
+        graphs=np.zeros(1, dtype=np.int64),
     )
     for step in range(num_pis):
         raw, hidden, cell = _advance(pool, encoded, params)
@@ -213,16 +199,17 @@ def _decode(
             visited=visited,
             hidden=hidden[rows],
             cell=cell[rows],
+            graphs=pool.graphs[rows],
         )
     ranked = sorted(zip(pool.scores.tolist(), pool.tokens), key=lambda c: (-c[0], c[1]))
     return [(VarOrder(tokens), score) for score, tokens in ranked]
 
 
-def _encoded(graph, params: M.ModelParams) -> Encoded:
-    return graph if isinstance(graph, Encoded) else encode(graph, params)
+def _encoded(graph, params: M.ModelParams) -> M.Encoded:
+    return graph if isinstance(graph, M.Encoded) else encode(graph, params)
 
 
-def _greedy(encoded: Encoded, params: M.ModelParams) -> list[tuple[VarOrder, float]]:
+def _greedy(encoded: M.Encoded, params: M.ModelParams) -> list[tuple[VarOrder, float]]:
     """Argmax decoding of every graph of the batch in lockstep, one pool row
     per graph: a row takes the first maximum of its score plus the
     log-softmax of its masked raw scores, as `_decode` ranks, with visited
@@ -251,7 +238,7 @@ def _greedy(encoded: Encoded, params: M.ModelParams) -> list[tuple[VarOrder, flo
 
 
 def greedy_decode(
-    graphs: CircuitGraph | Encoded | list[CircuitGraph], params: M.ModelParams
+    graphs: CircuitGraph | M.Encoded | list[CircuitGraph], params: M.ModelParams
 ) -> VarOrder | list[VarOrder]:
     """Argmax decoding. A graph, or the `encode`d graph, is a batch of one
     and gives its VarOrder; a list of graphs is encoded and decoded as one
@@ -262,7 +249,7 @@ def greedy_decode(
 
 
 def diverse_beam_search(
-    graph: CircuitGraph | Encoded, params: M.ModelParams, config: SearchConfig
+    graph: CircuitGraph | M.Encoded, params: M.ModelParams, config: SearchConfig
 ) -> list[tuple[VarOrder, float]]:
     """Grouped beam search over one shared pool; see the module docstring.
 

@@ -24,7 +24,7 @@ def fd_check(build, shapes, eps=1e-5, tol=1e-6, seed=0, probes=6):
 
 
 MASK = np.array([[0, -1e9, 0, 0, -1e9, 0.0], [0, 0, 0, -1e9, 0, 0]])
-# op -> (build, input shapes); every op of the module, both outer_add key layouts
+# op -> (build, input shapes); every op of the module
 OPS = {
     "add": (ad.add, [(3, 4), (1, 4)]),
     "sub": (ad.sub, [(3, 4), (3, 4)]),
@@ -45,7 +45,6 @@ OPS = {
     "slice_cols": (lambda a: ad.slice_cols(a, 1, 3), [(3, 5)]),
     "heads_dot": (lambda h, a: ad.heads_dot(h, a, 2), [(5, 6), (2, 3)]),
     "heads_scale": (lambda h, s: ad.heads_scale(h, s, 2), [(5, 6), (5, 2)]),
-    "outer_add_shared": (ad.outer_add, [(3, 4), (5, 4)]),
     "outer_add_per_row": (ad.outer_add, [(3, 4), (3, 5, 4)]),
     "log_softmax_pick": (lambda a: ad.log_softmax_pick(a, MASK, [2, 5]), [(2, 6)]),
 }
@@ -120,14 +119,6 @@ def test_slice_concat_gather_grad():
     fd_check(lambda a: ad.slice_cols(a, 1, 3), [(3, 5)])
     fd_check(lambda a, b: ad.concat_rows([a, b, a]), [(2, 3), (4, 3)])
     fd_check(lambda a: ad.gather_rows(a, np.array([[0, 2], [2, 2]])), [(3, 4)])
-
-
-def test_outer_add_per_row_matches_shared():
-    rng = np.random.default_rng(1)
-    a, keys = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
-    shared = ad.outer_add(a, keys).data
-    per_row = ad.outer_add(a, np.broadcast_to(keys, (3, 5, 4))).data
-    assert np.array_equal(shared, per_row)
 
 
 def test_log_softmax_grad_masked():

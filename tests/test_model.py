@@ -110,7 +110,7 @@ def test_teacher_forced_proper_distributions(t5):
     label = VarOrder((4, 2, 0, 1, 3))
     lps = teacher_forced(graph, label, params)
     pis = M.pi_embeddings(graph, M.encode(graph, params))
-    keys = M.pointer_keys(pis, params)
+    keys = M.pointer_keys(pis, params).data[None]  # (1, P, H)
     hidden = cell = Tensor(np.zeros((1, 8)))
     prev = params["dec.start"]
     mask = np.zeros(5)
@@ -283,10 +283,8 @@ def test_padded_key_rows_change_nothing(monkeypatch):
     noise = np.random.default_rng(0).standard_normal((len(batch), max(sizes), 8)) * 5.0
     noise[real] = 0.0
 
-    def perturbed(a, keys):
-        if keys.data.ndim == 3:  # per-sample keys: shift the padded rows
-            keys = ad.add(keys, Tensor(noise))
-        return outer_add(a, keys)
+    def perturbed(a, keys):  # shift the padded rows of the per-sample keys
+        return outer_add(a, ad.add(keys, Tensor(noise)))
 
     monkeypatch.setattr(ad, "outer_add", perturbed)
     loss_b, grads_b = run()

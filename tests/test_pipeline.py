@@ -133,6 +133,18 @@ def test_runconfig_accepts_boundary_values(line):
     assert getattr(RunConfig.from_text(f"{line}\n"), key) == float(value)
 
 
+@pytest.mark.parametrize("text", ["max_table_len = 5", "max_table_len = 8", "decompose_arity = 5"])
+def test_runconfig_rejects_a_table_width_that_cannot_hold_a_gate(text):
+    # the default decompose_arity of 4 needs tables of 16 entries
+    with pytest.raises(ValueError, match="^max_table_len must be a power of two"):
+        RunConfig.from_text(f"{text}\n")
+
+
+def test_runconfig_accepts_the_smallest_table_width():
+    cfg = RunConfig.from_text("max_table_len = 4\ndecompose_arity = 2\n")
+    assert (cfg.max_table_len, cfg.decompose_arity) == (4, 2)
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [

@@ -512,6 +512,7 @@ def per_group_decode(encoded, params, config):
         visited=np.zeros((1, num_pis), dtype=bool),
         hidden=np.zeros((1, hdim)),
         cell=np.zeros((1, hdim)),
+        graphs=np.zeros(1, dtype=np.int64),
     )
     for step in range(num_pis):
         raw, hidden, cell = search._advance(pool, encoded, params)
@@ -550,6 +551,7 @@ def per_group_decode(encoded, params, config):
             visited=visited,
             hidden=hidden[rows],
             cell=cell[rows],
+            graphs=pool.graphs[rows],
         )
     ranked = sorted(zip(pool.scores.tolist(), pool.tokens), key=lambda c: (-c[0], c[1]))
     return [(VarOrder(tokens), score) for score, tokens in ranked]
