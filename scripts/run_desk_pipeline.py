@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end desk-scale run: generate sources, augment, label, train,
-predict, synthesize, and evaluate, all through the CLI entry points.
+predict, synthesize, and evaluate, all through the CLI entry points. The
+run stops with a step's exit code as soon as one fails.
 
 Usage: python3 scripts/run_desk_pipeline.py [workdir]
 """
@@ -12,6 +13,14 @@ from pathlib import Path
 from bddseq.blif import write_blif
 from bddseq.cli import main
 from bddseq.gen import desk_corpus
+
+
+def step(argv: list[str]) -> None:
+    """Run one CLI command; stop the pipeline with its code if it fails."""
+    print("$ bddseq " + " ".join(argv))
+    rc = main(argv)
+    if rc != 0:
+        sys.exit(rc)
 
 
 def run(workdir: Path) -> None:
@@ -36,41 +45,27 @@ def run(workdir: Path) -> None:
     corpus = workdir / "corpus"
     run_dir = workdir / "run"
     argv = ["--config", str(cfg)]
-    steps = [
-        argv + ["augment", str(sources), "--variants", "1", "--out", str(corpus)],
-        argv + ["label", str(corpus)],
-        argv + ["train", str(corpus), "--out", str(run_dir)],
-    ]
-    for step in steps:
-        print("$ bddseq " + " ".join(step))
-        rc = main(step)
-        if rc != 0:
-            sys.exit(rc)
-
+    step(argv + ["augment", str(sources), "--variants", "1", "--out", str(corpus)])
+    step(argv + ["label", str(corpus)])
+    step(argv + ["train", str(corpus), "--out", str(run_dir)])
     sample = sorted((corpus / "blif").glob("*.blif"))[0]
     for mode in ("efficiency", "balance"):
-        step = argv + [
+        step(argv + [
             "predict", str(sample),
             "--weights", str(run_dir / "best.bin"),
             "--mode", mode, "--trace",
             "--out", str(workdir / f"pred_{mode}"),
-        ]
-        print("$ bddseq " + " ".join(step))
-        main(step)
-    step = argv + [
+        ])
+    step(argv + [
         "synth", str(sample),
         str(workdir / "pred_balance" / f"{sample.stem}.order"),
         "--mode", "balance", "--out", str(workdir / "synth"),
-    ]
-    print("$ bddseq " + " ".join(step))
-    main(step)
-    step = argv + [
+    ])
+    step(argv + [
         "eval", str(corpus),
         "--weights", str(run_dir / "best.bin"),
         "--out", str(workdir / "eval"),
-    ]
-    print("$ bddseq " + " ".join(step))
-    main(step)
+    ])
     print(f"\nartifacts under {workdir}")
 
 

@@ -178,18 +178,17 @@ def _dataset(corpus: Corpus, cfg: RunConfig, split: str):
     return data
 
 
-def _decode_metrics(params, val_dataset):
+def _decode_metrics(params, encoded, labels):
     """Mean rank correlations of greedy orders with the labels, over the
-    graphs of two or more inputs; none when there is no such graph. Those
-    graphs are greedily decoded as one batch (a single one as a batch of one)."""
-    pairs = [(graph, label) for graph, label in val_dataset if graph.num_pis >= 2]
-    if not pairs:
+    graphs of two or more inputs; none when there is no such graph. encoded
+    is the validation set's layout from `train`, decoded as one batch."""
+    if all(len(label) < 2 for label in labels):
         return {}
-    orders = search.greedy_decode([graph for graph, _ in pairs], params)
-    perms = [(order.permutation, label.permutation) for order, (_, label) in zip(orders, pairs)]
+    orders = search.greedy_decode(encoded, params)
+    pairs = [(order, label) for order, label in zip(orders, labels) if len(label) >= 2]
     return {
-        "val_tau": float(np.mean([kendall_tau(*p) for p in perms])),
-        "val_rho": float(np.mean([spearman_rho(*p) for p in perms])),
+        "val_tau": float(np.mean([kendall_tau(*p) for p in pairs])),
+        "val_rho": float(np.mean([spearman_rho(*p) for p in pairs])),
     }
 
 
@@ -280,7 +279,7 @@ def predict_order(netlist, params, mode: str, cfg: RunConfig, trace=None):
     config = search.SearchConfig(beam_width, groups, cfg.alpha, trace)
     candidates = [order for order, _ in search.diverse_beam_search(encoded, params, config)]
     if beam_width > 1:
-        greedy = search.greedy_decode(encoded, params)
+        greedy = search.greedy_decode(encoded, params)[0]
         if greedy not in candidates:
             candidates.append(greedy)
     best = search.select_best_order(candidates, prepared, node_cap=cfg.node_cap)
@@ -291,7 +290,11 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     netlist = parse_blif(Path(args.circuit).read_text())
     params = M.load_params(args.weights)
     trace = [] if args.trace else None
-    order, n_candidates = predict_order(netlist, params, args.mode, cfg, trace)
+    try:
+        order, n_candidates = predict_order(netlist, params, args.mode, cfg, trace)
+    except bdd.NodeCapExceeded as exc:
+        print(f"error: {netlist.name}: {exc} (node_cap = {cfg.node_cap})", file=sys.stderr)
+        return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_orders(
@@ -341,7 +344,11 @@ def cmd_synth(args, cfg: RunConfig) -> int:
         return 1
     prepared = _prepare_netlist(netlist, cfg)
     order = names_to_order(prepared, orders[netlist.name])
-    circuit, nodes, elapsed = synthesize_circuit(netlist, order, cfg)
+    try:
+        circuit, nodes, elapsed = synthesize_circuit(netlist, order, cfg)
+    except bdd.NodeCapExceeded as exc:
+        print(f"error: {netlist.name}: {exc} (node_cap = {cfg.node_cap})", file=sys.stderr)
+        return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{netlist.name}.real").write_text(synth.write_real(circuit))

@@ -72,6 +72,8 @@ class RunConfig:
         ):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        if self.hidden % self.heads:
+            raise ValueError(f"hidden {self.hidden} must be divisible by heads {self.heads}")
         # the truth table of a fan-in-bounded gate must fit the feature width
         table, arity = self.max_table_len, self.decompose_arity
         if table & (table - 1) or table.bit_length() - 1 < arity:

@@ -15,7 +15,9 @@ inputs are computed once per batch and padded to the largest input count.
 Each decoder step is one `decoder_advance` over B rows, each row against its
 own (P, H) block of keys, gathered per row from the record: a training
 sample's graph, a greedy row's graph, or a beam's one graph. Padded and
-already chosen inputs are masked.
+already chosen inputs are masked. Teacher forcing reads a record its caller
+laid out: `train` lays its validation set out once per epoch, as one batch,
+for both the validation loss and `eval_fn`'s greedy decode.
 
 Desk-scale defaults are hidden=64 / 3 layers / 4 heads / batch 8; the study
 this reproduces ran hidden=512 / 6 layers at batch 16.
@@ -238,26 +240,25 @@ def batch_layout(graphs, params: ModelParams) -> Encoded:
     return Encoded(pis, starts, keys, real)
 
 
-def forward_teacher_forced(batch, params: ModelParams) -> tuple[Tensor, np.ndarray]:
+def forward_teacher_forced(
+    encoded: Encoded, labels, params: ModelParams
+) -> tuple[Tensor, np.ndarray]:
     """Log-probabilities of the label tokens of a minibatch under teacher forcing.
 
-    batch is a sequence of B (CircuitGraph, VarOrder) pairs, laid out by
-    `batch_layout`. Step t is one `decoder_advance` over all B samples, each
-    fed the embedding of its previous label token against its own keys;
-    inputs beyond a sample's count and inputs already chosen are masked with
-    MASK_VALUE. Returns the
-    (T, B) log-probabilities, row t for step t, with T the largest input
-    count, and the (T, B) 0/1 mask of real steps: a sample with P inputs
-    has T - P padded steps at the end.
+    encoded is the `batch_layout` of B graphs and labels holds one VarOrder
+    per graph. Step t is one `decoder_advance` over all B samples, each fed
+    the embedding of its previous label token against its own keys; inputs
+    beyond a sample's count and inputs already chosen are masked with
+    MASK_VALUE. Returns the (T, B) log-probabilities, row t for step t, with
+    T the largest input count, and the (T, B) 0/1 mask of real steps: a
+    sample with P inputs has T - P padded steps at the end.
     """
-    for graph, label in batch:
-        if sorted(label.permutation) != list(range(graph.num_pis)):
-            raise ValueError("label does not permute the primary inputs")
-    encoded = batch_layout([graph for graph, _ in batch], params)
     b, t_len = encoded.real.shape  # real: (B, T), real inputs and real steps
     tokens = np.zeros((t_len, b), dtype=np.int64)  # padded steps pick input 0
-    for i, (_, label) in enumerate(batch):
-        tokens[: len(label.permutation), i] = label.permutation
+    for i, (size, label) in enumerate(zip(encoded.real.sum(axis=1), labels, strict=True)):
+        if sorted(label.permutation) != list(range(size)):
+            raise ValueError("label does not permute the primary inputs")
+        tokens[:size, i] = label.permutation
     masks = np.empty((t_len, b, t_len))
     masks[0] = np.where(encoded.real, 0.0, MASK_VALUE)
     hidden = cell = Tensor(np.zeros((b, params.config.hidden)))
@@ -309,15 +310,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
-def sample_loss_terms(batch, params, uniform_weights=False):
-    """(log-probabilities, mask, weights) of a minibatch, the arguments of `loss`."""
-    lps, mask = forward_teacher_forced(batch, params)
+def sample_loss_terms(encoded: Encoded, labels, params, uniform_weights=False):
+    """(log-probabilities, mask, weights) of a laid-out minibatch and its
+    labels, the arguments of `loss`."""
+    lps, mask = forward_teacher_forced(encoded, labels, params)
     ws = [1.0 if uniform_weights else position_weight(t) for t in range(len(mask))]
     return lps, mask, ws
-
-
-def _chunks(items: list, size: int) -> list[list]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def train(
@@ -331,10 +329,12 @@ def train(
 ):
     """Adam training with teacher forcing; deterministic for a fixed seed.
 
-    dataset and val_dataset are sequences of (CircuitGraph, VarOrder).
-    eval_fn(params, val_dataset) may return extra per-epoch metrics such as
-    rank correlations of decoded orders. Returns (params, history) where
-    history has one row per epoch.
+    dataset and val_dataset are sequences of (CircuitGraph, VarOrder). Each
+    epoch lays the validation set out once, as one no-grad `batch_layout`,
+    for its teacher-forced loss; eval_fn(params, encoded, labels) gets that
+    record and the labels, and may return extra per-epoch metrics such as
+    rank correlations of decoded orders. Returns (params, history,
+    optimizer state) where history has one row per epoch.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -348,27 +348,26 @@ def train(
         rng = np.random.default_rng((config.seed, epoch))
         shuffled = [dataset[i] for i in rng.permutation(len(dataset))]
         epoch_losses = []
-        for batch in _chunks(shuffled, config.batch_size):
+        for start in range(0, len(shuffled), config.batch_size):
             opt.zero_grad()
-            batch_loss = loss(*sample_loss_terms(batch, params, config.uniform_weights))
+            graphs, labels = zip(*shuffled[start : start + config.batch_size])
+            encoded = batch_layout(graphs, params)
+            batch_loss = loss(*sample_loss_terms(encoded, labels, params, config.uniform_weights))
             value = batch_loss.item()
             if not np.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss {value} at epoch {epoch}"
-                )
+                raise TrainingDiverged(f"non-finite loss {value} at epoch {epoch}")
             batch_loss.backward()
             opt.step()
             epoch_losses.append(value)
         row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
         if val_dataset:
-            total = 0.0
-            with ad.no_grad():
-                for batch in _chunks(list(val_dataset), config.batch_size):
-                    terms = sample_loss_terms(batch, params, config.uniform_weights)
-                    total += loss(*terms).item() * len(batch)
-            row["val_loss"] = total / len(val_dataset)
-        if eval_fn is not None and val_dataset:
-            row.update(eval_fn(params, val_dataset))
+            graphs, labels = zip(*val_dataset)
+            with ad.no_grad():  # one layout of the whole set serves both checks
+                encoded = batch_layout(graphs, params)
+                terms = sample_loss_terms(encoded, labels, params, config.uniform_weights)
+                row["val_loss"] = loss(*terms).item()
+            if eval_fn is not None:
+                row.update(eval_fn(params, encoded, labels))
         history.append(row)
     opt_state = {"m": opt.m, "v": opt.v, "step": opt.step_count}
     return params, history, opt_state

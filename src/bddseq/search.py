@@ -26,12 +26,12 @@ sets it to -inf, which is the next entry of a stable sort of the pool with
 the taken ones masked out, so this claims exactly what a fresh ranking per
 group would.
 
-Greedy decoding is batched: `greedy_decode` encodes a list of graphs as one
-disjoint union and runs one pool with a row per graph, padded inputs masked.
-A single circuit is a batch of one, so it takes the same path and gets the
-bits of the one-beam, one-group search. Stacked rows change the bits of the
-matrix products, so a graph decoded in a larger batch may score differently
-in the last bits.
+Greedy decoding is batched: `greedy_decode` of an `encode`d batch of graphs
+(one disjoint union) runs one pool with a row per graph, padded inputs
+masked, and gives one order per graph. A single circuit is a batch of one,
+so it takes the same path and gets the bits of the one-beam, one-group
+search. Stacked rows change the bits of the matrix products, so a graph
+decoded in a larger batch may score differently in the last bits.
 
 `select_best_order` builds one diagram per circuit and moves it from
 candidate to candidate by adjacent swaps, reading each count from the
@@ -205,10 +205,6 @@ def _decode(
     return [(VarOrder(tokens), score) for score, tokens in ranked]
 
 
-def _encoded(graph, params: M.ModelParams) -> M.Encoded:
-    return graph if isinstance(graph, M.Encoded) else encode(graph, params)
-
-
 def _greedy(encoded: M.Encoded, params: M.ModelParams) -> list[tuple[VarOrder, float]]:
     """Argmax decoding of every graph of the batch in lockstep, one pool row
     per graph: a row takes the first maximum of its score plus the
@@ -238,14 +234,13 @@ def _greedy(encoded: M.Encoded, params: M.ModelParams) -> list[tuple[VarOrder, f
 
 
 def greedy_decode(
-    graphs: CircuitGraph | M.Encoded | list[CircuitGraph], params: M.ModelParams
+    graph: CircuitGraph | M.Encoded, params: M.ModelParams
 ) -> VarOrder | list[VarOrder]:
-    """Argmax decoding. A graph, or the `encode`d graph, is a batch of one
-    and gives its VarOrder; a list of graphs is encoded and decoded as one
-    batch and gives one VarOrder per graph."""
-    if isinstance(graphs, list):
-        return [order for order, _ in _greedy(encode(graphs, params), params)]
-    return _greedy(_encoded(graphs, params), params)[0][0]
+    """Argmax decoding. A graph is encoded as a batch of one and gives its
+    VarOrder; an `encode`d batch gives one VarOrder per graph."""
+    if isinstance(graph, M.Encoded):
+        return [order for order, _ in _greedy(graph, params)]
+    return _greedy(encode(graph, params), params)[0][0]
 
 
 def diverse_beam_search(
@@ -257,7 +252,9 @@ def diverse_beam_search(
     (fewer only when the number of permutations is smaller). `graph` may be
     an `encode`d graph, so that several searches share one encoding.
     """
-    return _decode(_encoded(graph, params), params, config)
+    if not isinstance(graph, M.Encoded):
+        graph = encode(graph, params)
+    return _decode(graph, params, config)
 
 
 def select_best_order(

@@ -51,13 +51,18 @@ def gradient_check(
     probed entries.
     """
 
+    graphs, labels = zip(*batch)
+
+    def batch_loss():
+        return M.loss(*M.sample_loss_terms(M.batch_layout(graphs, params), labels, params))
+
     def value() -> float:
         with ad.no_grad():
-            return M.loss(*M.sample_loss_terms(batch, params)).item()
+            return batch_loss().item()
 
     for p in params.tensors.values():
         p.grad = None
-    M.loss(*M.sample_loss_terms(batch, params)).backward()
+    batch_loss().backward()
     rng = np.random.default_rng(seed)
     errors = central_difference_errors(
         params.tensors.values(), value, eps, probes_per_group, rng

@@ -81,7 +81,7 @@ def test_encode_isomorphic_components_equal():
 
 def teacher_forced(graph, label, params):
     """Per-step log-probabilities of one sample, through the batched path."""
-    lps, mask = M.forward_teacher_forced([(graph, label)], params)
+    lps, mask = M.forward_teacher_forced(M.batch_layout([graph], params), [label], params)
     assert mask.shape == (graph.num_pis, 1) and mask.all()
     return lps.data[:, 0]
 
@@ -139,7 +139,7 @@ def test_teacher_forced_rejects_bad_label(t5):
     graph = tiny_graph(t5)
     params = tiny_params(graph)
     with pytest.raises(ValueError):
-        M.forward_teacher_forced([(graph, VarOrder((0, 1, 2)))], params)
+        M.forward_teacher_forced(M.batch_layout([graph], params), [VarOrder((0, 1, 2))], params)
 
 
 def test_loss_identities():
@@ -202,7 +202,8 @@ def toy_params(batch, seed):
 
 
 def batch_loss(batch, params, uniform=False):
-    return M.loss(*M.sample_loss_terms(batch, params, uniform))
+    graphs, labels = zip(*batch)
+    return M.loss(*M.sample_loss_terms(M.batch_layout(graphs, params), labels, params, uniform))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -215,6 +216,39 @@ def test_batched_loss_is_mean_of_single_losses(seed, sizes):
         assert batch_loss(batch, params, uniform).item() == pytest.approx(
             np.mean(single), abs=1e-9
         )
+
+
+def test_train_lays_the_validation_set_out_once_per_epoch(monkeypatch):
+    # a validation set larger than a batch is encoded once, and that one
+    # layout gives both the validation loss and eval_fn's greedy decode
+    from bddseq import cli, search
+    from bddseq.metrics import kendall_tau
+
+    data = toy_batch(11, (3, 4, 2, 5, 3))
+    val = toy_batch(12, (4, 1, 3, 5, 2))
+    params = toy_params(data, 11)
+    encoded = []
+    encode = M.encode
+
+    def counting(graph, params):
+        encoded.append(graph.num_nodes)
+        return encode(graph, params)
+
+    monkeypatch.setattr(M, "encode", counting)
+    config = M.TrainConfig(epochs=1, batch_size=2, seed=11)
+    _, history, _ = M.train(data, config, params, val_dataset=val, eval_fn=cli._decode_metrics)
+    assert len(encoded) == 3 + 1  # three training batches, then validation
+    assert encoded[-1] == sum(graph.num_nodes for graph, _ in val)
+    row = history[0]
+    with ad.no_grad():
+        singles = [batch_loss([sample], params).item() for sample in val]
+    assert row["val_loss"] == pytest.approx(np.mean(singles), abs=1e-9)
+    taus = [
+        kendall_tau(search.greedy_decode(graph, params), label)
+        for graph, label in val
+        if graph.num_pis >= 2
+    ]
+    assert row["val_tau"] == pytest.approx(np.mean(taus), abs=1e-12)
 
 
 def test_encode_disjoint_union_matches_components():

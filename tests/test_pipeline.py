@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddseq import model as M
-from bddseq import synth
+from bddseq import search, synth
 from bddseq.bdd import VarOrder, brute_force_optimal_order, build_from_netlist
 from bddseq.blif import parse_blif, write_blif
 from bddseq.cli import (
@@ -143,6 +143,20 @@ def test_runconfig_rejects_a_table_width_that_cannot_hold_a_gate(text):
 def test_runconfig_accepts_the_smallest_table_width():
     cfg = RunConfig.from_text("max_table_len = 4\ndecompose_arity = 2\n")
     assert (cfg.max_table_len, cfg.decompose_arity) == (4, 2)
+
+
+@pytest.mark.parametrize(
+    "text, hidden, heads", [("hidden = 10\nheads = 4", 10, 4), ("heads = 3", 64, 3)]
+)
+def test_runconfig_rejects_a_hidden_width_that_heads_does_not_divide(text, hidden, heads):
+    # without this check augment and label would run, and only train would fail
+    with pytest.raises(ValueError, match=f"^hidden {hidden} must be divisible by heads {heads}$"):
+        RunConfig.from_text(f"{text}\n")
+
+
+def test_runconfig_accepts_a_hidden_width_that_heads_divides():
+    cfg = RunConfig.from_text("hidden = 12\nheads = 4\n")
+    assert (cfg.hidden, cfg.heads) == (12, 4)
 
 
 @pytest.mark.parametrize(
@@ -615,8 +629,13 @@ def test_train_skips_one_input_validation_circuits(tmp_path, cfg_file):
     val = _dataset(load_corpus(corpus), cfg, "val")
     assert [g.num_pis for g, _ in val] == [len(nets[2].primary_inputs), 1]
     params = M.load_params(run / "weights.bin")
-    assert _decode_metrics(params, val) == _decode_metrics(params, val[:1])
-    assert _decode_metrics(params, val[1:]) == {}
+
+    def metrics(pairs):
+        graphs, labels = zip(*pairs)
+        return _decode_metrics(params, search.encode(list(graphs), params), labels)
+
+    assert metrics(val) == metrics(val[:1])
+    assert metrics(val[1:]) == {}
 
 
 @pytest.mark.parametrize("split", ["train", "val"])
@@ -675,6 +694,27 @@ def test_eval_skips_circuits_over_the_node_cap(
         assert f"evaluated {kept} test circuits, skipped {len(skipped)} over" in printed.out
 
 
+@pytest.mark.parametrize("command", ["predict", "synth"])
+def test_predict_and_synth_report_the_node_cap(command, trained_run, cfg_file, tmp_path, capsys):
+    # every diagram of pairs6 has more than 4 nodes: the command prints one
+    # error line naming the circuit and the cap, writes nothing and exits 1
+    blif = tmp_path / "pairs6.blif"
+    blif.write_text(PAIRS6_SRC)
+    capped = tmp_path / "cap4.txt"
+    capped.write_text(cfg_file.read_text() + "node_cap = 4\n")
+    orders = tmp_path / "pairs6.order"
+    write_orders(orders, {"pairs6": [f"x{i}" for i in range(6)]})
+    out = tmp_path / "out"
+    args = {
+        "predict": [str(blif), "--weights", str(trained_run / "weights.bin")],
+        "synth": [str(blif), str(orders)],
+    }[command]
+    capsys.readouterr()
+    assert main(["--config", str(capped), command, *args, "--out", str(out)]) == 1
+    assert re.fullmatch(r"error: pairs6: .*node cap.* \(node_cap = 4\)\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_perfect_predictor_scores_one(labeled_corpus, cfg_file, monkeypatch):
     # feeding labels back as predictions must report tau = rho = 1.0
     from bddseq import cli
@@ -682,32 +722,34 @@ def test_perfect_predictor_scores_one(labeled_corpus, cfg_file, monkeypatch):
     corpus = load_corpus(labeled_corpus)
     cfg = RunConfig.load(cfg_file)
     data = _dataset(corpus, cfg, "train")[:3]
-    labels_by_graph = {id(graph): label for graph, label in data}
+    labels = [label for _, label in data]
+    encoded = object()  # stands for the layout of data's graphs
     calls = []
 
-    def perfect(graphs, params):  # the graphs arrive as one batch
-        calls.append(len(graphs))
-        return [labels_by_graph[id(graph)] for graph in graphs]
+    def perfect(batch, params):  # the layout arrives as one batch
+        calls.append(batch)
+        return labels
 
     monkeypatch.setattr(cli.search, "greedy_decode", perfect)
-    metrics = _decode_metrics(None, data)
+    metrics = _decode_metrics(None, encoded, labels)
     assert metrics["val_tau"] == 1.0
     assert metrics["val_rho"] == 1.0
-    assert calls == [sum(graph.num_pis >= 2 for graph, _ in data)]
+    assert calls == [encoded]
 
 
 def test_decode_metrics_without_a_graph_of_two_inputs_is_empty(monkeypatch):
     from bddseq import cli
     from bddseq.graph import FeatureConfig, blif2graph
 
-    def never(graphs, params):
+    def never(batch, params):
         raise AssertionError("nothing to decode")
 
     monkeypatch.setattr(cli.search, "greedy_decode", never)
     one = parse_blif(".model one\n.inputs a\n.outputs o\n.names a o\n0 1\n.end\n")
     graph = blif2graph(one, FeatureConfig())
-    assert _decode_metrics(None, []) == {}
-    assert _decode_metrics(None, [(graph, VarOrder((0,)))] * 3) == {}
+    assert _decode_metrics(None, None, []) == {}
+    params = M.init_params(M.ModelConfig(graph.features.shape[1], hidden=4, layers=1, heads=1))
+    assert _decode_metrics(params, search.encode([graph] * 3, params), [VarOrder((0,))] * 3) == {}
 
 
 def test_predict_reproducible(labeled_corpus, cfg_file, trained_run, tmp_path):

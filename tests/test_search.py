@@ -76,7 +76,7 @@ def test_greedy_score_is_sum_of_log_probs(tri_graph, tri_params):
         tri_graph, tri_params, SearchConfig(beam_width=1, groups=1, alpha=0.0)
     )
     order, score = results[0]
-    lps, _ = M.forward_teacher_forced([(tri_graph, order)], tri_params)
+    lps, _ = M.forward_teacher_forced(M.batch_layout([tri_graph], tri_params), [order], tri_params)
     assert score == pytest.approx(lps.data.sum(), abs=1e-6)
 
 
@@ -98,7 +98,7 @@ def test_batch_of_one_equals_width_one_search_bits(seed):
     (order, score), = search._greedy(encoded, params)
     beam = diverse_beam_search(encoded, params, SearchConfig(beam_width=1, groups=1))
     assert beam == [(order, score)]  # the order and the score's bits
-    assert greedy_decode(graph, params) == order == greedy_decode([graph], params)[0]
+    assert greedy_decode(graph, params) == order == greedy_decode(encoded, params)[0]
 
 
 def mixed_batch(seed):
@@ -135,7 +135,7 @@ def test_batched_greedy_never_picks_a_padded_input(seed, monkeypatch):
         return np.where(pad, 1e6, raw), hidden, cell
 
     monkeypatch.setattr(search, "_advance", padded_first)
-    orders = greedy_decode(graphs, params)
+    orders = greedy_decode(search.encode(graphs, params), params)
     assert [sorted(o.permutation) for o in orders] == [list(range(g.num_pis)) for g in graphs]
     assert sum(padded) > 0
 
@@ -148,8 +148,15 @@ def test_batched_greedy_scores_match_single_graphs(seed):
     for graph, (order, score) in zip(graphs, batched):
         (_, single), = search._greedy(search.encode(graph, params), params)
         assert score == pytest.approx(single, abs=1e-9)
-        lps, _ = M.forward_teacher_forced([(graph, order)], params)
+        lps, _ = M.forward_teacher_forced(M.batch_layout([graph], params), [order], params)
         assert score == pytest.approx(lps.data.sum(), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_of_an_encoded_batch_gives_each_graph_its_order(seed):
+    graphs, params = mixed_batch(seed)
+    orders = greedy_decode(search.encode(graphs, params), params)
+    assert orders == [greedy_decode(graph, params) for graph in graphs]
 
 
 def test_beam_search_takes_one_graph(tri_graph, tri_params):
@@ -160,7 +167,7 @@ def test_beam_search_takes_one_graph(tri_graph, tri_params):
 def test_greedy_of_a_graph_without_inputs_is_empty(tri_graph, tri_params):
     none = blif2graph(parse_blif(".model c\n.outputs o\n.names o\n1\n.end"), FeatureConfig(4))
     assert greedy_decode(none, tri_params) == VarOrder(())
-    empty, order, again = greedy_decode([none, tri_graph, none], tri_params)
+    empty, order, again = greedy_decode(search.encode([none, tri_graph, none], tri_params), tri_params)
     assert empty == again == VarOrder(()) and order == greedy_decode(tri_graph, tri_params)
 
 
@@ -173,7 +180,8 @@ def test_pool_scores_equal_teacher_forced(seed, width):
         graph, params, SearchConfig(beam_width=width, groups=1, alpha=0.0)
     )
     assert len(results) == width
-    lps, _ = M.forward_teacher_forced([(graph, order) for order, _ in results], params)
+    orders = [order for order, _ in results]
+    lps, _ = M.forward_teacher_forced(M.batch_layout([graph] * width, params), orders, params)
     for (_, score), column in zip(results, lps.data.T):
         assert score == pytest.approx(column.sum(), abs=1e-9)
 
