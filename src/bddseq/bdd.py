@@ -4,6 +4,9 @@ Levels index positions in the variable order; the variable tested at a level
 is `order.permutation[level]`. Terminals live at level n. Node counts include
 the terminals and count nodes shared between output roots once.
 
+`apply` takes AND and OR, for construction, and XOR, for the symbolic check
+of a synthesized cascade (`synth.verify_synthesis`).
+
 Reordering has one mechanism, the standard in-place adjacent level swap:
 nodes at the upper level that depend on the lower variable are rewritten in
 place (their identity, and hence all parent references, survive), independent
@@ -45,8 +48,9 @@ FALSE = 0
 TRUE = 1
 EXACT_MAX_INPUTS = 12  # largest input count the exact order search accepts
 
-_AND = "and"
-_OR = "or"
+AND = "and"
+OR = "or"
+XOR = "xor"
 _NOT = "not"
 
 
@@ -73,12 +77,6 @@ class VarOrder:
 
     def position_of(self, var: int) -> int:
         return self.permutation.index(var)
-
-    def inverse(self) -> "VarOrder":
-        inv = [0] * len(self.permutation)
-        for pos, var in enumerate(self.permutation):
-            inv[var] = pos
-        return VarOrder(tuple(inv))
 
     @staticmethod
     def identity(n: int) -> "VarOrder":
@@ -176,7 +174,7 @@ class BddManager:
         return out
 
     def apply(self, op: str, f: int, g: int) -> int:
-        if op == _AND:
+        if op == AND:
             if f == FALSE or g == FALSE:
                 return FALSE
             if f == TRUE:
@@ -185,7 +183,7 @@ class BddManager:
                 return f
             if f == g:
                 return f
-        elif op == _OR:
+        elif op == OR:
             if f == TRUE or g == TRUE:
                 return TRUE
             if f == FALSE:
@@ -194,10 +192,17 @@ class BddManager:
                 return f
             if f == g:
                 return f
+        elif op == XOR:
+            if f == g:
+                return FALSE
+            if f > g:
+                f, g = g, f
+            if f <= TRUE:  # a terminal operand: g itself or its negation
+                return g if f == FALSE else self.apply_not(g)
         else:
             raise ValueError(f"unknown op {op}")
         if f > g:
-            f, g = g, f  # both ops are commutative
+            f, g = g, f  # every op is commutative
         key = (op, f, g)
         hit = self.cache.get(key)
         if hit is not None:
@@ -479,8 +484,8 @@ def build_from_netlist(
                     if ch == "-":
                         continue
                     lit = refs[sig] if ch == "1" else mgr.apply_not(refs[sig])
-                    term = mgr.apply(_AND, term, lit)
-                acc = mgr.apply(_OR, acc, term)
+                    term = mgr.apply(AND, term, lit)
+                acc = mgr.apply(OR, acc, term)
             result = acc if gate.polarity == 1 else mgr.apply_not(acc)
         refs[gate.output] = result
         mgr.protect(result)

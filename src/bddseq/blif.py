@@ -25,9 +25,6 @@ class Cube:
     pattern: str
     output: int
 
-    def matches(self, values) -> bool:
-        return all(p == "-" or p == str(v) for p, v in zip(self.pattern, values))
-
 
 @dataclass
 class LogicGate:
@@ -43,12 +40,6 @@ class LogicGate:
     def polarity(self) -> int:
         """Shared output value of the cover rows; empty cover acts as constant 0."""
         return self.cover[0].output if self.cover else 0
-
-    def eval(self, values) -> int:
-        if not self.cover:
-            return 0
-        hit = any(c.matches(values) for c in self.cover)
-        return self.polarity if hit else 1 - self.polarity
 
     def eval_lanes(self, values, full: int) -> int:
         """Bit-parallel eval: values[k] carries input k in every lane of `full`."""

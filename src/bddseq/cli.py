@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from dataclasses import replace
@@ -314,25 +315,22 @@ def cmd_predict(args, cfg: RunConfig) -> int:
 # -- synth -----------------------------------------------------------------------
 
 
-VERIFY_MAX_INPUTS = 16  # largest input count synthesize_circuit verifies exhaustively
-
-
 def synthesize_circuit(netlist, order, cfg: RunConfig):
     """(circuit, node count, build + synthesis seconds) under `order`.
 
-    Raises RuntimeError when a circuit of at most VERIFY_MAX_INPUTS inputs
-    fails exhaustive verification.
+    Every circuit, of any width, is checked symbolically against the
+    diagrams it was synthesized from (`synth.verify_synthesis`), outside the
+    timed part and the node cap, which judges the diagram, not the check;
+    raises RuntimeError when an output line misses its root.
     """
     prepared = _prepare_netlist(netlist, cfg)
     start = time.perf_counter()
     mgr, roots = bdd.build_from_netlist(prepared, order, node_cap=cfg.node_cap)
     circuit = synth.synthesize(mgr, roots, prepared)
     elapsed = _clock(cfg, start)
-    if len(prepared.primary_inputs) <= VERIFY_MAX_INPUTS:
-        if not synth.verify_synthesis(circuit, prepared):
-            raise RuntimeError(
-                f"synthesized circuit does not match netlist '{netlist.name}'"
-            )
+    mgr.node_cap = math.inf
+    if not synth.verify_synthesis(circuit, mgr, roots, prepared):
+        raise RuntimeError(f"synthesized circuit does not match netlist '{netlist.name}'")
     return circuit, bdd.node_count(mgr, roots), elapsed
 
 
@@ -343,7 +341,11 @@ def cmd_synth(args, cfg: RunConfig) -> int:
         print(f"error: no order for '{netlist.name}' in {args.orders}", file=sys.stderr)
         return 1
     prepared = _prepare_netlist(netlist, cfg)
-    order = names_to_order(prepared, orders[netlist.name])
+    try:
+        order = names_to_order(prepared, orders[netlist.name])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         circuit, nodes, elapsed = synthesize_circuit(netlist, order, cfg)
     except bdd.NodeCapExceeded as exc:

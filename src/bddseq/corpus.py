@@ -235,11 +235,13 @@ def order_to_names(netlist: Netlist, order: VarOrder) -> list[str]:
 
 
 def names_to_order(netlist: Netlist, names) -> VarOrder:
+    """The order `names` gives; ValueError unless it permutes the inputs."""
+    if sorted(names) != sorted(netlist.primary_inputs):
+        raise ValueError(
+            f"{netlist.name}: order '{' '.join(names)}' does not permute the inputs"
+        )
     index = {s: i for i, s in enumerate(netlist.primary_inputs)}
-    try:
-        return VarOrder(tuple(index[s] for s in names))
-    except KeyError as exc:
-        raise ValueError(f"order names {names} do not match netlist inputs") from exc
+    return VarOrder(tuple(index[s] for s in names))
 
 
 # -- CSV reports ----------------------------------------------------------------
@@ -252,17 +254,6 @@ def write_csv(path, header, rows, config: RunConfig) -> None:
     for row in rows:
         writer.writerow(row)
     Path(path).write_text(config.comment_block() + buf.getvalue())
-
-
-def read_csv(path):
-    rows = [
-        line
-        for line in Path(path).read_text().splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
-    reader = csv.reader(rows)
-    header = next(reader)
-    return header, list(reader)
 
 
 def write_jsonl(path, records, config: RunConfig) -> None:

@@ -17,14 +17,19 @@ line, f0/f1 the child results, and T the target line:
 Since exactly one of x / not-x holds, the two terms never overlap and the
 XOR accumulation realizes f = (not-x AND f0) OR (x AND f1). Primary-output
 lines are marked non-garbage; every other line is garbage.
+
+`run_cascade` is the one gate loop, over bit lanes or diagram refs. Run on
+the refs of a circuit's own manager, it checks the circuit at any width.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 
-from .bdd import FALSE, TRUE, BddManager
-from .blif import Netlist, evaluate, exhaustive_columns
+from .bdd import AND, FALSE, TRUE, XOR, BddManager
+from .blif import Netlist
 
 NOT = "t1"
 CNOT = "t2"
@@ -100,32 +105,29 @@ def transistor_cost(circuit: ReversibleCircuit) -> int:
     return sum(TRANSISTORS_PER_CONTROL * len(g.controls) for g in circuit.gates)
 
 
-def run_cascade(circuit: ReversibleCircuit, lines, full: int) -> list[int]:
-    """Run the gates on bit-parallel line values: lines[k] carries line k in
-    every lane of `full` (bit i is its value in lane i)."""
+def run_cascade(circuit: ReversibleCircuit, lines, one, and_, not_, xor) -> list:
+    """Run the gates over bit lanes (bit i of a value is the line in lane i)
+    or diagram refs: lines[k] is line k's start value and `one` is true. Each
+    gate XORs the AND of its control literals into its target."""
     state = list(lines)
     for g in circuit.gates:
-        fire = full
+        fire = one
         for line, pol in g.controls:
-            fire &= state[line] if pol else ~state[line]
-        state[g.target] ^= fire
+            fire = and_(fire, state[line] if pol else not_(state[line]))
+        state[g.target] = xor(state[g.target], fire)
     return state
 
 
-def _start_lines(circuit: ReversibleCircuit, inputs, full: int) -> list[int]:
-    """Initial line values: `inputs` in order on the non-constant lines."""
+def _start_lines(circuit: ReversibleCircuit, inputs, one) -> list:
+    """Start values: `inputs` in order on the non-constant lines, else `one` or FALSE."""
     it = iter(inputs)
-    return [next(it) if c is None else full * c for c in circuit.constants]
+    return [next(it) if c is None else (one if c else FALSE) for c in circuit.constants]
 
 
 def simulate_reversible(circuit: ReversibleCircuit, assignment) -> list[int]:
     """Run the cascade; assignment supplies values for the non-constant lines."""
-    return run_cascade(circuit, _start_lines(circuit, [int(b) for b in assignment], 1), 1)
-
-
-def apply_to_state(circuit: ReversibleCircuit, state) -> list[int]:
-    """Run the cascade on a full line-state vector, ignoring constants."""
-    return run_cascade(circuit, [int(b) for b in state], 1)
+    start = _start_lines(circuit, [int(b) for b in assignment], 1)
+    return run_cascade(circuit, start, 1, operator.and_, operator.invert, operator.xor)
 
 
 def synthesize(
@@ -214,32 +216,21 @@ def synthesize(
     return circuit
 
 
-def verify_synthesis(circuit: ReversibleCircuit, netlist: Netlist) -> bool:
-    """Exhaustive check that PO lines reproduce the netlist on all inputs.
-
-    All 2**n assignments run at once, one per bit lane, through the netlist
-    and through the cascade.
-    """
-    n = len(netlist.primary_inputs)
-    lanes = 1 << n
-    full = (1 << lanes) - 1
-    columns = exhaustive_columns(n)
-    expected = evaluate(netlist, columns, lanes)
-    state = run_cascade(circuit, _start_lines(circuit, columns, full), full)
+def verify_synthesis(
+    circuit: ReversibleCircuit, manager: BddManager, roots, netlist: Netlist
+) -> bool:
+    """Symbolic check, in the manager the circuit was synthesized from, that
+    each primary-output line ends as its root's ref; input line k starts as
+    variable k. ROBDDs are canonical, so the check is complete at any width;
+    it trusts the engine that built the roots. Its nodes stay in the store,
+    where `node_count`, walking from the roots, does not see them."""
+    and_, xor = partial(manager.apply, AND), partial(manager.apply, XOR)
+    start = _start_lines(circuit, map(manager.var, range(manager.n)), TRUE)
+    state = run_cascade(circuit, start, TRUE, and_, manager.apply_not, xor)
     po_lines = {name: i for i, name in enumerate(circuit.output_names) if name is not None}
     return all(
-        state[po_lines[name]] == table
-        for name, table in zip(netlist.primary_outputs, expected)
+        state[po_lines[name]] == ref for name, ref in zip(netlist.primary_outputs, roots)
     )
-
-
-def is_bijection(circuit: ReversibleCircuit) -> bool:
-    """The full line-state map is a permutation of {0,1}^lines."""
-    images = set()
-    for i in range(1 << circuit.lines):
-        state = [(i >> k) & 1 for k in range(circuit.lines)]
-        images.add(tuple(apply_to_state(circuit, state)))
-    return len(images) == 1 << circuit.lines
 
 
 # -- .real format ---------------------------------------------------------------

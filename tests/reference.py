@@ -1,0 +1,82 @@
+"""Reference code the tests check the library against, and small helpers
+that only the tests need.
+
+`exhaustive_verify` is the independent oracle for synthesized circuits. It
+runs every input assignment at once, one per bit lane, through the netlist
+and through the cascade. The library's own check, `synth.verify_synthesis`,
+works on the diagrams the circuit was synthesized from, so it trusts the BDD
+engine; this one does not.
+"""
+
+import csv
+import operator
+from pathlib import Path
+
+from bddseq.bdd import VarOrder
+from bddseq.blif import evaluate, exhaustive_columns
+from bddseq.synth import run_cascade
+
+# the bit-lane algebra's AND, NOT and XOR for `run_cascade`
+LANES = (operator.and_, operator.invert, operator.xor)
+
+
+def exhaustive_verify(circuit, netlist) -> bool:
+    """The primary-output lines reproduce the netlist on all 2**n inputs."""
+    n = len(netlist.primary_inputs)
+    lanes = 1 << n
+    full = (1 << lanes) - 1
+    columns = exhaustive_columns(n)
+    expected = evaluate(netlist, columns, lanes)
+    it = iter(columns)
+    start = [next(it) if c is None else full * c for c in circuit.constants]
+    state = run_cascade(circuit, start, full, *LANES)
+    po_lines = {name: i for i, name in enumerate(circuit.output_names) if name is not None}
+    return all(
+        state[po_lines[name]] == table
+        for name, table in zip(netlist.primary_outputs, expected)
+    )
+
+
+def apply_to_state(circuit, state) -> list[int]:
+    """Run the cascade on a full line-state vector, ignoring constants."""
+    return run_cascade(circuit, [int(b) for b in state], 1, *LANES)
+
+
+def is_bijection(circuit) -> bool:
+    """The full line-state map is a permutation of {0,1}^lines."""
+    images = set()
+    for i in range(1 << circuit.lines):
+        state = [(i >> k) & 1 for k in range(circuit.lines)]
+        images.add(tuple(apply_to_state(circuit, state)))
+    return len(images) == 1 << circuit.lines
+
+
+def inverse(order: VarOrder) -> VarOrder:
+    """The order's variable -> position map, read as an order."""
+    inv = [0] * len(order)
+    for pos, var in enumerate(order):
+        inv[var] = pos
+    return VarOrder(tuple(inv))
+
+
+def gate_eval(gate, values) -> int:
+    """One-bit value of a gate's cover, one cube at a time."""
+    if not gate.cover:
+        return 0
+    hit = any(
+        all(p == "-" or p == str(v) for p, v in zip(cube.pattern, values))
+        for cube in gate.cover
+    )
+    return gate.polarity if hit else 1 - gate.polarity
+
+
+def read_csv(path):
+    """(header, rows) of a report written by `corpus.write_csv`."""
+    rows = [
+        line
+        for line in Path(path).read_text().splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+    reader = csv.reader(rows)
+    header = next(reader)
+    return header, list(reader)

@@ -34,10 +34,11 @@ from bddseq.gen import desk_corpus, random_cover_netlist
 from bddseq.graph import FeatureConfig, blif2graph
 from bddseq.metrics import kendall_tau, spearman_rho
 from bddseq.search import SearchConfig, diverse_beam_search, greedy_decode
-from bddseq.synth import is_bijection, quantum_cost, synthesize, transistor_cost, verify_synthesis
+from bddseq.synth import quantum_cost, synthesize, transistor_cost, verify_synthesis
 
 from tests.conftest import C17_SRC, PAIRS6_SRC, T5_SRC
 from tests.gradcheck import gradient_check, perturb_params
+from tests.reference import exhaustive_verify, inverse, is_bijection
 
 
 @contextmanager
@@ -94,7 +95,7 @@ def test_criterion_01_pair_function_counts():
         assert node_count(mgr, roots) == 8
         # the published scrambled ordering, read as variable -> position;
         # as a level sequence it is x0, x2, x4, x1, x3, x5
-        scrambled = VarOrder((0, 3, 1, 4, 2, 5)).inverse()
+        scrambled = inverse(VarOrder((0, 3, 1, 4, 2, 5)))
         assert scrambled == VarOrder((0, 2, 4, 1, 3, 5))
         mgr, roots = build_from_netlist(net, scrambled)
         assert node_count(mgr, roots) == 16
@@ -290,7 +291,8 @@ def test_criterion_09_synthesis_correctness(desk):
             mgr, roots = build_from_netlist(net, order)
             circuit = synthesize(mgr, roots, net)
             assert n <= 10
-            assert verify_synthesis(circuit, net), net.name
+            assert exhaustive_verify(circuit, net), net.name
+            assert verify_synthesis(circuit, mgr, roots, net), net.name
             if circuit.lines <= 12:
                 assert is_bijection(circuit), net.name
                 bijections += 1
@@ -363,7 +365,7 @@ def test_criterion_10_c17_reproduction():
         order = generate_label_report(net, seed=SEED).order
         mgr, roots = build_from_netlist(net, order)
         circuit = synthesize(mgr, roots, net)
-        assert verify_synthesis(circuit, net)
+        assert exhaustive_verify(circuit, net) and verify_synthesis(circuit, mgr, roots, net)
         got = circuit_counts(circuit)
         print("    metric     got  reference  divergence")
         for key, ref in C17_REFERENCE.items():

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddseq.bdd import (
+    AND,
     EXACT_MAX_INPUTS,
     FALSE,
     HEURISTICS,
+    OR,
     TRUE,
+    XOR,
     BddManager,
     NodeCapExceeded,
     VarOrder,
@@ -28,6 +31,7 @@ from bddseq.bdd import (
 from bddseq.blif import Cube, LogicGate, Netlist, parse_blif, simulate
 from bddseq.gen import desk_corpus, pair_products, random_cover_netlist, read_once_tree
 from bddseq.synth import synthesize, verify_synthesis
+from tests.reference import exhaustive_verify, gate_eval, inverse
 
 NATURAL6 = VarOrder.identity(6)
 # the interleaved order that separates every product's two inputs
@@ -58,7 +62,7 @@ def test_constant_output_count():
 def test_varorder_validation():
     with pytest.raises(ValueError):
         VarOrder((0, 0, 1))
-    assert VarOrder((1, 0)).inverse() == VarOrder((1, 0))
+    assert inverse(VarOrder((1, 0))) == VarOrder((1, 0))
 
 
 def test_build_matches_simulation(pairs6):
@@ -268,7 +272,8 @@ def test_swaps_then_sift_keep_invariants(case):
     mgr.check()
     oracle, oracle_roots = shannon_build(net, mgr.current_order())
     assert mgr.signature(roots) == oracle.signature(oracle_roots)
-    assert verify_synthesis(synthesize(mgr, roots, net), net)
+    circuit = synthesize(mgr, roots, net)
+    assert verify_synthesis(circuit, mgr, roots, net) and exhaustive_verify(circuit, net)
 
 
 def count_swaps(mgr):
@@ -762,6 +767,28 @@ def test_apply_build_structurally_equals_shannon(seed):
     assert mgr.signature(roots) == oracle.signature(oracle_roots)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_xor_apply_matches_and_or_not(seed):
+    # XOR of every pair of the diagram's functions, terminals included, is
+    # the ref AND, OR and NOT compose, and evaluates to the XOR of the two
+    r = random.Random(seed + 600)
+    net = random_cover_netlist(r, r.randint(2, 6), r.randint(2, 8), n_outputs=3)
+    n = len(net.primary_inputs)
+    perm = list(range(n))
+    r.shuffle(perm)
+    mgr, roots = build_from_netlist(net, VarOrder(tuple(perm)))
+    refs = sorted(mgr.reachable(roots))
+    assignments = list(itertools.product((0, 1), repeat=n))
+    for f in refs:
+        for g in refs:
+            h = mgr.apply(XOR, f, g)
+            left = mgr.apply(AND, f, mgr.apply_not(g))
+            right = mgr.apply(AND, mgr.apply_not(f), g)
+            assert h == mgr.apply(OR, left, right)
+            assert all(mgr.eval(h, a) == mgr.eval(f, a) ^ mgr.eval(g, a) for a in assignments)
+    mgr.check()
+
+
 def test_generate_label_optimal(pairs6):
     order = generate_label_report(pairs6, seed=0).order
     mgr, roots = build_from_netlist(pairs6, order)
@@ -901,7 +928,7 @@ def test_truth_tables_match_per_assignment_eval(seed):
     for i in range(1 << n):
         values = {s: (i >> (n - 1 - j)) & 1 for j, s in enumerate(net.primary_inputs)}
         for g in net.topo_gates():
-            values[g.output] = g.eval([values[s] for s in g.inputs])
+            values[g.output] = gate_eval(g, [values[s] for s in g.inputs])
         for k, po in enumerate(net.primary_outputs):
             expected[k] |= values[po] << i
     assert output_truth_tables(net) == (n, expected)

@@ -9,6 +9,7 @@ from bddseq.graph import (
     structural_features,
     truth_table_embedding,
 )
+from tests.reference import gate_eval
 
 
 def test_truth_table_and2_padded():
@@ -37,10 +38,12 @@ def test_truth_table_inverter():
     )
 )
 def test_truth_table_matches_one_bit_eval(case):
-    # covers of either polarity, empty covers included, against LogicGate.eval
+    # covers of either polarity, empty covers included, against the one-bit eval
     n, polarity, patterns = case
     gate = LogicGate([f"i{j}" for j in range(n)], "o", [Cube(p, polarity) for p in patterns])
-    expected = [gate.eval([(i >> (n - 1 - j)) & 1 for j in range(n)]) for i in range(1 << n)]
+    expected = [
+        gate_eval(gate, [(i >> (n - 1 - j)) & 1 for j in range(n)]) for i in range(1 << n)
+    ]
     assert truth_table_embedding(gate, 16).tolist() == expected + [0] * (16 - (1 << n))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -11,10 +12,9 @@ from hypothesis import strategies as st
 
 from bddseq import model as M
 from bddseq import search, synth
-from bddseq.bdd import VarOrder, brute_force_optimal_order, build_from_netlist
+from bddseq.bdd import NodeCapExceeded, VarOrder, brute_force_optimal_order, build_from_netlist
 from bddseq.blif import parse_blif, write_blif
 from bddseq.cli import (
-    VERIFY_MAX_INPUTS,
     _dataset,
     _decode_metrics,
     main,
@@ -27,7 +27,6 @@ from bddseq.corpus import (
     load_corpus,
     names_to_order,
     order_to_names,
-    read_csv,
     read_manifest,
     read_orders,
     split_of,
@@ -36,6 +35,7 @@ from bddseq.corpus import (
 )
 from bddseq.gen import desk_corpus, read_once_tree
 from tests.conftest import PAIRS6_SRC, mutated, mutated_bytes, mutated_lines
+from tests.reference import read_csv
 
 
 def write_sources(path: Path, count=8, seed=11, **kw):
@@ -293,8 +293,27 @@ def test_order_name_translation(pairs6):
     order = VarOrder((3, 1, 0, 2, 4, 5))
     names = order_to_names(pairs6, order)
     assert names_to_order(pairs6, names) == order
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairs6: .* does not permute the inputs"):
         names_to_order(pairs6, ["nope"] * 6)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        "x5 x5 x4 x3 x2 x1",  # a name twice, one missing
+        "x5",  # too short
+        "zz x4 x3 x2 x1 x0",  # an unknown name
+    ],
+)
+def test_synth_rejects_order_that_does_not_permute_inputs(tmp_path, capsys, names):
+    blif = tmp_path / "pairs6.blif"
+    blif.write_text(PAIRS6_SRC)
+    orders = tmp_path / "orders.txt"
+    orders.write_text(f"pairs6 {names}\n")
+    assert main(["synth", str(blif), str(orders), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: pairs6: order '{names}' does not permute the inputs\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_augment_zero_variants_copies_only(tmp_path, cfg_file):
@@ -512,10 +531,12 @@ def test_synth_command(labeled_corpus, cfg_file, trained_run, tmp_path):
     assert rows[0][6] == "0.000000"  # record_times = false
 
 
-@pytest.mark.parametrize("extra", [0, 1])
-def test_synthesis_verified_up_to_guard(monkeypatch, extra):
-    n = VERIFY_MAX_INPUTS + extra
+@pytest.mark.parametrize("n", [16, 17, 24])
+def test_synthesis_verified_at_every_width(monkeypatch, n):
+    # 16 inputs was the widest the exhaustive check covered
     net = read_once_tree(random.Random(n), n)
+    cfg = RunConfig(record_times=False)
+    synthesize_circuit(net, VarOrder.identity(n), cfg)  # the circuit as synthesized passes
     real_synthesize = synth.synthesize
 
     def drop_one_gate(*args):
@@ -524,13 +545,23 @@ def test_synthesis_verified_up_to_guard(monkeypatch, extra):
         return circuit
 
     monkeypatch.setattr(synth, "synthesize", drop_one_gate)
-    cfg = RunConfig(record_times=False)
-    if extra == 0:
-        with pytest.raises(RuntimeError, match="does not match"):
-            synthesize_circuit(net, VarOrder.identity(n), cfg)
-    else:
-        circuit, _, _ = synthesize_circuit(net, VarOrder.identity(n), cfg)
-        assert not synth.verify_synthesis(circuit, net)  # wrong, yet returned
+    with pytest.raises(RuntimeError, match="does not match"):
+        synthesize_circuit(net, VarOrder.identity(n), cfg)
+
+
+def test_node_cap_judges_the_diagram_not_its_check(t5):
+    # at the smallest cap the diagram is built under, the check's own nodes
+    # pass the cap; synthesis verifies and returns all the same
+    order = VarOrder.identity(len(t5.primary_inputs))
+    for cap in itertools.count(1):
+        try:
+            mgr, roots = build_from_netlist(t5, order, node_cap=cap)
+            break
+        except NodeCapExceeded:
+            pass
+    with pytest.raises(NodeCapExceeded):
+        synth.verify_synthesis(synth.synthesize(mgr, roots, t5), mgr, roots, t5)
+    synthesize_circuit(t5, order, RunConfig(node_cap=cap, record_times=False))
 
 
 def test_eval_report_totals_and_refusal(labeled_corpus, cfg_file, trained_run, tmp_path, capsys):

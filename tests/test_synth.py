@@ -1,16 +1,19 @@
+import inspect
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bddseq import synth
 from bddseq.bdd import VarOrder, build_from_netlist, node_count
 from bddseq.blif import parse_blif
-from bddseq.gen import random_cover_netlist
+from bddseq.gen import pair_products, random_cover_netlist, read_once_tree
 from bddseq.synth import (
     RealFormatError,
     ReversibleCircuit,
     RevGate,
-    is_bijection,
     quantum_cost,
     read_real,
     simulate_reversible,
@@ -20,30 +23,39 @@ from bddseq.synth import (
     write_real,
 )
 from tests.conftest import C17_SRC, mutated
+from tests.reference import apply_to_state, exhaustive_verify, gate_eval, is_bijection
+
+
+def build_and_synth(net, order=None):
+    """(manager, roots, circuit) under `order`, the declaration order by default."""
+    mgr, roots = build_from_netlist(net, order or VarOrder.identity(len(net.primary_inputs)))
+    return mgr, roots, synthesize(mgr, roots, net)
 
 
 def synth_for(net, order=None):
-    n = len(net.primary_inputs)
-    order = order or VarOrder.identity(n)
-    mgr, roots = build_from_netlist(net, order)
-    return synthesize(mgr, roots, net)
+    return build_and_synth(net, order)[2]
+
+
+def verdicts(circuit, net, mgr, roots):
+    """(symbolic verdict in the diagram's manager, exhaustive oracle's verdict)."""
+    return verify_synthesis(circuit, mgr, roots, net), exhaustive_verify(circuit, net)
 
 
 def test_constant_one_output():
     net = parse_blif(".model t\n.inputs a\n.outputs one\n.names one\n1\n.end")
-    circuit = synth_for(net)
+    mgr, roots, circuit = build_and_synth(net)
     assert circuit.lines == 2  # the input line plus one constant-0 ancilla
     assert [g.kind for g in circuit.gates] == ["t1"]
-    assert verify_synthesis(circuit, net)
+    assert verdicts(circuit, net, mgr, roots) == (True, True)
 
 
 def test_identity_function_reuses_input_line():
     net = parse_blif(".model t\n.inputs a\n.outputs o\n.names a o\n1 1\n.end")
-    circuit = synth_for(net)
+    mgr, roots, circuit = build_and_synth(net)
     assert circuit.lines == 1
     assert circuit.gates == []
     assert circuit.output_names[0] == "o"
-    assert verify_synthesis(circuit, net)
+    assert verdicts(circuit, net, mgr, roots) == (True, True)
 
 
 def test_simulate_reversible_empty_identity():
@@ -119,16 +131,14 @@ def test_random_synthesis_verifies(seed):
     net = random_cover_netlist(r, r.randint(2, 7), r.randint(2, 8))
     order_perm = list(range(len(net.primary_inputs)))
     r.shuffle(order_perm)
-    circuit = synth_for(net, VarOrder(tuple(order_perm)))
-    assert verify_synthesis(circuit, net)
+    mgr, roots, circuit = build_and_synth(net, VarOrder(tuple(order_perm)))
+    assert verdicts(circuit, net, mgr, roots) == (True, True)
     if circuit.lines <= 12:
         assert is_bijection(circuit)
 
 
 def test_large_circuit_collision_spot_check():
     # beyond 12 lines, reversibility is spot-checked by random collisions
-    from bddseq.synth import apply_to_state
-
     r = random.Random(7)
     net = random_cover_netlist(r, 8, 12, max_arity=3, n_outputs=3)
     circuit = synth_for(net)
@@ -226,10 +236,11 @@ def test_bdd_size_correlates_with_quantum_cost():
 
 
 def test_pair_function_order_affects_cost(pairs6):
-    good = synth_for(pairs6, VarOrder.identity(6))
-    bad = synth_for(pairs6, VarOrder((0, 2, 4, 1, 3, 5)))
-    assert quantum_cost(good) < quantum_cost(bad)
-    assert verify_synthesis(good, pairs6) and verify_synthesis(bad, pairs6)
+    good = build_and_synth(pairs6, VarOrder.identity(6))
+    bad = build_and_synth(pairs6, VarOrder((0, 2, 4, 1, 3, 5)))
+    assert quantum_cost(good[2]) < quantum_cost(bad[2])
+    for mgr, roots, circuit in (good, bad):
+        assert verdicts(circuit, pairs6, mgr, roots) == (True, True)
 
 
 def reference_verify(circuit, net):
@@ -240,7 +251,7 @@ def reference_verify(circuit, net):
         bits = [(i >> (n - 1 - j)) & 1 for j in range(n)]
         values = dict(zip(net.primary_inputs, bits))
         for g in net.topo_gates():
-            values[g.output] = g.eval([values[s] for s in g.inputs])
+            values[g.output] = gate_eval(g, [values[s] for s in g.inputs])
         it = iter(bits)
         state = [next(it) if c is None else c for c in circuit.constants]
         for g in circuit.gates:
@@ -255,18 +266,117 @@ def reference_verify(circuit, net):
 def test_gate_deletion_verdicts_match_reference(seed):
     r = random.Random(seed + 500)
     net = random_cover_netlist(r, r.randint(2, 6), r.randint(2, 8), n_outputs=r.randint(1, 3))
-    circuit = synth_for(net)
-    assert verify_synthesis(circuit, net) and reference_verify(circuit, net)
+    mgr, roots, circuit = build_and_synth(net)
+    assert verdicts(circuit, net, mgr, roots) == (True, True) and reference_verify(circuit, net)
     for k in range(len(circuit.gates)):
-        mutant = ReversibleCircuit(
-            circuit.lines,
-            circuit.line_names,
-            circuit.constants,
-            circuit.garbage,
-            circuit.output_names,
-            circuit.gates[:k] + circuit.gates[k + 1 :],
-        )
-        assert verify_synthesis(mutant, net) == reference_verify(mutant, net), k
+        mutant = replace(circuit, gates=circuit.gates[:k] + circuit.gates[k + 1 :])
+        expected = reference_verify(mutant, net)
+        assert verdicts(mutant, net, mgr, roots) == (expected, expected), k
+
+
+@st.composite
+def edited_circuits(draw):
+    """(netlist, order, edit, pick): a random netlist of 1 to 16 inputs, an
+    order, and no edit, a dropped gate or one control's polarity flipped, on
+    the gate `pick` selects (`edit_circuit`)."""
+    r = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["cover", "tree", "pairs"] if n >= 4 else ["cover"]))
+    if kind == "cover":
+        net = random_cover_netlist(r, n, r.randint(1, 2 * n + 2), n_outputs=r.randint(1, 3))
+    elif kind == "tree":
+        net = read_once_tree(r, n)
+    else:
+        net = pair_products(r, n // 2)
+    order = VarOrder(tuple(draw(st.permutations(range(len(net.primary_inputs))))))
+    edit = draw(st.sampled_from(["none", "drop", "flip"]))
+    return net, order, edit, draw(st.integers(0, 10**6))
+
+
+def edit_circuit(circuit, edit, pick):
+    """The circuit with gate `pick` dropped, or the first control of the
+    `pick`-th controlled gate flipped; unedited when there is no such gate."""
+    gates = list(circuit.gates)
+    controlled = [k for k, g in enumerate(gates) if g.controls]
+    if edit == "drop" and gates:
+        del gates[pick % len(gates)]
+    elif edit == "flip" and controlled:
+        k = controlled[pick % len(controlled)]
+        (line, pol), *rest = gates[k].controls
+        gates[k] = RevGate(((line, not pol), *rest), gates[k].target)
+    return replace(circuit, gates=gates)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edited_circuits())
+def test_symbolic_verdict_agrees_with_exhaustive_oracle(case):
+    net, order, edit, pick = case
+    mgr, roots, circuit = build_and_synth(net, order)
+    mutant = edit_circuit(circuit, edit, pick)
+    symbolic, exhaustive = verdicts(mutant, net, mgr, roots)
+    assert symbolic == exhaustive
+    if mutant == circuit:
+        assert symbolic
+
+
+# Single-template mutations of `synthesize`: each edits one template of the
+# synth.py docstring's table. Every one changes the function of some line.
+# The literal-node mutation gives the node a fresh line but keeps the
+# template's empty gate list; the changed low=1 template negates its CNOT's
+# control, so the line carries x instead of not-x.
+LOW_ONE = "            gates.append(RevGate(((x, True),), target))\n        elif low != FALSE:"
+LOW_G = "            gates.append(RevGate(((x, False), (node_line[low], True)), target))\n"
+HIGH_ONE = "            gates.append(RevGate(((x, True),), target))\n        elif high != FALSE:"
+HIGH_G = "            gates.append(RevGate(((x, True), (node_line[high], True)), target))\n"
+EXTRA_NOT = "            gates.append(RevGate((), target))\n"
+TEMPLATE_MUTATIONS = {
+    "extra NOT after low=1": (LOW_ONE, LOW_ONE.replace("\n", "\n" + EXTRA_NOT, 1)),
+    "extra NOT after low=g": (LOW_G, LOW_G + EXTRA_NOT),
+    "extra NOT after high=1": (HIGH_ONE, HIGH_ONE.replace("\n", "\n" + EXTRA_NOT, 1)),
+    "extra NOT after high=g": (HIGH_G, HIGH_G + EXTRA_NOT),
+    "a line for literal nodes": (
+        "node_line[ref] = x  # the function is the variable itself",
+        'node_line[ref] = new_line(f"w{len(node_line)}", 0)',
+    ),
+    "changed low=1 template": (LOW_ONE, LOW_ONE.replace("(x, True)", "(x, False)")),
+}
+
+
+def mutant_synthesize(old, new):
+    """`synthesize` compiled from its source with one edit."""
+    source = inspect.getsource(synth.synthesize)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(synth))
+    exec(source.replace(old, new), namespace)
+    return namespace["synthesize"]
+
+
+# Under the order a, b, c every template occurs: f = not(a and b) takes low=1
+# at a and at not-b, and high=g at a; g = a ? b : c takes low=g and high=g
+# with two literal nodes; h = a or c takes high=1.
+TEMPLATES_SRC = """\
+.model templates
+.inputs a b c
+.outputs f g h
+.names a b f
+11 0
+.names a b c g
+11- 1
+0-1 1
+.names a c h
+1- 1
+-1 1
+.end
+"""
+
+
+@pytest.mark.parametrize("mutation", list(TEMPLATE_MUTATIONS))
+def test_template_mutations_fail_symbolic_check(mutation):
+    net = parse_blif(TEMPLATES_SRC)
+    mgr, roots = build_from_netlist(net, VarOrder.identity(3))
+    circuit = mutant_synthesize(*TEMPLATE_MUTATIONS[mutation])(mgr, roots, net)
+    assert circuit != synthesize(mgr, roots, net)
+    assert verdicts(circuit, net, mgr, roots) == (False, False)
 
 
 def test_read_real_undeclared_line_is_typed():
