@@ -3,7 +3,8 @@
 Parses the combinational subset of BLIF (`.model`, `.inputs`, `.outputs`,
 `.names`, `.end`), validates and simulates netlists, and provides the two
 structural transforms used for dataset augmentation: random signal negation
-and fan-in bounding by gate decomposition.
+and fan-in bounding, which splits each wide cover into the AND of each
+cube's literals and the OR of the cubes.
 
 Sequential constructs (`.latch`, `.subckt`, multi-model files) are rejected.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 
 class BlifError(Exception):
@@ -319,152 +321,87 @@ class _Namer:
                 return cand
 
 
-def _pairwise_tree(literals, kind, output, polarity, namer, sink):
-    """Reduce [(signal, required_bit)] with a balanced binary AND/OR tree.
-
-    kind selects the two-input cover shape; the root gate drives `output`
-    with the requested cover polarity, inner nodes are plain positive gates.
-    """
-    level = list(literals)
-    while len(level) > 2:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            (sa, ba), (sb, bb) = level[i], level[i + 1]
-            t = namer.fresh(output)
-            if kind == "and":
-                cover = [Cube(f"{ba}{bb}", 1)]
-            else:
-                cover = [Cube(f"{ba}-", 1), Cube(f"-{bb}", 1)]
-            sink.append(LogicGate([sa, sb], t, cover))
-            nxt.append((t, "1"))
-        if len(level) % 2 == 1:
-            nxt.append(level[-1])
-        level = nxt
-    if len(level) == 1:
-        sig, bit = level[0]
-        sink.append(LogicGate([sig], output, [Cube(bit, polarity)]))
-        return
-    (sa, ba), (sb, bb) = level
-    if kind == "and":
-        cover = [Cube(f"{ba}{bb}", polarity)]
-    else:
-        cover = [Cube(f"{ba}-", polarity), Cube(f"-{bb}", polarity)]
-    sink.append(LogicGate([sa, sb], output, cover))
-
-
 def _constant_gate(output: str, value: int) -> LogicGate:
     return LogicGate([], output, [Cube("", 1)] if value else [])
 
 
+def _reduce(terms, rows, output, polarity, max_arity, fresh, sink) -> str:
+    """Combine [(signal, required_bit)] into `output`, level by level.
+
+    Each level joins runs of up to max_arity terms in one gate; rows(bits,
+    polarity) gives that gate's cover. Inner gates are positive and the root
+    drives `output` with the requested polarity.
+    """
+    while len(terms) > max_arity:
+        level = []
+        for i in range(0, len(terms), max_arity):
+            group = terms[i : i + max_arity]
+            if len(group) > 1:
+                t = fresh()
+                cover = rows([b for _, b in group], 1)
+                sink.append(LogicGate([s for s, _ in group], t, cover))
+                group = [(t, "1")]
+            level += group
+        terms = level
+    cover = rows([b for _, b in terms], polarity)
+    sink.append(LogicGate([s for s, _ in terms], output, cover))
+    return output
+
+
+def _and_rows(bits, polarity):
+    return [Cube("".join(bits), polarity)]
+
+
+def _or_rows(bits, polarity):
+    return [Cube("-" * i + b + "-" * (len(bits) - i - 1), polarity) for i, b in enumerate(bits)]
+
+
 def _decompose_gate(gate: LogicGate, max_arity: int, namer, sink) -> None:
-    """Emit gates of arity <= max_arity computing gate's function into sink."""
+    """Emit gates of arity <= max_arity computing gate's function into sink.
+
+    The cover is a sum of products: each cube's care literals are ANDed and
+    the cube terms ORed; a single cube's AND is the root itself.
+    """
     if gate.arity <= max_arity:
         sink.append(gate)
         return
     pol = gate.polarity
-    if not gate.cover:
+    # repeated cubes would list one input twice in the OR
+    cubes = [
+        [(s, b) for s, b in zip(gate.inputs, p) if b != "-"]
+        for p in dict.fromkeys(c.pattern for c in gate.cover)
+    ]
+    literals = {lits[0] for lits in cubes if len(lits) == 1}
+    if not cubes:
         sink.append(_constant_gate(gate.output, 0))
         return
-    if any(set(c.pattern) <= {"-"} for c in gate.cover):
-        sink.append(_constant_gate(gate.output, pol))
+    if not all(cubes) or len({s for s, _ in literals}) < len(literals):
+        sink.append(_constant_gate(gate.output, pol))  # a true cube, or x or not-x
         return
 
-    if len(gate.cover) == 1:
-        # single cube: a conjunction of literals
-        pat = gate.cover[0].pattern
-        lits = [(gate.inputs[i], pat[i]) for i in range(gate.arity) if pat[i] != "-"]
-        if len(lits) <= max_arity:
-            sink.append(
-                LogicGate(
-                    [s for s, _ in lits],
-                    gate.output,
-                    [Cube("".join(b for _, b in lits), pol)],
-                )
-            )
-        else:
-            _pairwise_tree(lits, "and", gate.output, pol, namer, sink)
+    fresh = partial(namer.fresh, gate.output)
+    if len(cubes) == 1:
+        _reduce(cubes[0], _and_rows, gate.output, pol, max_arity, fresh, sink)
         return
-
-    care_counts = [sum(ch != "-" for ch in c.pattern) for c in gate.cover]
-    if all(c == 1 for c in care_counts):
-        # one care literal per cube: a disjunction of literals
-        lits = []
-        for c in gate.cover:
-            i = next(k for k, ch in enumerate(c.pattern) if ch != "-")
-            lit = (gate.inputs[i], c.pattern[i])
-            if lit not in lits:
-                lits.append(lit)
-        by_sig: dict[str, set[str]] = {}
-        for s, b in lits:
-            by_sig.setdefault(s, set()).add(b)
-        if any(len(bits) == 2 for bits in by_sig.values()):
-            sink.append(_constant_gate(gate.output, pol))  # x or not-x: constant
-            return
-        if len(lits) == 1:
-            s, b = lits[0]
-            sink.append(LogicGate([s], gate.output, [Cube(b, pol)]))
-        elif len(lits) <= max_arity:
-            rows = []
-            for i, (_, b) in enumerate(lits):
-                rows.append(Cube("-" * i + b + "-" * (len(lits) - i - 1), pol))
-            sink.append(LogicGate([s for s, _ in lits], gate.output, rows))
-        else:
-            _pairwise_tree(lits, "or", gate.output, pol, namer, sink)
-        return
-
-    # general cover: Shannon expansion on the first input
-    x = gate.inputs[0]
-    legs = []
-    for bit in ("0", "1"):
-        rows = [
-            Cube(c.pattern[1:], pol)
-            for c in gate.cover
-            if c.pattern[0] in (bit, "-")
-        ]
-        branch = namer.fresh(gate.output)
-        if not rows:
-            sink.append(_constant_gate(branch, 1 - pol))
-            const_val = 1 - pol
-        elif any(set(c.pattern) <= {"-"} for c in rows):
-            sink.append(_constant_gate(branch, pol))
-            const_val = pol
-        else:
-            _decompose_gate(
-                LogicGate(gate.inputs[1:], branch, rows), max_arity, namer, sink
-            )
-            const_val = None
-        legs.append((bit, branch, const_val))
-
-    leg_signals = []
-    for bit, branch, const_val in legs:
-        if const_val == 0:
-            continue
-        if const_val == 1:
-            # branch contributes the bare selector literal
-            leg_signals.append((x, bit))
-            continue
-        t = namer.fresh(gate.output)
-        sink.append(LogicGate([x, branch], t, [Cube(f"{bit}1", 1)]))
-        leg_signals.append((t, "1"))
-
-    if not leg_signals:
-        sink.append(_constant_gate(gate.output, 0))
-    elif len(leg_signals) == 1:
-        s, b = leg_signals[0]
-        sink.append(LogicGate([s], gate.output, [Cube(b, 1)]))
-    else:
-        (sa, ba), (sb, bb) = leg_signals
-        sink.append(
-            LogicGate([sa, sb], gate.output, [Cube(f"{ba}-", 1), Cube(f"-{bb}", 1)])
-        )
+    terms = []
+    for lits in cubes:
+        if len(lits) > 1:
+            lits = [(_reduce(lits, _and_rows, fresh(), 1, max_arity, fresh, sink), "1")]
+        terms += lits
+    _reduce(terms, _or_rows, gate.output, pol, max_arity, fresh, sink)
 
 
 def bound_fanin(netlist: Netlist, max_arity: int) -> Netlist:
     """Rewrite the netlist so every gate has at most max_arity inputs.
 
-    Conjunctive/disjunctive covers become balanced binary trees; other covers
-    are Shannon-expanded on their first input. The result is simulation
-    equivalent to the source netlist.
+    A wider gate's cover is read as a sum of products: each cube's care
+    literals are ANDed and the cube terms ORed, both reduced level by level
+    in gates of at most max_arity inputs. Inner gates are positive and the
+    root carries the cover's polarity. A cover that is constant (empty, with
+    an all-dash cube, or with x and not-x among its one-literal cubes)
+    becomes one constant gate. A gate that fits is kept as it is, and so is
+    the netlist when every gate fits. The result is simulation equivalent to
+    the source netlist.
     """
     if max_arity < 2:
         raise ValueError("max_arity must be at least 2")

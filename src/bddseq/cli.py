@@ -195,8 +195,12 @@ def _decode_metrics(params, encoded, labels):
 
 def cmd_train(args, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus)
-    train_set = _dataset(corpus, cfg, "train")
-    val_set = _dataset(corpus, cfg, "val")
+    try:
+        train_set = _dataset(corpus, cfg, "train")
+        val_set = _dataset(corpus, cfg, "val")
+    except ValueError as exc:  # a label line that does not permute the inputs
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not train_set:
         print("error: no labeled training circuits", file=sys.stderr)
         return 1
@@ -425,7 +429,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         netlist = _prepare_netlist(corpus.load_netlist(entry), cfg)
         n = len(netlist.primary_inputs)
         label_names = corpus.labels.get(entry.circuit_id)
-        label = names_to_order(netlist, label_names) if label_names else None
+        try:
+            label = names_to_order(netlist, label_names) if label_names else None
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         try:
             report = _label_report(netlist, cfg)
             ordered = [

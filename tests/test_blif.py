@@ -11,6 +11,8 @@ from bddseq.blif import (
     LogicGate,
     Netlist,
     bound_fanin,
+    evaluate,
+    exhaustive_columns,
     negate_random_signals,
     parse_blif,
     simulate,
@@ -180,14 +182,73 @@ def test_bound_fanin_shannon_on_general_cover():
         assert simulate(small, a) == simulate(net, a)
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_bound_fanin_random_equivalence(seed):
+def same_function(a, b):
+    n = len(a.primary_inputs)
+    columns = exhaustive_columns(n)
+    return evaluate(a, columns, 1 << n) == evaluate(b, columns, 1 << n)
+
+
+# bound 2 keeps the plain seed ids, so those cases keep their names
+@pytest.mark.parametrize(
+    "seed, bound",
+    [
+        pytest.param(seed, bound, id=str(seed) if bound == 2 else f"{seed}-bound{bound}")
+        for bound in (2, 3, 4, 5)
+        for seed in range(25)
+    ],
+)
+def test_bound_fanin_random_equivalence(seed, bound):
     r = random.Random(seed)
-    net = random_cover_netlist(r, r.randint(3, 7), r.randint(2, 8), max_arity=6)
-    small = bound_fanin(net, 2)
-    assert all(g.arity <= 2 for g in small.gates)
-    for a in all_assignments(len(net.primary_inputs)):
-        assert simulate(small, a) == simulate(net, a)
+    net = random_cover_netlist(r, r.randint(3, 8), r.randint(2, 8), max_arity=8)
+    small = bound_fanin(net, bound)
+    assert all(g.arity <= bound for g in small.gates)
+    assert same_function(small, net)
+
+
+def wide_cover(n_inputs, n_cubes):
+    """One gate over every input with n_cubes random cubes of one polarity."""
+    rng = random.Random(0)
+    pis = [f"x{i}" for i in range(n_inputs)]
+    patterns = sorted(
+        {"".join(rng.choice("01-") for _ in pis) for _ in range(n_cubes)}
+    )
+    polarity = rng.randint(0, 1)
+    gate = LogicGate(pis, "o", [Cube(p, polarity) for p in patterns])
+    return Netlist("wide", pis, ["o"], [gate])
+
+
+@pytest.mark.parametrize("bound", [2, 4])
+@pytest.mark.parametrize("n_inputs, n_cubes", [(6, 8), (6, 16), (10, 5), (12, 12), (16, 16)])
+def test_bound_fanin_size_is_literals_plus_cubes(n_inputs, n_cubes, bound):
+    # a sum of products needs at most one gate per care literal and per cube
+    net = wide_cover(n_inputs, n_cubes)
+    cover = net.gates[0].cover
+    care = sum(ch != "-" for c in cover for ch in c.pattern)
+    small = bound_fanin(net, bound)
+    assert all(g.arity <= bound for g in small.gates)
+    assert len(small.gates) <= care + len(cover)
+    assert same_function(small, net)
+
+
+@pytest.mark.parametrize(
+    "rows, value",
+    [
+        ([], 0),
+        (["11--- 1", "----- 1"], 1),
+        (["----- 0", "0-1-- 0"], 0),
+        (["1---- 1", "--11- 1", "0---- 1"], 1),
+        (["-0--- 0", "-1--- 0", "1-1-1 0"], 0),
+    ],
+    ids=["empty", "all-dash", "all-dash-negative", "x-or-not-x", "x-or-not-x-negative"],
+)
+def test_bound_fanin_constant_covers_above_the_bound(rows, value):
+    src = ".model t\n.inputs a b c d e\n.outputs o\n.names a b c d e o\n"
+    net = parse_blif(src + "".join(r + "\n" for r in rows) + ".end")
+    small = bound_fanin(net, 4)
+    [gate] = small.gates
+    assert gate.arity == 0 and gate.output == "o"
+    assert simulate(small, [0] * 5) == (value,)
+    assert same_function(small, net)
 
 
 def test_write_blif_and2(and2):

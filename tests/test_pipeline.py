@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bddseq import model as M
 from bddseq import search, synth
 from bddseq.bdd import NodeCapExceeded, VarOrder, brute_force_optimal_order, build_from_netlist
-from bddseq.blif import parse_blif, write_blif
+from bddseq.blif import evaluate, exhaustive_columns, parse_blif, write_blif
 from bddseq.cli import (
     _dataset,
     _decode_metrics,
@@ -314,6 +314,78 @@ def test_synth_rejects_order_that_does_not_permute_inputs(tmp_path, capsys, name
     err = capsys.readouterr().err
     assert err == f"error: pairs6: order '{names}' does not permute the inputs\n"
     assert not (tmp_path / "out").exists()
+
+
+BAD_PAIRS6_LABEL = "x5 x5 x4 x3 x2 x1"
+
+
+def bad_label_corpus(tmp_path, cfg_file, split):
+    """Three tree circuits for train and val, and pairs6 in `split` with a
+    label that names x5 twice."""
+    corpus = tmp_path / "corpus"
+    (corpus / "blif").mkdir(parents=True)
+    nets = desk_corpus(3, seed=5, min_pis=4, max_pis=5) + [parse_blif(PAIRS6_SRC)]
+    entries = []
+    for net, net_split in zip(nets, ("train", "train", "val", split)):
+        path = f"blif/{net.name}.blif"
+        (corpus / path).write_text(write_blif(net))
+        entries.append(CorpusEntry(net.name, path, path, "copy", net_split))
+    write_manifest(corpus / "manifest.csv", entries, RunConfig.load(cfg_file))
+    labels = {net.name: net.primary_inputs for net in nets}
+    labels["pairs6"] = BAD_PAIRS6_LABEL.split()
+    write_orders(corpus / "labels.txt", labels)
+    return corpus
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_rejects_label_that_does_not_permute_inputs(tmp_path, cfg_file, capsys, split):
+    corpus = bad_label_corpus(tmp_path, cfg_file, split)
+    run = tmp_path / "run"
+    assert main(["--config", str(cfg_file), "train", str(corpus), "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: pairs6: order '{BAD_PAIRS6_LABEL}' does not permute the inputs\n"
+    assert not run.exists()
+
+
+def test_eval_rejects_label_that_does_not_permute_inputs(tmp_path, cfg_file, capsys):
+    corpus = bad_label_corpus(tmp_path, cfg_file, "test")
+    cfg = RunConfig.load(cfg_file)
+    feature_dim = _dataset(load_corpus(corpus), cfg, "train")[0][0].features.shape[1]
+    weights = tmp_path / "weights.bin"
+    mconfig = M.ModelConfig(feature_dim, cfg.hidden, cfg.layers, cfg.heads)
+    M.save_params(M.init_params(mconfig, seed=0), weights)
+    out = tmp_path / "eval"
+    assert main(
+        ["--config", str(cfg_file), "eval", str(corpus), "--weights", str(weights),
+         "--out", str(out)]
+    ) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: pairs6: order '{BAD_PAIRS6_LABEL}' does not permute the inputs\n"
+    assert not (out / "eval_report.csv").exists()
+
+
+def test_augment_bounds_a_wide_general_cover(tmp_path):
+    # one 6-input cover of four cubes, above the default decompose_arity of 4
+    src = tmp_path / "src"
+    src.mkdir()
+    source = parse_blif(
+        ".model wide6\n.inputs a b c d e f\n.outputs o\n.names a b c d e f o\n"
+        "11-0-- 1\n-0-11- 1\n0--1-1 1\n--1-01 1\n.end\n"
+    )
+    (src / "wide6.blif").write_text(write_blif(source))
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(
+        "seed = 7\nvariants_per_circuit = 1\nnegations_per_variant = 0\nrecord_times = false\n"
+    )
+    cfg = RunConfig.load(cfg_file)
+    out = tmp_path / "corpus"
+    assert main(["--config", str(cfg_file), "augment", str(src), "--out", str(out)]) == 0
+    [variant] = [e for e in read_manifest(out / "manifest.csv") if e.transform != "copy"]
+    net = parse_blif((out / variant.path).read_text())
+    assert len(net.gates) > 1
+    assert all(g.arity <= cfg.decompose_arity for g in net.gates)
+    columns = exhaustive_columns(6)
+    assert evaluate(net, columns, 64) == evaluate(source, columns, 64)
 
 
 def test_augment_zero_variants_copies_only(tmp_path, cfg_file):
