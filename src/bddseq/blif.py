@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 
 class BlifError(Exception):
@@ -218,6 +219,14 @@ def parse_blif(text: str) -> Netlist:
     )
     netlist.validate()
     return netlist
+
+
+def read_blif(path) -> Netlist:
+    """Parse the BLIF file at `path`; its BlifError names the file."""
+    try:
+        return parse_blif(Path(path).read_text())
+    except BlifError as exc:
+        raise BlifError(f"{path}: {exc}") from None
 
 
 def write_blif(netlist: Netlist) -> str:

@@ -4,6 +4,13 @@ Each command reads an optional flat key=value config file, embeds the
 resolved configuration into every artifact it writes, and is deterministic
 for a fixed config and seed (wall-time columns excepted; disable
 record_times to make those reproducible too).
+
+Commands fail only by raising. `main` reports bad input (a malformed or
+missing file, an out-of-range setting, a request the corpus cannot serve)
+as one `error: ...` line on stderr and exit code 1. A problem with one
+circuit of a corpus is a warning, not a failure: `augment` skips a source
+that does not parse, and `label` and `eval` skip a circuit over the node
+cap. A failed synthesis check is a bug and stays a traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bdd, model as M, search, synth
-from .blif import BlifError, bound_fanin, negate_random_signals, parse_blif, write_blif
+from .blif import BlifError, bound_fanin, negate_random_signals, parse_blif, read_blif, write_blif
 from .corpus import (
     Corpus,
     CorpusEntry,
@@ -65,14 +72,16 @@ def _label_report(netlist, cfg: RunConfig) -> bdd.LabelReport:
 # -- augment -------------------------------------------------------------------
 
 
-def cmd_augment(args, cfg: RunConfig) -> int:
+def cmd_augment(args, cfg: RunConfig) -> None:
     if args.variants is not None:
         cfg = replace(cfg, variants_per_circuit=args.variants)  # checks the range
     in_dir, out_dir = Path(args.input), Path(args.out)
+    sources = sorted(in_dir.glob("*.blif"))
+    if not sources:
+        raise ValueError(f"no .blif source in {in_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "blif").mkdir(exist_ok=True)
     entries = []
-    sources = sorted(in_dir.glob("*.blif"))
     for src_path in sources:
         try:
             source = parse_blif(src_path.read_text())
@@ -105,7 +114,6 @@ def cmd_augment(args, cfg: RunConfig) -> int:
             )
     write_manifest(out_dir / "manifest.csv", entries, cfg)
     print(f"wrote {len(entries)} corpus entries to {out_dir}")
-    return 0
 
 
 def _variant_seed(seed: int, base: str, j: int) -> int:
@@ -115,7 +123,7 @@ def _variant_seed(seed: int, base: str, j: int) -> int:
 # -- label ---------------------------------------------------------------------
 
 
-def cmd_label(args, cfg: RunConfig) -> int:
+def cmd_label(args, cfg: RunConfig) -> None:
     corpus = load_corpus(args.corpus)
     labels = dict(corpus.labels)
     rows = []
@@ -156,7 +164,6 @@ def cmd_label(args, cfg: RunConfig) -> int:
         cfg,
     )
     print(f"labeled {len(rows)} circuits ({len(ordered)} total labels)")
-    return 0
 
 
 # -- train -----------------------------------------------------------------------
@@ -193,17 +200,12 @@ def _decode_metrics(params, encoded, labels):
     }
 
 
-def cmd_train(args, cfg: RunConfig) -> int:
+def cmd_train(args, cfg: RunConfig) -> None:
     corpus = load_corpus(args.corpus)
-    try:
-        train_set = _dataset(corpus, cfg, "train")
-        val_set = _dataset(corpus, cfg, "val")
-    except ValueError as exc:  # a label line that does not permute the inputs
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    train_set = _dataset(corpus, cfg, "train")
+    val_set = _dataset(corpus, cfg, "val")
     if not train_set:
-        print("error: no labeled training circuits", file=sys.stderr)
-        return 1
+        raise ValueError("no labeled training circuits")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     feature_dim = train_set[0][0].features.shape[1]
@@ -265,7 +267,6 @@ def cmd_train(args, cfg: RunConfig) -> int:
             f"trained {cfg.epochs} epochs on {len(train_set)} circuits; "
             f"best val tau {best_tau:.4f} at epoch {best_epoch}"
         )
-    return 0
 
 
 # -- predict ---------------------------------------------------------------------
@@ -291,15 +292,14 @@ def predict_order(netlist, params, mode: str, cfg: RunConfig, trace=None):
     return best, len(candidates)
 
 
-def cmd_predict(args, cfg: RunConfig) -> int:
-    netlist = parse_blif(Path(args.circuit).read_text())
+def cmd_predict(args, cfg: RunConfig) -> None:
+    netlist = read_blif(args.circuit)
     params = M.load_params(args.weights)
     trace = [] if args.trace else None
     try:
         order, n_candidates = predict_order(netlist, params, args.mode, cfg, trace)
     except bdd.NodeCapExceeded as exc:
-        print(f"error: {netlist.name}: {exc} (node_cap = {cfg.node_cap})", file=sys.stderr)
-        return 1
+        raise ValueError(f"{netlist.name}: {exc} (node_cap = {cfg.node_cap})") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_orders(
@@ -313,7 +313,6 @@ def cmd_predict(args, cfg: RunConfig) -> int:
         f"{netlist.name}: {args.mode} explored {n_candidates} candidates -> "
         + " ".join(order_to_names(netlist, order))
     )
-    return 0
 
 
 # -- synth -----------------------------------------------------------------------
@@ -338,23 +337,16 @@ def synthesize_circuit(netlist, order, cfg: RunConfig):
     return circuit, bdd.node_count(mgr, roots), elapsed
 
 
-def cmd_synth(args, cfg: RunConfig) -> int:
-    netlist = parse_blif(Path(args.circuit).read_text())
+def cmd_synth(args, cfg: RunConfig) -> None:
+    netlist = read_blif(args.circuit)
     orders = read_orders(args.orders)
     if netlist.name not in orders:
-        print(f"error: no order for '{netlist.name}' in {args.orders}", file=sys.stderr)
-        return 1
-    prepared = _prepare_netlist(netlist, cfg)
-    try:
-        order = names_to_order(prepared, orders[netlist.name])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no order for '{netlist.name}' in {args.orders}")
+    order = names_to_order(_prepare_netlist(netlist, cfg), orders[netlist.name])
     try:
         circuit, nodes, elapsed = synthesize_circuit(netlist, order, cfg)
     except bdd.NodeCapExceeded as exc:
-        print(f"error: {netlist.name}: {exc} (node_cap = {cfg.node_cap})", file=sys.stderr)
-        return 1
+        raise ValueError(f"{netlist.name}: {exc} (node_cap = {cfg.node_cap})") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{netlist.name}.real").write_text(synth.write_real(circuit))
@@ -379,31 +371,30 @@ def cmd_synth(args, cfg: RunConfig) -> int:
         f"qc={synth.quantum_cost(circuit)} transistor={synth.transistor_cost(circuit)} "
         f"nodes={nodes}"
     )
-    return 0
 
 
 # -- eval ------------------------------------------------------------------------
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
+def cmd_eval(args, cfg: RunConfig) -> None:
     corpus = load_corpus(args.corpus)
     params = M.load_params(args.weights)
     test_entries = corpus.by_split("test")
     if args.circuits:
         wanted = set(args.circuits.split(","))
         tagged = {e.circuit_id: e.split for e in corpus.entries}
-        for cid in wanted:
-            if tagged.get(cid) in ("train", "val"):
-                print(
-                    f"error: circuit '{cid}' is in the {tagged[cid]} split; "
-                    "evaluation only covers held-out circuits",
-                    file=sys.stderr,
+        unknown = sorted(wanted - tagged.keys())
+        if unknown:
+            raise ValueError(f"not in the corpus: {', '.join(unknown)}")
+        for cid in sorted(wanted):
+            if tagged[cid] in ("train", "val"):
+                raise ValueError(
+                    f"circuit '{cid}' is in the {tagged[cid]} split; "
+                    "evaluation only covers held-out circuits"
                 )
-                return 1
         test_entries = [e for e in test_entries if e.circuit_id in wanted]
     if not test_entries:
-        print("error: empty test split", file=sys.stderr)
-        return 1
+        raise ValueError("empty test split")
 
     # ordering time (the label report's, for a classical heuristic, or model
     # inference) is reported apart from BDD construction + synthesis time;
@@ -429,11 +420,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         netlist = _prepare_netlist(corpus.load_netlist(entry), cfg)
         n = len(netlist.primary_inputs)
         label_names = corpus.labels.get(entry.circuit_id)
-        try:
-            label = names_to_order(netlist, label_names) if label_names else None
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        label = names_to_order(netlist, label_names) if label_names else None
         try:
             report = _label_report(netlist, cfg)
             ordered = [
@@ -479,8 +466,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             total[1] += qc
             total[2] += order_secs + synth_secs
     if skipped == len(test_entries):
-        print("error: every test circuit exceeded the node cap", file=sys.stderr)
-        return 1
+        raise ValueError("every test circuit exceeded the node cap")
 
     for method in sorted(totals):
         rows.append(
@@ -519,7 +505,6 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         f"evaluated {len(test_entries) - skipped} test circuits, skipped {skipped} "
         f"over the node cap -> {out_dir / 'eval_report.csv'}"
     )
-    return 0
 
 
 # -- entry point -----------------------------------------------------------------
@@ -582,11 +567,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input gives one `error:` line and exit code 1."""
     args = build_parser().parse_args(argv)
-    cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)  # checks the range
-    return args.fn(args, cfg)
+    try:
+        cfg = RunConfig.load(args.config) if args.config else RunConfig()
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)  # checks the range
+        args.fn(args, cfg)
+    except (OSError, ValueError, BlifError, M.WeightFormatError, M.TrainingDiverged) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .bdd import VarOrder
-from .blif import Netlist, parse_blif
+from .blif import Netlist, read_blif
 
 
 # the spellings a config file may use for a boolean
@@ -101,7 +101,7 @@ class RunConfig:
     @staticmethod
     def from_text(text: str) -> "RunConfig":
         known = {f.name: f.type for f in fields(RunConfig)}
-        values = {}
+        values, set_on = {}, {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -112,6 +112,9 @@ class RunConfig:
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ValueError(f"config line {lineno}: unknown key '{key}'")
+            if key in set_on:
+                raise ValueError(f"config lines {set_on[key]} and {lineno} both set '{key}'")
+            set_on[key] = lineno
             kind = known[key]
             if kind in ("bool", bool):
                 if val.lower() not in BOOLEANS:
@@ -169,7 +172,7 @@ class Corpus:
         return [e for e in self.entries if e.split == split]
 
     def load_netlist(self, entry: CorpusEntry) -> Netlist:
-        return parse_blif((self.root / entry.path).read_text())
+        return read_blif(self.root / entry.path)
 
 
 MANIFEST_FIELDS = ["circuit_id", "path", "source", "transform", "split"]

@@ -121,15 +121,12 @@ def _span(raw: np.ndarray) -> np.ndarray:
 
 
 def _penalized(
-    scores: np.ndarray, claimed: np.ndarray, config: SearchConfig, span=None
+    scores: np.ndarray, claimed: np.ndarray, config: SearchConfig, span: np.ndarray
 ) -> np.ndarray:
-    """Scores less alpha times each row's span on the tokens claimed by
-    earlier groups. The span is that of `scores` unless the span of the raw
-    scores is passed, as `_decode` does once per step for masked scores."""
+    """Scores less alpha times each row's `span` (`_span` of the raw scores)
+    on the tokens claimed by earlier groups."""
     if not claimed.any():
         return scores
-    if span is None:
-        span = _span(scores)
     return scores - np.where(claimed, config.alpha * span, 0.0)
 
 

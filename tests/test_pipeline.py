@@ -65,6 +65,11 @@ def test_runconfig_rejects_unknown_key():
         RunConfig.from_text("bogus = 1\n")
 
 
+def test_runconfig_rejects_a_key_set_twice():
+    with pytest.raises(ValueError, match=r"^config lines 1 and 4 both set 'seed'$"):
+        RunConfig.from_text("seed = 1\n# a comment\n\nseed = 2\n")
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_runconfig_rejects_non_positive_batch(size):
     with pytest.raises(ValueError, match="batch_size"):
@@ -166,9 +171,9 @@ def test_runconfig_accepts_a_hidden_width_that_heads_divides():
         (["augment", "--variants", "-1"], "variants_per_circuit"),
     ],
 )
-def test_cli_overrides_are_range_checked(argv, key, tmp_path):
-    with pytest.raises(ValueError, match=f"^{key} must be at least 0"):
-        main(argv + [str(tmp_path), "--out", str(tmp_path / "out")])
+def test_cli_overrides_are_range_checked(argv, key, tmp_path, capsys):
+    assert main(argv + [str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be at least 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -560,11 +565,13 @@ def test_predict_rejects_unknown_mode(t5, trained_run, cfg_file):
         predict_order(t5, params, "fast", RunConfig.load(cfg_file))
 
 
-def test_train_rejects_zero_heads(labeled_corpus, tmp_path):
+def test_train_rejects_zero_heads(labeled_corpus, tmp_path, capsys):
     cfg = tmp_path / "heads0.txt"
     cfg.write_text("epochs = 1\nhidden = 16\nlayers = 2\nheads = 0\n")
-    with pytest.raises(ValueError, match="heads"):
-        main(["--config", str(cfg), "train", str(labeled_corpus), "--out", str(tmp_path / "run")])
+    run = tmp_path / "run"
+    assert main(["--config", str(cfg), "train", str(labeled_corpus), "--out", str(run)]) == 1
+    assert capsys.readouterr().err == "error: heads must be at least 1, got 0\n"
+    assert not run.exists()
 
 
 def test_predict_reranks_with_bdd_counts(t5, trained_run, cfg_file):
@@ -816,6 +823,95 @@ def test_predict_and_synth_report_the_node_cap(command, trained_run, cfg_file, t
     assert main(["--config", str(capped), command, *args, "--out", str(out)]) == 1
     assert re.fullmatch(r"error: pairs6: .*node cap.* \(node_cap = 4\)\n", capsys.readouterr().err)
     assert not out.exists()
+
+
+LATCH_SRC = ".model latched\n.inputs a\n.outputs q\n.latch a q 0\n.end\n"
+LATCH_ERROR = r"line 4: \.latch is not supported .*"
+OUT = ["--out", "{out}"]
+
+# argv templates over the paths of `bad_input_files`, and the message each
+# error line must carry
+BAD_INPUTS = {
+    "predict-latch": (
+        ["predict", "{latch}", "--weights", "{weights}", *OUT],
+        r".*/latched\.blif: " + LATCH_ERROR,
+    ),
+    "synth-latch": (["synth", "{latch}", "{orders}", *OUT], r".*/latched\.blif: " + LATCH_ERROR),
+    "label-latch": (["label", "{latch_corpus}"], r".*/latch_corpus/blif/latched\.blif: " + LATCH_ERROR),
+    "predict-not-weights": (["predict", "{pairs6}", "--weights", "{garbage}", *OUT], r"bad magic .*"),
+    "eval-not-weights": (["eval", "{corpus}", "--weights", "{garbage}", *OUT], r"bad magic .*"),
+    "hidden-0": (
+        ["--config", "{hidden0}", "train", "{corpus}", *OUT],
+        r"hidden must be at least 1, got 0",
+    ),
+    "seed-minus-1": (["--seed", "-1", "label", "{corpus}"], r"seed must be at least 0, got -1"),
+    "label-manifest-header": (["label", "{bad_header}"], r".* unexpected manifest header .*"),
+    "train-manifest-header": (["train", "{bad_header}", *OUT], r".* unexpected manifest header .*"),
+    "label-no-manifest": (["label", "{missing}"], r".*No such file or directory: .*manifest\.csv'"),
+    "synth-no-orders": (["synth", "{pairs6}", "{missing}", *OUT], r".*No such file .*/missing'"),
+    "no-config": (["--config", "{missing}", "label", "{corpus}"], r".*No such file .*/missing'"),
+    "predict-feature-width": (
+        ["predict", "{pairs6}", "--weights", "{weights}", *OUT],
+        r"feature width \d+ does not match model feature_dim 7",
+    ),
+    "augment-no-dir": (["augment", "{missing}", *OUT], r"no \.blif source in .*/missing"),
+    "augment-no-blif": (["augment", "{empty}", *OUT], r"no \.blif source in .*/empty"),
+    "eval-unknown-circuits": (
+        ["eval", "{corpus}", "--weights", "{weights}", "--circuits", "typo,pairs6,nope", *OUT],
+        r"not in the corpus: nope, typo",
+    ),
+    "config-key-twice": (
+        ["--config", "{twice}", "label", "{corpus}"],
+        r"config lines 1 and 2 both set 'seed'",
+    ),
+}
+
+
+def one_entry_corpus(root: Path, name: str, src: str) -> Path:
+    """A corpus of one test-split circuit; returns the path of its BLIF file."""
+    (root / "blif").mkdir(parents=True)
+    blif = root / "blif" / f"{name}.blif"
+    blif.write_text(src)
+    entry = CorpusEntry(name, f"blif/{name}.blif", blif.name, "copy", "test")
+    write_manifest(root / "manifest.csv", [entry], RunConfig())
+    return blif
+
+
+@pytest.fixture
+def bad_input_files(tmp_path):
+    """Paths by name: pairs6 and a `.latch` circuit, a one-entry corpus of
+    each, a corpus whose manifest has a wrong header, weights of feature
+    width 7 (no circuit's under the default config), a file that is not
+    weights, bad configs, an empty directory and a missing path."""
+    files = {name: tmp_path / name for name in ("corpus", "latch_corpus", "missing", "out")}
+    files["pairs6"] = one_entry_corpus(files["corpus"], "pairs6", PAIRS6_SRC)
+    files["latch"] = one_entry_corpus(files["latch_corpus"], "latched", LATCH_SRC)
+    files["empty"] = tmp_path / "empty"
+    files["empty"].mkdir()
+    files["bad_header"] = tmp_path / "bad_header"
+    files["bad_header"].mkdir()
+    (files["bad_header"] / "manifest.csv").write_text("circuit,path\n")
+    files["orders"] = tmp_path / "orders.txt"
+    write_orders(files["orders"], {"pairs6": [f"x{i}" for i in range(6)]})
+    files["weights"] = tmp_path / "weights.bin"
+    M.save_params(M.init_params(M.ModelConfig(7, 8, 1, 1), seed=0), files["weights"])
+    files["garbage"] = tmp_path / "garbage.bin"
+    files["garbage"].write_bytes(b"not a weight file")
+    for name, text in (("hidden0", "hidden = 0\n"), ("twice", "seed = 1\nseed = 2\n")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_gives_one_error_line(case, bad_input_files, capsys):
+    # every command reports bad input as one `error:` line and exit code 1,
+    # with no traceback and no artifact
+    template, message = BAD_INPUTS[case]
+    assert main([arg.format(**bad_input_files) for arg in template]) == 1
+    printed = capsys.readouterr()
+    assert re.fullmatch(f"error: {message}\n", printed.err), printed.err
+    assert not Path(bad_input_files["out"]).exists()
 
 
 def test_perfect_predictor_scores_one(labeled_corpus, cfg_file, monkeypatch):

@@ -530,7 +530,7 @@ def per_group_decode(encoded, params, config):
         rows, cols, scores = [], [], []
         for group in range(config.groups):
             total = pool.scores[:, None] + search._log_softmax(
-                search._penalized(raw, claimed, config) + mask
+                search._penalized(raw, claimed, config, search._span(raw)) + mask
             )
             flat = np.where(taken, -np.inf, total).ravel()
             for k in np.argsort(-flat, kind="stable")[:quota].tolist():
