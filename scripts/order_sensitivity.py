@@ -53,7 +53,7 @@ def main() -> None:
     report(net, "after sifting", sift_reorder(mgr, roots))
 
     mgr, roots = build_from_netlist(net, VarOrder((0, 2, 4, 1, 3, 5)))
-    ga = ga_reorder(mgr, roots, population=20, generations=30, seed=7)
+    ga, _ = ga_reorder(mgr, roots, population=20, generations=30, seed=7)
     report(net, "after genetic search", ga)
 
     best, count = brute_force_optimal_order(net)

@@ -17,12 +17,13 @@ root references. `check()` audits every refcount.
 Garbage has one rule: a collected store holds exactly the live nodes, and a
 swap keeps it that way, since it frees every node it orphans. Construction
 leaves dead nodes behind for the mark-and-sweep collector, so every reorder
-(sifting, the genetic fitness, the search's re-rank, label making) collects
-once before its first swap and then reads each node count from the store
-size instead of walking the diagrams. `shuffle_to` moves a diagram to a whole
-new order, with the node cap checked on every swap. `transfer` copies the
-live nodes under some roots into a fresh, collected manager with the same
-order; a new order is reached from there by swaps.
+(sifting, the genetic fitness, the search's re-rank) collects once before its
+first swap and then reads each node count from the store size instead of
+walking the diagrams. `shuffle_to` moves a diagram to a whole new order, with
+the node cap checked on every swap. `transfer` copies the live nodes under
+some roots into a fresh, collected manager with the same order; a new order
+is reached from there by swaps. The GA and the exact search return `(order,
+count)`, so label making counts each order once, where its search found it.
 
 Sifting reaches the orders plain sifting does with about half the swaps, by
 a lower bound. A level's size depends only on its variable and the set of
@@ -47,6 +48,7 @@ from .blif import Netlist, evaluate, exhaustive_columns
 FALSE = 0
 TRUE = 1
 EXACT_MAX_INPUTS = 12  # largest input count the exact order search accepts
+NODE_CAP = 2_000_000  # default cap on a manager's stored nodes
 
 AND = "and"
 OR = "or"
@@ -90,7 +92,7 @@ class VarOrder:
 class BddManager:
     """Mutable ROBDD store for one fixed set of variables."""
 
-    def __init__(self, order: VarOrder, node_cap: int = 2_000_000):
+    def __init__(self, order: VarOrder, node_cap: int = NODE_CAP):
         self.n = len(order)
         self.order = list(order.permutation)
         self.var2level = [0] * self.n
@@ -460,7 +462,7 @@ def terminal_count(roots) -> int:
 
 
 def build_from_netlist(
-    netlist: Netlist, order: VarOrder, node_cap: int = 2_000_000
+    netlist: Netlist, order: VarOrder, node_cap: int = NODE_CAP
 ) -> tuple[BddManager, list[int]]:
     """Apply-based construction of all primary-output functions."""
     n = len(netlist.primary_inputs)
@@ -597,8 +599,9 @@ def ga_reorder(
     seed: int = 0,
     tournament: int = 3,
     mutation_prob: float = 0.2,
-) -> VarOrder:
-    """Genetic search over variable orders with node-count fitness.
+) -> tuple[VarOrder, int]:
+    """Genetic search over variable orders with node-count fitness; returns
+    the best order found and its count, the elite's fitness.
 
     Order crossover plus swap mutation, tournament selection, and elitism,
     so the result is never worse than the best seeded individual. The search
@@ -614,8 +617,8 @@ def ga_reorder(
     twice. The scoring order is part of the result: under the cap, whether an
     order scores node_cap + 1 depends on the order the copy moves from. The
     caller's order comes back before any draw when it is the only order (fewer
-    than two inputs) or when its own live nodes are over the cap, so that no
-    order could be measured.
+    than two inputs), with the caller's count, or when its own live nodes are
+    over the cap, with node_cap + 1, the score of an order over the cap.
     """
     for name, value, low in (
         ("population", population, 2),
@@ -628,11 +631,11 @@ def ga_reorder(
         raise ValueError(f"mutation_prob must be in [0, 1], got {mutation_prob}")
     n = manager.n
     if n < 2:
-        return manager.current_order()
+        return manager.current_order(), node_count(manager, roots)
     try:
         work, work_roots = transfer(manager, roots)
     except NodeCapExceeded:
-        return manager.current_order()
+        return manager.current_order(), manager.node_cap + 1
     terminals = terminal_count(work_roots)
     rng = random.Random(seed)
     fitness_cache: dict[tuple[int, ...], int] = {}
@@ -681,7 +684,7 @@ def ga_reorder(
             pop.append(mutate(order_crossover(p1, p2)))
         keys = [(fitness(p), p) for p in pop]
         elite = min(elite, min(keys))
-    return VarOrder(elite[1])
+    return VarOrder(elite[1]), elite[0]
 
 
 # -- truth-table oracle and exact order search ---------------------------------
@@ -838,17 +841,23 @@ HEURISTICS = ("natural", "sifting", "ga")
 
 @dataclass
 class LabelReport:
-    order: VarOrder  # the winner's
+    """By name in HEURISTICS: each heuristic's node count, as its own search
+    read it, its order and its ordering time."""
+
     winner: str
-    counts: dict[str, int]  # node counts; none for a GA order over the cap
-    orders: dict[str, VarOrder]  # every heuristic's order
-    seconds: dict[str, float]  # every heuristic's ordering time
+    counts: dict[str, int]
+    orders: dict[str, VarOrder]
+    seconds: dict[str, float]
+
+    @property
+    def order(self) -> VarOrder:  # the winner's
+        return self.orders[self.winner]
 
 
 def generate_label_report(
     netlist: Netlist,
     seed: int = 0,
-    node_cap: int = 2_000_000,
+    node_cap: int = NODE_CAP,
     ga_population: int = 32,
     ga_generations: int = 50,
     ga_tournament: int = 3,
@@ -856,16 +865,15 @@ def generate_label_report(
 ) -> LabelReport:
     """Run the classical heuristics (HEURISTICS) and keep the best order.
 
-    One identity-order diagram serves all three: the natural count and the
-    GA read it (the GA scores orders on a private copy), then sifting
-    reorders it in place, and the sifted diagram moves on to the GA's order
-    by adjacent swaps, which counts it from the store size. A GA order that
-    passes the node cap on the way gets no count. Ties go to the earlier
-    name in HEURISTICS. The ordering time is zero for the natural order; for
-    sifting and the GA it is the one identity build plus the sift or the GA.
+    One identity-order diagram serves all three, and each count comes from
+    the search that found the order: the natural count walks the diagram,
+    the GA returns its elite's fitness on its private copy, and sifting
+    leaves the diagram collected, so its count is the store size plus the
+    terminals. Ties go to the earlier name in HEURISTICS. The ordering time
+    is zero for the natural order; for sifting and the GA it is the one
+    identity build plus the sift or the GA.
     """
-    n = len(netlist.primary_inputs)
-    natural = VarOrder.identity(n)
+    natural = VarOrder.identity(len(netlist.primary_inputs))
     start = time.perf_counter()
     try:
         mgr, roots = build_from_netlist(netlist, natural, node_cap)
@@ -873,31 +881,17 @@ def generate_label_report(
         raise NodeCapExceeded("the natural-order diagram exceeded the node cap") from exc
     built = time.perf_counter()
     counts = {"natural": node_count(mgr, roots)}
-    ga_order = ga_reorder(
-        mgr,
-        roots,
-        population=ga_population,
-        generations=ga_generations,
-        seed=seed,
-        tournament=ga_tournament,
-        mutation_prob=ga_mutation,
+    ga_order, counts["ga"] = ga_reorder(
+        mgr, roots, ga_population, ga_generations, seed, ga_tournament, ga_mutation
     )
     ga_done = time.perf_counter()
     sift_order = sift_reorder(mgr, roots)
     sift_done = time.perf_counter()
-    counts["sifting"] = node_count(mgr, roots)
-    if mgr.shuffle_to(ga_order.permutation):  # sifting left the store collected
-        counts["ga"] = len(mgr.nodes) + terminal_count(roots)
-    orders = dict(zip(HEURISTICS, (natural, sift_order, ga_order)))
-    winner = min((name for name in HEURISTICS if name in counts), key=counts.get)
+    counts["sifting"] = len(mgr.nodes) + terminal_count(roots)
+    seconds = (0.0, (built - start) + (sift_done - ga_done), ga_done - start)
     return LabelReport(
-        order=orders[winner],
-        winner=winner,
+        winner=min(HEURISTICS, key=counts.__getitem__),
         counts=counts,
-        orders=orders,
-        seconds={
-            "natural": 0.0,
-            "sifting": (built - start) + (sift_done - ga_done),
-            "ga": ga_done - start,
-        },
+        orders=dict(zip(HEURISTICS, (natural, sift_order, ga_order))),
+        seconds=dict(zip(HEURISTICS, seconds)),
     )

@@ -79,6 +79,15 @@ def cmd_augment(args, cfg: RunConfig) -> None:
     sources = sorted(in_dir.glob("*.blif"))
     if not sources:
         raise ValueError(f"no .blif source in {in_dir}")
+    # a circuit id names its file: two entries with one id would overwrite it
+    made_from: dict[str, str] = {}
+    for src_path in sources:
+        for suffix in ["", *(f"_v{j}" for j in range(cfg.variants_per_circuit))]:
+            cid = src_path.stem + suffix
+            if made_from.setdefault(cid, src_path.name) != src_path.name:
+                raise ValueError(
+                    f"circuit id '{cid}' comes from both {made_from[cid]} and {src_path.name}"
+                )
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "blif").mkdir(exist_ok=True)
     entries = []
@@ -146,7 +155,7 @@ def cmd_label(args, cfg: RunConfig) -> None:
             [
                 entry.circuit_id,
                 report.winner,
-                *(report.counts.get(name, "") for name in bdd.HEURISTICS),
+                *(report.counts[name] for name in bdd.HEURISTICS),
                 min(report.counts.values()),
                 f"{elapsed:.6f}",
             ]

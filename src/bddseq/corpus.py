@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .bdd import VarOrder
+from .bdd import NODE_CAP, VarOrder
 from .blif import Netlist, read_blif
 
 
@@ -26,7 +26,7 @@ BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "n
 @dataclass
 class RunConfig:
     seed: int = 42
-    node_cap: int = 2_000_000
+    node_cap: int = NODE_CAP
     # featurization
     max_table_len: int = 16
     normalize_structural: bool = True
@@ -200,7 +200,16 @@ def read_manifest(path) -> list[CorpusEntry]:
             raise ValueError(
                 f"{path} line {lineno}: expected {len(MANIFEST_FIELDS)} fields, got {len(row)}"
             )
+    _listed_once(path, [(lineno, row[0]) for lineno, row in body])
     return [CorpusEntry(*row) for _, row in body]
+
+
+def _listed_once(path, numbered) -> None:
+    """ValueError naming both lines when a circuit id of (line, id) pairs repeats."""
+    first: dict[str, int] = {}
+    for lineno, cid in numbered:
+        if first.setdefault(cid, lineno) != lineno:
+            raise ValueError(f"{path} lines {first[cid]} and {lineno} both list '{cid}'")
 
 
 def load_corpus(root) -> Corpus:
@@ -223,14 +232,14 @@ def write_orders(path, orders: dict[str, list[str]], config: RunConfig | None = 
 
 
 def read_orders(path) -> dict[str, list[str]]:
-    orders: dict[str, list[str]] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        orders[tokens[0]] = tokens[1:]
-    return orders
+    """Circuit name -> PI names; ValueError when a name is listed twice."""
+    rows = [
+        (lineno, line.split())
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    ]
+    _listed_once(path, [(lineno, tokens[0]) for lineno, tokens in rows])
+    return {tokens[0]: tokens[1:] for _, tokens in rows}
 
 
 def order_to_names(netlist: Netlist, order: VarOrder) -> list[str]:

@@ -487,28 +487,32 @@ def _load_checked(path, checkpoint: bool):
 
     Every tensor the file's config implies must be present with its shape;
     a checkpoint must also hold both Adam moments of each and `opt.meta`.
+    A WeightFormatError names the file.
     """
-    config, named = load_tensors(path)
-    # each layer has three tensors: a corrupt layer count fails here, before
-    # expected_shapes spells out a shape per layer
-    if 3 * config.layers > len(named):
-        raise WeightFormatError(
-            f"config has {config.layers} layers; the file holds {len(named)} tensors"
-        )
-    shapes = expected_shapes(config)
-    expected = dict(shapes)
-    if checkpoint:
-        for moment in ("m", "v"):
-            expected.update({f"opt.{moment}.{k}": shape for k, shape in shapes.items()})
-        expected["opt.meta"] = (2,)
-    for name, shape in expected.items():
-        if name not in named:
-            raise WeightFormatError(f"missing tensor '{name}'")
-        if named[name].shape != shape:
+    try:
+        config, named = load_tensors(path)
+        # each layer has three tensors: a corrupt layer count fails here, before
+        # expected_shapes spells out a shape per layer
+        if 3 * config.layers > len(named):
             raise WeightFormatError(
-                f"tensor '{name}' has shape {named[name].shape}, config implies {shape}"
+                f"config has {config.layers} layers; the file holds {len(named)} tensors"
             )
-    tensors = {name: Tensor(named[name], requires_grad=True) for name in shapes}
+        shapes = expected_shapes(config)
+        expected = dict(shapes)
+        if checkpoint:
+            for moment in ("m", "v"):
+                expected.update({f"opt.{moment}.{k}": shape for k, shape in shapes.items()})
+            expected["opt.meta"] = (2,)
+        for name, shape in expected.items():
+            if name not in named:
+                raise WeightFormatError(f"missing tensor '{name}'")
+            if named[name].shape != shape:
+                raise WeightFormatError(
+                    f"tensor '{name}' has shape {named[name].shape}, config implies {shape}"
+                )
+        tensors = {name: Tensor(named[name], requires_grad=True) for name in shapes}
+    except WeightFormatError as exc:
+        raise WeightFormatError(f"{path}: {exc}") from None
     return ModelParams(config=config, tensors=tensors), named
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import model as M
 from .autodiff import no_grad
-from .bdd import NodeCapExceeded, VarOrder, build_from_netlist, terminal_count
+from .bdd import NODE_CAP, NodeCapExceeded, VarOrder, build_from_netlist, terminal_count
 from .blif import Netlist
 from .graph import CircuitGraph
 
@@ -255,7 +255,7 @@ def diverse_beam_search(
 
 
 def select_best_order(
-    candidates, netlist: Netlist, node_cap: int = 2_000_000
+    candidates, netlist: Netlist, node_cap: int = NODE_CAP
 ) -> VarOrder:
     """Re-rank candidate orders by actual BDD size, on one diagram.
 

@@ -56,25 +56,28 @@ class RevGate:
 
 @dataclass
 class ReversibleCircuit:
-    lines: int
+    """A gate cascade over named lines. Each fact is stored once: the line
+    count and the garbage flags (lines with no output name) are derived."""
+
     line_names: list[str]
     constants: list[int | None]  # initial value for ancilla lines, None for inputs
-    garbage: list[bool]
     output_names: list[str | None]  # primary-output name carried by a line
     gates: list[RevGate]
 
+    @property
+    def lines(self) -> int:
+        return len(self.line_names)
+
+    @property
+    def garbage(self) -> list[bool]:
+        return [name is None for name in self.output_names]
+
     def validate(self) -> None:
-        assert len(self.line_names) == self.lines
-        assert len(self.constants) == self.lines
-        assert len(self.garbage) == self.lines
-        assert len(self.output_names) == self.lines
+        assert len(self.constants) == len(self.output_names) == self.lines
         for g in self.gates:
             assert 0 <= g.target < self.lines
             for line, _ in g.controls:
                 assert 0 <= line < self.lines
-        for i, name in enumerate(self.output_names):
-            if name is not None:
-                assert not self.garbage[i]
 
 
 NOT_COST = 1
@@ -141,16 +144,16 @@ def synthesize(
     n_pi = len(netlist.primary_inputs)
     line_names = list(netlist.primary_inputs)
     constants: list[int | None] = [None] * n_pi
+    output_names: list[str | None] = [None] * n_pi
     gates: list[RevGate] = []
     node_line: dict[int, int] = {}
 
-    def new_line(name: str, init: int) -> int:
+    def new_line(name: str) -> int:
+        """A constant-0 ancilla that carries no primary output yet."""
         line_names.append(name)
-        constants.append(init)
+        constants.append(0)
+        output_names.append(None)
         return len(line_names) - 1
-
-    def var_line(ref: int) -> int:
-        return manager.var_of(ref)  # PI lines are in declaration order
 
     # children-first over the distinct internal nodes reachable from the roots
     post: list[int] = []
@@ -169,11 +172,11 @@ def synthesize(
 
     for ref in post:
         low, high = manager.low(ref), manager.high(ref)
-        x = var_line(ref)
+        x = manager.var_of(ref)  # PI lines are in declaration order
         if low == FALSE and high == TRUE:
             node_line[ref] = x  # the function is the variable itself
             continue
-        target = new_line(f"w{len(node_line)}", 0)
+        target = new_line(f"w{len(node_line)}")
         node_line[ref] = target
         if low == TRUE:
             gates.append(RevGate((), target))
@@ -186,32 +189,20 @@ def synthesize(
             gates.append(RevGate(((x, True), (node_line[high], True)), target))
 
     # attach primary outputs, copying when a line is already claimed
-    output_names: list[str | None] = [None] * len(line_names)
     for po_name, ref in zip(netlist.primary_outputs, roots):
-        if ref == FALSE:
-            line = new_line(f"o_{po_name}", 0)
-            output_names.append(None)
-        elif ref == TRUE:
-            line = new_line(f"o_{po_name}", 0)
-            output_names.append(None)
-            gates.append(RevGate((), line))
+        if ref <= TRUE:  # a constant output gets a line of its own
+            line = new_line(f"o_{po_name}")
+            if ref == TRUE:
+                gates.append(RevGate((), line))
         else:
             line = node_line[ref]
         if output_names[line] is not None:
-            copy = new_line(f"o_{po_name}", 0)
-            output_names.append(None)
+            copy = new_line(f"o_{po_name}")
             gates.append(RevGate(((line, True),), copy))
             line = copy
         output_names[line] = po_name
 
-    circuit = ReversibleCircuit(
-        lines=len(line_names),
-        line_names=line_names,
-        constants=constants,
-        garbage=[name is None for name in output_names],
-        output_names=output_names,
-        gates=gates,
-    )
+    circuit = ReversibleCircuit(line_names, constants, output_names, gates)
     circuit.validate()
     return circuit
 
@@ -343,16 +334,7 @@ def read_real(text: str) -> ReversibleCircuit:
             raise RealFormatError(
                 f"{field} has {len(values)} entries, .numvars is {numvars}"
             )
-    output_names = [
-        None if garbage[i] else outs[i] for i in range(numvars)
-    ]
-    circuit = ReversibleCircuit(
-        lines=numvars,
-        line_names=names,
-        constants=constants,
-        garbage=garbage,
-        output_names=output_names,
-        gates=gates,
-    )
+    output_names = [None if g else out for g, out in zip(garbage, outs)]
+    circuit = ReversibleCircuit(names, constants, output_names, gates)
     circuit.validate()
     return circuit

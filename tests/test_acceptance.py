@@ -120,7 +120,7 @@ def test_criterion_02_construction_oracle_and_lower_bound():
                 sift_reorder(mgr, roots)
                 sift_count = node_count(mgr, roots)
                 mgr2, roots2 = build_from_netlist(net, VarOrder.identity(n_pi))
-                ga = ga_reorder(mgr2, roots2, population=8, generations=6, seed=i)
+                ga, _ = ga_reorder(mgr2, roots2, population=8, generations=6, seed=i)
                 dst, nr = build_from_netlist(net, ga)
                 ga_count = node_count(dst, nr)
                 assert optimum <= min(sift_count, ga_count)

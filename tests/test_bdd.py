@@ -10,6 +10,7 @@ from bddseq.bdd import (
     EXACT_MAX_INPUTS,
     FALSE,
     HEURISTICS,
+    NODE_CAP,
     OR,
     TRUE,
     XOR,
@@ -353,7 +354,7 @@ def test_sift_node_cap_hit_mid_pass():
 
 def test_ga_zero_generations_returns_best_seeded(pairs6):
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
-    order = ga_reorder(mgr, roots, population=12, generations=0, seed=3)
+    order, count = ga_reorder(mgr, roots, population=12, generations=0, seed=3)
     # reproduce the seeded initial population independently
     rng = random.Random(3)
     pop = [tuple(mgr.order)]
@@ -365,7 +366,7 @@ def test_ga_zero_generations_returns_best_seeded(pairs6):
         dst, nr = build_from_netlist(pairs6, VarOrder(perm))
         return node_count(dst, nr)
     best = min(pop, key=lambda p: (count_of(p), p))
-    assert order.permutation == best
+    assert (order.permutation, count) == (best, count_of(best))
 
 
 def reference_ga(
@@ -373,7 +374,7 @@ def reference_ga(
 ):
     """Reference GA that scores every tournament entrant again through the
     fitness cache, `min(candidates, key=lambda p: (fitness(p), p))`; for at
-    least two inputs."""
+    least two inputs. Returns the best order and its fitness."""
     n = manager.n
     rng = random.Random(seed)
     fitness_cache = {}
@@ -431,7 +432,7 @@ def reference_ga(
             nxt.append(mutate(order_crossover(p1, p2)))
         pop = nxt
         elite = best_of([elite, best_of(pop)])
-    return VarOrder(elite)
+    return VarOrder(elite), fitness(elite)
 
 
 @settings(max_examples=150, deadline=None)
@@ -460,11 +461,11 @@ def test_ga_matches_reference_ga(case, seed, population, generations, tournament
         tournament=tournament,
         mutation_prob=mutation,
     )
-    order = ga_reorder(mgr, roots, **args)
+    order, count = ga_reorder(mgr, roots, **args)
     if mgr.n < 2:
-        assert order == mgr.current_order()
+        assert (order, count) == (mgr.current_order(), node_count(mgr, roots))
     else:
-        assert order == reference_ga(mgr, roots, **args)
+        assert (order, count) == reference_ga(mgr, roots, **args)
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -539,17 +540,18 @@ def test_label_report_on_fewer_than_two_inputs(src, count):
 
 
 def test_ga_over_the_cap_returns_the_callers_order(pairs6):
-    # even the caller's diagram is over the cap, so no order can be measured
+    # even the caller's diagram is over the cap, so no order can be measured,
+    # and the count is the score of an order over the cap
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
     mgr.node_cap = 3
-    assert ga_reorder(mgr, roots, seed=0) == SCRAMBLED6
+    assert ga_reorder(mgr, roots, seed=0) == (SCRAMBLED6, 4)
 
 
 def test_ga_finds_optimum(pairs6):
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
-    order = ga_reorder(mgr, roots, population=20, generations=30, seed=7)
+    order, count = ga_reorder(mgr, roots, population=20, generations=30, seed=7)
     dst, nr = build_from_netlist(pairs6, order)
-    assert node_count(dst, nr) == 8
+    assert node_count(dst, nr) == count == 8
 
 
 def test_ga_deterministic(pairs6):
@@ -667,7 +669,7 @@ def test_ga_tiny_node_cap_returns_permutation(cap):
     net = five_products()
     mgr, roots = build_from_netlist(net, VarOrder.identity(10))
     mgr.node_cap = cap
-    order = ga_reorder(mgr, roots, population=8, generations=4, seed=1)
+    order, _ = ga_reorder(mgr, roots, population=8, generations=4, seed=1)
     assert sorted(order.permutation) == list(range(10))
 
 
@@ -830,7 +832,7 @@ def three_build_label_report(netlist, seed=0, node_cap=2_000_000, **ga):
 
     def genetic():
         mgr, roots = build_from_netlist(netlist, VarOrder.identity(n), node_cap)
-        order = ga_reorder(mgr, roots, seed=seed, **ga)
+        order, _ = ga_reorder(mgr, roots, seed=seed, **ga)
         dst, new_roots = build_from_netlist(netlist, order, node_cap)
         return order, node_count(dst, new_roots)
 
@@ -887,8 +889,8 @@ def test_label_report_builds_once(monkeypatch, pairs6):
 
 
 def test_label_report_transfers_once(monkeypatch, pairs6):
-    # the GA's private copy is the only transfer; the winner is counted on
-    # the sifted diagram moved to the GA's order
+    # the GA's private copy is the only transfer, and the GA's count is its
+    # elite's fitness on that copy
     import bddseq.bdd as bdd
 
     calls = []
@@ -903,6 +905,49 @@ def test_label_report_transfers_once(monkeypatch, pairs6):
         report = generate_label_report(net, seed=0, ga_population=8, ga_generations=6)
         assert len(calls) == 1
         assert "ga" in report.counts
+
+
+def label_case(seed):
+    """A random tree, pair product or cover of 2-10 inputs."""
+    r = random.Random(seed + 7000)
+    if seed % 3 == 0:
+        return read_once_tree(r, r.randint(2, 10))
+    if seed % 3 == 1:
+        return pair_products(r, r.randint(1, 5))
+    return random_cover_netlist(
+        r, r.randint(2, 10), r.randint(2, 9), max_arity=3, n_outputs=r.randint(1, 3)
+    )
+
+
+def natural_build_fits(net, cap):
+    try:
+        build_from_netlist(net, VarOrder.identity(len(net.primary_inputs)), cap)
+    except NodeCapExceeded:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_label_counts_are_the_counts_of_fresh_builds(seed):
+    # each count is read where its search found the order; at every cap from
+    # the smallest the natural build fits upward, each equals the count of a
+    # fresh build under that order, and so does the GA's own count
+    net = label_case(seed)
+    n = len(net.primary_inputs)
+    smallest = next(cap for cap in itertools.count(1) if natural_build_fits(net, cap))
+    for cap in (smallest, smallest + 1, smallest + 3, smallest + 10, NODE_CAP):
+        report = generate_label_report(
+            net, seed=seed, node_cap=cap, ga_population=8, ga_generations=6
+        )
+        assert set(report.counts) == set(HEURISTICS)
+        for name in HEURISTICS:
+            mgr, roots = build_from_netlist(net, report.orders[name])
+            assert report.counts[name] == node_count(mgr, roots), (cap, name)
+        assert report.order == report.orders[report.winner]
+        mgr, roots = build_from_netlist(net, VarOrder.identity(n), cap)
+        order, count = ga_reorder(mgr, roots, population=8, generations=6, seed=seed)
+        rebuilt, rebuilt_roots = build_from_netlist(net, order)
+        assert count == node_count(rebuilt, rebuilt_roots), cap
 
 
 def test_node_cap_signals_blowup(pairs6):

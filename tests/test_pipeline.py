@@ -22,6 +22,7 @@ from bddseq.cli import (
     synthesize_circuit,
 )
 from bddseq.corpus import (
+    MANIFEST_FIELDS,
     CorpusEntry,
     RunConfig,
     load_corpus,
@@ -838,8 +839,14 @@ BAD_INPUTS = {
     ),
     "synth-latch": (["synth", "{latch}", "{orders}", *OUT], r".*/latched\.blif: " + LATCH_ERROR),
     "label-latch": (["label", "{latch_corpus}"], r".*/latch_corpus/blif/latched\.blif: " + LATCH_ERROR),
-    "predict-not-weights": (["predict", "{pairs6}", "--weights", "{garbage}", *OUT], r"bad magic .*"),
-    "eval-not-weights": (["eval", "{corpus}", "--weights", "{garbage}", *OUT], r"bad magic .*"),
+    "predict-not-weights": (
+        ["predict", "{pairs6}", "--weights", "{garbage}", *OUT],
+        r".*/garbage\.bin: bad magic .*",
+    ),
+    "eval-not-weights": (
+        ["eval", "{corpus}", "--weights", "{garbage}", *OUT],
+        r".*/garbage\.bin: bad magic .*",
+    ),
     "hidden-0": (
         ["--config", "{hidden0}", "train", "{corpus}", *OUT],
         r"hidden must be at least 1, got 0",
@@ -859,6 +866,18 @@ BAD_INPUTS = {
     "eval-unknown-circuits": (
         ["eval", "{corpus}", "--weights", "{weights}", "--circuits", "typo,pairs6,nope", *OUT],
         r"not in the corpus: nope, typo",
+    ),
+    "augment-colliding-ids": (
+        ["augment", "{colliding}", "--variants", "1", *OUT],
+        r"circuit id 'foo_v0' comes from both foo\.blif and foo_v0\.blif",
+    ),
+    "label-manifest-id-twice": (
+        ["label", "{twice_corpus}"],
+        r".*/twice_corpus/manifest\.csv lines 2 and 3 both list 'pairs6'",
+    ),
+    "synth-orders-id-twice": (
+        ["synth", "{pairs6}", "{orders_twice}", *OUT],
+        r".*/orders_twice\.txt lines 1 and 3 both list 'pairs6'",
     ),
     "config-key-twice": (
         ["--config", "{twice}", "label", "{corpus}"],
@@ -882,7 +901,9 @@ def bad_input_files(tmp_path):
     """Paths by name: pairs6 and a `.latch` circuit, a one-entry corpus of
     each, a corpus whose manifest has a wrong header, weights of feature
     width 7 (no circuit's under the default config), a file that is not
-    weights, bad configs, an empty directory and a missing path."""
+    weights, bad configs, an empty directory, a missing path, sources whose
+    copy and variant ids collide, and a manifest and an orders file that
+    list one circuit twice."""
     files = {name: tmp_path / name for name in ("corpus", "latch_corpus", "missing", "out")}
     files["pairs6"] = one_entry_corpus(files["corpus"], "pairs6", PAIRS6_SRC)
     files["latch"] = one_entry_corpus(files["latch_corpus"], "latched", LATCH_SRC)
@@ -897,6 +918,17 @@ def bad_input_files(tmp_path):
     M.save_params(M.init_params(M.ModelConfig(7, 8, 1, 1), seed=0), files["weights"])
     files["garbage"] = tmp_path / "garbage.bin"
     files["garbage"].write_bytes(b"not a weight file")
+    files["colliding"] = tmp_path / "colliding"
+    files["colliding"].mkdir()
+    for name in ("foo", "foo_v0"):
+        (files["colliding"] / f"{name}.blif").write_text(PAIRS6_SRC.replace("pairs6", name))
+    files["twice_corpus"] = tmp_path / "twice_corpus"
+    files["twice_corpus"].mkdir()
+    row = "pairs6,blif/pairs6.blif,pairs6.blif,copy,test\n"
+    (files["twice_corpus"] / "manifest.csv").write_text(",".join(MANIFEST_FIELDS) + "\n" + 2 * row)
+    files["orders_twice"] = tmp_path / "orders_twice.txt"
+    pi_names = " ".join(f"x{i}" for i in range(6))
+    files["orders_twice"].write_text(f"pairs6 {pi_names}\n# again\npairs6 {pi_names}\n")
     for name, text in (("hidden0", "hidden = 0\n"), ("twice", "seed = 1\nseed = 2\n")):
         files[name] = tmp_path / f"{name}.txt"
         files[name].write_text(text)

@@ -60,10 +60,8 @@ def test_identity_function_reuses_input_line():
 
 def test_simulate_reversible_empty_identity():
     circuit = ReversibleCircuit(
-        lines=3,
         line_names=["a", "b", "c"],
         constants=[None, None, None],
-        garbage=[True, True, True],
         output_names=[None, None, None],
         gates=[],
     )
@@ -72,10 +70,8 @@ def test_simulate_reversible_empty_identity():
 
 def test_cnot_toggles_target():
     circuit = ReversibleCircuit(
-        lines=2,
         line_names=["a", "b"],
         constants=[None, None],
-        garbage=[True, True],
         output_names=[None, None],
         gates=[RevGate(((0, True),), 1)],
     )
@@ -91,13 +87,11 @@ def test_gate_validation():
 
 
 def test_costs_basic():
-    empty = ReversibleCircuit(1, ["a"], [None], [True], [None], [])
+    empty = ReversibleCircuit(["a"], [None], [None], [])
     assert quantum_cost(empty) == 0
     circuit = ReversibleCircuit(
-        lines=3,
         line_names=["a", "b", "c"],
         constants=[None, None, None],
-        garbage=[True, True, True],
         output_names=[None, None, None],
         gates=[RevGate(((0, True),), 2), RevGate(((0, True), (1, True)), 2)],
     )
@@ -107,11 +101,11 @@ def test_costs_basic():
 
 def test_negative_control_surcharge():
     one_neg = ReversibleCircuit(
-        3, ["a", "b", "c"], [None] * 3, [True] * 3, [None] * 3,
+        ["a", "b", "c"], [None] * 3, [None] * 3,
         [RevGate(((0, False), (1, True)), 2)],
     )
     two_neg = ReversibleCircuit(
-        3, ["a", "b", "c"], [None] * 3, [True] * 3, [None] * 3,
+        ["a", "b", "c"], [None] * 3, [None] * 3,
         [RevGate(((0, False), (1, False)), 2)],
     )
     assert quantum_cost(one_neg) == 5
@@ -120,7 +114,7 @@ def test_negative_control_surcharge():
 
 def test_not_gate_has_zero_transistors():
     circuit = ReversibleCircuit(
-        1, ["a"], [None], [True], [None], [RevGate((), 0)]
+        ["a"], [None], [None], [RevGate((), 0)]
     )
     assert transistor_cost(circuit) == 0
 
@@ -169,14 +163,14 @@ def test_write_real_format(c17):
 
 def test_write_real_single_not():
     circuit = ReversibleCircuit(
-        1, ["x"], [None], [True], [None], [RevGate((), 0)]
+        ["x"], [None], [None], [RevGate((), 0)]
     )
     assert "t1 x" in write_real(circuit)
 
 
 def test_write_real_toffoli_line():
     circuit = ReversibleCircuit(
-        3, ["a", "b", "c"], [None] * 3, [True] * 3, [None] * 3,
+        ["a", "b", "c"], [None] * 3, [None] * 3,
         [RevGate(((0, True), (1, True)), 2)],
     )
     assert "t3 a b c" in write_real(circuit)
@@ -184,7 +178,7 @@ def test_write_real_toffoli_line():
 
 def test_write_real_negative_control_prefix():
     circuit = ReversibleCircuit(
-        3, ["a", "b", "c"], [None] * 3, [True] * 3, [None] * 3,
+        ["a", "b", "c"], [None] * 3, [None] * 3,
         [RevGate(((0, False), (1, True)), 2)],
     )
     assert "t3 -a b c" in write_real(circuit)
@@ -336,7 +330,7 @@ TEMPLATE_MUTATIONS = {
     "extra NOT after high=g": (HIGH_G, HIGH_G + EXTRA_NOT),
     "a line for literal nodes": (
         "node_line[ref] = x  # the function is the variable itself",
-        'node_line[ref] = new_line(f"w{len(node_line)}", 0)',
+        'node_line[ref] = new_line(f"w{len(node_line)}")',
     ),
     "changed low=1 template": (LOW_ONE, LOW_ONE.replace("(x, True)", "(x, False)")),
 }
