@@ -25,6 +25,11 @@ some roots into a fresh, collected manager with the same order; a new order
 is reached from there by swaps. The GA and the exact search return `(order,
 count)`, so label making counts each order once, where its search found it.
 
+The GA draws from `random.Random(seed)` the stream `randrange`, `sample`,
+`random` and `shuffle` would, so the seed fixes its orders, but it draws
+each index through one `getrandbits` rejection helper, CPython's algorithm
+for `randrange`, and ranks each generation once for its tournaments.
+
 Sifting reaches the orders plain sifting does with about half the swaps, by
 a lower bound. A level's size depends only on its variable and the set of
 variables above it, so while a variable moves down from position j the
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .blif import Netlist, evaluate, exhaustive_columns
@@ -619,6 +625,15 @@ def ga_reorder(
     caller's order comes back before any draw when it is the only order (fewer
     than two inputs), with the caller's count, or when its own live nodes are
     over the cap, with node_cap + 1, the score of an order over the cap.
+
+    The random stream is the one `rng.randrange` and `rng.sample(range(n), 2)`
+    would draw, at a fraction of their Python cost: every index comes from one
+    `getrandbits` rejection helper, `below(m)`, which is CPython's algorithm
+    for `randrange(m)`, and a pair of distinct positions is drawn as `sample`
+    draws it (its pool form up to 21 inputs, its set form above). The mutation
+    coin is `rng.random()` and the seeded population comes from
+    `rng.shuffle`. Each generation sorts its keys once, and a tournament takes
+    the least rank among its draws, so it compares ints, not keys.
     """
     for name, value, low in (
         ("population", population, 2),
@@ -638,7 +653,25 @@ def ga_reorder(
         return manager.current_order(), manager.node_cap + 1
     terminals = terminal_count(work_roots)
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     fitness_cache: dict[tuple[int, ...], int] = {}
+
+    def below(m: int) -> int:  # rng.randrange(m), drawn as CPython draws it
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        return r
+
+    def two_of_n() -> tuple[int, int]:  # rng.sample(range(n), 2)
+        i = below(n)
+        if n <= 21:  # sample's pool form
+            j = below(n - 1)
+            return i, n - 1 if j == i else j
+        j = below(n)  # sample's set form
+        while j == i:
+            j = below(n)
+        return i, j
 
     def fitness(perm: tuple[int, ...]) -> int:
         hit = fitness_cache.get(perm)
@@ -651,15 +684,18 @@ def ga_reorder(
         return cost
 
     def order_crossover(p1, p2):
-        a, b = sorted(rng.sample(range(n), 2))
+        a, b = two_of_n()
+        if a > b:
+            a, b = b, a
         middle = p1[a : b + 1]
         held = set(middle)
         fill = [v for v in p2 if v not in held]
-        return (*fill[:a], *middle, *fill[a:])
+        fill[a:a] = middle
+        return tuple(fill)
 
     def mutate(perm):
         if rng.random() < mutation_prob:
-            i, j = rng.sample(range(n), 2)
+            i, j = two_of_n()
             lst = list(perm)
             lst[i], lst[j] = lst[j], lst[i]
             return tuple(lst)
@@ -671,16 +707,17 @@ def ga_reorder(
         rng.shuffle(perm)
         pop.append(tuple(perm))
 
-    def tournament_winner(keys):
-        return min(keys[rng.randrange(population)] for _ in range(tournament))[1]
-
     keys = [(fitness(p), p) for p in pop]
     elite = min(keys)
     for _ in range(generations):
+        # a tournament's winner is its least key, the one at the least rank it
+        # draws; bisect_left ranks equal keys, which are one order, alike
+        ranked = sorted(keys)
+        rank = [bisect_left(ranked, key) for key in keys]
         pop = [elite[1]]
         while len(pop) < population:
-            p1 = tournament_winner(keys)
-            p2 = tournament_winner(keys)
+            p1 = ranked[min([rank[below(population)] for _ in range(tournament)])][1]
+            p2 = ranked[min([rank[below(population)] for _ in range(tournament)])][1]
             pop.append(mutate(order_crossover(p1, p2)))
         keys = [(fitness(p), p) for p in pop]
         elite = min(elite, min(keys))

@@ -103,11 +103,11 @@ def cmd_augment(args, cfg: RunConfig) -> None:
         entries.append(
             CorpusEntry(base, copy_path, src_path.name, "copy", split_of(base, cfg.seed))
         )
+        decomposed = bound_fanin(source, cfg.decompose_arity)  # negation copies it
+        k = min(cfg.negations_per_variant, len(decomposed.internal_signals()))
         for j in range(cfg.variants_per_circuit):
             variant_id = f"{base}_v{j}"
             rng_seed = _variant_seed(cfg.seed, base, j)
-            decomposed = bound_fanin(source, cfg.decompose_arity)
-            k = min(cfg.negations_per_variant, len(decomposed.internal_signals()))
             variant = negate_random_signals(decomposed, k, rng_seed)
             variant.name = variant_id
             var_path = f"blif/{variant_id}.blif"

@@ -280,8 +280,13 @@ def _gate(tokens: list[str], index: dict[str, int], lineno: int) -> RevGate:
         raise RealFormatError(str(exc), lineno) from exc
 
 
+_HEADER = (".version", ".numvars", ".variables", ".inputs", ".outputs", ".constants", ".garbage")
+
+
 def read_real(text: str) -> ReversibleCircuit:
-    """Round-trip reader for the subset emitted by write_real."""
+    """Round-trip reader for the subset emitted by write_real, which gives
+    each _HEADER directive at most once."""
+    given_on: dict[str, int] = {}
     numvars = 0
     names: list[str] = []
     index: dict[str, int] = {}
@@ -297,6 +302,11 @@ def read_real(text: str) -> ReversibleCircuit:
         tokens = line.split()
         head = tokens[0]
         field = "".join(tokens[1:])
+        if head in _HEADER:
+            if head in given_on:
+                first = given_on[head]
+                raise RealFormatError(f"{head} given twice, first on line {first}", lineno)
+            given_on[head] = lineno
         if head in (".version", ".inputs"):
             continue
         if head == ".numvars":

@@ -486,6 +486,44 @@ def test_ga_matches_reference_ga_on_pair_products(seed):
     assert ga_reorder(mgr, roots, **args) == reference_ga(mgr, roots, **args)
 
 
+@pytest.mark.parametrize("population", [16, 17, 32, 33, 64])
+@pytest.mark.parametrize("n", [22, 26, 30])
+def test_ga_matches_reference_ga_on_wide_trees(monkeypatch, n, population):
+    # above 21 inputs `sample` draws its pair in its set form; 2^k is the
+    # least population whose index draws take k + 1 bits, so half of them
+    # are rejected, and 2^k + 1 rejects just under half
+    net = read_once_tree(random.Random(n), n)
+    mgr, roots = build_from_netlist(net, VarOrder.identity(n))
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    args = dict(population=population, generations=3, seed=n + population, mutation_prob=0.5)
+    assert ga_reorder(mgr, roots, **args) == reference_ga(mgr, roots, **args)
+    ga_rng, reference_rng = made
+    assert ga_rng.getstate() == reference_rng.getstate()  # the same draws, to the last
+
+
+# desk_corpus(3, seed=7) labeled at the default GA settings, seed 0
+GA_LABELS = {
+    "pairs0000": ((0, 2, 4, 7, 3, 6, 1, 5), 10),
+    "tree0001": ((0, 1, 2, 5, 3, 4), 8),
+    "tree0002": ((0, 1, 3, 5, 7, 4, 6, 2), 10),
+}
+
+
+def test_ga_labels_are_pinned():
+    got = {}
+    for net in desk_corpus(3, seed=7):
+        report = generate_label_report(net, seed=0)
+        got[net.name] = (report.orders["ga"].permutation, report.counts["ga"])
+    assert got == GA_LABELS
+
+
 @pytest.mark.parametrize("cap", [41, 2_000_000])
 def test_ga_scores_each_order_once(monkeypatch, cap):
     mgr, roots = build_from_netlist(five_products(), VarOrder.identity(10))

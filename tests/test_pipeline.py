@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddseq import model as M
-from bddseq import search, synth
+from bddseq import cli, search, synth
 from bddseq.bdd import NodeCapExceeded, VarOrder, brute_force_optimal_order, build_from_netlist
 from bddseq.blif import evaluate, exhaustive_columns, parse_blif, write_blif
 from bddseq.cli import (
@@ -435,6 +435,22 @@ def test_augment_counts_and_determinism(tmp_path, cfg_file):
     assert files_a == files_b
     for rel in files_a:
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+
+
+def test_augment_bounds_each_source_once(tmp_path, cfg_file, monkeypatch):
+    src = tmp_path / "src"
+    write_sources(src, count=4, min_pis=4, max_pis=5)
+    bound, calls = cli.bound_fanin, []
+
+    def counted(netlist, max_arity):
+        calls.append(netlist.name)
+        return bound(netlist, max_arity)
+
+    monkeypatch.setattr(cli, "bound_fanin", counted)
+    out = tmp_path / "corpus"
+    assert main(["--config", str(cfg_file), "augment", str(src), "--variants", "3", "--out", str(out)]) == 0
+    assert len(read_manifest(out / "manifest.csv")) == 16
+    assert len(calls) == len(set(calls)) == 4  # once per source
 
 
 @pytest.fixture

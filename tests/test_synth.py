@@ -394,6 +394,7 @@ def test_read_real_undeclared_line_is_typed():
         lambda t: t.replace("t3 ", "tq "),
         lambda t: t.replace(".end", "t0\n.end"),
         lambda t: t.replace(".begin", ".nonsense"),
+        lambda t: t.replace(".begin", ".variables a b c\n.begin"),
     ],
 )
 def test_read_real_malformed_is_typed(edit):
@@ -403,6 +404,18 @@ def test_read_real_malformed_is_typed(edit):
     assert text != edit(text)
     with pytest.raises(RealFormatError):
         read_real(edit(text))
+
+
+def test_read_real_header_given_twice_is_typed():
+    # the second .variables passes every length check; the gate on line 8
+    # names the line it drops
+    text = (
+        ".numvars 1\n.variables a b\n.inputs a\n.outputs a\n.constants -\n"
+        ".garbage 0\n.begin\nt1 b\n.end\n.variables a\n"
+    )
+    with pytest.raises(RealFormatError, match=r"\.variables given twice, first on line 2") as info:
+        read_real(text)
+    assert info.value.line == 10
 
 
 C17_REAL = write_real(synth_for(parse_blif(C17_SRC)))
