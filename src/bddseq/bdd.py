@@ -22,7 +22,8 @@ first swap and then reads each node count from the store size instead of
 walking the diagrams. `shuffle_to` moves a diagram to a whole new order, with
 the node cap checked on every swap. `transfer` copies the live nodes under
 some roots into a fresh, collected manager with the same order; a new order
-is reached from there by swaps. The GA and the exact search return `(order,
+is reached from there by swaps. The GA, the exact search and each label maker
+of `LABEL_MAKERS` (run in turn on one identity-order diagram) return `(order,
 count)`, so label making counts each order once, where its search found it.
 
 The GA draws from `random.Random(seed)` the stream `randrange`, `sample`,
@@ -872,14 +873,26 @@ def brute_force_optimal_order(netlist: Netlist) -> tuple[VarOrder, int]:
 # -- label generation ----------------------------------------------------------
 
 
-# the classical heuristics, in tie order: a tie goes to the earlier name
+# tie order: a label is the least count, and a tie goes to the earlier name
 HEURISTICS = ("natural", "sifting", "ga")
+
+# Label makers in run order, each mapping the shared identity-order diagram to
+# (order, count) through the module globals; `ga` is ga_reorder's arguments
+# after the roots. The GA scores its private transfer copy, so it runs first;
+# sifting moves the diagram in place, so it runs last.
+LABEL_MAKERS = {
+    "natural": lambda mgr, roots, ga: (mgr.current_order(), node_count(mgr, roots)),
+    "ga": lambda mgr, roots, ga: ga_reorder(mgr, roots, *ga),
+    "sifting": lambda mgr, roots, ga: (
+        sift_reorder(mgr, roots), len(mgr.nodes) + terminal_count(roots)
+    ),
+}
 
 
 @dataclass
 class LabelReport:
-    """By name in HEURISTICS: each heuristic's node count, as its own search
-    read it, its order and its ordering time."""
+    """By label maker name: each maker's node count, as its own search read
+    it, its order and its ordering time."""
 
     winner: str
     counts: dict[str, int]
@@ -900,35 +913,21 @@ def generate_label_report(
     ga_tournament: int = 3,
     ga_mutation: float = 0.2,
 ) -> LabelReport:
-    """Run the classical heuristics (HEURISTICS) and keep the best order.
-
-    One identity-order diagram serves all three, and each count comes from
-    the search that found the order: the natural count walks the diagram,
-    the GA returns its elite's fitness on its private copy, and sifting
-    leaves the diagram collected, so its count is the store size plus the
-    terminals. Ties go to the earlier name in HEURISTICS. The ordering time
-    is zero for the natural order; for sifting and the GA it is the one
-    identity build plus the sift or the GA.
-    """
-    natural = VarOrder.identity(len(netlist.primary_inputs))
+    """Run every label maker on one identity-order diagram and keep the best
+    order: the least count, ties to the earlier name in HEURISTICS. A maker's
+    ordering time is the identity build plus its own search; natural's is 0."""
+    ga = (ga_population, ga_generations, seed, ga_tournament, ga_mutation)
+    identity = VarOrder.identity(len(netlist.primary_inputs))
     start = time.perf_counter()
     try:
-        mgr, roots = build_from_netlist(netlist, natural, node_cap)
+        mgr, roots = build_from_netlist(netlist, identity, node_cap)
     except NodeCapExceeded as exc:
-        raise NodeCapExceeded("the natural-order diagram exceeded the node cap") from exc
-    built = time.perf_counter()
-    counts = {"natural": node_count(mgr, roots)}
-    ga_order, counts["ga"] = ga_reorder(
-        mgr, roots, ga_population, ga_generations, seed, ga_tournament, ga_mutation
-    )
-    ga_done = time.perf_counter()
-    sift_order = sift_reorder(mgr, roots)
-    sift_done = time.perf_counter()
-    counts["sifting"] = len(mgr.nodes) + terminal_count(roots)
-    seconds = (0.0, (built - start) + (sift_done - ga_done), ga_done - start)
-    return LabelReport(
-        winner=min(HEURISTICS, key=counts.__getitem__),
-        counts=counts,
-        orders=dict(zip(HEURISTICS, (natural, sift_order, ga_order))),
-        seconds=dict(zip(HEURISTICS, seconds)),
-    )
+        raise NodeCapExceeded("the identity-order diagram exceeded the node cap") from exc
+    build = time.perf_counter() - start
+    orders, counts, seconds = {}, {}, {}
+    for name, make in LABEL_MAKERS.items():
+        start = time.perf_counter()
+        orders[name], counts[name] = make(mgr, roots, ga)
+        seconds[name] = build + time.perf_counter() - start
+    seconds["natural"] = 0.0
+    return LabelReport(min(HEURISTICS, key=counts.__getitem__), counts, orders, seconds)

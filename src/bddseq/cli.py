@@ -31,6 +31,7 @@ from .corpus import (
     Corpus,
     CorpusEntry,
     RunConfig,
+    csv_rows,
     load_corpus,
     names_to_order,
     order_to_names,
@@ -135,7 +136,15 @@ def _variant_seed(seed: int, base: str, j: int) -> int:
 def cmd_label(args, cfg: RunConfig) -> None:
     corpus = load_corpus(args.corpus)
     labels = dict(corpus.labels)
-    rows = []
+    path = corpus.root / "label_report.csv"
+    header = ["circuit_id", "winner", *bdd.HEURISTICS, "label_count", "time_seconds"]
+    rows = {}  # by circuit id; a circuit this run skips keeps its old row
+    if path.exists() and not args.force:
+        kept = [row for _, row in csv_rows(path)]
+        if kept[:1] != [header]:
+            raise ValueError(f"{path}: header is not {header}; relabel with --force")
+        rows = {row[0]: row for row in kept[1:]}
+    labeled = 0
     for entry in corpus.entries:
         if entry.circuit_id in labels and not args.force:
             continue
@@ -151,28 +160,23 @@ def cmd_label(args, cfg: RunConfig) -> None:
             continue
         elapsed = _clock(cfg, start)
         labels[entry.circuit_id] = order_to_names(netlist, report.order)
-        rows.append(
-            [
-                entry.circuit_id,
-                report.winner,
-                *(report.counts[name] for name in bdd.HEURISTICS),
-                min(report.counts.values()),
-                f"{elapsed:.6f}",
-            ]
-        )
+        labeled += 1
+        rows[entry.circuit_id] = [
+            entry.circuit_id,
+            report.winner,
+            *(report.counts[name] for name in bdd.HEURISTICS),
+            min(report.counts.values()),
+            f"{elapsed:.6f}",
+        ]
     ordered = {
         e.circuit_id: labels[e.circuit_id]
         for e in corpus.entries
         if e.circuit_id in labels
     }
     write_orders(corpus.root / "labels.txt", ordered, cfg)
-    write_csv(
-        corpus.root / "label_report.csv",
-        ["circuit_id", "winner", *bdd.HEURISTICS, "label_count", "time_seconds"],
-        rows,
-        cfg,
-    )
-    print(f"labeled {len(rows)} circuits ({len(ordered)} total labels)")
+    in_order = [rows[e.circuit_id] for e in corpus.entries if e.circuit_id in rows]
+    write_csv(path, header, in_order, cfg)
+    print(f"labeled {labeled} circuits ({len(ordered)} total labels)")
 
 
 # -- train -----------------------------------------------------------------------
@@ -405,9 +409,11 @@ def cmd_eval(args, cfg: RunConfig) -> None:
     if not test_entries:
         raise ValueError("empty test split")
 
-    # ordering time (the label report's, for a classical heuristic, or model
-    # inference) is reported apart from BDD construction + synthesis time;
-    # time_seconds is their sum
+    # one row per method: each label maker in tie order (mode None), then each
+    # model mode; order_seconds (the label report's, or inference) and the BDD
+    # build plus synthesis (synth_seconds) add up to time_seconds
+    methods = [(name, None) for name in bdd.HEURISTICS]
+    methods += [(f"model_{mode}", mode) for mode in search.MODES]
     header = [
         "circuit",
         "method",
@@ -432,18 +438,16 @@ def cmd_eval(args, cfg: RunConfig) -> None:
         label = names_to_order(netlist, label_names) if label_names else None
         try:
             report = _label_report(netlist, cfg)
-            ordered = [
-                (name, report.orders[name], report.seconds[name] if cfg.record_times else 0.0)
-                for name in bdd.HEURISTICS
-            ]
-            for mode in search.MODES:
-                start = time.perf_counter()
-                order = predict_order(netlist, params, mode, cfg)[0]
-                ordered.append((f"model_{mode}", order, _clock(cfg, start)))
-            built = [
-                (method, order, order_secs, *synthesize_circuit(netlist, order, cfg))
-                for method, order, order_secs in ordered
-            ]
+            built = []
+            for method, mode in methods:
+                if mode is None:
+                    order = report.orders[method]
+                    order_secs = report.seconds[method] if cfg.record_times else 0.0
+                else:
+                    start = time.perf_counter()
+                    order = predict_order(netlist, params, mode, cfg)[0]
+                    order_secs = _clock(cfg, start)
+                built.append((method, order, order_secs, *synthesize_circuit(netlist, order, cfg)))
         except bdd.NodeCapExceeded as exc:
             print(f"warning: {entry.circuit_id}: {exc}; skipped", file=sys.stderr)
             skipped += 1

@@ -185,11 +185,7 @@ def write_manifest(path, entries, config: RunConfig) -> None:
 
 def read_manifest(path) -> list[CorpusEntry]:
     """Manifest entries in file order; a malformed file raises ValueError."""
-    rows = [
-        (lineno, next(csv.reader([line])))
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1)
-        if line.strip() and not line.startswith("#")
-    ]
+    rows = csv_rows(path)
     if not rows:
         raise ValueError(f"{path}: empty manifest, expected the header {MANIFEST_FIELDS}")
     (lineno, header), body = rows[0], rows[1:]
@@ -266,6 +262,16 @@ def write_csv(path, header, rows, config: RunConfig) -> None:
     for row in rows:
         writer.writerow(row)
     Path(path).write_text(config.comment_block() + buf.getvalue())
+
+
+def csv_rows(path) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of each line of a `write_csv` file that is not
+    blank or a comment, header first."""
+    return [
+        (lineno, next(csv.reader([line])))
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1)
+        if line.strip() and not line.startswith("#")
+    ]
 
 
 def write_jsonl(path, records, config: RunConfig) -> None:

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from bddseq import bdd
 from bddseq.blif import parse_blif
 
 PAIRS6_SRC = """\
@@ -152,3 +153,22 @@ def t5():
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+def reversed_order(mgr, roots, ga):
+    """A label maker for the reversed identity order, counted on a private
+    copy moved there by swaps."""
+    copy, copy_roots = bdd.transfer(mgr, roots)
+    assert copy.shuffle_to(tuple(reversed(range(mgr.n))))
+    return copy.current_order(), bdd.node_count(copy, copy_roots)
+
+
+@pytest.fixture
+def reversed_maker(monkeypatch):
+    """A fourth label maker as one more table entry: it runs before sifting,
+    which moves the shared diagram in place, and is last in the tie order."""
+    makers = dict(bdd.LABEL_MAKERS)
+    sifting = makers.pop("sifting")
+    makers.update(reversed=reversed_order, sifting=sifting)
+    monkeypatch.setattr(bdd, "LABEL_MAKERS", makers)
+    monkeypatch.setattr(bdd, "HEURISTICS", (*bdd.HEURISTICS, "reversed"))

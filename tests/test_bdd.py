@@ -854,6 +854,25 @@ def test_generate_label_ga_beats_sifting():
     assert node_count(mgr, roots) == report.counts["ga"]
 
 
+def test_a_label_maker_wins_only_below_every_earlier_count(reversed_maker, pairs6):
+    import bddseq.bdd as bdd
+
+    # a frozen 4-input cover on which the reversed order, last in the tie
+    # order, is strictly smallest; on pairs6 it ties and loses
+    r = random.Random(2460)
+    net = random_cover_netlist(
+        r, r.randint(4, 7), r.randint(2, 9), max_arity=3, n_outputs=r.randint(1, 3)
+    )
+    report = generate_label_report(net, seed=0, ga_population=8, ga_generations=6)
+    assert report.counts == {"natural": 8, "ga": 8, "reversed": 7, "sifting": 8}
+    assert report.winner == "reversed"
+    assert report.order == VarOrder((3, 2, 1, 0))
+    report = generate_label_report(pairs6, seed=0)
+    assert report.counts["reversed"] == report.counts["natural"] == 8
+    assert report.winner == "natural"
+    assert set(report.seconds) == set(bdd.HEURISTICS)
+
+
 def three_build_label_report(netlist, seed=0, node_cap=2_000_000, **ga):
     """Reference: each heuristic builds its own identity-order diagram."""
     n = len(netlist.primary_inputs)

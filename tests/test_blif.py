@@ -173,7 +173,7 @@ def test_bound_fanin_and5_tree():
         assert simulate(small, a) == simulate(net, a)
 
 
-def test_bound_fanin_shannon_on_general_cover():
+def test_bound_fanin_sum_of_products_on_general_cover():
     src = ".model t\n.inputs a b c\n.outputs o\n.names a b c o\n110 1\n001 1\n-11 1\n.end"
     net = parse_blif(src)
     small = bound_fanin(net, 2)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddseq import model as M
-from bddseq import cli, search, synth
+from bddseq import bdd, cli, search, synth
 from bddseq.bdd import NodeCapExceeded, VarOrder, brute_force_optimal_order, build_from_netlist
 from bddseq.blif import evaluate, exhaustive_columns, parse_blif, write_blif
 from bddseq.cli import (
@@ -491,6 +491,24 @@ def test_label_skips_existing_without_force(labeled_corpus, cfg_file, capsys):
     assert "labeled 0 circuits" in out
 
 
+def test_label_again_keeps_the_report(labeled_corpus, cfg_file, capsys):
+    # a circuit the run skips keeps its report row, and the rows stay in
+    # corpus order around a circuit labeled again
+    report, labels = labeled_corpus / "label_report.csv", labeled_corpus / "labels.txt"
+    before = report.read_bytes(), labels.read_bytes()
+    argv = ["--config", str(cfg_file), "label", str(labeled_corpus)]
+    assert main(argv) == 0
+    assert (report.read_bytes(), labels.read_bytes()) == before
+    lines = labels.read_text().splitlines(keepends=True)
+    listed = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    del lines[listed[len(listed) // 2]]
+    labels.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "labeled 1 circuits" in capsys.readouterr().out
+    assert (report.read_bytes(), labels.read_bytes()) == before
+
+
 @pytest.fixture
 def trained_run(labeled_corpus, cfg_file, tmp_path):
     run = tmp_path / "run"
@@ -687,10 +705,8 @@ def test_eval_report_totals_and_refusal(labeled_corpus, cfg_file, trained_run, t
 
 def test_eval_shares_the_label_report(labeled_corpus, cfg_file, trained_run, tmp_path, monkeypatch):
     # per test circuit: one identity build for the label report, which gives
-    # the natural, sifting and GA orders, a synthesis build for each of them,
-    # and a re-rank and a synthesis build for each model mode
-    from bddseq import bdd, search
-
+    # every label maker's order, a synthesis build for each of them, and a
+    # re-rank and a synthesis build for each model mode
     calls = []
 
     def counted(*args, **kwargs):
@@ -706,14 +722,63 @@ def test_eval_shares_the_label_report(labeled_corpus, cfg_file, trained_run, tmp
     ) == 0
     _, rows = read_csv(out / "eval_report.csv")
     circuits = {row[0] for row in rows} - {"TOTAL", "RATIO"}
-    assert circuits and len(calls) == 10 * len(circuits)
+    builds = 1 + len(bdd.HEURISTICS) + 2 * len(search.MODES)
+    assert circuits and len(calls) == builds * len(circuits)
     # the classical rows synthesize the label report's orders
     _, label_rows = read_csv(labeled_corpus / "label_report.csv")
-    label_counts = {row[0]: dict(zip(bdd.HEURISTICS, row[2:5])) for row in label_rows}
+    label_counts = {row[0]: dict(zip(bdd.HEURISTICS, row[2:])) for row in label_rows}
     classical = [row for row in rows if row[0] in circuits and row[1] in bdd.HEURISTICS]
-    assert len(classical) == 3 * len(circuits)
+    assert len(classical) == len(bdd.HEURISTICS) * len(circuits)
     for row in classical:
         assert row[2] == label_counts[row[0]][row[1]]
+
+
+def test_a_label_maker_is_one_table_entry(
+    labeled_corpus, cfg_file, trained_run, tmp_path, reversed_maker
+):
+    # a fourth entry gets its own label report column, wins a label only
+    # with a strictly lower count, and gets its own eval, TOTAL and RATIO rows
+    assert main(["--config", str(cfg_file), "label", str(labeled_corpus), "--force"]) == 0
+    header, label_rows = read_csv(labeled_corpus / "label_report.csv")
+    assert header == ["circuit_id", "winner", *bdd.HEURISTICS, "label_count", "time_seconds"]
+    assert header[2:6] == ["natural", "sifting", "ga", "reversed"]
+    corpus, cfg = load_corpus(labeled_corpus), RunConfig.load(cfg_file)
+    entries = {e.circuit_id: e for e in corpus.entries}
+    assert [row[0] for row in label_rows] == list(entries)
+    reversed_counts, ties = {}, 0
+    for row in label_rows:
+        counts = dict(zip(bdd.HEURISTICS, map(int, row[2:])))
+        net = cli._prepare_netlist(corpus.load_netlist(entries[row[0]]), cfg)
+        n = len(net.primary_inputs)
+        mgr, roots = build_from_netlist(net, VarOrder(tuple(reversed(range(n)))))
+        assert counts["reversed"] == bdd.node_count(mgr, roots)
+        best_other = min(counts[name] for name in bdd.HEURISTICS[:-1])
+        assert (row[1] == "reversed") == (counts["reversed"] < best_other)
+        assert int(row[-2]) == min(counts.values())
+        label = names_to_order(net, corpus.labels[row[0]])
+        assert label == cli._label_report(net, cfg).orders[row[1]]
+        reversed_counts[row[0]] = counts["reversed"]
+        ties += counts["reversed"] == best_other
+    assert ties  # the tie rule is exercised: equal counts go to an earlier name
+
+    out = tmp_path / "eval"
+    assert main(
+        ["--config", str(cfg_file), "eval", str(labeled_corpus), "--weights",
+         str(trained_run / "weights.bin"), "--out", str(out)]
+    ) == 0
+    _, rows = read_csv(out / "eval_report.csv")
+    circuits = [row[0] for row in rows if row[1] == "natural" and row[0] != "TOTAL"]
+    models = [f"model_{mode}" for mode in search.MODES]
+    assert circuits
+    for cid in circuits:
+        methods = [row[1] for row in rows if row[0] == cid]
+        assert methods == [*bdd.HEURISTICS, *models]
+        (nodes,) = [row[2] for row in rows if row[0] == cid and row[1] == "reversed"]
+        assert int(nodes) == reversed_counts[cid]
+    (total,) = [row for row in rows if row[:2] == ["TOTAL", "reversed"]]
+    assert int(total[2]) == sum(reversed_counts[cid] for cid in circuits)
+    ratios = {row[1] for row in rows if row[0] == "RATIO"}
+    assert {f"reversed/{model}" for model in models} <= ratios
 
 
 def test_eval_verifies_every_circuit(labeled_corpus, cfg_file, trained_run, tmp_path, monkeypatch):
@@ -899,6 +964,10 @@ BAD_INPUTS = {
         ["--config", "{twice}", "label", "{corpus}"],
         r"config lines 1 and 2 both set 'seed'",
     ),
+    "label-report-header": (
+        ["label", "{stale_report}"],
+        r".*/stale_report/label_report\.csv: header is not \[.*\]; relabel with --force",
+    ),
 }
 
 
@@ -918,10 +987,15 @@ def bad_input_files(tmp_path):
     each, a corpus whose manifest has a wrong header, weights of feature
     width 7 (no circuit's under the default config), a file that is not
     weights, bad configs, an empty directory, a missing path, sources whose
-    copy and variant ids collide, and a manifest and an orders file that
-    list one circuit twice."""
+    copy and variant ids collide, a manifest and an orders file that list
+    one circuit twice, and a corpus whose label report has another header."""
     files = {name: tmp_path / name for name in ("corpus", "latch_corpus", "missing", "out")}
     files["pairs6"] = one_entry_corpus(files["corpus"], "pairs6", PAIRS6_SRC)
+    files["stale_report"] = tmp_path / "stale_report"
+    one_entry_corpus(files["stale_report"], "pairs6", PAIRS6_SRC)
+    (files["stale_report"] / "label_report.csv").write_text(
+        "circuit_id,winner,natural,sifting,label_count,time_seconds\n"
+    )
     files["latch"] = one_entry_corpus(files["latch_corpus"], "latched", LATCH_SRC)
     files["empty"] = tmp_path / "empty"
     files["empty"].mkdir()
