@@ -31,6 +31,7 @@ from .corpus import (
     Corpus,
     CorpusEntry,
     RunConfig,
+    comment_settings,
     csv_rows,
     load_corpus,
     names_to_order,
@@ -68,6 +69,25 @@ def _label_report(netlist, cfg: RunConfig) -> bdd.LabelReport:
         ga_tournament=cfg.ga_tournament,
         ga_mutation=cfg.ga_mutation,
     )
+
+
+# the settings a label and its report row depend on
+LABEL_KEYS = (
+    "seed", "node_cap", "decompose_arity",
+    "ga_population", "ga_generations", "ga_tournament", "ga_mutation",
+)
+
+
+def _check_kept(path: Path, cfg: RunConfig) -> None:
+    """ValueError when the file `path`, whose labels or rows a run without
+    --force keeps, was written under another value of a label-making key."""
+    written = comment_settings(path.read_text())
+    for key in LABEL_KEYS:
+        ours = str(getattr(cfg, key))  # as `RunConfig.to_text` writes it
+        if written.get(key, ours) != ours:
+            raise ValueError(
+                f"{path}: written with {key} = {written[key]}, not {ours}; relabel with --force"
+            )
 
 
 # -- augment -------------------------------------------------------------------
@@ -139,11 +159,15 @@ def cmd_label(args, cfg: RunConfig) -> None:
     path = corpus.root / "label_report.csv"
     header = ["circuit_id", "winner", *bdd.HEURISTICS, "label_count", "time_seconds"]
     rows = {}  # by circuit id; a circuit this run skips keeps its old row
-    if path.exists() and not args.force:
-        kept = [row for _, row in csv_rows(path)]
-        if kept[:1] != [header]:
-            raise ValueError(f"{path}: header is not {header}; relabel with --force")
-        rows = {row[0]: row for row in kept[1:]}
+    if not args.force:
+        for old in (corpus.root / "labels.txt", path):
+            if old.exists():
+                _check_kept(old, cfg)
+        if path.exists():
+            kept = [row for _, row in csv_rows(path)]
+            if kept[:1] != [header]:
+                raise ValueError(f"{path}: header is not {header}; relabel with --force")
+            rows = {row[0]: row for row in kept[1:]}
     labeled = 0
     for entry in corpus.entries:
         if entry.circuit_id in labels and not args.force:
@@ -157,6 +181,8 @@ def cmd_label(args, cfg: RunConfig) -> None:
                 f"warning: {entry.circuit_id} exceeded the node cap; dropped",
                 file=sys.stderr,
             )
+            labels.pop(entry.circuit_id, None)  # a label goes with its row
+            rows.pop(entry.circuit_id, None)
             continue
         elapsed = _clock(cfg, start)
         labels[entry.circuit_id] = order_to_names(netlist, report.order)

@@ -142,6 +142,19 @@ class RunConfig:
         return "".join(f"# {line}\n" for line in self.to_text().splitlines())
 
 
+def comment_settings(text: str) -> dict[str, str]:
+    """key -> value text of the `comment_block` that opens an artifact's
+    text; empty when it opens with no such block."""
+    settings = {}
+    for line in text.splitlines():
+        if not line.startswith("# "):
+            break
+        key, eq, value = line[2:].partition(" = ")
+        if eq:
+            settings[key] = value
+    return settings
+
+
 def split_of(circuit_id: str, seed: int) -> str:
     """Deterministic 7:2:1 train/val/test assignment."""
     digest = hashlib.sha256(f"{seed}:{circuit_id}".encode()).digest()

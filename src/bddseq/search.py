@@ -21,10 +21,25 @@ input embeddings by it; the beams of a search all name its one graph. The
 penalised scores depend only on the set of tokens claimed so far at the
 step, so the (B, P) scores are computed once per change of that set: a group
 that follows a group which claimed no new token goes on with the same
-scores. Each claim takes the first maximum of the untaken continuations and
-sets it to -inf, which is the next entry of a stable sort of the pool with
-the taken ones masked out, so this claims exactly what a fresh ranking per
-group would.
+scores. A token's penalty is subtracted from its column once, when it is
+first claimed. Each claim takes the first maximum of the untaken
+continuations and sets it to -inf, which is the next entry of a stable sort
+of the pool with the taken ones masked out, so this claims exactly what a
+fresh ranking per group would.
+
+The last position takes no decoder step. There each beam has one unvisited
+input, and its log-probability is exactly 0.0: it is the row's maximum, so
+its shifted score is 0.0, and every visited score lies more than 745 below
+it, so each other `exp` is at most 5e-324 and the row sums to 1.0. A
+visited score carries `MASK_VALUE` (-1e9), and the penalty moves a score by
+at most one span, so this holds while every beam's span of raw scores is
+below (1e9 - 745) / 2. A pointer score is `ptr.v` times a tanh, so a
+`ptr.v` of 1-norm below (1e9 - 745) / 4, just under 2.5e8, guarantees it.
+`_decode` therefore runs `_advance` for positions 0 to P - 2 only, and gives
+each beam its last input at the beam's own score. The claims of that step
+go by score, ties to the lower beam, as a ranking would make them, so the
+trace is as it would be with the step. `_greedy` does the same at its final
+step, where every row left has one input left.
 
 Greedy decoding is batched: `greedy_decode` of an `encode`d batch of graphs
 (one disjoint union) runs one pool with a row per graph, padded inputs
@@ -120,16 +135,6 @@ def _span(raw: np.ndarray) -> np.ndarray:
     return raw.max(axis=1, keepdims=True) - raw.min(axis=1, keepdims=True)
 
 
-def _penalized(
-    scores: np.ndarray, claimed: np.ndarray, config: SearchConfig, span: np.ndarray
-) -> np.ndarray:
-    """Scores less alpha times each row's `span` (`_span` of the raw scores)
-    on the tokens claimed by earlier groups."""
-    if not claimed.any():
-        return scores
-    return scores - np.where(claimed, config.alpha * span, 0.0)
-
-
 def _decode(
     encoded: M.Encoded, params: M.ModelParams, config: SearchConfig
 ) -> list[tuple[VarOrder, float]]:
@@ -138,6 +143,8 @@ def _decode(
     if len(encoded.starts) != 1:
         raise ValueError(f"beam search decodes one graph, not {len(encoded.starts)}")
     num_pis, hdim = encoded.pi_embs.shape[0], params.config.hidden
+    if not num_pis:
+        return [(VarOrder(()), 0.0)]
     quota = config.beam_width // config.groups
     pool = Pool(
         tokens=[()],
@@ -147,59 +154,75 @@ def _decode(
         cell=np.zeros((1, hdim)),
         graphs=np.zeros(1, dtype=np.int64),
     )
-    for step in range(num_pis):
+    for step in range(num_pis - 1):
         raw, hidden, cell = _advance(pool, encoded, params)
         # the mask is added before the penalty: an unvisited entry gets the
         # same bits either way, and visited ones are set to -inf below
-        masked, span = raw + np.where(pool.visited, M.MASK_VALUE, 0.0), _span(raw)
-        claimed = np.zeros(num_pis, dtype=bool)  # tokens taken at this step
+        penalized = raw + np.where(pool.visited, M.MASK_VALUE, 0.0)
+        penalty = config.alpha * _span(raw)[:, 0]  # (B,), subtracted once per claimed token
+        claimed: set[int] = set()  # tokens taken at this step
         stale = True  # claimed has gained a token since the last ranking
-        rows: list[int] = []
-        cols: list[int] = []
+        taken: list[int] = []  # flat (beam, token) indices, in claim order
         scores: list[float] = []
         for group in range(config.groups):
             if stale:
-                flat = (
-                    pool.scores[:, None] + _log_softmax(_penalized(masked, claimed, config, span))
-                ).ravel()
+                flat = (pool.scores[:, None] + _log_softmax(penalized)).ravel()
                 # visited, or claimed by an earlier group
                 flat[pool.visited.ravel()] = -np.inf
-                flat[[b * num_pis + t for b, t in zip(rows, cols)]] = -np.inf
+                flat[taken] = -np.inf
                 stale = False
             for _ in range(quota):
                 k = int(flat.argmax())  # the first maximum: ties go to (beam, token) order
-                score = float(flat[k])
+                score = flat.item(k)
                 if score == -np.inf:
                     break  # fewer continuations left than the quota
                 flat[k] = -np.inf
-                b, token = divmod(k, num_pis)
-                stale = stale or not claimed[token]
-                claimed[token] = True
-                rows.append(b)
-                cols.append(token)
+                token = k % num_pis
+                if token not in claimed:
+                    claimed.add(token)
+                    penalized[:, token] -= penalty
+                    stale = True
+                taken.append(k)
                 scores.append(score)
                 if config.trace is not None:
                     config.trace.append(
                         {
                             "step": step,
                             "group": group,
-                            "beam": len(rows) - 1,
+                            "beam": len(taken) - 1,
                             "token": token,
                             "score": score,
                         }
                     )
+        rows, cols = np.divmod(np.array(taken), num_pis)
         visited = pool.visited[rows]
         visited[np.arange(len(rows)), cols] = True
         pool = Pool(
-            tokens=[pool.tokens[b] + (t,) for b, t in zip(rows, cols)],
+            tokens=[pool.tokens[b] + (t,) for b, t in zip(rows.tolist(), cols.tolist())],
             scores=np.array(scores),
             visited=visited,
             hidden=hidden[rows],
             cell=cell[rows],
             graphs=pool.graphs[rows],
         )
-    ranked = sorted(zip(pool.scores.tolist(), pool.tokens), key=lambda c: (-c[0], c[1]))
-    return [(VarOrder(tokens), score) for score, tokens in ranked]
+    # the last position: each beam's one unvisited input has log-probability
+    # 0.0 (see the module docstring), so no decoder step runs, and the claims
+    # go by score, ties to the lower beam, as a ranking would make them
+    scores = pool.scores.tolist()
+    tokens = [t + (last,) for t, last in zip(pool.tokens, pool.visited.argmin(axis=1).tolist())]
+    if config.trace is not None:
+        for beam, b in enumerate(sorted(range(len(tokens)), key=lambda i: -scores[i])):
+            config.trace.append(
+                {
+                    "step": num_pis - 1,
+                    "group": beam // quota,
+                    "beam": beam,
+                    "token": tokens[b][-1],
+                    "score": scores[b],
+                }
+            )
+    ranked = sorted(zip(scores, tokens), key=lambda c: (-c[0], c[1]))
+    return [(VarOrder(order), score) for score, order in ranked]
 
 
 def _greedy(encoded: M.Encoded, params: M.ModelParams) -> list[tuple[VarOrder, float]]:
@@ -207,7 +230,9 @@ def _greedy(encoded: M.Encoded, params: M.ModelParams) -> list[tuple[VarOrder, f
     per graph: a row takes the first maximum of its score plus the
     log-softmax of its masked raw scores, as `_decode` ranks, with visited
     and padded inputs masked, and leaves the pool once its graph's inputs
-    are all ordered. Returns each graph's order and summed log-probability.
+    are all ordered. At the last step every row left has one input left,
+    which it takes with no decoder step, as `_decode` does. Returns each
+    graph's order and summed log-probability.
     """
     sizes = encoded.real.sum(axis=1)
     tokens: list[tuple[int, ...]] = [()] * len(sizes)  # by graph
@@ -215,7 +240,7 @@ def _greedy(encoded: M.Encoded, params: M.ModelParams) -> list[tuple[VarOrder, f
     rows = np.flatnonzero(sizes)  # the pool's graphs: those with inputs left
     visited = ~encoded.real[rows]  # padded inputs count as visited
     hidden = cell = np.zeros((len(rows), params.config.hidden))
-    for step in range(encoded.real.shape[1]):
+    for step in range(encoded.real.shape[1] - 1):
         pool = Pool([tokens[g] for g in rows], scores[rows], visited, hidden, cell, rows)
         raw, hidden, cell = _advance(pool, encoded, params)
         flat = pool.scores[:, None] + _log_softmax(raw + np.where(visited, M.MASK_VALUE, 0.0))
@@ -227,6 +252,9 @@ def _greedy(encoded: M.Encoded, params: M.ModelParams) -> list[tuple[VarOrder, f
             tokens[g] += (token,)
         live = sizes[rows] > step + 1
         rows, visited, hidden, cell = rows[live], visited[live], hidden[live], cell[live]
+    if len(rows):  # the rows of the largest graphs, one input left each
+        for g, token in zip(rows.tolist(), visited.argmin(axis=1).tolist()):
+            tokens[g] += (token,)
     return [(VarOrder(t), float(score)) for t, score in zip(tokens, scores)]
 
 

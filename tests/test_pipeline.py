@@ -509,6 +509,50 @@ def test_label_again_keeps_the_report(labeled_corpus, cfg_file, capsys):
     assert (report.read_bytes(), labels.read_bytes()) == before
 
 
+def test_label_force_drops_a_label_with_its_row(tmp_path, cfg_file, capsys):
+    # a forced run under a lower node cap drops the old label of each circuit
+    # it drops, as it drops the report row
+    src, corpus = tmp_path / "src", tmp_path / "corpus"
+    write_sources(src, count=4, seed=3, min_pis=5, max_pis=6)
+    assert main(["--config", str(cfg_file), "augment", str(src), "--variants", "0", "--out", str(corpus)]) == 0
+    assert main(["--config", str(cfg_file), "label", str(corpus)]) == 0
+    assert len(read_orders(corpus / "labels.txt")) == 4
+    capped = tmp_path / "capped.txt"
+    capped.write_text(cfg_file.read_text() + "node_cap = 8\n")
+    capsys.readouterr()
+    assert main(["--config", str(capped), "label", str(corpus), "--force"]) == 0
+    dropped = capsys.readouterr().err.count("exceeded the node cap; dropped")
+    labels = read_orders(corpus / "labels.txt")
+    _, rows = read_csv(corpus / "label_report.csv")
+    assert dropped == 3 and len(labels) == 1
+    assert list(labels) == [row[0] for row in rows]
+
+
+@pytest.mark.parametrize("key", cli.LABEL_KEYS)
+def test_label_keeps_only_labels_of_its_own_settings(key, labeled_corpus, cfg_file, tmp_path, capsys):
+    # a run without --force refuses to keep labels and rows made under another
+    # value of a key that makes labels, and keeps them under another model
+    files = [labeled_corpus / name for name in ("labels.txt", "label_report.csv")]
+    before = read_orders(files[0]), read_csv(files[1])
+    cfg = RunConfig.load(cfg_file)
+    value = {"ga_mutation": 0.5, "node_cap": 1234, "decompose_arity": 3}.get(key, getattr(cfg, key) + 1)
+    other, model = tmp_path / "other.txt", tmp_path / "model.txt"
+    other.write_text(replace(cfg, **{key: value}).to_text())
+    model.write_text(replace(cfg, hidden=8, epochs=2, alpha=0.5).to_text())
+    capsys.readouterr()
+    assert main(["--config", str(other), "label", str(labeled_corpus)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {files[0]}: written with {key} = {getattr(cfg, key)}, not {value}; "
+        "relabel with --force\n"
+    )
+    assert main(["--config", str(model), "label", str(labeled_corpus)]) == 0
+    assert (read_orders(files[0]), read_csv(files[1])) == before
+    files[0].unlink()  # the report is checked too
+    assert main(["--config", str(other), "label", str(labeled_corpus)]) == 1
+    assert f"error: {files[1]}: written with {key}" in capsys.readouterr().err
+    assert main(["--config", str(other), "label", str(labeled_corpus), "--force"]) == 0
+
+
 @pytest.fixture
 def trained_run(labeled_corpus, cfg_file, tmp_path):
     run = tmp_path / "run"
@@ -968,6 +1012,10 @@ BAD_INPUTS = {
         ["label", "{stale_report}"],
         r".*/stale_report/label_report\.csv: header is not \[.*\]; relabel with --force",
     ),
+    "label-other-settings": (
+        ["label", "{other_settings}"],
+        r".*/other_settings/labels\.txt: written with ga_population = 4, not 32; relabel with --force",
+    ),
 }
 
 
@@ -988,13 +1036,21 @@ def bad_input_files(tmp_path):
     width 7 (no circuit's under the default config), a file that is not
     weights, bad configs, an empty directory, a missing path, sources whose
     copy and variant ids collide, a manifest and an orders file that list
-    one circuit twice, and a corpus whose label report has another header."""
+    one circuit twice, and corpora whose label report has another header or
+    whose labels were made under other settings."""
     files = {name: tmp_path / name for name in ("corpus", "latch_corpus", "missing", "out")}
     files["pairs6"] = one_entry_corpus(files["corpus"], "pairs6", PAIRS6_SRC)
     files["stale_report"] = tmp_path / "stale_report"
     one_entry_corpus(files["stale_report"], "pairs6", PAIRS6_SRC)
     (files["stale_report"] / "label_report.csv").write_text(
         "circuit_id,winner,natural,sifting,label_count,time_seconds\n"
+    )
+    files["other_settings"] = tmp_path / "other_settings"
+    one_entry_corpus(files["other_settings"], "pairs6", PAIRS6_SRC)
+    write_orders(
+        files["other_settings"] / "labels.txt",
+        {"pairs6": [f"x{i}" for i in range(6)]},
+        RunConfig(ga_population=4),
     )
     files["latch"] = one_entry_corpus(files["latch_corpus"], "latched", LATCH_SRC)
     files["empty"] = tmp_path / "empty"

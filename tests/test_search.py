@@ -171,6 +171,85 @@ def test_greedy_of_a_graph_without_inputs_is_empty(tri_graph, tri_params):
     assert empty == again == VarOrder(()) and order == greedy_decode(tri_graph, tri_params)
 
 
+NO_INPUTS = ".model c\n.outputs o\n.names o\n1\n.end\n"
+ONE_INPUT = ".model t\n.inputs a\n.outputs o\n.names a o\n1 1\n.end\n"
+
+
+@pytest.mark.parametrize("src, order", [(NO_INPUTS, ()), (ONE_INPUT, (0,))], ids=["none", "one"])
+def test_a_circuit_of_at_most_one_input_has_one_order(src, order):
+    # in every mode, and in single and batched greedy decoding, with score 0.0
+    from bddseq.cli import _feature_config, predict_order
+    from bddseq.corpus import RunConfig
+
+    net, cfg = parse_blif(src), RunConfig(max_table_len=4, decompose_arity=2)
+    graph = blif2graph(net, _feature_config(cfg))
+    cfg_model = M.ModelConfig(feature_dim=graph.features.shape[1], hidden=8, layers=1, heads=2)
+    params = M.init_params(cfg_model, seed=0)
+    expected = VarOrder(order)
+    for mode, (width, groups) in search.MODES.items():
+        trace = []
+        results = diverse_beam_search(graph, params, SearchConfig(width, groups, trace=trace))
+        assert results == [(expected, 0.0)] and math.copysign(1.0, results[0][1]) == 1.0
+        assert trace == [{"step": 0, "group": 0, "beam": 0, "token": 0, "score": 0.0}][: len(order)]
+        assert predict_order(net, params, mode, cfg) == (expected, 1)
+    assert greedy_decode(graph, params) == expected
+    assert search._greedy(search.encode([graph] * 3, params), params) == [(expected, 0.0)] * 3
+
+
+def counted_advance(monkeypatch):
+    """The sizes of the pools `search._advance` is called on, in call order."""
+    advance, calls = search._advance, []
+
+    def counted(pool, encoded, params):
+        calls.append(len(pool.tokens))
+        return advance(pool, encoded, params)
+
+    monkeypatch.setattr(search, "_advance", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_no_decoder_step_for_the_last_position(seed, monkeypatch):
+    # the last input of every beam is forced, so a search over P inputs runs
+    # P - 1 decoder steps, and a batched greedy decode max-size - 1
+    graphs, params = mixed_batch(seed)
+    calls = counted_advance(monkeypatch)
+    for graph in graphs:
+        encoded = search.encode(graph, params)
+        for width, groups in search.MODES.values():
+            calls.clear()
+            diverse_beam_search(encoded, params, SearchConfig(width, groups))
+            assert len(calls) == graph.num_pis - 1
+        calls.clear()
+        greedy_decode(encoded, params)
+        assert len(calls) == graph.num_pis - 1
+    calls.clear()
+    greedy_decode(search.encode(graphs, params), params)
+    assert len(calls) == max(g.num_pis for g in graphs) - 1
+    assert calls == sorted(calls, reverse=True)  # finished rows leave the pool
+
+
+# |raw| below this keeps each span under (1e9 - 745) / 2, so a masked score
+# lies more than 745 below the unmasked one even after the penalty
+RAW_BOUND = (abs(M.MASK_VALUE) - 745) / 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_unmasked_column_has_log_probability_zero(data):
+    # the forced last step's score is exactly the beam's: +0.0, bit for bit
+    n = data.draw(st.integers(1, 12))
+    raw = np.array(data.draw(st.lists(st.floats(-RAW_BOUND, RAW_BOUND), min_size=n, max_size=n)))
+    free = data.draw(st.integers(0, n - 1))
+    claimed = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    alpha = data.draw(st.floats(0.0, 1.0))
+    visited = np.arange(n) != free
+    masked = raw[None, :] + np.where(visited, M.MASK_VALUE, 0.0)
+    penalized = masked - np.where(claimed, alpha * search._span(raw[None, :]), 0.0)
+    value = search._log_softmax(penalized)[0, free]
+    assert value == 0.0 and not np.signbit(value)
+
+
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("width", [1, 3, 6])
 def test_pool_scores_equal_teacher_forced(seed, width):
@@ -530,7 +609,7 @@ def per_group_decode(encoded, params, config):
         rows, cols, scores = [], [], []
         for group in range(config.groups):
             total = pool.scores[:, None] + search._log_softmax(
-                search._penalized(raw, claimed, config, search._span(raw)) + mask
+                raw - np.where(claimed, config.alpha * search._span(raw), 0.0) + mask
             )
             flat = np.where(taken, -np.inf, total).ravel()
             for k in np.argsort(-flat, kind="stable")[:quota].tolist():
