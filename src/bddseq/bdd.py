@@ -31,13 +31,18 @@ The GA draws from `random.Random(seed)` the stream `randrange`, `sample`,
 each index through one `getrandbits` rejection helper, CPython's algorithm
 for `randrange`, and ranks each generation once for its tournaments.
 
-Sifting reaches the orders plain sifting does with about half the swaps, by
-a lower bound. A level's size depends only on its variable and the set of
-variables above it, so while a variable moves down from position j the
-levels above j keep their sizes, and every support variable (one with a
-non-empty level, in any order) keeps at least one node; the same holds
-upward for the levels below j. A sweep stops once that bound cannot beat
-the best count seen.
+Sifting reaches the orders plain sifting does with fewer swaps, by a lower
+bound. A level's size depends only on its variable and the set of variables
+above it, so while a variable moves down from position j the levels above j
+keep their sizes, and every support variable (one with a non-empty level, in
+any order) keeps at least one node; the same holds upward for the levels
+below j. A sweep stops once that bound cannot beat the best count seen. Two
+rules skip the moves that bound already decides. The up sweep's bound at the
+start position is known before the down sweep, so a variable walks back up
+only when that bound can still win; otherwise it goes straight to its best
+position. A variable outside the support ties at every position, so it goes
+to position 0 with no sweep. The two rules take the traced `sift_wide`
+benchmark at seed 101 from 13 570 swaps to 11 704 (-14%).
 
 Exact orders come from the Friedman-Supowit dynamic program over subsets of
 variables, run on the output truth tables (`brute_force_optimal_order`).
@@ -530,6 +535,16 @@ def sift_reorder(manager: BddManager, roots) -> VarOrder:
     with a non-empty level, found once per pass; the sums are running totals,
     since a swap changes only its two levels.
 
+    The sweeps skip what the bounds already decide. The levels below the
+    start position are those the down sweep starts from, so the up sweep's
+    bound there is known before any swap, and it only grows as the variable
+    moves up. The walk back over the positions the down sweep measured, and
+    the up sweep beyond it, run only when the start is not the top and that
+    bound does not pass the best count; otherwise the up sweep would stop at
+    or below the start, so the variable goes straight to its best position.
+    A variable outside the support ties at every position, and no move of it
+    changes the store, so it goes to position 0 with no sweep.
+
     If the node cap is hit while exploring, the pass for that variable stops
     and it is parked at the best position seen so far; the final count never
     exceeds the initial count. Whenever the cap is not reached, the order is
@@ -548,10 +563,20 @@ def sift_reorder(manager: BddManager, roots) -> VarOrder:
         in_support[order[level]] = 1 if unique[level] else 0
     support = sum(in_support)
     for var in range(n):
-        pos = var2level[var]
+        # outside the support every position ties and no move changes the
+        # store; a store already over its cap takes the sweeps, which stop there
+        if not in_support[var] and len(manager.nodes) <= manager.node_cap:
+            manager.move_var_to(var, 0)
+            continue
+        pos = start = var2level[var]
         best = (len(manager.nodes) + terminals, pos)
         above = sum(len(unique[level]) for level in range(pos))
         support_down = support - sum(in_support[order[level]] for level in range(pos))
+        # the up sweep's bound at the start, from levels the down sweep leaves be
+        start_bound = (
+            len(manager.nodes) - above - len(unique[pos])
+            + support - support_down + in_support[var] + terminals
+        )
         overflow = False
         while pos < n - 1 and above + support_down + terminals < best[0]:
             manager.swap_adjacent_levels(pos)
@@ -562,7 +587,7 @@ def sift_reorder(manager: BddManager, roots) -> VarOrder:
             if len(manager.nodes) > manager.node_cap:
                 overflow = True
                 break
-        if not overflow:
+        if not overflow and start > 0 and start_bound <= best[0]:
             below = len(manager.nodes) - above - len(unique[pos])
             support_up = support - support_down + in_support[var]
             while pos > 0 and below + support_up + terminals <= best[0]:

@@ -524,6 +524,8 @@ def cmd_eval(args, cfg: RunConfig) -> None:
     for method in sorted(totals):
         if method.startswith("model") and totals[method][1] > 0:
             for base in bdd.HEURISTICS:
+                # the TOTAL rows' times, as printed
+                times = round(totals[base][2], 6), round(totals[method][2], 6)
                 rows.append(
                     [
                         "RATIO",
@@ -532,7 +534,7 @@ def cmd_eval(args, cfg: RunConfig) -> None:
                         f"{totals[base][1] / max(totals[method][1], 1):.4f}",
                         "",
                         "",
-                        "",
+                        f"{times[0] / times[1]:.4f}" if all(times) else "",
                         "",
                         "",
                     ]

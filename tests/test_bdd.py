@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -350,6 +351,122 @@ def test_sift_node_cap_hit_mid_pass():
     mgr.check()
     oracle, oracle_roots = shannon_build(net, order)
     assert mgr.signature(roots) == oracle.signature(oracle_roots)
+
+
+def bounded_sift(manager, roots):
+    """Reference sifting with the lower bound on both sweeps, and nothing else
+    skipped: every variable sweeps down, then walks back up over the positions
+    it measured on the way down, whatever the bound at its start says."""
+    manager.collect_garbage()
+    terminals = terminal_count(roots)
+    n = manager.n
+    unique, order, var2level = manager.unique, manager.order, manager.var2level
+    in_support = [0] * n
+    for level in range(n):
+        in_support[order[level]] = 1 if unique[level] else 0
+    support = sum(in_support)
+    for var in range(n):
+        pos = var2level[var]
+        best = (len(manager.nodes) + terminals, pos)
+        above = sum(len(unique[level]) for level in range(pos))
+        support_down = support - sum(in_support[order[level]] for level in range(pos))
+        overflow = False
+        while pos < n - 1 and above + support_down + terminals < best[0]:
+            manager.swap_adjacent_levels(pos)
+            above += len(unique[pos])
+            support_down -= in_support[order[pos]]
+            pos += 1
+            best = min(best, (len(manager.nodes) + terminals, pos))
+            if len(manager.nodes) > manager.node_cap:
+                overflow = True
+                break
+        if not overflow:
+            below = len(manager.nodes) - above - len(unique[pos])
+            support_up = support - support_down + in_support[var]
+            while pos > 0 and below + support_up + terminals <= best[0]:
+                manager.swap_adjacent_levels(pos - 1)
+                below += len(unique[pos])
+                support_up -= in_support[order[pos]]
+                pos -= 1
+                best = min(best, (len(manager.nodes) + terminals, pos))
+                if len(manager.nodes) > manager.node_cap:
+                    break
+        manager.move_var_to(var, best[1])
+    return manager.current_order()
+
+
+@st.composite
+def sift_starts(draw):
+    """A random netlist with some unused inputs and perhaps constant outputs,
+    a start order (identity or shuffled) and a node cap: the collected live
+    size plus some slack, or none; a slack of -1 starts the store over its
+    cap, as a caller that lowers `node_cap` after the build can."""
+    net = draw(netlists())
+    unused = [f"u{i}" for i in range(draw(st.integers(0, 3)))]
+    inputs = draw(st.permutations(net.primary_inputs + unused))
+    gates, outputs = list(net.gates), list(net.primary_outputs)
+    for k, cover in enumerate(draw(st.lists(st.sampled_from([[], [Cube("", 1)]]), max_size=2))):
+        gates.append(LogicGate([], f"c{k}", cover))
+        outputs.insert(draw(st.integers(0, len(outputs))), f"c{k}")
+    net = Netlist(name="fuzz", primary_inputs=inputs, primary_outputs=outputs, gates=gates)
+    net.validate()
+    perm = list(range(len(inputs)))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(perm))
+    slack = draw(st.one_of(st.none(), st.just(-1), st.integers(0, 12)))
+    return net, VarOrder.of(perm), slack
+
+
+def sift_against_bounded(net, start, slack):
+    """Sift with `sift_reorder` and with `bounded_sift` from the same start and
+    cap; return their orders, counts, signatures and swap counts."""
+    out = []
+    for sift in (sift_reorder, bounded_sift):
+        mgr, roots = build_from_netlist(net, start)
+        mgr.collect_garbage()
+        mgr.node_cap = math.inf if slack is None else len(mgr.nodes) + slack
+        counter = count_swaps(mgr)
+        order = sift(mgr, roots)
+        mgr.check()
+        count = len(mgr.nodes) + terminal_count(roots)
+        out.append((order, count, mgr.signature(roots), counter[0]))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(sift_starts())
+def test_sift_matches_bounded_sift(case):
+    # the walk back up and the sweeps of unsupported variables decide nothing
+    (order, count, signature, _), (ref_order, ref_count, ref_signature, _) = (
+        sift_against_bounded(*case)
+    )
+    assert (order, count, signature) == (ref_order, ref_count, ref_signature)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sift_starts())
+def test_sift_never_swaps_more_than_bounded_sift(case):
+    (*_, swaps), (*_, ref_swaps) = sift_against_bounded(*case)
+    assert swaps <= ref_swaps
+
+
+@pytest.mark.parametrize(
+    "family, swaps, ref_swaps",
+    # `bounded_sift` makes the swaps of sifting without the walk-back skip
+    # and the unsupported-variable rule; the cover reads 9 of its 16 inputs,
+    # and its outputs depend on 5
+    [("pairs", 148, 190), ("cover", 164, 260)],
+)
+def test_sift_skips_decided_sweeps(family, swaps, ref_swaps):
+    r = random.Random(2)
+    if family == "pairs":
+        net = pair_products(r, 8)
+    else:
+        net = random_cover_netlist(r, 16, 10, n_outputs=3)
+    start = VarOrder.identity(len(net.primary_inputs))
+    got, ref = sift_against_bounded(net, start, None)
+    assert got[:3] == ref[:3]
+    assert (got[3], ref[3]) == (swaps, ref_swaps)
 
 
 def test_ga_zero_generations_returns_best_seeded(pairs6):

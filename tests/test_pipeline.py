@@ -747,6 +747,34 @@ def test_eval_report_totals_and_refusal(labeled_corpus, cfg_file, trained_run, t
     assert "split" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record_times", [False, True])
+def test_eval_ratio_rows_give_the_time_ratio(
+    record_times, labeled_corpus, cfg_file, trained_run, tmp_path
+):
+    # heuristic over model, of the TOTAL rows' time_seconds; with no times
+    # recorded both totals are 0 and the cell stays empty
+    if record_times:
+        cfg_file.write_text(cfg_file.read_text().replace("record_times = false", "record_times = true"))
+    out = tmp_path / "eval"
+    assert main(
+        ["--config", str(cfg_file), "eval", str(labeled_corpus), "--weights",
+         str(trained_run / "weights.bin"), "--out", str(out)]
+    ) == 0
+    header, rows = read_csv(out / "eval_report.csv")
+    column = header.index("time_seconds")
+    totals = {row[1]: float(row[column]) for row in rows if row[0] == "TOTAL"}
+    ratios = [row for row in rows if row[0] == "RATIO"]
+    assert len(ratios) == len(bdd.HEURISTICS) * len(search.MODES)
+    for row in ratios:
+        base, model = row[1].split("/")
+        if record_times:
+            assert totals[base] > 0 and totals[model] > 0
+            assert row[column] == f"{totals[base] / totals[model]:.4f}"
+        else:
+            assert totals[base] == totals[model] == 0
+            assert row[column] == ""
+
+
 def test_eval_shares_the_label_report(labeled_corpus, cfg_file, trained_run, tmp_path, monkeypatch):
     # per test circuit: one identity build for the label report, which gives
     # every label maker's order, a synthesis build for each of them, and a
