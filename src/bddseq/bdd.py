@@ -19,7 +19,9 @@ swap keeps it that way, since it frees every node it orphans. Construction
 leaves dead nodes behind for the mark-and-sweep collector, so every reorder
 (sifting, the genetic fitness, the search's re-rank) collects once before its
 first swap and then reads each node count from the store size instead of
-walking the diagrams. `shuffle_to` moves a diagram to a whole new order, with
+walking the diagrams. Protection holds only roots, during a build as after
+it: a collection mid-build, at `gc_threshold`, marks from the signals the
+build holds as well. `shuffle_to` moves a diagram to a whole new order, with
 the node cap checked on every swap. `transfer` copies the live nodes under
 some roots into a fresh, collected manager with the same order; a new order
 is reached from there by swaps. The GA, the exact search and each label maker
@@ -41,8 +43,7 @@ rules skip the moves that bound already decides. The up sweep's bound at the
 start position is known before the down sweep, so a variable walks back up
 only when that bound can still win; otherwise it goes straight to its best
 position. A variable outside the support ties at every position, so it goes
-to position 0 with no sweep. The two rules take the traced `sift_wide`
-benchmark at seed 101 from 13 570 swaps to 11 704 (-14%).
+to position 0 with no sweep.
 
 Exact orders come from the Friedman-Supowit dynamic program over subsets of
 variables, run on the output truth tables (`brute_force_optimal_order`).
@@ -300,9 +301,9 @@ class BddManager:
 
     # -- garbage collection --------------------------------------------------
 
-    def collect_garbage(self) -> int:
-        """Mark-and-sweep from the protected set; rebuilds the unique table."""
-        live = self.reachable(self.protected)
+    def collect_garbage(self, extra=()) -> int:
+        """Mark-and-sweep from the protected set plus `extra`; rebuilds the unique table."""
+        live = self.reachable([*self.protected, *extra])
         dead = [nid for nid in self.nodes if nid not in live]
         for nid in dead:
             del self.nodes[nid]
@@ -319,10 +320,6 @@ class BddManager:
             self._incref(ref)
         self.cache.clear()
         return len(dead)
-
-    def maybe_collect(self) -> None:
-        if len(self.nodes) >= self.gc_threshold:
-            self.collect_garbage()
 
     # -- adjacent level swap -------------------------------------------------
 
@@ -476,18 +473,19 @@ def terminal_count(roots) -> int:
 def build_from_netlist(
     netlist: Netlist, order: VarOrder, node_cap: int = NODE_CAP
 ) -> tuple[BddManager, list[int]]:
-    """Apply-based construction of all primary-output functions."""
-    n = len(netlist.primary_inputs)
-    if len(order) != n:
+    """Apply-based construction of all primary-output functions.
+
+    Protection holds only roots: the signals stay in the build's own map,
+    and the output roots are protected at the end. Before a gate, a store at
+    `gc_threshold` collects with the signals as extra live roots.
+    """
+    if len(order) != len(netlist.primary_inputs):
         raise ValueError("order does not permute the primary inputs")
     mgr = BddManager(order, node_cap=node_cap)
-    var_index = {name: i for i, name in enumerate(netlist.primary_inputs)}
-    refs: dict[str, int] = {}
-    for name, idx in var_index.items():
-        refs[name] = mgr.var(idx)
-        mgr.protect(refs[name])
+    refs = {name: mgr.var(i) for i, name in enumerate(netlist.primary_inputs)}
     for gate in netlist.topo_gates():
-        mgr.maybe_collect()
+        if len(mgr.nodes) >= mgr.gc_threshold:
+            mgr.collect_garbage(refs.values())
         if not gate.cover:
             result = FALSE
         else:
@@ -502,13 +500,9 @@ def build_from_netlist(
                 acc = mgr.apply(OR, acc, term)
             result = acc if gate.polarity == 1 else mgr.apply_not(acc)
         refs[gate.output] = result
-        mgr.protect(result)
-    roots = []
-    for po in netlist.primary_outputs:
-        roots.append(refs[po])
-        mgr.protect(refs[po])
-    for ref in list(refs.values()):
-        mgr.unprotect(ref)
+    roots = [refs[po] for po in netlist.primary_outputs]
+    for ref in roots:
+        mgr.protect(ref)
     return mgr, roots
 
 

@@ -20,7 +20,7 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -155,11 +155,12 @@ def _variant_seed(seed: int, base: str, j: int) -> int:
 
 def cmd_label(args, cfg: RunConfig) -> None:
     corpus = load_corpus(args.corpus)
-    labels = dict(corpus.labels)
     path = corpus.root / "label_report.csv"
     header = ["circuit_id", "winner", *bdd.HEURISTICS, "label_count", "time_seconds"]
-    rows = {}  # by circuit id; a circuit this run skips keeps its old row
+    # by circuit id; without --force a circuit with its label and row is kept
+    labels, rows = {}, {}
     if not args.force:
+        labels = dict(corpus.labels)
         for old in (corpus.root / "labels.txt", path):
             if old.exists():
                 _check_kept(old, cfg)
@@ -170,7 +171,7 @@ def cmd_label(args, cfg: RunConfig) -> None:
             rows = {row[0]: row for row in kept[1:]}
     labeled = 0
     for entry in corpus.entries:
-        if entry.circuit_id in labels and not args.force:
+        if entry.circuit_id in labels and entry.circuit_id in rows:
             continue
         netlist = _prepare_netlist(corpus.load_netlist(entry), cfg)
         start = time.perf_counter()
@@ -245,16 +246,19 @@ def cmd_train(args, cfg: RunConfig) -> None:
     val_set = _dataset(corpus, cfg, "val")
     if not train_set:
         raise ValueError("no labeled training circuits")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     feature_dim = train_set[0][0].features.shape[1]
     mconfig = M.ModelConfig(
         feature_dim=feature_dim, hidden=cfg.hidden, layers=cfg.layers, heads=cfg.heads
     )
     if args.resume:
         params, opt_state, start_epoch = M.load_checkpoint(args.resume)
+        for key, ours in asdict(mconfig).items():
+            if (theirs := getattr(params.config, key)) != ours:
+                raise ValueError(f"{args.resume}: a checkpoint of {key} = {theirs}, not {ours}")
     else:
         params, opt_state, start_epoch = M.init_params(mconfig, seed=cfg.seed), None, 0
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     one_epoch = M.TrainConfig(
         epochs=1,
         batch_size=cfg.batch_size,

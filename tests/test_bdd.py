@@ -1138,6 +1138,50 @@ def test_garbage_collection_keeps_roots(pairs6):
     eval_all(mgr, roots[0], pairs6)
 
 
+def xor_chain(pairs: int) -> Netlist:
+    """o = XOR over i of (a_i AND b_i), one two-cube XOR gate per pair, with
+    the inputs declared a0.. then b0.., so the identity order separates each
+    product's inputs and the chain's temporaries dwarf its live nodes."""
+    inputs = " ".join(f"{c}{i}" for c in "ab" for i in range(pairs))
+    lines = [".model xor_chain", f".inputs {inputs}", ".outputs o", ".names p0 s0", "1 1"]
+    lines += [f".names s{pairs - 1} o", "1 1"]
+    for i in range(pairs):
+        lines += [f".names a{i} b{i} p{i}", "11 1"]
+    for i in range(1, pairs):
+        lines += [f".names s{i - 1} p{i} s{i}", "10 1", "01 1"]
+    return parse_blif("\n".join(lines) + "\n.end\n")
+
+
+def test_a_build_collects_from_the_signals_it_holds(monkeypatch):
+    # 18 inputs: 5 925 stored nodes with no collection, 1 279 live. Under a
+    # cap of 5 725 (threshold 2 862) the build collects twice and finishes;
+    # each collection keeps every signal the build still holds, though the
+    # manager protects nothing until the outputs are done
+    net = xor_chain(9)
+    order = VarOrder.identity(18)
+    full, full_roots = build_from_netlist(net, order)
+    assert len(full.nodes) == 5925 and node_count(full, full_roots) == 1279
+    collect, freed = BddManager.collect_garbage, []
+
+    def looking(mgr, extra=()):
+        assert mgr.protected == []
+        mgr.check()
+        freed.append(collect(mgr, extra))
+        mgr.check()
+        return freed[-1]
+
+    monkeypatch.setattr(BddManager, "collect_garbage", looking)
+    mgr, roots = build_from_netlist(net, order, node_cap=5725)
+    assert freed == [2034, 2168] and len(mgr.nodes) == 1788
+    assert mgr.signature(roots) == full.signature(full_roots)
+    assert mgr.protected == roots
+    mgr.check()
+    freed.clear()
+    with pytest.raises(NodeCapExceeded):  # the live signals alone outgrow it
+        build_from_netlist(net, order, node_cap=3602)
+    assert freed == [2034]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_truth_tables_match_per_assignment_eval(seed):
     r = random.Random(seed + 300)

@@ -6,6 +6,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -506,6 +507,20 @@ def test_label_again_keeps_the_report(labeled_corpus, cfg_file, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     assert "labeled 1 circuits" in capsys.readouterr().out
+    assert (report.read_bytes(), labels.read_bytes()) == before
+
+
+def test_label_restores_a_deleted_report(labeled_corpus, cfg_file, capsys):
+    # a circuit keeps its label only with its row: with the report gone, every
+    # circuit is labeled again, to the same labels and rows
+    report, labels = labeled_corpus / "label_report.csv", labeled_corpus / "labels.txt"
+    before = report.read_bytes(), labels.read_bytes()
+    report.unlink()
+    capsys.readouterr()
+    assert main(["--config", str(cfg_file), "label", str(labeled_corpus)]) == 0
+    count = len(read_orders(labels))
+    assert f"labeled {count} circuits ({count} total labels)" in capsys.readouterr().out
+    assert [row[0] for row in read_csv(report)[1]] == list(read_orders(labels))
     assert (report.read_bytes(), labels.read_bytes()) == before
 
 
@@ -1044,15 +1059,19 @@ BAD_INPUTS = {
         ["label", "{other_settings}"],
         r".*/other_settings/labels\.txt: written with ga_population = 4, not 32; relabel with --force",
     ),
+    "train-resume-other-model": (
+        ["train", "{train_corpus}", "--resume", "{other_model}", *OUT],
+        r".*/other_model\.bin: a checkpoint of hidden = 16, not 64",
+    ),
 }
 
 
-def one_entry_corpus(root: Path, name: str, src: str) -> Path:
-    """A corpus of one test-split circuit; returns the path of its BLIF file."""
+def one_entry_corpus(root: Path, name: str, src: str, split: str = "test") -> Path:
+    """A corpus of one circuit; returns the path of its BLIF file."""
     (root / "blif").mkdir(parents=True)
     blif = root / "blif" / f"{name}.blif"
     blif.write_text(src)
-    entry = CorpusEntry(name, f"blif/{name}.blif", blif.name, "copy", "test")
+    entry = CorpusEntry(name, f"blif/{name}.blif", blif.name, "copy", split)
     write_manifest(root / "manifest.csv", [entry], RunConfig())
     return blif
 
@@ -1064,8 +1083,9 @@ def bad_input_files(tmp_path):
     width 7 (no circuit's under the default config), a file that is not
     weights, bad configs, an empty directory, a missing path, sources whose
     copy and variant ids collide, a manifest and an orders file that list
-    one circuit twice, and corpora whose label report has another header or
-    whose labels were made under other settings."""
+    one circuit twice, corpora whose label report has another header or
+    whose labels were made under other settings, and a labeled training
+    corpus with a checkpoint of another model than the default config's."""
     files = {name: tmp_path / name for name in ("corpus", "latch_corpus", "missing", "out")}
     files["pairs6"] = one_entry_corpus(files["corpus"], "pairs6", PAIRS6_SRC)
     files["stale_report"] = tmp_path / "stale_report"
@@ -1080,6 +1100,14 @@ def bad_input_files(tmp_path):
         {"pairs6": [f"x{i}" for i in range(6)]},
         RunConfig(ga_population=4),
     )
+    files["train_corpus"] = tmp_path / "train_corpus"
+    one_entry_corpus(files["train_corpus"], "pairs6", PAIRS6_SRC, split="train")
+    write_orders(files["train_corpus"] / "labels.txt", {"pairs6": [f"x{i}" for i in range(6)]})
+    graph = _dataset(load_corpus(files["train_corpus"]), RunConfig(), "train")[0][0]
+    other = M.init_params(M.ModelConfig(graph.features.shape[1], 16, 3, 2), seed=0)
+    zeros = {k: np.zeros_like(t.data) for k, t in other.tensors.items()}
+    files["other_model"] = tmp_path / "other_model.bin"
+    M.save_checkpoint(other, {"m": zeros, "v": zeros, "step": 0}, 1, files["other_model"])
     files["latch"] = one_entry_corpus(files["latch_corpus"], "latched", LATCH_SRC)
     files["empty"] = tmp_path / "empty"
     files["empty"].mkdir()
