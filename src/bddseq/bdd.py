@@ -20,13 +20,14 @@ leaves dead nodes behind for the mark-and-sweep collector, so every reorder
 (sifting, the genetic fitness, the search's re-rank) collects once before its
 first swap and then reads each node count from the store size instead of
 walking the diagrams. Protection holds only roots, during a build as after
-it: a collection mid-build, at `gc_threshold`, marks from the signals the
-build holds as well. `shuffle_to` moves a diagram to a whole new order, with
-the node cap checked on every swap. `transfer` copies the live nodes under
-some roots into a fresh, collected manager with the same order; a new order
-is reached from there by swaps. The GA, the exact search and each label maker
-of `LABEL_MAKERS` (run in turn on one identity-order diagram) return `(order,
-count)`, so label making counts each order once, where its search found it.
+it: a collection mid-build, at `gc_threshold`, marks from the outputs and the
+signals still to be read as well, so it frees dead gate outputs. `shuffle_to`
+moves a diagram to a whole new order, with the node cap checked on every
+swap. `transfer` copies the live nodes under some roots into a fresh,
+collected manager with the same order; a new order is reached from there by
+swaps. The GA, the exact search and each label maker of `LABEL_MAKERS` (run
+in turn on one identity-order diagram) return `(order, count)`, so label
+making counts each order once, where its search found it.
 
 The GA draws from `random.Random(seed)` the stream `randrange`, `sample`,
 `random` and `shuffle` would, so the seed fixes its orders, but it draws
@@ -46,7 +47,10 @@ position. A variable outside the support ties at every position, so it goes
 to position 0 with no sweep.
 
 Exact orders come from the Friedman-Supowit dynamic program over subsets of
-variables, run on the output truth tables (`brute_force_optimal_order`).
+variables, run on the output truth tables (`brute_force_optimal_order`). Its
+count uses no node store; every exact search checks it against the Shannon
+oracle (`shannon_count`), which builds into a manager's store by `makenode`
+alone, independent of `apply`.
 """
 
 from __future__ import annotations
@@ -255,27 +259,31 @@ class BddManager:
                 stack.append(rec[2])
         return seen
 
+    def postorder(self, roots) -> list[int]:
+        """The distinct internal nodes under the roots, children first, the
+        low side before the high, roots in turn."""
+        out: dict[int, None] = {}  # a node enters once its children have
+
+        def visit(ref: int) -> None:
+            if ref > TRUE and ref not in out:
+                rec = self.nodes[ref]
+                visit(rec[1])
+                visit(rec[2])
+                out[ref] = None
+
+        for ref in roots:
+            visit(ref)
+        return list(out)
+
     def signature(self, roots) -> tuple:
-        """Canonical structural fingerprint of the diagrams under the roots."""
-        index: dict[int, int] = {}
-        out: list[tuple] = []
-
-        def visit(ref: int) -> int:
-            if ref in index:
-                return index[ref]
-            if ref <= TRUE:
-                index[ref] = -1 - ref  # -1 for FALSE, -2 for TRUE
-                return index[ref]
-            rec = self.nodes[ref]
-            lo = visit(rec[1])
-            hi = visit(rec[2])
-            idx = len(out)
-            index[ref] = idx
-            out.append((rec[0], lo, hi))
-            return idx
-
-        root_ids = tuple(visit(r) for r in roots)
-        return (tuple(out), root_ids)
+        """Canonical structural fingerprint of the diagrams under the roots:
+        the `postorder` nodes as (level, low, high) by their place in it, with
+        -1 for FALSE and -2 for TRUE, and the roots the same way."""
+        post = self.postorder(roots)
+        index = {FALSE: -1, TRUE: -2, **{ref: i for i, ref in enumerate(post)}}
+        recs = (self.nodes[ref] for ref in post)
+        nodes = tuple((rec[0], index[rec[1]], index[rec[2]]) for rec in recs)
+        return nodes, tuple(index[ref] for ref in roots)
 
     def check(self) -> None:
         """Assert reduction and ordering invariants over the whole store."""
@@ -477,14 +485,18 @@ def build_from_netlist(
 
     Protection holds only roots: the signals stay in the build's own map,
     and the output roots are protected at the end. Before a gate, a store at
-    `gc_threshold` collects with the signals as extra live roots.
+    `gc_threshold` keeps in that map only the outputs and the signals this or
+    a later gate reads, and collects with them as extra live roots.
     """
     if len(order) != len(netlist.primary_inputs):
         raise ValueError("order does not permute the primary inputs")
     mgr = BddManager(order, node_cap=node_cap)
     refs = {name: mgr.var(i) for i, name in enumerate(netlist.primary_inputs)}
-    for gate in netlist.topo_gates():
+    gates = netlist.topo_gates()
+    for i, gate in enumerate(gates):
         if len(mgr.nodes) >= mgr.gc_threshold:
+            held = {*netlist.primary_outputs, *(s for g in gates[i:] for s in g.inputs)}
+            refs = {sig: ref for sig, ref in refs.items() if sig in held}
             mgr.collect_garbage(refs.values())
         if not gate.cover:
             result = FALSE
@@ -757,67 +769,34 @@ def output_truth_tables(netlist: Netlist) -> tuple[int, list[int]]:
     return n, list(evaluate(netlist, exhaustive_columns(n), 1 << n))
 
 
-class TruthTableBdd:
-    """Shannon-expansion construction from explicit truth tables.
-
-    Independent of the apply-based engine; used as a structural oracle and to
-    cross-check the count of the exact order search. Its `nodes` records are
-    (level, low, high), the layout the manager's `reachable` and `signature`
-    read, so the oracle shares them.
+def shannon_build(netlist: Netlist, order: VarOrder) -> tuple[BddManager, list[int]]:
+    """Truth-table construction oracle under the given order: a fresh
+    manager's store, built by Shannon expansion through `makenode` alone,
+    never `apply`. Input v is evaluated on the exhaustive column of its
+    level, so each table's high half is its top variable's 1-cofactor.
     """
+    n = len(netlist.primary_inputs)
+    columns = exhaustive_columns(n)
+    tables = evaluate(netlist, [columns[order.position_of(v)] for v in range(n)], 1 << n)
+    mgr = BddManager(order)
 
-    def __init__(self, n: int):
-        self.n = n
-        self.unique: dict[tuple[int, int, int], int] = {}
-        self.nodes: dict[int, tuple[int, int, int]] = {}
-        self._next = 2
-
-    def build(self, table: int, level: int = 0) -> int:
-        width = 1 << (self.n - level)
-        if level == self.n:
-            return TRUE if table & 1 else FALSE
+    def build(table: int, level: int) -> int:
+        width = 1 << (n - level)
         if table == 0:
             return FALSE
         if table == (1 << width) - 1:
             return TRUE
         half = width >> 1
-        hi_part = table >> half
-        lo_part = table & ((1 << half) - 1)
-        lo = self.build(lo_part, level + 1)
-        hi = self.build(hi_part, level + 1)
-        if lo == hi:
-            return lo
-        key = (level, lo, hi)
-        hit = self.unique.get(key)
-        if hit is not None:
-            return hit
-        nid = self._next
-        self._next += 1
-        self.unique[key] = nid
-        self.nodes[nid] = key
-        return nid
+        low = build(table & ((1 << half) - 1), level + 1)
+        return mgr.makenode(level, low, build(table >> half, level + 1))
 
-    reachable = BddManager.reachable
-    signature = BddManager.signature
-
-
-def shannon_build(netlist: Netlist, order: VarOrder):
-    """Truth-table construction oracle under the given order.
-
-    The netlist is evaluated with input v on the exhaustive column of its
-    level, so each output table is indexed level-major, as `build` splits it.
-    """
-    n = len(netlist.primary_inputs)
-    columns = exhaustive_columns(n)
-    tables = evaluate(netlist, [columns[order.position_of(v)] for v in range(n)], 1 << n)
-    bdd = TruthTableBdd(n)
-    return bdd, [bdd.build(t) for t in tables]
+    return mgr, [build(table, 0) for table in tables]
 
 
 def shannon_count(netlist: Netlist, perm) -> int:
     """Node count of the netlist's diagram under perm, built by Shannon expansion."""
-    bdd, roots = shannon_build(netlist, VarOrder.of(perm))
-    return len(bdd.reachable(roots))
+    mgr, roots = shannon_build(netlist, VarOrder.of(perm))
+    return len(mgr.reachable(roots))
 
 
 def brute_force_optimal_order(netlist: Netlist) -> tuple[VarOrder, int]:

@@ -31,6 +31,7 @@ from .corpus import (
     Corpus,
     CorpusEntry,
     RunConfig,
+    check_circuit_id,
     comment_settings,
     csv_rows,
     load_corpus,
@@ -103,6 +104,7 @@ def cmd_augment(args, cfg: RunConfig) -> None:
     # a circuit id names its file: two entries with one id would overwrite it
     made_from: dict[str, str] = {}
     for src_path in sources:
+        check_circuit_id(src_path.stem, src_path.name)
         for suffix in ["", *(f"_v{j}" for j in range(cfg.variants_per_circuit))]:
             cid = src_path.stem + suffix
             if made_from.setdefault(cid, src_path.name) != src_path.name:
@@ -303,13 +305,11 @@ def cmd_train(args, cfg: RunConfig) -> None:
     )
     M.save_params(params, out_dir / "weights.bin")
     M.save_checkpoint(params, opt_state, start_epoch + cfg.epochs, out_dir / "checkpoint.bin")
+    trained = f"trained {cfg.epochs} epochs on {len(train_set)} circuits; "
     if best_tau is None:
-        print(f"trained {cfg.epochs} epochs on {len(train_set)} circuits (no val tau)")
+        print(trained + f"no val tau, so no best.bin was written: use {out_dir / 'weights.bin'}")
     else:
-        print(
-            f"trained {cfg.epochs} epochs on {len(train_set)} circuits; "
-            f"best val tau {best_tau:.4f} at epoch {best_epoch}"
-        )
+        print(trained + f"best val tau {best_tau:.4f} at epoch {best_epoch}")
 
 
 # -- predict ---------------------------------------------------------------------

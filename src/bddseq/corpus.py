@@ -209,8 +209,18 @@ def read_manifest(path) -> list[CorpusEntry]:
             raise ValueError(
                 f"{path} line {lineno}: expected {len(MANIFEST_FIELDS)} fields, got {len(row)}"
             )
+        check_circuit_id(row[0], f"{path} line {lineno}")
     _listed_once(path, [(lineno, row[0]) for lineno, row in body])
     return [CorpusEntry(*row) for _, row in body]
+
+
+def check_circuit_id(cid: str, where: str) -> None:
+    """ValueError, after `where`, unless `read_orders` reads `cid` back as one name."""
+    if cid.split() != [cid] or "#" in cid:
+        raise ValueError(
+            f"{where}: circuit id {cid!r} would not survive labels.txt, "
+            "which splits at whitespace and cuts at '#'"
+        )
 
 
 def _listed_once(path, numbered) -> None:

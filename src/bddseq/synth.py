@@ -2,8 +2,8 @@
 
 Every internal BDD node is synthesized once (shared nodes are reused) onto a
 fresh ancilla line initialized to 0, by XOR-composing its two disjoint
-branch terms; children are synthesized first. With x the node's variable
-line, f0/f1 the child results, and T the target line:
+branch terms. Nodes come in the manager's `postorder`, children first. With
+x the node's variable line, f0/f1 the child results, and T the target line:
 
     child pattern            gates                                  cost
     low=0                    (no low term)
@@ -155,22 +155,7 @@ def synthesize(
         output_names.append(None)
         return len(line_names) - 1
 
-    # children-first over the distinct internal nodes reachable from the roots
-    post: list[int] = []
-    seen: set[int] = set()
-
-    def visit(ref: int) -> None:
-        if ref in seen or ref <= TRUE:
-            return
-        seen.add(ref)
-        visit(manager.low(ref))
-        visit(manager.high(ref))
-        post.append(ref)
-
-    for r in roots:
-        visit(r)
-
-    for ref in post:
+    for ref in manager.postorder(roots):
         low, high = manager.low(ref), manager.high(ref)
         x = manager.var_of(ref)  # PI lines are in declaration order
         if low == FALSE and high == TRUE:

@@ -113,6 +113,7 @@ def test_criterion_02_construction_oracle_and_lower_bound():
             for order in (VarOrder.identity(n_pi), VarOrder(tuple(perm))):
                 mgr, roots = build_from_netlist(net, order)
                 oracle, oracle_roots = shannon_build(net, order)
+                oracle.check()
                 assert mgr.signature(roots) == oracle.signature(oracle_roots)
             if n_pi <= 8:
                 _, optimum = brute_force_optimal_order(net)

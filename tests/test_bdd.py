@@ -112,6 +112,7 @@ def test_random_swaps_match_oracle(seed):
         mgr.swap_adjacent_levels(r.randrange(n - 1))
         mgr.check()
     oracle, oracle_roots = shannon_build(net, mgr.current_order())
+    oracle.check()
     assert mgr.signature(roots) == oracle.signature(oracle_roots)
 
 
@@ -273,6 +274,7 @@ def test_swaps_then_sift_keep_invariants(case):
     sift_reorder(mgr, roots)
     mgr.check()
     oracle, oracle_roots = shannon_build(net, mgr.current_order())
+    oracle.check()
     assert mgr.signature(roots) == oracle.signature(oracle_roots)
     circuit = synthesize(mgr, roots, net)
     assert verify_synthesis(circuit, mgr, roots, net) and exhaustive_verify(circuit, net)
@@ -350,6 +352,7 @@ def test_sift_node_cap_hit_mid_pass():
     assert mgr.current_order() == order
     mgr.check()
     oracle, oracle_roots = shannon_build(net, order)
+    oracle.check()
     assert mgr.signature(roots) == oracle.signature(oracle_roots)
 
 
@@ -921,7 +924,72 @@ def test_apply_build_structurally_equals_shannon(seed):
     order = VarOrder(tuple(order_perm))
     mgr, roots = build_from_netlist(net, order)
     oracle, oracle_roots = shannon_build(net, order)
+    oracle.check()
     assert mgr.signature(roots) == oracle.signature(oracle_roots)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_shannon_oracle_never_applies(seed, monkeypatch):
+    # the oracle builds by makenode alone: with apply broken it still gives
+    # the apply-built diagram and its count, and the exact search's check holds
+    r = random.Random(seed + 450)
+    net = random_cover_netlist(r, r.randint(2, 7), r.randint(2, 10), n_outputs=r.randint(1, 3))
+    perm = list(range(len(net.primary_inputs)))
+    r.shuffle(perm)
+    order = VarOrder(tuple(perm))
+    mgr, roots = build_from_netlist(net, order)
+    expected = mgr.signature(roots), node_count(mgr, roots)
+
+    def broken(*args):
+        raise AssertionError("the oracle applied an operator")
+
+    monkeypatch.setattr(BddManager, "apply", broken)
+    monkeypatch.setattr(BddManager, "apply_not", broken)
+    oracle, oracle_roots = shannon_build(net, order)
+    oracle.check()
+    assert (oracle.signature(oracle_roots), shannon_count(net, perm)) == expected
+    brute_force_optimal_order(net)
+
+
+def recursive_signature(mgr, roots) -> tuple:
+    """Reference: `signature` as one recursive walk of its own, numbering
+    each internal node once its children are numbered, low side first."""
+    index: dict[int, int] = {}
+    out: list[tuple] = []
+
+    def visit(ref: int) -> int:
+        if ref in index:
+            return index[ref]
+        if ref <= TRUE:
+            index[ref] = -1 - ref  # -1 for FALSE, -2 for TRUE
+            return index[ref]
+        rec = mgr.nodes[ref]
+        lo = visit(rec[1])
+        hi = visit(rec[2])
+        index[ref] = len(out)
+        out.append((rec[0], lo, hi))
+        return index[ref]
+
+    root_ids = tuple(visit(r) for r in roots)
+    return (tuple(out), root_ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists_with_swaps())
+def test_postorder_lists_each_node_after_its_children(case):
+    net, swaps = case
+    mgr, roots = build_from_netlist(net, VarOrder.identity(len(net.primary_inputs)))
+    for level in swaps:
+        mgr.swap_adjacent_levels(level)
+    post = mgr.postorder(roots)
+    place = {ref: i for i, ref in enumerate(post)}
+    assert len(place) == len(post)
+    assert set(post) == mgr.reachable(roots) - {FALSE, TRUE}
+    for ref in post:
+        assert all(c <= TRUE or place[c] < place[ref] for c in (mgr.low(ref), mgr.high(ref)))
+    assert mgr.signature(roots) == recursive_signature(mgr, roots)
+    oracle, oracle_roots = shannon_build(net, mgr.current_order())
+    assert oracle.signature(oracle_roots) == recursive_signature(oracle, oracle_roots)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -1155,8 +1223,8 @@ def xor_chain(pairs: int) -> Netlist:
 def test_a_build_collects_from_the_signals_it_holds(monkeypatch):
     # 18 inputs: 5 925 stored nodes with no collection, 1 279 live. Under a
     # cap of 5 725 (threshold 2 862) the build collects twice and finishes;
-    # each collection keeps every signal the build still holds, though the
-    # manager protects nothing until the outputs are done
+    # each collection keeps the signals a gate still reads and the outputs,
+    # though the manager protects nothing until the outputs are done
     net = xor_chain(9)
     order = VarOrder.identity(18)
     full, full_roots = build_from_netlist(net, order)
@@ -1172,14 +1240,45 @@ def test_a_build_collects_from_the_signals_it_holds(monkeypatch):
 
     monkeypatch.setattr(BddManager, "collect_garbage", looking)
     mgr, roots = build_from_netlist(net, order, node_cap=5725)
-    assert freed == [2034, 2168] and len(mgr.nodes) == 1788
+    assert freed == [2290, 2423] and len(mgr.nodes) == 1277
     assert mgr.signature(roots) == full.signature(full_roots)
     assert mgr.protected == roots
     mgr.check()
     freed.clear()
     with pytest.raises(NodeCapExceeded):  # the live signals alone outgrow it
         build_from_netlist(net, order, node_cap=3602)
-    assert freed == [2034]
+    assert freed == [2290]
+
+
+def or_chain(pairs: int) -> Netlist:
+    """o = OR over i of (a_i AND b_i), one OR gate per pair, with the inputs
+    declared a0.. then b0.., as `xor_chain` declares them."""
+    inputs = " ".join(f"{c}{i}" for c in "ab" for i in range(pairs))
+    lines = [".model or_chain", f".inputs {inputs}", ".outputs o", ".names p0 s0", "1 1"]
+    lines += [f".names s{pairs - 1} o", "1 1"]
+    for i in range(pairs):
+        lines += [f".names a{i} b{i} p{i}", "11 1"]
+    for i in range(1, pairs):
+        lines += [f".names s{i - 1} p{i} s{i}", "1- 1", "-1 1"]
+    return parse_blif("\n".join(lines) + "\n.end\n")
+
+
+def test_a_build_collection_frees_dead_gate_outputs():
+    # 20 inputs: 3 069 stored nodes with no collection, 2 046 of them live.
+    # Each partial OR s_i is read by gate s_{i+1} alone, so once that gate is
+    # built a collection may free s_i's diagram: under a cap of 2 557
+    # (threshold 1 278) the build finishes, where keeping every gate output
+    # until the end needs the whole 3 069
+    net = or_chain(10)
+    order = VarOrder.identity(20)
+    full, full_roots = build_from_netlist(net, order)
+    assert len(full.nodes) == 3069 and node_count(full, full_roots) == 2048
+    mgr, roots = build_from_netlist(net, order, node_cap=2557)
+    assert mgr.signature(roots) == full.signature(full_roots)
+    assert len(mgr.nodes) == 2046 and mgr.protected == roots
+    mgr.check()
+    with pytest.raises(NodeCapExceeded):
+        build_from_netlist(net, order, node_cap=2556)
 
 
 @pytest.mark.parametrize("seed", range(20))

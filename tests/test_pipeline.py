@@ -917,6 +917,28 @@ def test_train_skips_one_input_validation_circuits(tmp_path, cfg_file):
     assert metrics(val[1:]) == {}
 
 
+def test_train_without_val_tau_names_weights_bin(tmp_path, cfg_file, capsys):
+    # with no validation circuit of two or more inputs no epoch has a val_tau,
+    # so no best.bin is written, and the closing line names weights.bin
+    corpus = tmp_path / "corpus"
+    (corpus / "blif").mkdir(parents=True)
+    one = parse_blif(".model one\n.inputs a\n.outputs o\n.names a o\n0 1\n.end\n")
+    nets = desk_corpus(2, seed=5, min_pis=4, max_pis=5) + [one]
+    entries = []
+    for net, split in zip(nets, ("train", "train", "val")):
+        path = f"blif/{net.name}.blif"
+        (corpus / path).write_text(write_blif(net))
+        entries.append(CorpusEntry(net.name, path, path, "copy", split))
+    write_manifest(corpus / "manifest.csv", entries, RunConfig.load(cfg_file))
+    write_orders(corpus / "labels.txt", {net.name: net.primary_inputs for net in nets})
+    run = tmp_path / "run"
+    assert main(["--config", str(cfg_file), "train", str(corpus), "--out", str(run)]) == 0
+    assert (
+        "no val tau, so no best.bin was written: use " + str(run / "weights.bin")
+    ) in capsys.readouterr().out
+    assert (run / "weights.bin").exists() and not (run / "best.bin").exists()
+
+
 @pytest.mark.parametrize("split", ["train", "val"])
 def test_train_skips_circuits_without_inputs(tmp_path, cfg_file, capsys, split):
     # a constant circuit has nothing to order: augment and label keep it with
@@ -1039,6 +1061,16 @@ BAD_INPUTS = {
         ["augment", "{colliding}", "--variants", "1", *OUT],
         r"circuit id 'foo_v0' comes from both foo\.blif and foo_v0\.blif",
     ),
+    "augment-spaced-id": (
+        ["augment", "{spaced}", *OUT],
+        r"my circuit\.blif: circuit id 'my circuit' would not survive labels\.txt, "
+        r"which splits at whitespace and cuts at '#'",
+    ),
+    "label-manifest-hash-id": (
+        ["label", "{hash_corpus}"],
+        r".*/hash_corpus/manifest\.csv line 2: circuit id 'hash#tag' would not survive "
+        r"labels\.txt, which splits at whitespace and cuts at '#'",
+    ),
     "label-manifest-id-twice": (
         ["label", "{twice_corpus}"],
         r".*/twice_corpus/manifest\.csv lines 2 and 3 both list 'pairs6'",
@@ -1082,8 +1114,8 @@ def bad_input_files(tmp_path):
     each, a corpus whose manifest has a wrong header, weights of feature
     width 7 (no circuit's under the default config), a file that is not
     weights, bad configs, an empty directory, a missing path, sources whose
-    copy and variant ids collide, a manifest and an orders file that list
-    one circuit twice, corpora whose label report has another header or
+    copy and variant ids collide, a source and a manifest id that labels.txt
+    cannot keep, a manifest and an orders file that list one circuit twice, corpora whose label report has another header or
     whose labels were made under other settings, and a labeled training
     corpus with a checkpoint of another model than the default config's."""
     files = {name: tmp_path / name for name in ("corpus", "latch_corpus", "missing", "out")}
@@ -1124,6 +1156,14 @@ def bad_input_files(tmp_path):
     files["colliding"].mkdir()
     for name in ("foo", "foo_v0"):
         (files["colliding"] / f"{name}.blif").write_text(PAIRS6_SRC.replace("pairs6", name))
+    files["spaced"] = tmp_path / "spaced"
+    files["spaced"].mkdir()
+    (files["spaced"] / "my circuit.blif").write_text(PAIRS6_SRC)
+    files["hash_corpus"] = tmp_path / "hash_corpus"
+    files["hash_corpus"].mkdir()
+    (files["hash_corpus"] / "manifest.csv").write_text(
+        ",".join(MANIFEST_FIELDS) + "\nhash#tag,blif/hash#tag.blif,hash#tag.blif,copy,test\n"
+    )
     files["twice_corpus"] = tmp_path / "twice_corpus"
     files["twice_corpus"].mkdir()
     row = "pairs6,blif/pairs6.blif,pairs6.blif,copy,test\n"
