@@ -30,9 +30,10 @@ in turn on one identity-order diagram) return `(order, count)`, so label
 making counts each order once, where its search found it.
 
 The GA draws from `random.Random(seed)` the stream `randrange`, `sample`,
-`random` and `shuffle` would, so the seed fixes its orders, but it draws
-each index through one `getrandbits` rejection helper, CPython's algorithm
-for `randrange`, and ranks each generation once for its tournaments.
+`random` and `shuffle` would, so the seed fixes its orders, but it breeds
+each generation in one loop with those draws written in place, as CPython
+makes them from `getrandbits`, and ranks each generation once for its
+tournaments.
 
 Sifting reaches the orders plain sifting does with fewer swaps, by a lower
 bound. A level's size depends only on its variable and the set of variables
@@ -647,25 +648,30 @@ def ga_reorder(
     collected `transfer` copy of the diagrams, moved to each new order by
     adjacent level swaps (`shuffle_to`), so each count is the store size; the
     caller's manager is not touched. An order whose copy passes the node cap
-    on any swap scores node_cap + 1.
+    on any swap scores node_cap + 1. The caller's order comes back before any
+    draw when it is the only order (fewer than two inputs), with the caller's
+    count, or when its own live nodes are over the cap, with node_cap + 1.
 
-    Each individual is scored once per generation, in population order (the
-    seeded population, then each new generation as it was bred), and the
-    tournaments read those scores; a cache keeps an order from being scored
-    twice. The scoring order is part of the result: under the cap, whether an
-    order scores node_cap + 1 depends on the order the copy moves from. The
-    caller's order comes back before any draw when it is the only order (fewer
-    than two inputs), with the caller's count, or when its own live nodes are
-    over the cap, with node_cap + 1, the score of an order over the cap.
+    Scoring stays in population order: the seeded population, then each new
+    generation's children as they are bred, each looked up in a cache first,
+    so no order is scored twice. The order is part of the result: under the
+    cap, whether an order scores node_cap + 1 depends on the order the copy
+    moves from. Scoring a child as soon as it is bred keeps that order, since
+    scoring draws nothing and the tournaments read only the last generation's
+    scores. Each generation sorts its keys once, and a tournament takes the
+    least rank among its draws, so it compares ints, not keys.
 
-    The random stream is the one `rng.randrange` and `rng.sample(range(n), 2)`
-    would draw, at a fraction of their Python cost: every index comes from one
-    `getrandbits` rejection helper, `below(m)`, which is CPython's algorithm
-    for `randrange(m)`, and a pair of distinct positions is drawn as `sample`
-    draws it (its pool form up to 21 inputs, its set form above). The mutation
-    coin is `rng.random()` and the seeded population comes from
-    `rng.shuffle`. Each generation sorts its keys once, and a tournament takes
-    the least rank among its draws, so it compares ints, not keys.
+    Each generation is bred in one loop with every draw written in place, as
+    the stream of `rng.randrange`, `rng.sample(range(n), 2)`, `rng.random`
+    and `rng.shuffle` would be, down to the generator's final state. A
+    tournament index is CPython's `_randbelow(population)`: draws of
+    `population.bit_length()` bits until one is below `population`. The
+    crossover cut pair and the mutation pair are each `sample(range(n), 2)`:
+    a first index below n, then a second one. In sample's pool form (up to 21
+    inputs) the second is below n - 1, and stands for n - 1 when it equals
+    the first; in its set form (above 21) it is below n, redrawn until it
+    differs from the first. The mutation coin is `rng.random()`, and the
+    seeded population comes from `rng.shuffle`.
     """
     for name, value, low in (
         ("population", population, 2),
@@ -685,74 +691,82 @@ def ga_reorder(
         return manager.current_order(), manager.node_cap + 1
     terminals = terminal_count(work_roots)
     rng = random.Random(seed)
-    getrandbits = rng.getrandbits
-    fitness_cache: dict[tuple[int, ...], int] = {}
+    getrandbits, coin = rng.getrandbits, rng.random
+    cache: dict[tuple[int, ...], int] = {}
 
-    def below(m: int) -> int:  # rng.randrange(m), drawn as CPython draws it
-        k = m.bit_length()
-        r = getrandbits(k)
-        while r >= m:
-            r = getrandbits(k)
-        return r
-
-    def two_of_n() -> tuple[int, int]:  # rng.sample(range(n), 2)
-        i = below(n)
-        if n <= 21:  # sample's pool form
-            j = below(n - 1)
-            return i, n - 1 if j == i else j
-        j = below(n)  # sample's set form
-        while j == i:
-            j = below(n)
-        return i, j
-
-    def fitness(perm: tuple[int, ...]) -> int:
-        hit = fitness_cache.get(perm)
-        if hit is not None:
-            return hit
-        cost = manager.node_cap + 1
-        if work.shuffle_to(perm):
-            cost = len(work.nodes) + terminals
-        fitness_cache[perm] = cost
+    def score(perm: tuple[int, ...]) -> int:  # an order not in the cache
+        cost = len(work.nodes) + terminals if work.shuffle_to(perm) else manager.node_cap + 1
+        cache[perm] = cost
         return cost
-
-    def order_crossover(p1, p2):
-        a, b = two_of_n()
-        if a > b:
-            a, b = b, a
-        middle = p1[a : b + 1]
-        held = set(middle)
-        fill = [v for v in p2 if v not in held]
-        fill[a:a] = middle
-        return tuple(fill)
-
-    def mutate(perm):
-        if rng.random() < mutation_prob:
-            i, j = two_of_n()
-            lst = list(perm)
-            lst[i], lst[j] = lst[j], lst[i]
-            return tuple(lst)
-        return perm
 
     pop = [tuple(manager.order)]
     while len(pop) < population:
         perm = list(range(n))
         rng.shuffle(perm)
         pop.append(tuple(perm))
-
-    keys = [(fitness(p), p) for p in pop]
+    keys = [(cache[p] if p in cache else score(p), p) for p in pop]
     elite = min(keys)
+    bits, n_bits = population.bit_length(), n.bit_length()
+    pool = n <= 21  # sample's pool form; its set form above
+    second = n - 1 if pool else n  # the bound of a pair's second index
+    second_bits = second.bit_length()
     for _ in range(generations):
         # a tournament's winner is its least key, the one at the least rank it
         # draws; bisect_left ranks equal keys, which are one order, alike
         ranked = sorted(keys)
         rank = [bisect_left(ranked, key) for key in keys]
-        pop = [elite[1]]
-        while len(pop) < population:
-            p1 = ranked[min([rank[below(population)] for _ in range(tournament)])][1]
-            p2 = ranked[min([rank[below(population)] for _ in range(tournament)])][1]
-            pop.append(mutate(order_crossover(p1, p2)))
-        keys = [(fitness(p), p) for p in pop]
-        elite = min(elite, min(keys))
+        keys = [elite]
+        for _ in range(population - 1):
+            least = population
+            for _ in range(tournament):
+                i = getrandbits(bits)
+                while i >= population:
+                    i = getrandbits(bits)
+                i = rank[i]
+                if i < least:
+                    least = i
+            p1 = ranked[least][1]
+            least = population
+            for _ in range(tournament):
+                i = getrandbits(bits)
+                while i >= population:
+                    i = getrandbits(bits)
+                i = rank[i]
+                if i < least:
+                    least = i
+            p2 = ranked[least][1]
+            a = getrandbits(n_bits)
+            while a >= n:
+                a = getrandbits(n_bits)
+            b = getrandbits(second_bits)
+            while b >= second or b == a and not pool:
+                b = getrandbits(second_bits)
+            if b == a:  # pool form only
+                b = n - 1
+            if a > b:
+                a, b = b, a
+            middle = p1[a : b + 1]
+            held = set(middle)
+            child = [v for v in p2 if v not in held]
+            child[a:a] = middle
+            if coin() < mutation_prob:
+                i = getrandbits(n_bits)
+                while i >= n:
+                    i = getrandbits(n_bits)
+                j = getrandbits(second_bits)
+                while j >= second or j == i and not pool:
+                    j = getrandbits(second_bits)
+                if j == i:
+                    j = n - 1
+                child[i], child[j] = child[j], child[i]
+            child = tuple(child)
+            cost = cache.get(child)
+            if cost is None:
+                cost = score(child)
+            key = (cost, child)
+            keys.append(key)
+            if key < elite:
+                elite = key
     return VarOrder(elite[1]), elite[0]
 
 

@@ -628,6 +628,72 @@ def test_ga_matches_reference_ga_on_wide_trees(monkeypatch, n, population):
     assert ga_rng.getstate() == reference_rng.getstate()  # the same draws, to the last
 
 
+@pytest.mark.parametrize("mutation", [0.0, 1.0])
+@pytest.mark.parametrize("tournament", [1, 4])
+@pytest.mark.parametrize("population", [4, 5, 16, 17])
+@pytest.mark.parametrize("n", [2, 6, 10, 21, 22])
+def test_ga_draws_the_reference_stream(monkeypatch, n, population, tournament, mutation):
+    # up to 21 inputs `sample` draws its pair in its pool form, whose second
+    # index is below n - 1, so at n = 2 it reads bits until it gets 0; at 22
+    # the set form takes over. Mutation 0 draws a coin and no pair, 1 a coin
+    # and a pair for every child
+    net = read_once_tree(random.Random(n), n)
+    mgr, roots = build_from_netlist(net, VarOrder.identity(n))
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    args = dict(
+        population=population,
+        generations=3,
+        seed=n + population + tournament,
+        tournament=tournament,
+        mutation_prob=mutation,
+    )
+    assert ga_reorder(mgr, roots, **args) == reference_ga(mgr, roots, **args)
+    ga_rng, reference_rng = made
+    assert ga_rng.getstate() == reference_rng.getstate()
+
+
+def test_ga_scores_orders_in_the_reference_sequence(monkeypatch):
+    # equal final results would not show a GA that scores its orders in
+    # another sequence; under a tight cap that sequence decides which orders
+    # pass the cap, so every shuffle_to target and its arrival is pinned
+    shuffle, scored = BddManager.shuffle_to, []
+
+    def recorded(self, permutation):
+        arrived = shuffle(self, permutation)
+        scored.append((tuple(permutation), arrived))
+        return arrived
+
+    monkeypatch.setattr(BddManager, "shuffle_to", recorded)
+    refused = 0
+    for seed in range(24):
+        r = random.Random(seed + 5000)
+        net = pair_products(r, 2 * r.randint(2, 5))
+        mgr, roots = build_from_netlist(net, VarOrder.identity(len(net.primary_inputs)))
+        mgr.node_cap = len(mgr.reachable(roots) - {FALSE, TRUE}) + r.randint(0, 8)
+        args = dict(
+            population=r.randint(2, 12),
+            generations=r.randint(0, 8),
+            seed=seed,
+            tournament=r.randint(1, 4),
+            mutation_prob=r.random(),
+        )
+        scored.clear()
+        ga_reorder(mgr, roots, **args)
+        got = list(scored)
+        scored.clear()
+        reference_ga(mgr, roots, **args)
+        assert got == scored, seed
+        refused += sum(not arrived for _, arrived in got)
+    assert refused > 0  # some orders passed the cap on the way
+
+
 # desk_corpus(3, seed=7) labeled at the default GA settings, seed 0
 GA_LABELS = {
     "pairs0000": ((0, 2, 4, 7, 3, 6, 1, 5), 10),
