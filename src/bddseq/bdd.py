@@ -22,12 +22,13 @@ first swap and then reads each node count from the store size instead of
 walking the diagrams. Protection holds only roots, during a build as after
 it: a collection mid-build, at `gc_threshold`, marks from the outputs and the
 signals still to be read as well, so it frees dead gate outputs. `shuffle_to`
-moves a diagram to a whole new order, with the node cap checked on every
-swap. `transfer` copies the live nodes under some roots into a fresh,
-collected manager with the same order; a new order is reached from there by
-swaps. The GA, the exact search and each label maker of `LABEL_MAKERS` (run
-in turn on one identity-order diagram) return `(order, count)`, so label
-making counts each order once, where its search found it.
+is the one mover: it takes a diagram to a whole new order, with the node cap
+checked on every swap, and sifting parks each variable with it. `transfer`
+copies the live nodes under some roots into a fresh, collected manager with
+the same order; a new order is reached from there by swaps. The GA, the
+exact search and each label maker of `LABEL_MAKERS` (run in turn on one
+identity-order diagram) return `(order, count)`, so label making counts each
+order once, where its search found it.
 
 The GA draws from `random.Random(seed)` the stream `randrange`, `sample`,
 `random` and `shuffle` would, so the seed fixes its orders, but it breeds
@@ -437,12 +438,6 @@ class BddManager:
     def current_order(self) -> VarOrder:
         return VarOrder(tuple(self.order))
 
-    def move_var_to(self, var: int, position: int) -> None:
-        while self.var2level[var] < position:
-            self.swap_adjacent_levels(self.var2level[var])
-        while self.var2level[var] > position:
-            self.swap_adjacent_levels(self.var2level[var] - 1)
-
     def shuffle_to(self, permutation) -> bool:
         """Reorder to `permutation` in place by adjacent swaps.
 
@@ -499,20 +494,16 @@ def build_from_netlist(
             held = {*netlist.primary_outputs, *(s for g in gates[i:] for s in g.inputs)}
             refs = {sig: ref for sig, ref in refs.items() if sig in held}
             mgr.collect_garbage(refs.values())
-        if not gate.cover:
-            result = FALSE
-        else:
-            acc = FALSE
-            for cube in gate.cover:
-                term = TRUE
-                for sig, ch in zip(gate.inputs, cube.pattern):
-                    if ch == "-":
-                        continue
-                    lit = refs[sig] if ch == "1" else mgr.apply_not(refs[sig])
-                    term = mgr.apply(AND, term, lit)
-                acc = mgr.apply(OR, acc, term)
-            result = acc if gate.polarity == 1 else mgr.apply_not(acc)
-        refs[gate.output] = result
+        acc = FALSE
+        for pattern in gate.cover:
+            term = TRUE
+            for sig, ch in zip(gate.inputs, pattern):
+                if ch == "-":
+                    continue
+                lit = refs[sig] if ch == "1" else mgr.apply_not(refs[sig])
+                term = mgr.apply(AND, term, lit)
+            acc = mgr.apply(OR, acc, term)
+        refs[gate.output] = acc if gate.polarity else mgr.apply_not(acc)
     roots = [refs[po] for po in netlist.primary_outputs]
     for ref in roots:
         mgr.protect(ref)
@@ -569,11 +560,18 @@ def sift_reorder(manager: BddManager, roots) -> VarOrder:
     for level in range(n):
         in_support[order[level]] = 1 if unique[level] else 0
     support = sum(in_support)
+
+    def park(var: int, position: int) -> None:
+        # the move always arrives, so its result is not read: every position
+        # on the way was measured within the cap, or holds the same store
+        rest = [v for v in order if v != var]
+        manager.shuffle_to(rest[:position] + [var] + rest[position:])
+
     for var in range(n):
         # outside the support every position ties and no move changes the
         # store; a store already over its cap takes the sweeps, which stop there
         if not in_support[var] and len(manager.nodes) <= manager.node_cap:
-            manager.move_var_to(var, 0)
+            park(var, 0)
             continue
         pos = start = var2level[var]
         best = (len(manager.nodes) + terminals, pos)
@@ -605,7 +603,7 @@ def sift_reorder(manager: BddManager, roots) -> VarOrder:
                 best = min(best, (len(manager.nodes) + terminals, pos))
                 if len(manager.nodes) > manager.node_cap:
                     break
-        manager.move_var_to(var, best[1])
+        park(var, best[1])
     assert node_count(manager, roots) == len(manager.nodes) + terminals
     return manager.current_order()
 
@@ -773,16 +771,6 @@ def ga_reorder(
 # -- truth-table oracle and exact order search ---------------------------------
 
 
-def output_truth_tables(netlist: Netlist) -> tuple[int, list[int]]:
-    """Per-output truth tables as bitmasks.
-
-    Bit i of a table is the output under the assignment whose bit for
-    variable j is (i >> (n-1-j)) & 1, i.e. variable 0 is most significant.
-    """
-    n = len(netlist.primary_inputs)
-    return n, list(evaluate(netlist, exhaustive_columns(n), 1 << n))
-
-
 def shannon_build(netlist: Netlist, order: VarOrder) -> tuple[BddManager, list[int]]:
     """Truth-table construction oracle under the given order: a fresh
     manager's store, built by Shannon expansion through `makenode` alone,
@@ -830,10 +818,11 @@ def brute_force_optimal_order(netlist: Netlist) -> tuple[VarOrder, int]:
         raise ValueError(
             f"too many inputs for exact search: {n} > {EXACT_MAX_INPUTS}"
         )
-    _, tables = output_truth_tables(netlist)
+    columns = exhaustive_columns(n)
+    tables = evaluate(netlist, columns, 1 << n)
     full = (1 << n) - 1
     all_bits = (1 << (1 << n)) - 1
-    zero_half = [all_bits ^ column for column in exhaustive_columns(n)]
+    zero_half = [all_bits ^ column for column in columns]
     # A cofactor over the set I keeps only the bits where every variable of I
     # is 0, so equal functions of the remaining variables compare equal.
     cofactors: list[set[int] | None] = [None] * (1 << n)
@@ -906,10 +895,14 @@ class LabelReport:
     """By label maker name: each maker's node count, as its own search read
     it, its order and its ordering time."""
 
-    winner: str
     counts: dict[str, int]
     orders: dict[str, VarOrder]
     seconds: dict[str, float]
+
+    @property
+    def winner(self) -> str:
+        """The least count, ties to the earlier name in HEURISTICS."""
+        return min(HEURISTICS, key=self.counts.__getitem__)
 
     @property
     def order(self) -> VarOrder:  # the winner's
@@ -942,4 +935,4 @@ def generate_label_report(
         orders[name], counts[name] = make(mgr, roots, ga)
         seconds[name] = build + time.perf_counter() - start
     seconds["natural"] = 0.0
-    return LabelReport(min(HEURISTICS, key=counts.__getitem__), counts, orders, seconds)
+    return LabelReport(counts, orders, seconds)

@@ -6,6 +6,10 @@ structural transforms used for dataset augmentation: random signal negation
 and fan-in bounding, which splits each wide cover into the AND of each
 cube's literals and the OR of the cubes.
 
+A gate keeps its cover as input patterns and one output polarity. BLIF
+repeats that bit on every row; the parser takes it from a gate's first row
+and refuses, by line number, a row that disagrees.
+
 Sequential constructs (`.latch`, `.subckt`, multi-model files) are rejected.
 """
 
@@ -21,37 +25,28 @@ class BlifError(Exception):
     """Malformed BLIF text or a netlist that violates structural invariants."""
 
 
-@dataclass(frozen=True)
-class Cube:
-    """One row of a `.names` cover: an input pattern over {0,1,-} and an output bit."""
-
-    pattern: str
-    output: int
-
-
 @dataclass
 class LogicGate:
+    """One `.names` gate: its cover's input patterns over {0,1,-} and the one
+    output bit every row shares. The gate is `polarity` where some pattern
+    matches and its complement elsewhere, so an empty cover with polarity 1
+    is constant 0."""
+
     inputs: list[str]
     output: str
-    cover: list[Cube]
+    cover: list[str]
+    polarity: int = 1
 
     @property
     def arity(self) -> int:
         return len(self.inputs)
 
-    @property
-    def polarity(self) -> int:
-        """Shared output value of the cover rows; empty cover acts as constant 0."""
-        return self.cover[0].output if self.cover else 0
-
     def eval_lanes(self, values, full: int) -> int:
         """Bit-parallel eval: values[k] carries input k in every lane of `full`."""
-        if not self.cover:
-            return 0
         hit = 0
-        for c in self.cover:
+        for pattern in self.cover:
             term = full
-            for p, v in zip(c.pattern, values):
+            for p, v in zip(pattern, values):
                 if p == "1":
                     term &= v
                 elif p == "0":
@@ -117,18 +112,20 @@ class Netlist:
             for s in g.inputs:
                 if s not in defined:
                     raise BlifError(f"undefined signal '{s}' used by gate '{g.output}'")
-            pols = {c.output for c in g.cover}
-            if len(pols) > 1:
-                raise BlifError(f"mixed-polarity cover for gate '{g.output}'")
-            for c in g.cover:
-                if len(c.pattern) != g.arity:
+            if g.polarity not in (0, 1):
+                raise BlifError(f"polarity of gate '{g.output}' is not 0 or 1")
+            if not g.cover and not g.polarity:
+                raise BlifError(
+                    f"gate '{g.output}' has an empty cover of polarity 0, "
+                    "which BLIF cannot write"
+                )
+            for pattern in g.cover:
+                if len(pattern) != g.arity:
                     raise BlifError(
-                        f"cube '{c.pattern}' does not match arity of gate '{g.output}'"
+                        f"cube '{pattern}' does not match arity of gate '{g.output}'"
                     )
-                if any(ch not in "01-" for ch in c.pattern):
+                if any(ch not in "01-" for ch in pattern):
                     raise BlifError(f"bad cube symbol in gate '{g.output}'")
-                if c.output not in (0, 1):
-                    raise BlifError(f"bad cube output in gate '{g.output}'")
         for s in self.primary_outputs:
             if s not in defined:
                 raise BlifError(f"undefined primary output '{s}'")
@@ -210,7 +207,13 @@ def parse_blif(text: str) -> Netlist:
                 raise BlifError(f"line {lineno}: malformed cube row")
             if out not in ("0", "1"):
                 raise BlifError(f"line {lineno}: cube output must be 0 or 1")
-            current.cover.append(Cube(pattern=pattern, output=int(out)))
+            if not current.cover:
+                current.polarity = int(out)
+            elif int(out) != current.polarity:
+                raise BlifError(
+                    f"line {lineno}: mixed-polarity cover for gate '{current.output}'"
+                )
+            current.cover.append(pattern)
 
     if name is None:
         raise BlifError("missing .model header")
@@ -238,8 +241,8 @@ def write_blif(netlist: Netlist) -> str:
         lines.append(".outputs " + " ".join(netlist.primary_outputs))
     for g in netlist.gates:
         lines.append(".names " + " ".join(g.inputs + [g.output]))
-        for c in g.cover:
-            lines.append(f"{c.pattern} {c.output}".strip())
+        for pattern in g.cover:
+            lines.append(f"{pattern} {g.polarity}".strip())
     lines.append(".end")
     return "\n".join(lines) + "\n"
 
@@ -294,16 +297,12 @@ def negate_random_signals(netlist: Netlist, k: int, seed: int) -> Netlist:
     chosen = set(rng.sample(signals, k))
     new_gates = []
     for g in netlist.gates:
-        if g.output in chosen:
-            if g.cover:
-                cover = [Cube(c.pattern, 1 - c.output) for c in g.cover]
-            else:
-                cover = [Cube("-" * g.arity, 1)]  # constant 0 becomes constant 1
-            new_gates.append(LogicGate(list(g.inputs), g.output, cover))
-        else:
-            new_gates.append(
-                LogicGate(list(g.inputs), g.output, list(g.cover))
-            )
+        if g.output not in chosen:
+            new_gates.append(LogicGate(list(g.inputs), g.output, list(g.cover), g.polarity))
+        elif g.cover:
+            new_gates.append(LogicGate(list(g.inputs), g.output, list(g.cover), 1 - g.polarity))
+        else:  # constant 0 becomes constant 1
+            new_gates.append(LogicGate(list(g.inputs), g.output, ["-" * g.arity]))
     out = Netlist(
         name=netlist.name,
         primary_inputs=list(netlist.primary_inputs),
@@ -330,15 +329,11 @@ class _Namer:
                 return cand
 
 
-def _constant_gate(output: str, value: int) -> LogicGate:
-    return LogicGate([], output, [Cube("", 1)] if value else [])
-
-
 def _reduce(terms, rows, output, polarity, max_arity, fresh, sink) -> str:
     """Combine [(signal, required_bit)] into `output`, level by level.
 
-    Each level joins runs of up to max_arity terms in one gate; rows(bits,
-    polarity) gives that gate's cover. Inner gates are positive and the root
+    Each level joins runs of up to max_arity terms in one gate; rows(bits)
+    gives that gate's cover patterns. Inner gates are positive and the root
     drives `output` with the requested polarity.
     """
     while len(terms) > max_arity:
@@ -347,22 +342,22 @@ def _reduce(terms, rows, output, polarity, max_arity, fresh, sink) -> str:
             group = terms[i : i + max_arity]
             if len(group) > 1:
                 t = fresh()
-                cover = rows([b for _, b in group], 1)
-                sink.append(LogicGate([s for s, _ in group], t, cover))
+                sink.append(LogicGate([s for s, _ in group], t, rows([b for _, b in group])))
                 group = [(t, "1")]
             level += group
         terms = level
-    cover = rows([b for _, b in terms], polarity)
-    sink.append(LogicGate([s for s, _ in terms], output, cover))
+    sink.append(
+        LogicGate([s for s, _ in terms], output, rows([b for _, b in terms]), polarity)
+    )
     return output
 
 
-def _and_rows(bits, polarity):
-    return [Cube("".join(bits), polarity)]
+def _and_rows(bits):
+    return ["".join(bits)]
 
 
-def _or_rows(bits, polarity):
-    return [Cube("-" * i + b + "-" * (len(bits) - i - 1), polarity) for i, b in enumerate(bits)]
+def _or_rows(bits):
+    return ["-" * i + b + "-" * (len(bits) - i - 1) for i, b in enumerate(bits)]
 
 
 def _decompose_gate(gate: LogicGate, max_arity: int, namer, sink) -> None:
@@ -378,14 +373,12 @@ def _decompose_gate(gate: LogicGate, max_arity: int, namer, sink) -> None:
     # repeated cubes would list one input twice in the OR
     cubes = [
         [(s, b) for s, b in zip(gate.inputs, p) if b != "-"]
-        for p in dict.fromkeys(c.pattern for c in gate.cover)
+        for p in dict.fromkeys(gate.cover)
     ]
     literals = {lits[0] for lits in cubes if len(lits) == 1}
-    if not cubes:
-        sink.append(_constant_gate(gate.output, 0))
-        return
-    if not all(cubes) or len({s for s, _ in literals}) < len(literals):
-        sink.append(_constant_gate(gate.output, pol))  # a true cube, or x or not-x
+    if not cubes or not all(cubes) or len({s for s, _ in literals}) < len(literals):
+        # a constant: 0 when empty, the polarity with a true cube, or x or not-x
+        sink.append(LogicGate([], gate.output, [""] if cubes and pol else []))
         return
 
     fresh = partial(namer.fresh, gate.output)

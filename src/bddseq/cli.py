@@ -337,6 +337,7 @@ def predict_order(netlist, params, mode: str, cfg: RunConfig, trace=None):
 
 def cmd_predict(args, cfg: RunConfig) -> None:
     netlist = read_blif(args.circuit)
+    check_circuit_id(netlist.name, f"{args.circuit}: .model")
     params = M.load_params(args.weights)
     trace = [] if args.trace else None
     try:
@@ -382,6 +383,7 @@ def synthesize_circuit(netlist, order, cfg: RunConfig):
 
 def cmd_synth(args, cfg: RunConfig) -> None:
     netlist = read_blif(args.circuit)
+    check_circuit_id(netlist.name, f"{args.circuit}: .model")
     orders = read_orders(args.orders)
     if netlist.name not in orders:
         raise ValueError(f"no order for '{netlist.name}' in {args.orders}")

@@ -215,12 +215,15 @@ def read_manifest(path) -> list[CorpusEntry]:
 
 
 def check_circuit_id(cid: str, where: str) -> None:
-    """ValueError, after `where`, unless `read_orders` reads `cid` back as one name."""
+    """ValueError, after `where`, unless `read_orders` reads `cid` back as one
+    name and `cid` is one plain file name, since it names a circuit's files."""
     if cid.split() != [cid] or "#" in cid:
         raise ValueError(
             f"{where}: circuit id {cid!r} would not survive labels.txt, "
             "which splits at whitespace and cuts at '#'"
         )
+    if "/" in cid or "\\" in cid or cid in (".", ".."):
+        raise ValueError(f"{where}: circuit id {cid!r} is not one plain file name")
 
 
 def _listed_once(path, numbered) -> None:

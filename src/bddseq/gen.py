@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import random
 
-from .blif import Cube, LogicGate, Netlist
+from .blif import LogicGate, Netlist
 
-AND2 = [Cube("11", 1)]
-OR2 = [Cube("1-", 1), Cube("-1", 1)]
-NAND2 = [Cube("11", 0)]
-NOR2 = [Cube("1-", 0), Cube("-1", 0)]
+AND2 = ["11"]
+OR2 = ["1-", "-1"]
 
-_OPS = [AND2, OR2, NAND2, NOR2]
+# (cover, polarity): AND, OR, NAND, NOR, in the order the trees draw them
+_OPS = [(AND2, 1), (OR2, 1), (AND2, 0), (OR2, 0)]
 
 
 def read_once_tree(rng: random.Random, n_leaves: int, name: str = "tree") -> Netlist:
@@ -41,8 +40,8 @@ def read_once_tree(rng: random.Random, n_leaves: int, name: str = "tree") -> Net
         b = frontier.pop(0)
         out = f"n{counter}"
         counter += 1
-        cover = [Cube(c.pattern, c.output) for c in rng.choice(_OPS)]
-        gates.append(LogicGate([a, b], out, cover))
+        cover, polarity = rng.choice(_OPS)
+        gates.append(LogicGate([a, b], out, list(cover), polarity))
         # bias toward chains: reinsert near the front so depth accumulates
         frontier.insert(rng.randrange(0, min(2, len(frontier) + 1)), out)
     netlist = Netlist(
@@ -103,7 +102,7 @@ def random_cover_netlist(
         )
         polarity = rng.randint(0, 1)
         out = f"g{g}"
-        gates.append(LogicGate(ins, out, [Cube(p, polarity) for p in patterns]))
+        gates.append(LogicGate(ins, out, patterns, polarity))
         signals.append(out)
     outs = rng.sample([g.output for g in gates], min(n_outputs, len(gates)))
     netlist = Netlist(name=name, primary_inputs=pis, primary_outputs=outs, gates=gates)

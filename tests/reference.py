@@ -61,11 +61,9 @@ def inverse(order: VarOrder) -> VarOrder:
 
 def gate_eval(gate, values) -> int:
     """One-bit value of a gate's cover, one cube at a time."""
-    if not gate.cover:
-        return 0
     hit = any(
-        all(p == "-" or p == str(v) for p, v in zip(cube.pattern, values))
-        for cube in gate.cover
+        all(p == "-" or p == str(v) for p, v in zip(pattern, values))
+        for pattern in gate.cover
     )
     return gate.polarity if hit else 1 - gate.polarity
 

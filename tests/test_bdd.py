@@ -23,14 +23,13 @@ from bddseq.bdd import (
     ga_reorder,
     generate_label_report,
     node_count,
-    output_truth_tables,
     shannon_build,
     shannon_count,
     sift_reorder,
     terminal_count,
     transfer,
 )
-from bddseq.blif import Cube, LogicGate, Netlist, parse_blif, simulate
+from bddseq.blif import LogicGate, Netlist, evaluate, exhaustive_columns, parse_blif, simulate
 from bddseq.gen import desk_corpus, pair_products, random_cover_netlist, read_once_tree
 from bddseq.synth import synthesize, verify_synthesis
 from tests.reference import exhaustive_verify, gate_eval, inverse
@@ -139,6 +138,14 @@ def test_sift_monotone(seed):
     assert node_count(mgr, roots) <= before
 
 
+def move_var(mgr, var, position):
+    """Move `var` to `position`, one adjacent swap at a time."""
+    while mgr.var2level[var] < position:
+        mgr.swap_adjacent_levels(mgr.var2level[var])
+    while mgr.var2level[var] > position:
+        mgr.swap_adjacent_levels(mgr.var2level[var] - 1)
+
+
 def walk_sift(mgr, roots):
     """Reference sifting that walks the diagrams for a count after every swap."""
     n = mgr.n
@@ -161,7 +168,7 @@ def walk_sift(mgr, roots):
                 if len(mgr.nodes) > mgr.node_cap:
                     break
         best_pos = min(counts, key=lambda p: (counts[p], p))
-        mgr.move_var_to(var, best_pos)
+        move_var(mgr, var, best_pos)
     return mgr.current_order()
 
 
@@ -244,7 +251,7 @@ def netlists(draw):
         pattern = st.text("01-", min_size=len(ins), max_size=len(ins))
         patterns = draw(st.lists(pattern, min_size=1, max_size=3, unique=True))
         polarity = draw(st.integers(0, 1))
-        gates.append(LogicGate(ins, f"g{g}", [Cube(p, polarity) for p in sorted(patterns)]))
+        gates.append(LogicGate(ins, f"g{g}", sorted(patterns), polarity))
         signals.append(f"g{g}")
     outputs = draw(
         st.lists(st.sampled_from([g.output for g in gates]), min_size=1, max_size=4, unique=True)
@@ -394,7 +401,7 @@ def bounded_sift(manager, roots):
                 best = min(best, (len(manager.nodes) + terminals, pos))
                 if len(manager.nodes) > manager.node_cap:
                     break
-        manager.move_var_to(var, best[1])
+        move_var(manager, var, best[1])
     return manager.current_order()
 
 
@@ -408,7 +415,7 @@ def sift_starts(draw):
     unused = [f"u{i}" for i in range(draw(st.integers(0, 3)))]
     inputs = draw(st.permutations(net.primary_inputs + unused))
     gates, outputs = list(net.gates), list(net.primary_outputs)
-    for k, cover in enumerate(draw(st.lists(st.sampled_from([[], [Cube("", 1)]]), max_size=2))):
+    for k, cover in enumerate(draw(st.lists(st.sampled_from([[], [""]]), max_size=2))):
         gates.append(LogicGate([], f"c{k}", cover))
         outputs.insert(draw(st.integers(0, len(outputs))), f"c{k}")
     net = Netlist(name="fuzz", primary_inputs=inputs, primary_outputs=outputs, gates=gates)
@@ -444,6 +451,43 @@ def test_sift_matches_bounded_sift(case):
         sift_against_bounded(*case)
     )
     assert (order, count, signature) == (ref_order, ref_count, ref_signature)
+
+
+def park_by_move_loop(mgr):
+    """Have the manager's `shuffle_to` move the one variable a parking order
+    moves by `walk_sift`'s move loop, which no node cap stops."""
+
+    def park(perm):
+        order = list(mgr.order)
+        moved = [level for level, var in enumerate(perm) if order[level] != var]
+        if moved:
+            top, bottom = moved[0], moved[-1]
+            if perm[top] == order[bottom]:
+                move_var(mgr, order[bottom], top)
+            else:
+                move_var(mgr, order[top], bottom)
+        assert mgr.order == list(perm)
+        return True
+
+    mgr.shuffle_to = park
+
+
+@settings(max_examples=150, deadline=None)
+@given(sift_starts())
+def test_sift_parks_with_the_swaps_of_walk_sifts_move_loop(case):
+    # parking by `shuffle_to` makes the same swaps, and its cap never stops one
+    net, start, slack = case
+    runs = []
+    for move_loop in (False, True):
+        mgr, roots = build_from_netlist(net, start)
+        mgr.collect_garbage()
+        mgr.node_cap = math.inf if slack is None else len(mgr.nodes) + slack
+        swap, levels = mgr.swap_adjacent_levels, []
+        mgr.swap_adjacent_levels = lambda level: (levels.append(level), swap(level))
+        if move_loop:
+            park_by_move_loop(mgr)
+        runs.append((sift_reorder(mgr, roots), levels))
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -1359,4 +1403,4 @@ def test_truth_tables_match_per_assignment_eval(seed):
             values[g.output] = gate_eval(g, [values[s] for s in g.inputs])
         for k, po in enumerate(net.primary_outputs):
             expected[k] |= values[po] << i
-    assert output_truth_tables(net) == (n, expected)
+    assert evaluate(net, exhaustive_columns(n), 1 << n) == tuple(expected)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bddseq.blif import (
     BlifError,
-    Cube,
     LogicGate,
     Netlist,
     bound_fanin,
@@ -18,7 +17,7 @@ from bddseq.blif import (
     simulate,
     write_blif,
 )
-from bddseq.gen import random_cover_netlist
+from bddseq.gen import pair_products, random_cover_netlist, read_once_tree
 from tests.conftest import C17_SRC, PAIRS6_SRC, mutated
 from tests.reference import gate_eval
 
@@ -32,7 +31,8 @@ def test_parse_minimal_and2():
     assert net.name == "t"
     assert net.primary_inputs == ["a", "b"]
     assert len(net.gates) == 1
-    assert net.gates[0].cover == [Cube("11", 1)]
+    assert net.gates[0].cover == ["11"]
+    assert net.gates[0].polarity == 1
 
 
 def test_parse_or2_dont_care_cubes():
@@ -49,8 +49,24 @@ def test_parse_undefined_signal():
 
 
 def test_parse_mixed_polarity_rejected():
-    with pytest.raises(BlifError, match="mixed-polarity"):
-        parse_blif(".model t\n.inputs a b\n.outputs o\n.names a b o\n11 1\n00 0\n.end")
+    # the error names the line of the first row that disagrees with the first
+    src = ".model t\n.inputs a b\n.outputs o\n.names a b o\n11 1\n01 1\n00 0\n10 0\n.end"
+    with pytest.raises(BlifError, match=r"^line 7: mixed-polarity cover for gate 'o'$"):
+        parse_blif(src)
+
+
+@pytest.mark.parametrize(
+    "cover, polarity, message",
+    [
+        (["11"], 2, "polarity of gate 'o' is not 0 or 1"),
+        (["11"], -1, "polarity of gate 'o' is not 0 or 1"),
+        ([], 0, "gate 'o' has an empty cover of polarity 0, which BLIF cannot write"),
+    ],
+)
+def test_validate_rejects_polarity_blif_cannot_write(cover, polarity, message):
+    net = Netlist("t", ["a", "b"], ["o"], [LogicGate(["a", "b"], "o", cover, polarity)])
+    with pytest.raises(BlifError, match=f"^{message}$"):
+        net.validate()
 
 
 def test_parse_cycle_rejected():
@@ -136,7 +152,7 @@ def test_negate_zero_is_identity(pairs6):
 
 def test_negate_and2_gives_nand(and2):
     negated = negate_random_signals(and2, 1, seed=0)
-    assert negated.gates[0].cover == [Cube("11", 0)]
+    assert (negated.gates[0].cover, negated.gates[0].polarity) == (["11"], 0)
     for a in all_assignments(2):
         assert simulate(negated, a)[0] == 1 - simulate(and2, a)[0]
 
@@ -213,7 +229,7 @@ def wide_cover(n_inputs, n_cubes):
         {"".join(rng.choice("01-") for _ in pis) for _ in range(n_cubes)}
     )
     polarity = rng.randint(0, 1)
-    gate = LogicGate(pis, "o", [Cube(p, polarity) for p in patterns])
+    gate = LogicGate(pis, "o", patterns, polarity)
     return Netlist("wide", pis, ["o"], [gate])
 
 
@@ -223,7 +239,7 @@ def test_bound_fanin_size_is_literals_plus_cubes(n_inputs, n_cubes, bound):
     # a sum of products needs at most one gate per care literal and per cube
     net = wide_cover(n_inputs, n_cubes)
     cover = net.gates[0].cover
-    care = sum(ch != "-" for c in cover for ch in c.pattern)
+    care = sum(ch != "-" for pattern in cover for ch in pattern)
     small = bound_fanin(net, bound)
     assert all(g.arity <= bound for g in small.gates)
     assert len(small.gates) <= care + len(cover)
@@ -258,7 +274,7 @@ def test_write_blif_and2(and2):
 
 
 def test_write_buffer_cover():
-    net = Netlist("wires", ["a"], ["o"], [LogicGate(["a"], "o", [Cube("1", 1)])])
+    net = Netlist("wires", ["a"], ["o"], [LogicGate(["a"], "o", ["1"])])
     net.validate()
     assert "1 1" in write_blif(net)
 
@@ -268,11 +284,28 @@ def test_roundtrip_fixture(pairs6, c17):
     assert parse_blif(write_blif(c17)) == c17
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_roundtrip_random(seed):
-    r = random.Random(seed)
-    net = random_cover_netlist(r, r.randint(1, 6), r.randint(1, 8), max_arity=4)
+@st.composite
+def made_netlists(draw):
+    """A `gen` netlist, perhaps fan-in bounded, with some gate outputs negated."""
+    r = random.Random(draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["tree", "pairs", "cover"]))
+    if kind == "tree":
+        net = read_once_tree(r, r.randint(2, 8))
+    elif kind == "pairs":
+        net = pair_products(r, r.randint(1, 4))
+    else:
+        net = random_cover_netlist(r, r.randint(1, 6), r.randint(1, 8), max_arity=5)
+    bound = draw(st.sampled_from([None, 2, 3]))
+    if bound is not None:
+        net = bound_fanin(net, bound)
+    k = draw(st.integers(0, len(net.gates)))
+    return negate_random_signals(net, k, seed=draw(st.integers(0, 100)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(made_netlists())
+def test_roundtrip_random(net):
+    # every gate field compares, its polarity included
     assert parse_blif(write_blif(net)) == net
 
 

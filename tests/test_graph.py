@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bddseq.blif import Cube, LogicGate, Netlist, parse_blif
+from bddseq.blif import LogicGate, Netlist, parse_blif
 from bddseq.graph import (
     FeatureConfig,
     blif2graph,
@@ -13,17 +13,17 @@ from tests.reference import gate_eval
 
 
 def test_truth_table_and2_padded():
-    gate = LogicGate(["a", "b"], "o", [Cube("11", 1)])
+    gate = LogicGate(["a", "b"], "o", ["11"])
     assert truth_table_embedding(gate, 8).tolist() == [0, 0, 0, 1, 0, 0, 0, 0]
 
 
 def test_truth_table_or2():
-    gate = LogicGate(["a", "b"], "o", [Cube("1-", 1), Cube("-1", 1)])
+    gate = LogicGate(["a", "b"], "o", ["1-", "-1"])
     assert truth_table_embedding(gate, 4).tolist() == [0, 1, 1, 1]
 
 
 def test_truth_table_inverter():
-    gate = LogicGate(["a"], "o", [Cube("0", 1)])
+    gate = LogicGate(["a"], "o", ["0"])
     assert truth_table_embedding(gate, 4).tolist() == [1, 0, 0, 0]
 
 
@@ -40,7 +40,7 @@ def test_truth_table_inverter():
 def test_truth_table_matches_one_bit_eval(case):
     # covers of either polarity, empty covers included, against the one-bit eval
     n, polarity, patterns = case
-    gate = LogicGate([f"i{j}" for j in range(n)], "o", [Cube(p, polarity) for p in patterns])
+    gate = LogicGate([f"i{j}" for j in range(n)], "o", patterns, polarity)
     expected = [
         gate_eval(gate, [(i >> (n - 1 - j)) & 1 for j in range(n)]) for i in range(1 << n)
     ]
@@ -48,7 +48,7 @@ def test_truth_table_matches_one_bit_eval(case):
 
 
 def test_truth_table_arity_overflow():
-    gate = LogicGate(["a", "b", "c"], "o", [Cube("111", 1)])
+    gate = LogicGate(["a", "b", "c"], "o", ["111"])
     with pytest.raises(ValueError, match="bound fan-in"):
         truth_table_embedding(gate, 4)
 

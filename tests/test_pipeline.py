@@ -1095,6 +1095,22 @@ BAD_INPUTS = {
         ["train", "{train_corpus}", "--resume", "{other_model}", *OUT],
         r".*/other_model\.bin: a checkpoint of hidden = 16, not 64",
     ),
+    "predict-model-escapes-out": (
+        ["predict", "{escaped}", "--weights", "{weights}", *OUT],
+        r".*/escaped_model\.blif: \.model: circuit id '\.\./escaped' is not one plain file name",
+    ),
+    "synth-model-escapes-out": (
+        ["synth", "{escaped}", "{escaped_orders}", *OUT],
+        r".*/escaped_model\.blif: \.model: circuit id '\.\./escaped' is not one plain file name",
+    ),
+    "predict-model-in-subdir": (
+        ["predict", "{subdir}", "--weights", "{weights}", *OUT],
+        r".*/subdir_model\.blif: \.model: circuit id 'sub/dir' is not one plain file name",
+    ),
+    "synth-model-in-subdir": (
+        ["synth", "{subdir}", "{escaped_orders}", *OUT],
+        r".*/subdir_model\.blif: \.model: circuit id 'sub/dir' is not one plain file name",
+    ),
 }
 
 
@@ -1116,8 +1132,9 @@ def bad_input_files(tmp_path):
     weights, bad configs, an empty directory, a missing path, sources whose
     copy and variant ids collide, a source and a manifest id that labels.txt
     cannot keep, a manifest and an orders file that list one circuit twice, corpora whose label report has another header or
-    whose labels were made under other settings, and a labeled training
-    corpus with a checkpoint of another model than the default config's."""
+    whose labels were made under other settings, a labeled training
+    corpus with a checkpoint of another model than the default config's,
+    and circuits whose `.model` names a path, with an orders file for them."""
     files = {name: tmp_path / name for name in ("corpus", "latch_corpus", "missing", "out")}
     files["pairs6"] = one_entry_corpus(files["corpus"], "pairs6", PAIRS6_SRC)
     files["stale_report"] = tmp_path / "stale_report"
@@ -1171,6 +1188,11 @@ def bad_input_files(tmp_path):
     files["orders_twice"] = tmp_path / "orders_twice.txt"
     pi_names = " ".join(f"x{i}" for i in range(6))
     files["orders_twice"].write_text(f"pairs6 {pi_names}\n# again\npairs6 {pi_names}\n")
+    for name, model in (("escaped", "../escaped"), ("subdir", "sub/dir")):
+        files[name] = tmp_path / f"{name}_model.blif"
+        files[name].write_text(PAIRS6_SRC.replace("pairs6", model))
+    files["escaped_orders"] = tmp_path / "escaped_orders.txt"
+    files["escaped_orders"].write_text(f"../escaped {pi_names}\nsub/dir {pi_names}\n")
     for name, text in (("hidden0", "hidden = 0\n"), ("twice", "seed = 1\nseed = 2\n")):
         files[name] = tmp_path / f"{name}.txt"
         files[name].write_text(text)
@@ -1185,7 +1207,9 @@ def test_bad_input_gives_one_error_line(case, bad_input_files, capsys):
     assert main([arg.format(**bad_input_files) for arg in template]) == 1
     printed = capsys.readouterr()
     assert re.fullmatch(f"error: {message}\n", printed.err), printed.err
-    assert not Path(bad_input_files["out"]).exists()
+    out = Path(bad_input_files["out"])
+    assert not out.exists()
+    assert not list(out.parent.glob("escaped.*"))  # nothing beside --out
 
 
 def test_perfect_predictor_scores_one(labeled_corpus, cfg_file, monkeypatch):
