@@ -5,6 +5,9 @@ resolved configuration into every artifact it writes, and is deterministic
 for a fixed config and seed (wall-time columns excepted; disable
 record_times to make those reproducible too).
 
+Fan-in is bounded in `augment`'s variants and in the model's graph
+(`_graph`) only; labels, re-ranking and synthesis use the netlist as read.
+
 Commands fail only by raising. `main` reports bad input (a malformed or
 missing file, an out-of-range setting, a request the corpus cannot serve)
 as one `error: ...` line on stderr and exit code 1. A problem with one
@@ -52,31 +55,23 @@ def _clock(cfg: RunConfig, start: float) -> float:
     return time.perf_counter() - start if cfg.record_times else 0.0
 
 
-def _feature_config(cfg: RunConfig) -> FeatureConfig:
-    return FeatureConfig(cfg.max_table_len, cfg.normalize_structural)
+def _graph(netlist, cfg: RunConfig):
+    """The model's input graph: `netlist` with gates bounded to
+    `decompose_arity` inputs, so each truth table fits `max_table_len`. A
+    reduced ordered diagram is canonical, so bounding changes no diagram,
+    count, label or synthesized circuit under an order; only a build's peak,
+    and so a build near the node cap on a cover wider than the bound, differs."""
+    features = FeatureConfig(cfg.max_table_len, cfg.normalize_structural)
+    return blif2graph(bound_fanin(netlist, cfg.decompose_arity), features)
 
 
-def _prepare_netlist(netlist, cfg: RunConfig):
-    return bound_fanin(netlist, cfg.decompose_arity)
+# the settings a label and its report row depend on: the keyword arguments
+# of `bdd.generate_label_report`
+LABEL_KEYS = ("seed", "node_cap", "ga_population", "ga_generations", "ga_tournament", "ga_mutation")
 
 
 def _label_report(netlist, cfg: RunConfig) -> bdd.LabelReport:
-    return bdd.generate_label_report(
-        netlist,
-        seed=cfg.seed,
-        node_cap=cfg.node_cap,
-        ga_population=cfg.ga_population,
-        ga_generations=cfg.ga_generations,
-        ga_tournament=cfg.ga_tournament,
-        ga_mutation=cfg.ga_mutation,
-    )
-
-
-# the settings a label and its report row depend on
-LABEL_KEYS = (
-    "seed", "node_cap", "decompose_arity",
-    "ga_population", "ga_generations", "ga_tournament", "ga_mutation",
-)
+    return bdd.generate_label_report(netlist, **{k: getattr(cfg, k) for k in LABEL_KEYS})
 
 
 def _check_kept(path: Path, cfg: RunConfig) -> None:
@@ -175,7 +170,7 @@ def cmd_label(args, cfg: RunConfig) -> None:
     for entry in corpus.entries:
         if entry.circuit_id in labels and entry.circuit_id in rows:
             continue
-        netlist = _prepare_netlist(corpus.load_netlist(entry), cfg)
+        netlist = corpus.load_netlist(entry)
         start = time.perf_counter()
         try:
             report = _label_report(netlist, cfg)
@@ -217,12 +212,11 @@ def _dataset(corpus: Corpus, cfg: RunConfig, split: str):
         names = corpus.labels.get(entry.circuit_id)
         if names is None:
             continue
-        netlist = _prepare_netlist(corpus.load_netlist(entry), cfg)
+        netlist = corpus.load_netlist(entry)
         if not netlist.primary_inputs:  # nothing to order
             no_inputs += 1
             continue
-        graph = blif2graph(netlist, _feature_config(cfg))
-        data.append((graph, names_to_order(netlist, names)))
+        data.append((_graph(netlist, cfg), names_to_order(netlist, names)))
     if no_inputs:
         print(f"skipping {no_inputs} {split} circuits with no primary inputs", file=sys.stderr)
     return data
@@ -318,20 +312,20 @@ def cmd_train(args, cfg: RunConfig) -> None:
 def predict_order(netlist, params, mode: str, cfg: RunConfig, trace=None):
     """Decode candidates for the given mode and re-rank by BDD size.
 
-    Beam modes add the greedy order as a candidate when their search missed it.
+    The model reads `_graph(netlist, cfg)`; the re-rank builds `netlist` as
+    given. Beam modes add the greedy order when their search missed it.
     """
     if mode not in search.MODES:
         raise ValueError(f"unknown mode '{mode}'")
     beam_width, groups = search.MODES[mode]
-    prepared = _prepare_netlist(netlist, cfg)
-    encoded = search.encode(blif2graph(prepared, _feature_config(cfg)), params)
+    encoded = search.encode(_graph(netlist, cfg), params)
     config = search.SearchConfig(beam_width, groups, cfg.alpha, trace)
     candidates = [order for order, _ in search.diverse_beam_search(encoded, params, config)]
     if beam_width > 1:
         greedy = search.greedy_decode(encoded, params)[0]
         if greedy not in candidates:
             candidates.append(greedy)
-    best = search.select_best_order(candidates, prepared, node_cap=cfg.node_cap)
+    best = search.select_best_order(candidates, netlist, node_cap=cfg.node_cap)
     return best, len(candidates)
 
 
@@ -365,18 +359,19 @@ def cmd_predict(args, cfg: RunConfig) -> None:
 def synthesize_circuit(netlist, order, cfg: RunConfig):
     """(circuit, node count, build + synthesis seconds) under `order`.
 
+    Builds, synthesizes and verifies `netlist` as given: fan-in bounding
+    would keep its input and output names and change no diagram (`_graph`).
     Every circuit, of any width, is checked symbolically against the
     diagrams it was synthesized from (`synth.verify_synthesis`), outside the
     timed part and the node cap, which judges the diagram, not the check;
     raises RuntimeError when an output line misses its root.
     """
-    prepared = _prepare_netlist(netlist, cfg)
     start = time.perf_counter()
-    mgr, roots = bdd.build_from_netlist(prepared, order, node_cap=cfg.node_cap)
-    circuit = synth.synthesize(mgr, roots, prepared)
+    mgr, roots = bdd.build_from_netlist(netlist, order, node_cap=cfg.node_cap)
+    circuit = synth.synthesize(mgr, roots, netlist)
     elapsed = _clock(cfg, start)
     mgr.node_cap = math.inf
-    if not synth.verify_synthesis(circuit, mgr, roots, prepared):
+    if not synth.verify_synthesis(circuit, mgr, roots, netlist):
         raise RuntimeError(f"synthesized circuit does not match netlist '{netlist.name}'")
     return circuit, bdd.node_count(mgr, roots), elapsed
 
@@ -387,7 +382,7 @@ def cmd_synth(args, cfg: RunConfig) -> None:
     orders = read_orders(args.orders)
     if netlist.name not in orders:
         raise ValueError(f"no order for '{netlist.name}' in {args.orders}")
-    order = names_to_order(_prepare_netlist(netlist, cfg), orders[netlist.name])
+    order = names_to_order(netlist, orders[netlist.name])
     try:
         circuit, nodes, elapsed = synthesize_circuit(netlist, order, cfg)
     except bdd.NodeCapExceeded as exc:
@@ -464,7 +459,7 @@ def cmd_eval(args, cfg: RunConfig) -> None:
     skipped = 0  # circuits with a diagram over the node cap
 
     for entry in test_entries:
-        netlist = _prepare_netlist(corpus.load_netlist(entry), cfg)
+        netlist = corpus.load_netlist(entry)
         n = len(netlist.primary_inputs)
         label_names = corpus.labels.get(entry.circuit_id)
         label = names_to_order(netlist, label_names) if label_names else None

@@ -100,7 +100,7 @@ class RunConfig:
 
     @staticmethod
     def from_text(text: str) -> "RunConfig":
-        known = {f.name: f.type for f in fields(RunConfig)}
+        known = {f.name: type(f.default) for f in fields(RunConfig)}  # bool, int or float
         values, set_on = {}, {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -116,22 +116,19 @@ class RunConfig:
                 raise ValueError(f"config lines {set_on[key]} and {lineno} both set '{key}'")
             set_on[key] = lineno
             kind = known[key]
-            if kind in ("bool", bool):
+            if kind is bool:
                 if val.lower() not in BOOLEANS:
                     raise ValueError(
                         f"config line {lineno}: '{key}' needs one of 1/0, true/false, yes/no"
                     )
                 values[key] = BOOLEANS[val.lower()]
-            elif kind in ("int", int, "float", float):
-                number = int if kind in ("int", int) else float
+            else:
                 try:
-                    values[key] = number(val)
+                    values[key] = kind(val)
                 except ValueError:
                     raise ValueError(
-                        f"config line {lineno}: '{key}' is not a valid {number.__name__}: '{val}'"
+                        f"config line {lineno}: '{key}' is not a valid {kind.__name__}: '{val}'"
                     ) from None
-            else:
-                values[key] = val
         return RunConfig(**values)
 
     @staticmethod

@@ -248,8 +248,9 @@ class RealFormatError(ValueError):
 
 def _gate(tokens: list[str], index: dict[str, int], lineno: int) -> RevGate:
     head, operands = tokens[0], tokens[1:]
-    if not operands or not head[1:].isdecimal() or int(head[1:]) != len(operands):
-        raise RealFormatError(f"bad gate line: {' '.join(tokens)!r}", lineno)
+    # t<n> on n lines; a Fredkin (f), Peres (p) or V gate is refused
+    if head[0] != "t" or not head[1:].isdecimal() or int(head[1:]) != len(operands) or not operands:
+        raise RealFormatError(f"not a Toffoli gate line: {' '.join(tokens)!r}", lineno)
     controls = []
     for op in operands:
         name = op[1:] if op.startswith("-") else op
@@ -299,8 +300,10 @@ def read_real(text: str) -> ReversibleCircuit:
                 raise RealFormatError(f"bad .numvars {field!r}", lineno)
             numvars = int(field)
         elif head == ".variables":
-            names = tokens[1:]
-            index = {name: i for i, name in enumerate(names)}
+            names, index = tokens[1:], {}
+            for i, name in enumerate(names):
+                if index.setdefault(name, i) != i:
+                    raise RealFormatError(f".variables names line '{name}' twice", lineno)
         elif head == ".outputs":
             outs = tokens[1:]
         elif head == ".constants":

@@ -3,18 +3,18 @@ import json
 import random
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bddseq import model as M
 from bddseq import bdd, cli, search, synth
 from bddseq.bdd import NodeCapExceeded, VarOrder, brute_force_optimal_order, build_from_netlist
-from bddseq.blif import evaluate, exhaustive_columns, parse_blif, write_blif
+from bddseq.blif import bound_fanin, evaluate, exhaustive_columns, parse_blif, write_blif
 from bddseq.cli import (
     _dataset,
     _decode_metrics,
@@ -35,7 +35,7 @@ from bddseq.corpus import (
     write_manifest,
     write_orders,
 )
-from bddseq.gen import desk_corpus, read_once_tree
+from bddseq.gen import desk_corpus, random_cover_netlist, read_once_tree
 from tests.conftest import PAIRS6_SRC, mutated, mutated_bytes, mutated_lines
 from tests.reference import read_csv
 
@@ -200,6 +200,21 @@ def test_runconfig_rejects_bad_numbers(line, needs):
     key = line.split()[0]
     with pytest.raises(ValueError, match=f"config line 2: '{key}' is not a valid {needs}"):
         RunConfig.from_text(f"batch_size = 4\n{line}\n")
+
+
+# a valid value other than the default, where the default plus one is not
+NON_DEFAULT = {"max_table_len": 32, "decompose_arity": 3, "hidden": 32, "heads": 2}
+
+
+@pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+def test_runconfig_reads_back_each_line_it_writes(field):
+    other = {bool: lambda d: not d, int: lambda d: d + 1, float: lambda d: d / 2}
+    value = NON_DEFAULT.get(field.name, other[type(field.default)](field.default))
+    cfg = replace(RunConfig(), **{field.name: value})
+    assert value != getattr(RunConfig(), field.name)
+    (line,) = [line for line in cfg.to_text().splitlines() if line.startswith(f"{field.name} =")]
+    again = RunConfig.from_text(line + "\n")
+    assert again == cfg and type(getattr(again, field.name)) is type(field.default)
 
 
 CONFIG_TEXT = RunConfig(seed=9, record_times=False).to_text()
@@ -550,7 +565,7 @@ def test_label_keeps_only_labels_of_its_own_settings(key, labeled_corpus, cfg_fi
     files = [labeled_corpus / name for name in ("labels.txt", "label_report.csv")]
     before = read_orders(files[0]), read_csv(files[1])
     cfg = RunConfig.load(cfg_file)
-    value = {"ga_mutation": 0.5, "node_cap": 1234, "decompose_arity": 3}.get(key, getattr(cfg, key) + 1)
+    value = {"ga_mutation": 0.5, "node_cap": 1234}.get(key, getattr(cfg, key) + 1)
     other, model = tmp_path / "other.txt", tmp_path / "model.txt"
     other.write_text(replace(cfg, **{key: value}).to_text())
     model.write_text(replace(cfg, hidden=8, epochs=2, alpha=0.5).to_text())
@@ -566,6 +581,77 @@ def test_label_keeps_only_labels_of_its_own_settings(key, labeled_corpus, cfg_fi
     assert main(["--config", str(other), "label", str(labeled_corpus)]) == 1
     assert f"error: {files[1]}: written with {key}" in capsys.readouterr().err
     assert main(["--config", str(other), "label", str(labeled_corpus), "--force"]) == 0
+
+
+def test_label_keeps_labels_under_another_decompose_arity(labeled_corpus, cfg_file, tmp_path, capsys):
+    # no label depends on fan-in bounding, so a run without --force under
+    # another decompose_arity keeps every label and row and makes none
+    files = [labeled_corpus / name for name in ("labels.txt", "label_report.csv")]
+    before = read_orders(files[0]), read_csv(files[1])
+    other = tmp_path / "other.txt"
+    other.write_text(replace(RunConfig.load(cfg_file), decompose_arity=3).to_text())
+    capsys.readouterr()
+    assert main(["--config", str(other), "label", str(labeled_corpus)]) == 0
+    assert capsys.readouterr().out == f"labeled 0 circuits ({len(before[0])} total labels)\n"
+    assert (read_orders(files[0]), read_csv(files[1])) == before
+
+
+@st.composite
+def wide_covers(draw):
+    """(netlist, bound): a random cover with a gate wider than the bound."""
+    bound = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n_pi, n_gates = rng.randint(4, 8), rng.randint(2, 6)
+    net = random_cover_netlist(rng, n_pi, n_gates, max_arity=draw(st.integers(bound + 1, 6)))
+    assume(any(len(gate.inputs) > bound for gate in net.gates))
+    return net, bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_covers(), st.integers(0, 99))
+def test_fanin_bounding_changes_no_label_and_no_circuit(case, seed):
+    # a reduced ordered diagram is canonical: under each order, a netlist and
+    # its fan-in-bounded copy give one diagram, so one label report (counts
+    # and orders) and one synthesized circuit
+    net, bound = case
+    cfg = RunConfig(seed=seed, decompose_arity=bound, ga_population=6, ga_generations=4,
+                    record_times=False)
+    small = bound_fanin(net, bound)
+    assert small.gates != net.gates
+    report, small_report = cli._label_report(net, cfg), cli._label_report(small, cfg)
+    assert (report.counts, report.orders) == (small_report.counts, small_report.orders)
+    shuffled = list(range(len(net.primary_inputs)))
+    random.Random(seed).shuffle(shuffled)
+    for order in (report.order, VarOrder(tuple(shuffled))):
+        assert synthesize_circuit(net, order, cfg) == synthesize_circuit(small, order, cfg)
+
+
+COVER6_SRC = """.model cover6
+.inputs a b c d e f
+.outputs o
+.names a b c d e f o
+11-1-0 1
+0-1-11 1
+.end
+"""
+
+
+def test_synth_bounds_no_fanin(tmp_path, cfg_file, monkeypatch):
+    # the diagram is built from the netlist as read, wider than decompose_arity
+    bound, calls = cli.bound_fanin, []
+
+    def counted(netlist, max_arity):
+        calls.append(netlist.name)
+        return bound(netlist, max_arity)
+
+    monkeypatch.setattr(cli, "bound_fanin", counted)
+    blif, orders = tmp_path / "cover6.blif", tmp_path / "cover6.order"
+    blif.write_text(COVER6_SRC)
+    orders.write_text("cover6 f e d c b a\n")
+    assert RunConfig.load(cfg_file).decompose_arity < 6
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "synth", str(blif), str(orders), "--out", str(out)]) == 0
+    assert (out / "cover6.real").exists() and calls == []
 
 
 @pytest.fixture
@@ -793,15 +879,21 @@ def test_eval_ratio_rows_give_the_time_ratio(
 def test_eval_shares_the_label_report(labeled_corpus, cfg_file, trained_run, tmp_path, monkeypatch):
     # per test circuit: one identity build for the label report, which gives
     # every label maker's order, a synthesis build for each of them, and a
-    # re-rank and a synthesis build for each model mode
-    calls = []
+    # re-rank and a synthesis build for each model mode; fan-in is bounded
+    # once per model mode, for the model's graph alone
+    calls, bounded = [], []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build_from_netlist(*args, **kwargs)
 
+    def counted_bound(netlist, max_arity):
+        bounded.append(netlist.name)
+        return bound_fanin(netlist, max_arity)
+
     monkeypatch.setattr(bdd, "build_from_netlist", counted)
     monkeypatch.setattr(search, "build_from_netlist", counted)
+    monkeypatch.setattr(cli, "bound_fanin", counted_bound)
     out = tmp_path / "eval"
     assert main(
         ["--config", str(cfg_file), "eval", str(labeled_corpus), "--weights",
@@ -811,6 +903,7 @@ def test_eval_shares_the_label_report(labeled_corpus, cfg_file, trained_run, tmp
     circuits = {row[0] for row in rows} - {"TOTAL", "RATIO"}
     builds = 1 + len(bdd.HEURISTICS) + 2 * len(search.MODES)
     assert circuits and len(calls) == builds * len(circuits)
+    assert len(bounded) == len(search.MODES) * len(circuits)
     # the classical rows synthesize the label report's orders
     _, label_rows = read_csv(labeled_corpus / "label_report.csv")
     label_counts = {row[0]: dict(zip(bdd.HEURISTICS, row[2:])) for row in label_rows}
@@ -835,7 +928,7 @@ def test_a_label_maker_is_one_table_entry(
     reversed_counts, ties = {}, 0
     for row in label_rows:
         counts = dict(zip(bdd.HEURISTICS, map(int, row[2:])))
-        net = cli._prepare_netlist(corpus.load_netlist(entries[row[0]]), cfg)
+        net = corpus.load_netlist(entries[row[0]])
         n = len(net.primary_inputs)
         mgr, roots = build_from_netlist(net, VarOrder(tuple(reversed(range(n)))))
         assert counts["reversed"] == bdd.node_count(mgr, roots)

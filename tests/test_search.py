@@ -178,11 +178,11 @@ ONE_INPUT = ".model t\n.inputs a\n.outputs o\n.names a o\n1 1\n.end\n"
 @pytest.mark.parametrize("src, order", [(NO_INPUTS, ()), (ONE_INPUT, (0,))], ids=["none", "one"])
 def test_a_circuit_of_at_most_one_input_has_one_order(src, order):
     # in every mode, and in single and batched greedy decoding, with score 0.0
-    from bddseq.cli import _feature_config, predict_order
+    from bddseq.cli import _graph, predict_order
     from bddseq.corpus import RunConfig
 
     net, cfg = parse_blif(src), RunConfig(max_table_len=4, decompose_arity=2)
-    graph = blif2graph(net, _feature_config(cfg))
+    graph = _graph(net, cfg)
     cfg_model = M.ModelConfig(feature_dim=graph.features.shape[1], hidden=8, layers=1, heads=2)
     params = M.init_params(cfg_model, seed=0)
     expected = VarOrder(order)

@@ -418,6 +418,25 @@ def test_read_real_header_given_twice_is_typed():
     assert info.value.line == 10
 
 
+ABC_REAL = ".numvars 3\n.variables a b c\n.inputs a b c\n.outputs a b c\n.constants ---\n.garbage 000\n"
+
+
+@pytest.mark.parametrize("gate", ["f2 a b", "p3 a b c", "v a b"], ids=["fredkin", "peres", "v"])
+def test_read_real_refuses_a_gate_that_is_not_toffoli(gate):
+    # a Fredkin gate swaps its targets and a Peres gate is a Toffoli gate then
+    # a CNOT, neither of which a Toffoli gate of the same lines computes
+    assert read_real(ABC_REAL + ".begin\nt3 a b c\n.end\n").gates
+    with pytest.raises(RealFormatError, match=f"^line 8: not a Toffoli gate line: '{gate}'$"):
+        read_real(ABC_REAL + f".begin\n{gate}\n.end\n")
+
+
+def test_read_real_refuses_a_line_named_twice():
+    # every gate on `a` would act on the second line of that name
+    text = ABC_REAL.replace(".variables a b c", ".variables a b a")
+    with pytest.raises(RealFormatError, match=r"^line 2: \.variables names line 'a' twice$"):
+        read_real(text + ".begin\nt2 a b\n.end\n")
+
+
 C17_REAL = write_real(synth_for(parse_blif(C17_SRC)))
 
 
