@@ -263,6 +263,12 @@ def outer_add(a, b):
     )
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax of an array over its last axis, shifted by each row's max."""
+    z = x - x.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def log_softmax_pick(a, mask_add: np.ndarray, picks):
     """Masked log-softmax over the last axis, keeping one picked entry per row.
 
@@ -272,9 +278,7 @@ def log_softmax_pick(a, mask_add: np.ndarray, picks):
     """
     picks = np.asarray(picks, dtype=np.int64)
     cols = mask_add.shape[-1]
-    x = value(a).reshape(mask_add.shape) + mask_add
-    z = x - x.max(axis=-1, keepdims=True)
-    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    y = log_softmax(value(a).reshape(mask_add.shape) + mask_add)
     flat = np.arange(picks.size) * cols + picks.ravel()  # picked entries of y.ravel()
 
     def vjp(g):

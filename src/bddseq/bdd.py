@@ -5,7 +5,9 @@ is `order.permutation[level]`. Terminals live at level n. Node counts include
 the terminals and count nodes shared between output roots once.
 
 `apply` takes AND and OR, for construction, and XOR, for the symbolic check
-of a synthesized cascade (`synth.verify_synthesis`).
+of a synthesized cascade (`synth.verify_synthesis`). A build runs each gate
+through `LogicGate.apply` on diagram refs. The recursions take one frame per
+level, so a manager raises the recursion limit with its variable count.
 
 Reordering has one mechanism, the standard in-place adjacent level swap:
 nodes at the upper level that depend on the lower variable are rewritten in
@@ -58,9 +60,11 @@ alone, independent of `apply`.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 
 from .blif import Netlist, evaluate, exhaustive_columns
 
@@ -73,6 +77,7 @@ AND = "and"
 OR = "or"
 XOR = "xor"
 _NOT = "not"
+_ABSORBING = {AND: FALSE, OR: TRUE}  # the other terminal is the op's identity
 
 
 class NodeCapExceeded(Exception):
@@ -113,6 +118,8 @@ class BddManager:
 
     def __init__(self, order: VarOrder, node_cap: int = NODE_CAP):
         self.n = len(order)
+        # apply, apply_not and postorder recurse once per level
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * self.n + 1000))
         self.order = list(order.permutation)
         self.var2level = [0] * self.n
         for pos, var in enumerate(self.order):
@@ -128,11 +135,6 @@ class BddManager:
 
     # -- basic structure ---------------------------------------------------
 
-    def level_of(self, ref: int) -> int:
-        if ref <= TRUE:
-            return self.n
-        return self.nodes[ref][0]
-
     def low(self, ref: int) -> int:
         return self.nodes[ref][1]
 
@@ -146,10 +148,6 @@ class BddManager:
         if ref > TRUE:
             self.nodes[ref][3] += 1
 
-    def _decref(self, ref: int) -> None:
-        if ref > TRUE:
-            self.nodes[ref][3] -= 1
-
     def makenode(self, level: int, low: int, high: int) -> int:
         if low == high:
             return low
@@ -161,8 +159,10 @@ class BddManager:
         nid = self._next_id
         self._next_id += 1
         self.nodes[nid] = [level, low, high, 0]
-        self._incref(low)
-        self._incref(high)
+        if low > TRUE:
+            self.nodes[low][3] += 1
+        if high > TRUE:
+            self.nodes[high][3] += 1
         self.unique[level][(low, high)] = nid
         return nid
 
@@ -176,7 +176,8 @@ class BddManager:
 
     def unprotect(self, ref: int) -> None:
         self.protected.remove(ref)
-        self._decref(ref)
+        if ref > TRUE:
+            self.nodes[ref][3] -= 1
 
     # -- apply -------------------------------------------------------------
 
@@ -195,46 +196,34 @@ class BddManager:
         return out
 
     def apply(self, op: str, f: int, g: int) -> int:
-        if op == AND:
-            if f == FALSE or g == FALSE:
-                return FALSE
-            if f == TRUE:
-                return g
-            if g == TRUE:
-                return f
-            if f == g:
-                return f
-        elif op == OR:
-            if f == TRUE or g == TRUE:
-                return TRUE
-            if f == FALSE:
-                return g
-            if g == FALSE:
-                return f
+        if f > g:
+            f, g = g, f  # every op is commutative
+        absorbing = _ABSORBING.get(op)
+        if absorbing is not None:
+            if f <= TRUE:  # the absorbing value or the identity
+                return f if f == absorbing else g
             if f == g:
                 return f
         elif op == XOR:
             if f == g:
                 return FALSE
-            if f > g:
-                f, g = g, f
             if f <= TRUE:  # a terminal operand: g itself or its negation
                 return g if f == FALSE else self.apply_not(g)
         else:
             raise ValueError(f"unknown op {op}")
-        if f > g:
-            f, g = g, f  # every op is commutative
         key = (op, f, g)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        lf, lg = self.level_of(f), self.level_of(g)
+        # both operands are internal nodes here
+        lf, f0, f1, _ = self.nodes[f]
+        lg, g0, g1, _ = self.nodes[g]
         level = min(lf, lg)
-        f0, f1 = (self.low(f), self.high(f)) if lf == level else (f, f)
-        g0, g1 = (self.low(g), self.high(g)) if lg == level else (g, g)
-        out = self.makenode(
-            level, self.apply(op, f0, g0), self.apply(op, f1, g1)
-        )
+        if lf != level:
+            f0 = f1 = f
+        if lg != level:
+            g0 = g1 = g
+        out = self.makenode(level, self.apply(op, f0, g0), self.apply(op, f1, g1))
         self.cache[key] = out
         return out
 
@@ -294,7 +283,8 @@ class BddManager:
                 rec = self.nodes[nid]
                 assert rec[0] == level and rec[1] == low and rec[2] == high
                 assert low != high, "redundant node"
-                assert self.level_of(low) > level and self.level_of(high) > level
+                for child in (low, high):
+                    assert child <= TRUE or self.nodes[child][0] > level, "unordered child"
         keys = [
             (rec[0], rec[1], rec[2]) for rec in self.nodes.values()
         ]
@@ -487,6 +477,7 @@ def build_from_netlist(
     if len(order) != len(netlist.primary_inputs):
         raise ValueError("order does not permute the primary inputs")
     mgr = BddManager(order, node_cap=node_cap)
+    algebra = TRUE, partial(mgr.apply, AND), partial(mgr.apply, OR), mgr.apply_not
     refs = {name: mgr.var(i) for i, name in enumerate(netlist.primary_inputs)}
     gates = netlist.topo_gates()
     for i, gate in enumerate(gates):
@@ -494,16 +485,7 @@ def build_from_netlist(
             held = {*netlist.primary_outputs, *(s for g in gates[i:] for s in g.inputs)}
             refs = {sig: ref for sig, ref in refs.items() if sig in held}
             mgr.collect_garbage(refs.values())
-        acc = FALSE
-        for pattern in gate.cover:
-            term = TRUE
-            for sig, ch in zip(gate.inputs, pattern):
-                if ch == "-":
-                    continue
-                lit = refs[sig] if ch == "1" else mgr.apply_not(refs[sig])
-                term = mgr.apply(AND, term, lit)
-            acc = mgr.apply(OR, acc, term)
-        refs[gate.output] = acc if gate.polarity else mgr.apply_not(acc)
+        refs[gate.output] = gate.apply([refs[s] for s in gate.inputs], *algebra)
     roots = [refs[po] for po in netlist.primary_outputs]
     for ref in roots:
         mgr.protect(ref)

@@ -8,13 +8,15 @@ cube's literals and the OR of the cubes.
 
 A gate keeps its cover as input patterns and one output polarity. BLIF
 repeats that bit on every row; the parser takes it from a gate's first row
-and refuses, by line number, a row that disagrees.
+and refuses, by line number, a row that disagrees. `LogicGate.apply` is the
+one gate rule, over bit lanes (`lane_algebra`) or diagram refs.
 
 Sequential constructs (`.latch`, `.subckt`, multi-model files) are rejected.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -41,18 +43,19 @@ class LogicGate:
     def arity(self) -> int:
         return len(self.inputs)
 
-    def eval_lanes(self, values, full: int) -> int:
-        """Bit-parallel eval: values[k] carries input k in every lane of `full`."""
-        hit = 0
+    def apply(self, values, one, and_, or_, not_):
+        """The gate's function of `values`, one per input, as bit lanes (bit
+        i of a value is the signal in lane i) or diagram refs, with `one`
+        true: each pattern's care literals ANDed, the patterns ORed, and the
+        sum complemented at polarity 0."""
+        hit = not_(one)
         for pattern in self.cover:
-            term = full
+            term = one
             for p, v in zip(pattern, values):
-                if p == "1":
-                    term &= v
-                elif p == "0":
-                    term &= ~v
-            hit |= term
-        return hit if self.polarity else full ^ hit
+                if p != "-":
+                    term = and_(term, v if p == "1" else not_(v))
+            hit = or_(hit, term)
+        return hit if self.polarity else not_(hit)
 
 
 @dataclass
@@ -94,16 +97,11 @@ class Netlist:
         return [self.gates[i] for i in sorted(ready, key=lambda i: (depth[i], i))]
 
     def validate(self) -> None:
-        seen: set[str] = set()
-        for s in self.primary_inputs:
-            if s in seen:
+        defined: set[str] = set()
+        for s in [*self.primary_inputs, *(g.output for g in self.gates)]:
+            if s in defined:
                 raise BlifError(f"duplicate signal name '{s}'")
-            seen.add(s)
-        for g in self.gates:
-            if g.output in seen:
-                raise BlifError(f"duplicate signal name '{g.output}'")
-            seen.add(g.output)
-        defined = set(self.primary_inputs) | {g.output for g in self.gates}
+            defined.add(s)
         for g in self.gates:
             if len(set(g.inputs)) != len(g.inputs):
                 raise BlifError(f"gate '{g.output}' lists a repeated input")
@@ -126,9 +124,13 @@ class Netlist:
                     )
                 if any(ch not in "01-" for ch in pattern):
                     raise BlifError(f"bad cube symbol in gate '{g.output}'")
+        listed: set[str] = set()
         for s in self.primary_outputs:
             if s not in defined:
                 raise BlifError(f"undefined primary output '{s}'")
+            if s in listed:
+                raise BlifError(f"primary output '{s}' listed twice")
+            listed.add(s)
         self.topo_gates()  # raises on cycles
 
 
@@ -261,16 +263,22 @@ def exhaustive_columns(n: int) -> list[int]:
     return columns
 
 
+def lane_algebra(lanes: int) -> tuple:
+    """`LogicGate.apply`'s true value, AND, OR and NOT over `lanes` bit lanes."""
+    full = (1 << lanes) - 1
+    return full, operator.and_, operator.or_, partial(operator.xor, full)
+
+
 def evaluate(netlist: Netlist, columns, lanes: int) -> tuple[int, ...]:
     """Primary outputs on `lanes` assignments at once.
 
     columns[j] carries primary input j in every lane (bit i is its value in
     assignment i); each output comes back the same way.
     """
-    full = (1 << lanes) - 1
+    algebra = lane_algebra(lanes)
     values = dict(zip(netlist.primary_inputs, columns))
     for g in netlist.topo_gates():
-        values[g.output] = g.eval_lanes([values[s] for s in g.inputs], full)
+        values[g.output] = g.apply([values[s] for s in g.inputs], *algebra)
     return tuple(values[s] for s in netlist.primary_outputs)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blif import LogicGate, Netlist, exhaustive_columns
+from .blif import LogicGate, Netlist, exhaustive_columns, lane_algebra
 
 
 @dataclass
@@ -77,7 +77,7 @@ def truth_table_embedding(gate: LogicGate, max_table_len: int) -> np.ndarray:
             f"gate '{gate.output}' arity {n} does not fit table length "
             f"{max_table_len}; bound fan-in first"
         )
-    table = gate.eval_lanes(exhaustive_columns(n), (1 << (1 << n)) - 1)
+    table = gate.apply(exhaustive_columns(n), *lane_algebra(1 << n))
     vec = np.zeros(max_table_len, dtype=np.float64)
     vec[: 1 << n] = [(table >> i) & 1 for i in range(1 << n)]
     return vec

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .autodiff import no_grad
+from .autodiff import log_softmax, no_grad
 from .bdd import NODE_CAP, NodeCapExceeded, VarOrder, build_from_netlist, terminal_count
 from .blif import Netlist
 from .graph import CircuitGraph
@@ -124,12 +124,6 @@ def _advance(pool: Pool, encoded: M.Encoded, params: M.ModelParams):
     return raw.reshape(len(pool.tokens), -1), hidden, cell
 
 
-def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of a (B, P) array."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def _span(raw: np.ndarray) -> np.ndarray:
     """Each row's span (max - min) of raw scores, (B, 1)."""
     return raw.max(axis=1, keepdims=True) - raw.min(axis=1, keepdims=True)
@@ -166,7 +160,7 @@ def _decode(
         scores: list[float] = []
         for group in range(config.groups):
             if stale:
-                flat = (pool.scores[:, None] + _log_softmax(penalized)).ravel()
+                flat = (pool.scores[:, None] + log_softmax(penalized)).ravel()
                 # visited, or claimed by an earlier group
                 flat[pool.visited.ravel()] = -np.inf
                 flat[taken] = -np.inf
@@ -243,7 +237,7 @@ def _greedy(encoded: M.Encoded, params: M.ModelParams) -> list[tuple[VarOrder, f
     for step in range(encoded.real.shape[1] - 1):
         pool = Pool([tokens[g] for g in rows], scores[rows], visited, hidden, cell, rows)
         raw, hidden, cell = _advance(pool, encoded, params)
-        flat = pool.scores[:, None] + _log_softmax(raw + np.where(visited, M.MASK_VALUE, 0.0))
+        flat = pool.scores[:, None] + log_softmax(raw + np.where(visited, M.MASK_VALUE, 0.0))
         flat[visited] = -np.inf
         cols = flat.argmax(axis=1)  # each row's first maximum
         scores[rows] = flat[np.arange(len(rows)), cols]

@@ -139,18 +139,28 @@ def synthesize(
     """Map the BDDs under `roots` to a NOT/CNOT/Toffoli cascade.
 
     One line per primary input plus one ancilla per synthesized internal
-    node; literal nodes reuse their variable's input line outright.
+    node; literal nodes reuse their variable's input line outright. An
+    ancilla is named `w<k>`, and an output copy or constant output
+    `o_<output>`, or the first `_<k>` variant of that name no line has yet,
+    so the line names stay distinct.
     """
     n_pi = len(netlist.primary_inputs)
     line_names = list(netlist.primary_inputs)
+    used = set(line_names)
     constants: list[int | None] = [None] * n_pi
     output_names: list[str | None] = [None] * n_pi
     gates: list[RevGate] = []
     node_line: dict[int, int] = {}
 
     def new_line(name: str) -> int:
-        """A constant-0 ancilla that carries no primary output yet."""
-        line_names.append(name)
+        """A constant-0 ancilla, named `name` or its first free variant,
+        that carries no primary output yet."""
+        fresh, k = name, 0
+        while fresh in used:
+            k += 1
+            fresh = f"{name}_{k}"
+        used.add(fresh)
+        line_names.append(fresh)
         constants.append(0)
         output_names.append(None)
         return len(line_names) - 1

@@ -78,3 +78,25 @@ def read_csv(path):
     reader = csv.reader(rows)
     header = next(reader)
     return header, list(reader)
+
+
+# two outputs on one diagram node, over inputs named like the lines synthesis
+# adds: an output copy `o_g` and ancillas `w<k>`
+CLASH_SRC = (
+    ".model clash\n.inputs a b o_g w2 w3\n.outputs f g\n"
+    ".names a b f\n11 1\n.names f g\n1 1\n.end\n"
+)
+
+
+def deep_chain(n: int) -> tuple[str, list[str]]:
+    """(BLIF, order) of an OR chain over n inputs that ends in a polarity-0
+    gate. The order puts each new input above the chain, so the build takes
+    linear time, and complementing, walking and checking the n-node diagram
+    each recurse about n levels deep."""
+    lines = [".model chain", ".inputs " + " ".join(f"x{i}" for i in range(n)), ".outputs f"]
+    prev = "x0"
+    for k in range(1, n):
+        lines += [f".names {prev} x{k} t{k}", "1- 1", "-1 1"]
+        prev = f"t{k}"
+    lines += [f".names {prev} f", "1 0", ".end"]
+    return "\n".join(lines) + "\n", [f"x{i}" for i in reversed(range(n))]

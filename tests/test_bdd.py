@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -1104,23 +1105,28 @@ def test_postorder_lists_each_node_after_its_children(case):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_xor_apply_matches_and_or_not(seed):
-    # XOR of every pair of the diagram's functions, terminals included, is
-    # the ref AND, OR and NOT compose, and evaluates to the XOR of the two
+    # for every pair of the diagram's functions, terminals included, AND, OR
+    # and XOR evaluate pointwise and do not depend on the operand order, and
+    # XOR is the ref AND, OR and NOT compose
     r = random.Random(seed + 600)
     net = random_cover_netlist(r, r.randint(2, 6), r.randint(2, 8), n_outputs=3)
     n = len(net.primary_inputs)
     perm = list(range(n))
     r.shuffle(perm)
     mgr, roots = build_from_netlist(net, VarOrder(tuple(perm)))
-    refs = sorted(mgr.reachable(roots))
+    refs = sorted(mgr.reachable(roots) | {FALSE, TRUE})
     assignments = list(itertools.product((0, 1), repeat=n))
     for f in refs:
         for g in refs:
-            h = mgr.apply(XOR, f, g)
+            for op, bit in ((AND, operator.and_), (OR, operator.or_), (XOR, operator.xor)):
+                h = mgr.apply(op, f, g)
+                assert h == mgr.apply(op, g, f)
+                assert all(mgr.eval(h, a) == bit(mgr.eval(f, a), mgr.eval(g, a)) for a in assignments)
             left = mgr.apply(AND, f, mgr.apply_not(g))
             right = mgr.apply(AND, mgr.apply_not(f), g)
-            assert h == mgr.apply(OR, left, right)
-            assert all(mgr.eval(h, a) == mgr.eval(f, a) ^ mgr.eval(g, a) for a in assignments)
+            assert mgr.apply(XOR, f, g) == mgr.apply(OR, left, right)
+    with pytest.raises(ValueError, match="^unknown op nand$"):
+        mgr.apply("nand", refs[-1], refs[-2])
     mgr.check()
 
 

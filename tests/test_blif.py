@@ -48,6 +48,13 @@ def test_parse_undefined_signal():
         parse_blif(".model t\n.inputs a\n.outputs o\n.names a ghost o\n11 1\n.end")
 
 
+def test_parse_output_listed_twice_rejected():
+    # synthesis would give the output two lines of one name
+    src = ".model t\n.inputs a\n.outputs f f f\n.names a f\n1 1\n.end"
+    with pytest.raises(BlifError, match="^primary output 'f' listed twice$"):
+        parse_blif(src)
+
+
 def test_parse_mixed_polarity_rejected():
     # the error names the line of the first row that disagrees with the first
     src = ".model t\n.inputs a b\n.outputs o\n.names a b o\n11 1\n01 1\n00 0\n10 0\n.end"

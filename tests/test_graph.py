@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bddseq.bdd import VarOrder, build_from_netlist
 from bddseq.blif import LogicGate, Netlist, parse_blif
 from bddseq.graph import (
     FeatureConfig,
@@ -38,13 +39,15 @@ def test_truth_table_inverter():
     )
 )
 def test_truth_table_matches_one_bit_eval(case):
-    # covers of either polarity, empty covers included, against the one-bit eval
+    # covers of either polarity, empty covers included, against the one-bit
+    # eval, over bit lanes and over the one-gate netlist's diagram
     n, polarity, patterns = case
     gate = LogicGate([f"i{j}" for j in range(n)], "o", patterns, polarity)
-    expected = [
-        gate_eval(gate, [(i >> (n - 1 - j)) & 1 for j in range(n)]) for i in range(1 << n)
-    ]
+    assignments = [[(i >> (n - 1 - j)) & 1 for j in range(n)] for i in range(1 << n)]
+    expected = [gate_eval(gate, bits) for bits in assignments]
     assert truth_table_embedding(gate, 16).tolist() == expected + [0] * (16 - (1 << n))
+    mgr, (root,) = build_from_netlist(Netlist("g", gate.inputs, ["o"], [gate]), VarOrder.identity(n))
+    assert [mgr.eval(root, bits) for bits in assignments] == expected
 
 
 def test_truth_table_arity_overflow():

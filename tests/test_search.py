@@ -246,7 +246,7 @@ def test_one_unmasked_column_has_log_probability_zero(data):
     visited = np.arange(n) != free
     masked = raw[None, :] + np.where(visited, M.MASK_VALUE, 0.0)
     penalized = masked - np.where(claimed, alpha * search._span(raw[None, :]), 0.0)
-    value = search._log_softmax(penalized)[0, free]
+    value = ad.log_softmax(penalized)[0, free]
     assert value == 0.0 and not np.signbit(value)
 
 
@@ -608,7 +608,7 @@ def per_group_decode(encoded, params, config):
         claimed = np.zeros(num_pis, dtype=bool)
         rows, cols, scores = [], [], []
         for group in range(config.groups):
-            total = pool.scores[:, None] + search._log_softmax(
+            total = pool.scores[:, None] + ad.log_softmax(
                 raw - np.where(claimed, config.alpha * search._span(raw), 0.0) + mask
             )
             flat = np.where(taken, -np.inf, total).ravel()

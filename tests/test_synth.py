@@ -1,5 +1,6 @@
 import inspect
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from bddseq import synth
 from bddseq.bdd import VarOrder, build_from_netlist, node_count
 from bddseq.blif import parse_blif
+from bddseq.cli import synthesize_circuit
+from bddseq.corpus import RunConfig, names_to_order
 from bddseq.gen import pair_products, random_cover_netlist, read_once_tree
 from bddseq.synth import (
     RealFormatError,
@@ -23,7 +26,14 @@ from bddseq.synth import (
     write_real,
 )
 from tests.conftest import C17_SRC, mutated
-from tests.reference import apply_to_state, exhaustive_verify, gate_eval, is_bijection
+from tests.reference import (
+    CLASH_SRC,
+    apply_to_state,
+    deep_chain,
+    exhaustive_verify,
+    gate_eval,
+    is_bijection,
+)
 
 
 def build_and_synth(net, order=None):
@@ -435,6 +445,40 @@ def test_read_real_refuses_a_line_named_twice():
     text = ABC_REAL.replace(".variables a b c", ".variables a b a")
     with pytest.raises(RealFormatError, match=r"^line 2: \.variables names line 'a' twice$"):
         read_real(text + ".begin\nt2 a b\n.end\n")
+
+
+@pytest.mark.parametrize(
+    "src, lines",
+    [
+        (CLASH_SRC, ["a", "b", "o_g", "w2", "w3", "w1", "o_g_1"]),
+        (
+            CLASH_SRC.replace("o_g w2 w3", "o_g o_h w1 w1_1")
+            .replace(".outputs f g", ".outputs f g h")
+            .replace(".end", ".names h\n1\n.end"),
+            ["a", "b", "o_g", "o_h", "w1", "w1_1", "w1_2", "o_g_1", "o_h_1"],
+        ),
+    ],
+    ids=["copy", "ancilla-copy-constant"],
+)
+def test_synthesized_line_names_are_distinct(src, lines):
+    # an ancilla, an output copy or a constant output whose name a line has
+    # takes the first free variant of it, so `.real` names each line once
+    net = parse_blif(src)
+    circuit = synthesize_circuit(net, VarOrder.identity(len(net.primary_inputs)), RunConfig())[0]
+    assert circuit.line_names == lines
+    assert read_real(write_real(circuit)) == circuit
+    assert exhaustive_verify(circuit, net)
+
+
+def test_a_deep_chain_synthesizes_and_verifies():
+    # apply_not, postorder and the symbolic check recurse past the
+    # interpreter's default limit of 1 000 frames
+    src, names = deep_chain(1500)
+    net = parse_blif(src)
+    circuit, nodes, _ = synthesize_circuit(net, names_to_order(net, names), RunConfig())
+    assert sys.getrecursionlimit() >= 3 * 1500 + 1000
+    assert nodes == 1502
+    assert circuit.lines == 3000 and len(set(circuit.line_names)) == 3000
 
 
 C17_REAL = write_real(synth_for(parse_blif(C17_SRC)))
