@@ -50,7 +50,8 @@ def main() -> None:
     report(net, "interleaved (bad)", VarOrder((0, 2, 4, 1, 3, 5)))
 
     mgr, roots = build_from_netlist(net, VarOrder((0, 2, 4, 1, 3, 5)))
-    report(net, "after sifting", sift_reorder(mgr, roots))
+    sifted, _ = sift_reorder(mgr, roots)
+    report(net, "after sifting", sifted)
 
     mgr, roots = build_from_netlist(net, VarOrder((0, 2, 4, 1, 3, 5)))
     ga, _ = ga_reorder(mgr, roots, population=20, generations=30, seed=7)

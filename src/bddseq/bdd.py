@@ -27,10 +27,11 @@ signals still to be read as well, so it frees dead gate outputs. `shuffle_to`
 is the one mover: it takes a diagram to a whole new order, with the node cap
 checked on every swap, and sifting parks each variable with it. `transfer`
 copies the live nodes under some roots into a fresh, collected manager with
-the same order; a new order is reached from there by swaps. The GA, the
-exact search and each label maker of `LABEL_MAKERS` (run in turn on one
-identity-order diagram) return `(order, count)`, so label making counts each
-order once, where its search found it.
+the same order; a new order is reached from there by swaps. Sifting, the GA,
+the exact search and each label maker of `LABEL_MAKERS` return `(order,
+count)`, so label making counts each order once, where its search found it.
+The makers share one identity-order diagram: natural reads it, and sifting
+and the GA each move a copy of their own.
 
 The GA draws from `random.Random(seed)` the stream `randrange`, `sample`,
 `random` and `shuffle` would, so the seed fixes its orders, but it breeds
@@ -492,8 +493,9 @@ def build_from_netlist(
     return mgr, roots
 
 
-def sift_reorder(manager: BddManager, roots) -> VarOrder:
-    """Rudell-style sifting: park each variable at its best position.
+def sift_reorder(manager: BddManager, roots) -> tuple[VarOrder, int]:
+    """Rudell-style sifting: park each variable at its best position; returns
+    the order reached and its count.
 
     Precondition: every diagram the manager protects belongs to the roots,
     and every internal root is protected, as `build_from_netlist` leaves
@@ -587,7 +589,7 @@ def sift_reorder(manager: BddManager, roots) -> VarOrder:
                     break
         park(var, best[1])
     assert node_count(manager, roots) == len(manager.nodes) + terminals
-    return manager.current_order()
+    return manager.current_order(), len(manager.nodes) + terminals
 
 
 def transfer(manager: BddManager, roots):
@@ -628,17 +630,18 @@ def ga_reorder(
     collected `transfer` copy of the diagrams, moved to each new order by
     adjacent level swaps (`shuffle_to`), so each count is the store size; the
     caller's manager is not touched. An order whose copy passes the node cap
-    on any swap scores node_cap + 1. The caller's order comes back before any
-    draw when it is the only order (fewer than two inputs), with the caller's
-    count, or when its own live nodes are over the cap, with node_cap + 1.
+    on any swap scores node_cap + 1, and a fresh copy replaces it. The
+    caller's order comes back before any draw when it is the only order
+    (fewer than two inputs), with the caller's count, or when its own live
+    nodes are over the cap, with node_cap + 1.
 
     Scoring stays in population order: the seeded population, then each new
     generation's children as they are bred, each looked up in a cache first,
     so no order is scored twice. The order is part of the result: under the
     cap, whether an order scores node_cap + 1 depends on the order the copy
-    moves from. Scoring a child as soon as it is bred keeps that order, since
-    scoring draws nothing and the tournaments read only the last generation's
-    scores. Each generation sorts its keys once, and a tournament takes the
+    moves from: the last order scored, or the caller's after a refused one.
+    Scoring a child as soon as it is bred keeps that order, since scoring
+    draws nothing and the tournaments read only the last generation's scores. Each generation sorts its keys once, and a tournament takes the
     least rank among its draws, so it compares ints, not keys.
 
     Each generation is bred in one loop with every draw written in place, as
@@ -675,7 +678,11 @@ def ga_reorder(
     cache: dict[tuple[int, ...], int] = {}
 
     def score(perm: tuple[int, ...]) -> int:  # an order not in the cache
-        cost = len(work.nodes) + terminals if work.shuffle_to(perm) else manager.node_cap + 1
+        nonlocal work
+        if work.shuffle_to(perm):
+            cost = len(work.nodes) + terminals
+        else:  # the copy stopped over the cap, so the next order starts afresh
+            cost, work = manager.node_cap + 1, transfer(manager, roots)[0]
         cache[perm] = cost
         return cost
 
@@ -856,20 +863,17 @@ def brute_force_optimal_order(netlist: Netlist) -> tuple[VarOrder, int]:
 # -- label generation ----------------------------------------------------------
 
 
-# tie order: a label is the least count, and a tie goes to the earlier name
-HEURISTICS = ("natural", "sifting", "ga")
-
-# Label makers in run order, each mapping the shared identity-order diagram to
-# (order, count) through the module globals; `ga` is ga_reorder's arguments
-# after the roots. The GA scores its private transfer copy, so it runs first;
-# sifting moves the diagram in place, so it runs last.
+# Label makers in tie order: a label is the least count, and a tie goes to
+# the earlier name. Each maps the shared identity-order diagram to (order,
+# count) through the module globals; `ga` is ga_reorder's arguments after the
+# roots. A maker reads that diagram or moves its own transfer copy, so none
+# moves what another reads, and the makers may run in any order.
 LABEL_MAKERS = {
     "natural": lambda mgr, roots, ga: (mgr.current_order(), node_count(mgr, roots)),
+    "sifting": lambda mgr, roots, ga: sift_reorder(*transfer(mgr, roots)),
     "ga": lambda mgr, roots, ga: ga_reorder(mgr, roots, *ga),
-    "sifting": lambda mgr, roots, ga: (
-        sift_reorder(mgr, roots), len(mgr.nodes) + terminal_count(roots)
-    ),
 }
+HEURISTICS = tuple(LABEL_MAKERS)
 
 
 @dataclass

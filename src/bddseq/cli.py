@@ -387,9 +387,10 @@ def cmd_synth(args, cfg: RunConfig) -> None:
         circuit, nodes, elapsed = synthesize_circuit(netlist, order, cfg)
     except bdd.NodeCapExceeded as exc:
         raise ValueError(f"{netlist.name}: {exc} (node_cap = {cfg.node_cap})") from None
+    real = synth.write_real(circuit)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{netlist.name}.real").write_text(synth.write_real(circuit))
+    (out_dir / f"{netlist.name}.real").write_text(real)
     write_csv(
         out_dir / f"{netlist.name}.metrics.csv",
         ["circuit", "mode", "gates", "lines", "qc", "transistor_cost", "time_seconds"],

@@ -3,7 +3,9 @@
 Every primary input and gate becomes a node; edges run from driver to
 consumer. A gate's feature vector is its padded truth table followed by four
 structural scalars (topological rank, depth, fan-in, fan-out); primary inputs
-carry an all-zero truth-table segment.
+carry an all-zero truth-table segment. One topological pass places the nodes:
+the rank is the row, the depth is written with the truth tables, and fan-in
+and fan-out are counted over the edges (an output listing adds one fan-out).
 """
 
 from __future__ import annotations
@@ -83,25 +85,6 @@ def truth_table_embedding(gate: LogicGate, max_table_len: int) -> np.ndarray:
     return vec
 
 
-def structural_features(netlist: Netlist) -> dict[str, tuple[int, int, int, int]]:
-    """Per-signal (rank, depth, fanin, fanout) over PIs and gate outputs."""
-    topo = netlist.topo_gates()
-    order = list(netlist.primary_inputs) + [g.output for g in topo]
-    rank = {s: i for i, s in enumerate(order)}
-    depth = {s: 0 for s in netlist.primary_inputs}
-    for g in topo:
-        depth[g.output] = 1 + max((depth[s] for s in g.inputs), default=-1)
-    fanin = {s: 0 for s in netlist.primary_inputs}
-    fanout = {s: 0 for s in order}
-    for g in topo:
-        fanin[g.output] = g.arity
-        for s in g.inputs:
-            fanout[s] += 1
-    for s in netlist.primary_outputs:
-        fanout[s] += 1
-    return {s: (rank[s], depth[s], fanin[s], fanout[s]) for s in order}
-
-
 def blif2graph(netlist: Netlist, config: FeatureConfig) -> CircuitGraph:
     L = config.max_table_len
     topo = netlist.topo_gates()
@@ -111,10 +94,15 @@ def blif2graph(netlist: Netlist, config: FeatureConfig) -> CircuitGraph:
 
     n_nodes = len(names)
     features = np.zeros((n_nodes, L + 4), dtype=np.float64)
-    for g in topo:
-        features[index[g.output], :L] = truth_table_embedding(g, L)
-    for s, tup in structural_features(netlist).items():
-        features[index[s], L:] = tup
+    features[:, L] = np.arange(n_nodes)
+    depth = features[:, L + 1]
+    for i, g in enumerate(topo, len(netlist.primary_inputs)):
+        features[i, :L] = truth_table_embedding(g, L)
+        depth[i] = 1 + max((depth[index[s]] for s in g.inputs), default=-1)
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    listed = np.array([index[s] for s in netlist.primary_outputs], dtype=np.intp)
+    features[:, L + 2] = np.bincount(ends[:, 1], minlength=n_nodes)
+    features[:, L + 3] = np.bincount(np.concatenate([ends[:, 0], listed]), minlength=n_nodes)
     if config.normalize_structural and n_nodes > 0:
         scalars = features[:, L:]
         lo = scalars.min(axis=0)

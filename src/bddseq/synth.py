@@ -223,6 +223,9 @@ def verify_synthesis(
 
 
 def write_real(circuit: ReversibleCircuit) -> str:
+    dashed = ", ".join(f"'{name}'" for name in circuit.line_names if name.startswith("-"))
+    if dashed:  # a gate line reads a leading '-' as a negative control
+        raise ValueError(f"line names starting with '-' read as negative controls: {dashed}")
     lines = [".version 2.0", f".numvars {circuit.lines}"]
     lines.append(".variables " + " ".join(circuit.line_names))
     lines.append(".inputs " + " ".join(circuit.line_names))

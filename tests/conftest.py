@@ -165,10 +165,7 @@ def reversed_order(mgr, roots, ga):
 
 @pytest.fixture
 def reversed_maker(monkeypatch):
-    """A fourth label maker as one more table entry: it runs before sifting,
-    which moves the shared diagram in place, and is last in the tie order."""
-    makers = dict(bdd.LABEL_MAKERS)
-    sifting = makers.pop("sifting")
-    makers.update(reversed=reversed_order, sifting=sifting)
+    """A fourth label maker as one more table entry, last in the tie order."""
+    makers = {**bdd.LABEL_MAKERS, "reversed": reversed_order}
     monkeypatch.setattr(bdd, "LABEL_MAKERS", makers)
-    monkeypatch.setattr(bdd, "HEURISTICS", (*bdd.HEURISTICS, "reversed"))
+    monkeypatch.setattr(bdd, "HEURISTICS", tuple(makers))

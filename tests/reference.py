@@ -68,6 +68,44 @@ def gate_eval(gate, values) -> int:
     return gate.polarity if hit else 1 - gate.polarity
 
 
+def round_based_topo(net):
+    """Reference order: each round takes every ready gate in declaration order."""
+    producers = {g.output for g in net.gates}
+    placed, ordered, remaining = set(), [], list(net.gates)
+    while remaining:
+        ready = [
+            g for g in remaining
+            if all(s in placed for s in g.inputs if s in producers)
+        ]
+        assert ready, "cycle"
+        ordered += ready
+        placed |= {g.output for g in ready}
+        remaining = [g for g in remaining if g.output not in placed]
+    return ordered
+
+
+def structural_reference(net) -> dict[str, tuple[int, int, int, int]]:
+    """Per signal (rank, depth, fan-in, fan-out), each found on its own:
+    rank in the round-based order, depth by recursion over the drivers,
+    fan-in from the driving gate, fan-out by counting the listings of the
+    signal among gate inputs and primary outputs."""
+    drivers = {g.output: g for g in net.gates}
+    order = list(net.primary_inputs) + [g.output for g in round_based_topo(net)]
+
+    def depth(s):
+        g = drivers.get(s)
+        return 0 if g is None else 1 + max((depth(t) for t in g.inputs), default=-1)
+
+    def fanout(s):
+        listed = sum(g.inputs.count(s) for g in net.gates)
+        return listed + net.primary_outputs.count(s)
+
+    return {
+        s: (rank, depth(s), len(drivers[s].inputs) if s in drivers else 0, fanout(s))
+        for rank, s in enumerate(order)
+    }
+
+
 def read_csv(path):
     """(header, rows) of a report written by `corpus.write_csv`."""
     rows = [

@@ -118,8 +118,8 @@ def test_criterion_02_construction_oracle_and_lower_bound():
             if n_pi <= 8:
                 _, optimum = brute_force_optimal_order(net)
                 mgr, roots = build_from_netlist(net, VarOrder.identity(n_pi))
-                sift_reorder(mgr, roots)
-                sift_count = node_count(mgr, roots)
+                _, sift_count = sift_reorder(mgr, roots)
+                assert sift_count == node_count(mgr, roots)
                 mgr2, roots2 = build_from_netlist(net, VarOrder.identity(n_pi))
                 ga, _ = ga_reorder(mgr2, roots2, population=8, generations=6, seed=i)
                 dst, nr = build_from_netlist(net, ga)
@@ -136,8 +136,8 @@ def test_criterion_03_sifting_monotone(desk):
                 net, VarOrder.identity(len(net.primary_inputs))
             )
             before = node_count(mgr, roots)
-            sift_reorder(mgr, roots)
-            assert node_count(mgr, roots) <= before, name
+            _, count = sift_reorder(mgr, roots)
+            assert node_count(mgr, roots) == count <= before, name
 
 
 def test_criterion_04_search_reductions():

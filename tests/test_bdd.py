@@ -118,14 +118,15 @@ def test_random_swaps_match_oracle(seed):
 
 def test_sift_keeps_optimum(pairs6):
     mgr, roots = build_from_netlist(pairs6, NATURAL6)
-    sift_reorder(mgr, roots)
-    assert node_count(mgr, roots) == 8
+    order, count = sift_reorder(mgr, roots)
+    assert node_count(mgr, roots) == count == 8
+    assert mgr.current_order() == order
 
 
 def test_sift_reaches_optimum_from_scrambled(pairs6):
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
-    order = sift_reorder(mgr, roots)
-    assert node_count(mgr, roots) == 8
+    order, count = sift_reorder(mgr, roots)
+    assert node_count(mgr, roots) == count == 8
     assert mgr.current_order() == order
 
 
@@ -135,8 +136,8 @@ def test_sift_monotone(seed):
     net = random_cover_netlist(r, r.randint(3, 8), r.randint(2, 9))
     mgr, roots = build_from_netlist(net, VarOrder.identity(len(net.primary_inputs)))
     before = node_count(mgr, roots)
-    sift_reorder(mgr, roots)
-    assert node_count(mgr, roots) <= before
+    _, count = sift_reorder(mgr, roots)
+    assert node_count(mgr, roots) == count <= before
 
 
 def move_var(mgr, var, position):
@@ -170,7 +171,7 @@ def walk_sift(mgr, roots):
                     break
         best_pos = min(counts, key=lambda p: (counts[p], p))
         move_var(mgr, var, best_pos)
-    return mgr.current_order()
+    return mgr.current_order(), node_count(mgr, roots)
 
 
 def sift_case(case):
@@ -279,8 +280,9 @@ def test_swaps_then_sift_keep_invariants(case):
     for level in swaps:
         mgr.swap_adjacent_levels(level)
     mgr.check()
-    sift_reorder(mgr, roots)
+    _, count = sift_reorder(mgr, roots)
     mgr.check()
+    assert count == node_count(mgr, roots)
     oracle, oracle_roots = shannon_build(net, mgr.current_order())
     oracle.check()
     assert mgr.signature(roots) == oracle.signature(oracle_roots)
@@ -302,7 +304,7 @@ def count_swaps(mgr):
 
 def sift_against_walk(net, swaps=()):
     """Sift one diagram and walk-sift another from the same start; return
-    their orders, signatures and swap counts."""
+    their (order, count) pairs, signatures and swap counts."""
     start = VarOrder.identity(len(net.primary_inputs))
     out = []
     for sift in (sift_reorder, walk_sift):
@@ -310,8 +312,7 @@ def sift_against_walk(net, swaps=()):
         for level in swaps:
             mgr.swap_adjacent_levels(level)
         counter = count_swaps(mgr)
-        order = sift(mgr, roots)
-        out.append((order, mgr.signature(roots), counter[0]))
+        out.append((sift(mgr, roots), mgr.signature(roots), counter[0]))
     return out
 
 
@@ -354,9 +355,9 @@ def test_sift_node_cap_hit_mid_pass():
         largest[0] = max(largest[0], len(mgr.nodes))
 
     mgr.swap_adjacent_levels = watched
-    order = sift_reorder(mgr, roots)
+    order, count = sift_reorder(mgr, roots)
     assert largest[0] > mgr.node_cap  # the cap stopped some variable's pass
-    assert node_count(mgr, roots) <= before
+    assert node_count(mgr, roots) == count <= before
     assert mgr.current_order() == order
     mgr.check()
     oracle, oracle_roots = shannon_build(net, order)
@@ -403,7 +404,7 @@ def bounded_sift(manager, roots):
                 if len(manager.nodes) > manager.node_cap:
                     break
         move_var(manager, var, best[1])
-    return manager.current_order()
+    return manager.current_order(), len(manager.nodes) + terminals
 
 
 @st.composite
@@ -437,9 +438,9 @@ def sift_against_bounded(net, start, slack):
         mgr.collect_garbage()
         mgr.node_cap = math.inf if slack is None else len(mgr.nodes) + slack
         counter = count_swaps(mgr)
-        order = sift(mgr, roots)
+        order, count = sift(mgr, roots)
         mgr.check()
-        count = len(mgr.nodes) + terminal_count(roots)
+        assert count == len(mgr.nodes) + terminal_count(roots)
         out.append((order, count, mgr.signature(roots), counter[0]))
     return out
 
@@ -539,7 +540,9 @@ def reference_ga(
 ):
     """Reference GA that scores every tournament entrant again through the
     fitness cache, `min(candidates, key=lambda p: (fitness(p), p))`; for at
-    least two inputs. Returns the best order and its fitness."""
+    least two inputs. A move that passes the cap leaves its copy there, so
+    the copy is replaced at once by a fresh one at the caller's order.
+    Returns the best order and its fitness."""
     n = manager.n
     rng = random.Random(seed)
     fitness_cache = {}
@@ -551,12 +554,16 @@ def reference_ga(
         terminals = terminal_count(work_roots)
 
     def fitness(perm):
+        nonlocal work
         hit = fitness_cache.get(perm)
         if hit is not None:
             return hit
         cost = manager.node_cap + 1
-        if work is not None and work.shuffle_to(perm):
-            cost = len(work.nodes) + terminals
+        if work is not None:
+            if work.shuffle_to(perm):
+                cost = len(work.nodes) + terminals
+            else:
+                work, _ = transfer(manager, roots)
         fitness_cache[perm] = cost
         return cost
 
@@ -737,6 +744,38 @@ def test_ga_scores_orders_in_the_reference_sequence(monkeypatch):
         assert got == scored, seed
         refused += sum(not arrived for _, arrived in got)
     assert refused > 0  # some orders passed the cap on the way
+
+
+def test_ga_moves_from_the_callers_order_after_a_refused_order(monkeypatch):
+    # a refused move leaves its copy over the cap, so the next order is moved
+    # from a fresh copy at the caller's order; after an arrived move the next
+    # one starts where it arrived
+    shuffle, moves = BddManager.shuffle_to, []
+
+    def recorded(self, permutation):
+        start = tuple(self.order)
+        arrived = shuffle(self, permutation)
+        moves.append((start, tuple(permutation), arrived))
+        return arrived
+
+    monkeypatch.setattr(BddManager, "shuffle_to", recorded)
+    refused = arrived_after_refused = 0
+    for seed in range(24):
+        r = random.Random(seed + 5000)
+        net = pair_products(r, 2 * r.randint(2, 5))
+        n = len(net.primary_inputs)
+        mgr, roots = build_from_netlist(net, VarOrder.identity(n))
+        mgr.node_cap = len(mgr.reachable(roots) - {FALSE, TRUE}) + r.randint(0, 8)
+        moves.clear()
+        ga_reorder(mgr, roots, population=12, generations=8, seed=seed)
+        callers = last = tuple(range(n))
+        last_arrived = True
+        for start, target, arrived in moves:
+            assert start == (last if last_arrived else callers), seed
+            arrived_after_refused += arrived and not last_arrived
+            last, last_arrived = target, arrived
+        refused += sum(not arrived for *_, arrived in moves)
+    assert refused > 0 and arrived_after_refused > 0
 
 
 # desk_corpus(3, seed=7) labeled at the default GA settings, seed 0
@@ -1185,7 +1224,7 @@ def three_build_label_report(netlist, seed=0, node_cap=2_000_000, **ga):
 
     def sifted():
         mgr, roots = build_from_netlist(netlist, VarOrder.identity(n), node_cap)
-        order = sift_reorder(mgr, roots)
+        order, _ = sift_reorder(mgr, roots)
         return order, node_count(mgr, roots)
 
     def genetic():
@@ -1247,22 +1286,30 @@ def test_label_report_builds_once(monkeypatch, pairs6):
 
 
 def test_label_report_transfers_once(monkeypatch, pairs6):
-    # the GA's private copy is the only transfer, and the GA's count is its
-    # elite's fitness on that copy
+    # sifting and the GA each copy the shared identity diagram once and move
+    # their copy; those are the only transfers, and the shared one stays put
     import bddseq.bdd as bdd
 
-    calls = []
+    calls, sifted = [], []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return transfer(*args, **kwargs)
 
+    def sift_recorded(mgr, roots):
+        sifted.append(mgr)
+        return sift_reorder(mgr, roots)
+
     monkeypatch.setattr(bdd, "transfer", counted)
+    monkeypatch.setattr(bdd, "sift_reorder", sift_recorded)
     for net in (pairs6, read_once_tree(random.Random(3), 7)):
         calls.clear()
+        sifted.clear()
         report = generate_label_report(net, seed=0, ga_population=8, ga_generations=6)
-        assert len(calls) == 1
-        assert "ga" in report.counts
+        (shared, _), (again, _) = calls
+        assert shared is again and sifted[0] is not shared
+        assert shared.current_order() == VarOrder.identity(len(net.primary_inputs))
+        assert set(report.counts) == set(HEURISTICS)
 
 
 def label_case(seed):
@@ -1306,6 +1353,24 @@ def test_label_counts_are_the_counts_of_fresh_builds(seed):
         order, count = ga_reorder(mgr, roots, population=8, generations=6, seed=seed)
         rebuilt, rebuilt_roots = build_from_netlist(net, order)
         assert count == node_count(rebuilt, rebuilt_roots), cap
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_label_makers_give_the_same_labels_in_any_order(monkeypatch, seed):
+    # no maker moves a diagram another reads, so the table's order is only
+    # the tie order: any run order gives each maker the same order and count
+    import bddseq.bdd as bdd
+
+    net = label_case(seed)
+    smallest = next(cap for cap in itertools.count(1) if natural_build_fits(net, cap))
+    makers = dict(bdd.LABEL_MAKERS)
+    for cap in (smallest + 1, NODE_CAP):
+        args = dict(seed=seed, node_cap=cap, ga_population=8, ga_generations=6)
+        report = generate_label_report(net, **args)
+        for names in itertools.permutations(makers):
+            monkeypatch.setattr(bdd, "LABEL_MAKERS", {name: makers[name] for name in names})
+            again = generate_label_report(net, **args)
+            assert (again.orders, again.counts) == (report.orders, report.counts), names
 
 
 def test_node_cap_signals_blowup(pairs6):

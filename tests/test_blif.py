@@ -19,7 +19,7 @@ from bddseq.blif import (
 )
 from bddseq.gen import pair_products, random_cover_netlist, read_once_tree
 from tests.conftest import C17_SRC, PAIRS6_SRC, mutated
-from tests.reference import gate_eval
+from tests.reference import gate_eval, round_based_topo
 
 
 def all_assignments(n):
@@ -80,22 +80,6 @@ def test_parse_cycle_rejected():
     src = ".model t\n.inputs a\n.outputs x\n.names a y x\n11 1\n.names x y\n1 1\n.end"
     with pytest.raises(BlifError, match="cyclic"):
         parse_blif(src)
-
-
-def round_based_topo(net):
-    """Reference order: each round takes every ready gate in declaration order."""
-    producers = {g.output for g in net.gates}
-    placed, ordered, remaining = set(), [], list(net.gates)
-    while remaining:
-        ready = [
-            g for g in remaining
-            if all(s in placed for s in g.inputs if s in producers)
-        ]
-        assert ready, "cycle"
-        ordered += ready
-        placed |= {g.output for g in ready}
-        remaining = [g for g in remaining if g.output not in placed]
-    return ordered
 
 
 @pytest.mark.parametrize("seed", range(30))

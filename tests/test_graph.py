@@ -1,16 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddseq.bdd import VarOrder, build_from_netlist
 from bddseq.blif import LogicGate, Netlist, parse_blif
-from bddseq.graph import (
-    FeatureConfig,
-    blif2graph,
-    structural_features,
-    truth_table_embedding,
-)
-from tests.reference import gate_eval
+from bddseq.gen import random_cover_netlist
+from bddseq.graph import FeatureConfig, blif2graph, truth_table_embedding
+from tests.reference import gate_eval, structural_reference
 
 
 def test_truth_table_and2_padded():
@@ -56,8 +54,17 @@ def test_truth_table_arity_overflow():
         truth_table_embedding(gate, 4)
 
 
+def structural(net):
+    """By node name, the unnormalized (rank, depth, fan-in, fan-out) columns."""
+    graph = blif2graph(net, FeatureConfig(max_table_len=16, normalize_structural=False))
+    return {
+        name: tuple(int(v) for v in row[-4:])
+        for name, row in zip(graph.node_names, graph.features)
+    }
+
+
 def test_structural_features_basics(and2):
-    stats = structural_features(and2)
+    stats = structural(and2)
     assert stats["a"] == (0, 0, 0, 1)
     assert stats["b"] == (1, 0, 0, 1)
     assert stats["o"] == (2, 1, 2, 1)
@@ -68,15 +75,52 @@ def test_structural_depth_chain():
         ".model chain\n.inputs a\n.outputs o\n"
         ".names a t1\n0 1\n.names t1 t2\n0 1\n.names t2 o\n0 1\n.end"
     )
-    stats = structural_features(parse_blif(src))
+    stats = structural(parse_blif(src))
     assert stats["o"][1] == 3
 
 
 def test_structural_po_fanout_counts():
     src = ".model t\n.inputs a\n.outputs o o2\n.names a o\n1 1\n.names a o2\n0 1\n.end"
-    stats = structural_features(parse_blif(src))
+    stats = structural(parse_blif(src))
     assert stats["a"][3] == 2  # feeds both gates
     assert stats["o"][3] == 1  # consumed once as a primary output
+
+
+@st.composite
+def covers(draw):
+    """A random cover of 1-8 inputs with its gates declared in any order, up
+    to two constant gates, and outputs that may be inputs or constants."""
+    r = random.Random(draw(st.integers(0, 10_000)))
+    n = r.randint(1, 8)
+    net = random_cover_netlist(r, n, r.randint(1, 12), max_arity=4, n_outputs=r.randint(1, 3))
+    gates = list(net.gates)
+    for k in range(r.randint(0, 2)):
+        gates.append(LogicGate([], f"c{k}", r.choice([[], [""]])))
+    r.shuffle(gates)
+    listable = net.primary_inputs + [g.output for g in gates if not g.inputs]
+    extra = r.sample(listable, min(len(listable), r.randint(0, 2)))
+    net = Netlist("cover", net.primary_inputs, net.primary_outputs + extra, gates)
+    net.validate()
+    return net
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers())
+def test_structural_columns_match_the_per_signal_reference(net):
+    assert structural(net) == structural_reference(net)
+
+
+def test_blif2graph_sorts_topologically_once(monkeypatch, c17):
+    calls = []
+    topo_gates = Netlist.topo_gates
+
+    def counted(self):
+        calls.append(self)
+        return topo_gates(self)
+
+    monkeypatch.setattr(Netlist, "topo_gates", counted)
+    blif2graph(c17, FeatureConfig())
+    assert calls == [c17]
 
 
 def test_blif2graph_and2(and2):
@@ -91,7 +135,7 @@ def test_blif2graph_and2(and2):
 def test_blif2graph_pairs6(pairs6):
     graph = blif2graph(pairs6, FeatureConfig(max_table_len=8))
     assert graph.num_nodes == 6 + 4
-    stats = structural_features(pairs6)
+    stats = structural(pairs6)
     assert all(stats[graph.node_names[i]][3] == 1 for i in graph.pi_positions)
     # one edge per gate input
     assert len(graph.edges) == sum(g.arity for g in pairs6.gates)

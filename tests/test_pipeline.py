@@ -1125,6 +1125,10 @@ BAD_INPUTS = {
         ["synth", "{outputs_twice}", "{orders}", *OUT],
         r".*/outputs_twice\.blif: primary output 'f' listed twice",
     ),
+    "synth-dashed-line": (
+        ["synth", "{dashed}", "{dashed_orders}", *OUT],
+        r"line names starting with '-' read as negative controls: '-a'",
+    ),
     "label-latch": (["label", "{latch_corpus}"], r".*/latch_corpus/blif/latched\.blif: " + LATCH_ERROR),
     "predict-not-weights": (
         ["predict", "{pairs6}", "--weights", "{garbage}", *OUT],
@@ -1231,8 +1235,9 @@ def bad_input_files(tmp_path):
     cannot keep, a manifest and an orders file that list one circuit twice, corpora whose label report has another header or
     whose labels were made under other settings, a labeled training
     corpus with a checkpoint of another model than the default config's,
-    circuits whose `.model` names a path, with an orders file for them, and
-    a circuit that lists one output twice."""
+    circuits whose `.model` names a path, with an orders file for them, a
+    circuit that lists one output twice, and one with an input named `-a`,
+    with its orders file."""
     files = {name: tmp_path / name for name in ("corpus", "latch_corpus", "missing", "out")}
     files["pairs6"] = one_entry_corpus(files["corpus"], "pairs6", PAIRS6_SRC)
     files["stale_report"] = tmp_path / "stale_report"
@@ -1291,6 +1296,10 @@ def bad_input_files(tmp_path):
         files[name].write_text(PAIRS6_SRC.replace("pairs6", model))
     files["outputs_twice"] = tmp_path / "outputs_twice.blif"
     files["outputs_twice"].write_text(".model twice\n.inputs a\n.outputs f f\n.names a f\n1 1\n.end\n")
+    files["dashed"] = tmp_path / "dashed.blif"
+    files["dashed"].write_text(".model dashed\n.inputs -a b\n.outputs f\n.names -a b f\n11 1\n.end\n")
+    files["dashed_orders"] = tmp_path / "dashed_orders.txt"
+    files["dashed_orders"].write_text("dashed -a b\n")
     files["escaped_orders"] = tmp_path / "escaped_orders.txt"
     files["escaped_orders"].write_text(f"../escaped {pi_names}\nsub/dir {pi_names}\n")
     for name, text in (("hidden0", "hidden = 0\n"), ("twice", "seed = 1\nseed = 2\n")):
