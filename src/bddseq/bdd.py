@@ -20,12 +20,13 @@ Garbage has one rule: a collected store holds exactly the live nodes, and a
 swap keeps it that way, since it frees every node it orphans. Construction
 leaves dead nodes behind for the mark-and-sweep collector, so every reorder
 (sifting, the genetic fitness, the search's re-rank) collects once before its
-first swap and then reads each node count from the store size instead of
-walking the diagrams. Protection holds only roots, during a build as after
-it: a collection mid-build, at `gc_threshold`, marks from the outputs and the
+first swap and then reads node counts from the store instead of walking the
+diagrams. Protection holds only roots, during a build as after it: a
+collection mid-build, at `gc_threshold`, marks from the outputs and the
 signals still to be read as well, so it frees dead gate outputs. `shuffle_to`
 is the one mover: it takes a diagram to a whole new order, with the node cap
-checked on every swap, and sifting parks each variable with it. `transfer`
+checked on every swap, and sifting parks each variable with it; given a
+`LevelTable`'s sizes, it records the two levels each swap rewrote. `transfer`
 copies the live nodes under some roots into a fresh, collected manager with
 the same order; a new order is reached from there by swaps. Sifting, the GA,
 the exact search and each label maker of `LABEL_MAKERS` return `(order,
@@ -37,19 +38,26 @@ The GA draws from `random.Random(seed)` the stream `randrange`, `sample`,
 `random` and `shuffle` would, so the seed fixes its orders, but it breeds
 each generation in one loop with those draws written in place, as CPython
 makes them from `getrandbits`, and ranks each generation once for its
-tournaments.
+tournaments. It prices orders from a `LevelTable` of the level sizes its copy
+has shown: a level's size depends only on its variable and the set of
+variables above it (Friedman and Supowit, IEEE TC 39(5), 1990), and a
+collected store is canonical, so a size measured under one order holds under
+all. An order whose levels are all measured is priced with no move; otherwise
+the copy moves to the nearest order that shows the missing ones. Each
+generation's new orders are priced once it is bred, in lexicographic order,
+so consecutive ones share their prefixes.
 
 Sifting reaches the orders plain sifting does with fewer swaps, by a lower
-bound. A level's size depends only on its variable and the set of variables
-above it, so while a variable moves down from position j the levels above j
-keep their sizes, and every support variable (one with a non-empty level, in
-any order) keeps at least one node; the same holds upward for the levels
-below j. A sweep stops once that bound cannot beat the best count seen. Two
-rules skip the moves that bound already decides. The up sweep's bound at the
-start position is known before the down sweep, so a variable walks back up
-only when that bound can still win; otherwise it goes straight to its best
-position. A variable outside the support ties at every position, so it goes
-to position 0 with no sweep.
+bound. As a level's size depends only on its variable and the set of
+variables above it, while a variable moves down from position j the levels
+above j keep their sizes, and every support variable (one with a non-empty
+level, in any order) keeps at least one node; the same holds upward for the
+levels below j. A sweep stops once that bound cannot beat the best count
+seen. Two rules skip the moves that bound already decides. The up sweep's
+bound at the start position is known before the down sweep, so a variable
+walks back up only when that bound can still win; otherwise it goes straight
+to its best position. A variable outside the support ties at every position,
+so it goes to position 0 with no sweep.
 
 Exact orders come from the Friedman-Supowit dynamic program over subsets of
 variables, run on the output truth tables (`brute_force_optimal_order`). Its
@@ -175,11 +183,6 @@ class BddManager:
         self.protected.append(ref)
         self._incref(ref)
 
-    def unprotect(self, ref: int) -> None:
-        self.protected.remove(ref)
-        if ref > TRUE:
-            self.nodes[ref][3] -= 1
-
     # -- apply -------------------------------------------------------------
 
     def apply_not(self, f: int) -> int:
@@ -266,16 +269,6 @@ class BddManager:
         for ref in roots:
             visit(ref)
         return list(out)
-
-    def signature(self, roots) -> tuple:
-        """Canonical structural fingerprint of the diagrams under the roots:
-        the `postorder` nodes as (level, low, high) by their place in it, with
-        -1 for FALSE and -2 for TRUE, and the roots the same way."""
-        post = self.postorder(roots)
-        index = {FALSE: -1, TRUE: -2, **{ref: i for i, ref in enumerate(post)}}
-        recs = (self.nodes[ref] for ref in post)
-        nodes = tuple((rec[0], index[rec[1]], index[rec[2]]) for rec in recs)
-        return nodes, tuple(index[ref] for ref in roots)
 
     def check(self) -> None:
         """Assert reduction and ordering invariants over the whole store."""
@@ -429,7 +422,7 @@ class BddManager:
     def current_order(self) -> VarOrder:
         return VarOrder(tuple(self.order))
 
-    def shuffle_to(self, permutation) -> bool:
+    def shuffle_to(self, permutation, sizes=None) -> bool:
         """Reorder to `permutation` in place by adjacent swaps.
 
         As CUDD's `Cudd_ShuffleHeap` does, each variable in turn, from the
@@ -439,12 +432,29 @@ class BddManager:
         intermediate (valid) order and returns False; True when it arrives.
         No collection is needed on the way: a swap frees what it orphans, so
         a collected store stays exactly the live nodes.
+
+        With `sizes`, a `LevelTable`'s, every swap records the sizes of the
+        two levels it rewrote, as `sizes[var][mask]` for the variable at each
+        and the variables above it as a mask; so does a swap that passes the
+        cap, since its store is still exact.
         """
         if len(permutation) != self.n:
             raise ValueError("order does not permute the manager's variables")
+        order, unique = self.order, self.unique
         for pos, var in enumerate(permutation):
-            while self.var2level[var] > pos:
-                self.swap_adjacent_levels(self.var2level[var] - 1)
+            level = self.var2level[var]
+            if sizes is not None and level > pos:
+                above = 0  # the variables above var, as a mask
+                for v in order[:level]:
+                    above |= 1 << v
+            while level > pos:
+                level -= 1
+                self.swap_adjacent_levels(level)
+                if sizes is not None:
+                    passed = order[level + 1]
+                    above ^= 1 << passed
+                    sizes[var][above] = len(unique[level])
+                    sizes[passed][above | 1 << var] = len(unique[level + 1])
                 if len(self.nodes) > self.node_cap:
                     return False
         return True
@@ -612,6 +622,68 @@ def transfer(manager: BddManager, roots):
     return dst, list(roots)
 
 
+class LevelTable:
+    """Measured level sizes of the diagrams under some roots, and a private
+    copy of them that moves to measure more.
+
+    A level's size depends only on its variable and the set of variables
+    above it, and a collected store is canonical, so a size measured under
+    one order holds under every order: `sizes[var]` maps a set of variables,
+    as a mask with bit v for variable v, to the size of var's level under
+    it. The copy is a collected `transfer` of the caller's diagrams, and the
+    caller's manager is not touched. The table starts with the copy's
+    levels, and `shuffle_to` records the two levels of every swap the copy
+    makes, so it holds every level of the copy's order. Raises
+    NodeCapExceeded when the caller's live nodes are over the cap.
+    """
+
+    def __init__(self, manager: BddManager, roots):
+        self.manager, self.roots = manager, roots
+        self.copy, copy_roots = transfer(manager, roots)
+        self.terminals = terminal_count(copy_roots)
+        self.sizes: list[dict[int, int]] = [{} for _ in range(manager.n)]
+        above = 0
+        for level, var in enumerate(self.copy.order):
+            self.sizes[var][above] = len(self.copy.unique[level])
+            above |= 1 << var
+
+    def price(self, perm) -> int:
+        """The node count of the diagrams under `perm`, or node_cap + 1.
+
+        An order whose levels are all in the table is priced as their sum
+        plus the terminals, with no move. Otherwise the copy moves by
+        `shuffle_to` to the nearest order that shows the missing levels: at
+        each unmeasured position, perm's own variable, and between those
+        positions, perm's variables in the copy's current relative order.
+        An order whose store, the sum of its levels, is over node_cap
+        prices node_cap + 1. So does an order whose move passes the cap on
+        the way; the move leaves the copy over the cap, so a fresh copy at
+        the caller's order replaces it.
+        """
+        sizes, cap = self.sizes, self.copy.node_cap
+        store, missing, above = 0, [], 0
+        for pos, var in enumerate(perm):
+            size = sizes[var].get(above)
+            if size is None:
+                missing.append((pos, above))
+            else:
+                store += size
+            above |= 1 << var
+        if missing:
+            level = self.copy.var2level.__getitem__
+            target, start = [], 0
+            for pos, _ in missing:
+                target += sorted(perm[start:pos], key=level)
+                target.append(perm[pos])
+                start = pos + 1
+            target += sorted(perm[start:], key=level)  # takes no swap
+            if not self.copy.shuffle_to(target, sizes):
+                self.copy = transfer(self.manager, self.roots)[0]
+                return cap + 1
+            store += sum(sizes[perm[pos]][above] for pos, above in missing)
+        return store + self.terminals if store <= cap else cap + 1
+
+
 def ga_reorder(
     manager: BddManager,
     roots,
@@ -626,23 +698,25 @@ def ga_reorder(
 
     Order crossover plus swap mutation, tournament selection, and elitism,
     so the result is never worse than the best seeded individual. The search
-    is deterministic for a fixed seed. Fitness is scored on one private,
-    collected `transfer` copy of the diagrams, moved to each new order by
-    adjacent level swaps (`shuffle_to`), so each count is the store size; the
-    caller's manager is not touched. An order whose copy passes the node cap
-    on any swap scores node_cap + 1, and a fresh copy replaces it. The
-    caller's order comes back before any draw when it is the only order
-    (fewer than two inputs), with the caller's count, or when its own live
-    nodes are over the cap, with node_cap + 1.
+    is deterministic for a fixed seed. Fitness is `LevelTable.price` on one
+    table of the caller's diagrams, so most orders are priced from measured
+    level sizes with no move, and the caller's manager is not touched. An
+    order priced over the node cap, or whose move passes the cap on the
+    way, scores node_cap + 1. The caller's order comes back before any draw
+    when it is the only order (fewer than two inputs), with the caller's
+    count, or when its own live nodes are over the cap, with node_cap + 1.
 
-    Scoring stays in population order: the seeded population, then each new
-    generation's children as they are bred, each looked up in a cache first,
-    so no order is scored twice. The order is part of the result: under the
-    cap, whether an order scores node_cap + 1 depends on the order the copy
-    moves from: the last order scored, or the caller's after a refused one.
-    Scoring a child as soon as it is bred keeps that order, since scoring
-    draws nothing and the tournaments read only the last generation's scores. Each generation sorts its keys once, and a tournament takes the
-    least rank among its draws, so it compares ints, not keys.
+    The seeded population, and then each generation once it is bred in
+    full, has its new orders priced in lexicographic order, as
+    `select_best_order` visits its candidates, so consecutive orders share
+    prefixes and their moves. A cache prices no order twice. The sequence
+    is part of the result: under the cap, whether an order scores
+    node_cap + 1 depends on the order the copy moves from. Pricing draws
+    nothing, and the tournaments read only the last generation's scores, so
+    a generation bred in full before it is priced has the children that
+    pricing each one as it is bred would give. Each generation sorts its
+    keys once, and a tournament takes the least rank among its draws, so it
+    compares ints, not keys.
 
     Each generation is bred in one loop with every draw written in place, as
     the stream of `rng.randrange`, `rng.sample(range(n), 2)`, `rng.random`
@@ -669,29 +743,24 @@ def ga_reorder(
     if n < 2:
         return manager.current_order(), node_count(manager, roots)
     try:
-        work, work_roots = transfer(manager, roots)
+        table = LevelTable(manager, roots)
     except NodeCapExceeded:
         return manager.current_order(), manager.node_cap + 1
-    terminals = terminal_count(work_roots)
     rng = random.Random(seed)
     getrandbits, coin = rng.getrandbits, rng.random
     cache: dict[tuple[int, ...], int] = {}
 
-    def score(perm: tuple[int, ...]) -> int:  # an order not in the cache
-        nonlocal work
-        if work.shuffle_to(perm):
-            cost = len(work.nodes) + terminals
-        else:  # the copy stopped over the cap, so the next order starts afresh
-            cost, work = manager.node_cap + 1, transfer(manager, roots)[0]
-        cache[perm] = cost
-        return cost
+    def priced(orders: list[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
+        for perm in sorted({p for p in orders if p not in cache}):
+            cache[perm] = table.price(perm)
+        return [(cache[p], p) for p in orders]
 
     pop = [tuple(manager.order)]
     while len(pop) < population:
         perm = list(range(n))
         rng.shuffle(perm)
         pop.append(tuple(perm))
-    keys = [(cache[p] if p in cache else score(p), p) for p in pop]
+    keys = priced(pop)
     elite = min(keys)
     bits, n_bits = population.bit_length(), n.bit_length()
     pool = n <= 21  # sample's pool form; its set form above
@@ -702,7 +771,7 @@ def ga_reorder(
         # draws; bisect_left ranks equal keys, which are one order, alike
         ranked = sorted(keys)
         rank = [bisect_left(ranked, key) for key in keys]
-        keys = [elite]
+        children = []
         for _ in range(population - 1):
             least = population
             for _ in range(tournament):
@@ -746,14 +815,9 @@ def ga_reorder(
                 if j == i:
                     j = n - 1
                 child[i], child[j] = child[j], child[i]
-            child = tuple(child)
-            cost = cache.get(child)
-            if cost is None:
-                cost = score(child)
-            key = (cost, child)
-            keys.append(key)
-            if key < elite:
-                elite = key
+            children.append(tuple(child))
+        keys = [elite, *priced(children)]
+        elite = min(keys)
     return VarOrder(elite[1]), elite[0]
 
 

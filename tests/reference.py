@@ -12,7 +12,7 @@ import csv
 import operator
 from pathlib import Path
 
-from bddseq.bdd import VarOrder
+from bddseq.bdd import FALSE, TRUE, VarOrder
 from bddseq.blif import evaluate, exhaustive_columns
 from bddseq.synth import run_cascade
 
@@ -138,3 +138,21 @@ def deep_chain(n: int) -> tuple[str, list[str]]:
         prev = f"t{k}"
     lines += [f".names {prev} f", "1 0", ".end"]
     return "\n".join(lines) + "\n", [f"x{i}" for i in reversed(range(n))]
+
+
+def signature(mgr, roots) -> tuple:
+    """Canonical structural fingerprint of the diagrams under the roots: the
+    manager's `postorder` nodes as (level, low, high) by their place in it,
+    with -1 for FALSE and -2 for TRUE, and the roots the same way."""
+    post = mgr.postorder(roots)
+    index = {FALSE: -1, TRUE: -2, **{ref: i for i, ref in enumerate(post)}}
+    recs = (mgr.nodes[ref] for ref in post)
+    nodes = tuple((rec[0], index[rec[1]], index[rec[2]]) for rec in recs)
+    return nodes, tuple(index[ref] for ref in roots)
+
+
+def unprotect(mgr, ref: int) -> None:
+    """Undo one `BddManager.protect(ref)`."""
+    mgr.protected.remove(ref)
+    if ref > TRUE:
+        mgr.nodes[ref][3] -= 1

@@ -17,6 +17,7 @@ from bddseq.bdd import (
     TRUE,
     XOR,
     BddManager,
+    LevelTable,
     NodeCapExceeded,
     VarOrder,
     brute_force_optimal_order,
@@ -33,7 +34,7 @@ from bddseq.bdd import (
 from bddseq.blif import LogicGate, Netlist, evaluate, exhaustive_columns, parse_blif, simulate
 from bddseq.gen import desk_corpus, pair_products, random_cover_netlist, read_once_tree
 from bddseq.synth import synthesize, verify_synthesis
-from tests.reference import exhaustive_verify, gate_eval, inverse
+from tests.reference import exhaustive_verify, gate_eval, inverse, signature, unprotect
 
 NATURAL6 = VarOrder.identity(6)
 # the interleaved order that separates every product's two inputs
@@ -113,7 +114,7 @@ def test_random_swaps_match_oracle(seed):
         mgr.check()
     oracle, oracle_roots = shannon_build(net, mgr.current_order())
     oracle.check()
-    assert mgr.signature(roots) == oracle.signature(oracle_roots)
+    assert signature(mgr, roots) == signature(oracle, oracle_roots)
 
 
 def test_sift_keeps_optimum(pairs6):
@@ -223,12 +224,12 @@ def test_sift_rejects_store_beyond_roots(pairs6, breach):
     if breach == "extra_function":
         mgr.protect(mgr.apply("and", mgr.var(0), mgr.var(5)))
     else:
-        mgr.unprotect(roots[0])
-    held, signature = list(roots), mgr.signature(roots)
+        unprotect(mgr, roots[0])
+    held, sig = list(roots), signature(mgr, roots)
     with pytest.raises(ValueError):
         sift_reorder(mgr, roots)
     assert roots == held
-    assert mgr.signature(roots) == signature
+    assert signature(mgr, roots) == sig
     assert mgr.current_order() == SCRAMBLED6
     mgr.check()
 
@@ -285,7 +286,7 @@ def test_swaps_then_sift_keep_invariants(case):
     assert count == node_count(mgr, roots)
     oracle, oracle_roots = shannon_build(net, mgr.current_order())
     oracle.check()
-    assert mgr.signature(roots) == oracle.signature(oracle_roots)
+    assert signature(mgr, roots) == signature(oracle, oracle_roots)
     circuit = synthesize(mgr, roots, net)
     assert verify_synthesis(circuit, mgr, roots, net) and exhaustive_verify(circuit, net)
 
@@ -312,7 +313,7 @@ def sift_against_walk(net, swaps=()):
         for level in swaps:
             mgr.swap_adjacent_levels(level)
         counter = count_swaps(mgr)
-        out.append((sift(mgr, roots), mgr.signature(roots), counter[0]))
+        out.append((sift(mgr, roots), signature(mgr, roots), counter[0]))
     return out
 
 
@@ -320,9 +321,9 @@ def sift_against_walk(net, swaps=()):
 @given(netlists_with_swaps())
 def test_bounded_sift_matches_walk_sift(case):
     # the lower bound only skips positions that cannot win
-    (order, signature, swaps), (ref_order, ref_signature, ref_swaps) = sift_against_walk(*case)
+    (order, sig, swaps), (ref_order, ref_sig, ref_swaps) = sift_against_walk(*case)
     assert order == ref_order
-    assert signature == ref_signature
+    assert sig == ref_sig
     assert swaps <= ref_swaps
 
 
@@ -335,8 +336,8 @@ def test_bounded_sift_matches_walk_sift(case):
 def test_bounded_sift_prunes_swaps(family, share):
     r = random.Random(11)
     net = read_once_tree(r, 20) if family == "tree" else pair_products(r, 10)
-    (order, signature, swaps), (ref_order, ref_signature, ref_swaps) = sift_against_walk(net)
-    assert (order, signature) == (ref_order, ref_signature)
+    (order, sig, swaps), (ref_order, ref_sig, ref_swaps) = sift_against_walk(net)
+    assert (order, sig) == (ref_order, ref_sig)
     assert swaps <= share * ref_swaps
 
 
@@ -362,7 +363,7 @@ def test_sift_node_cap_hit_mid_pass():
     mgr.check()
     oracle, oracle_roots = shannon_build(net, order)
     oracle.check()
-    assert mgr.signature(roots) == oracle.signature(oracle_roots)
+    assert signature(mgr, roots) == signature(oracle, oracle_roots)
 
 
 def bounded_sift(manager, roots):
@@ -441,7 +442,7 @@ def sift_against_bounded(net, start, slack):
         order, count = sift(mgr, roots)
         mgr.check()
         assert count == len(mgr.nodes) + terminal_count(roots)
-        out.append((order, count, mgr.signature(roots), counter[0]))
+        out.append((order, count, signature(mgr, roots), counter[0]))
     return out
 
 
@@ -449,10 +450,8 @@ def sift_against_bounded(net, start, slack):
 @given(sift_starts())
 def test_sift_matches_bounded_sift(case):
     # the walk back up and the sweeps of unsupported variables decide nothing
-    (order, count, signature, _), (ref_order, ref_count, ref_signature, _) = (
-        sift_against_bounded(*case)
-    )
-    assert (order, count, signature) == (ref_order, ref_count, ref_signature)
+    (order, count, sig, _), (ref_order, ref_count, ref_sig, _) = sift_against_bounded(*case)
+    assert (order, count, sig) == (ref_order, ref_count, ref_sig)
 
 
 def park_by_move_loop(mgr):
@@ -536,35 +535,87 @@ def test_ga_zero_generations_returns_best_seeded(pairs6):
 
 
 def reference_ga(
-    manager, roots, population=32, generations=50, seed=0, tournament=3, mutation_prob=0.2
+    manager,
+    roots,
+    population=32,
+    generations=50,
+    seed=0,
+    tournament=3,
+    mutation_prob=0.2,
+    priced=None,
 ):
     """Reference GA that scores every tournament entrant again through the
     fitness cache, `min(candidates, key=lambda p: (fitness(p), p))`; for at
-    least two inputs. A move that passes the cap leaves its copy there, so
-    the copy is replaced at once by a fresh one at the caller's order.
-    Returns the best order and its fitness."""
+    least two inputs. Returns the best order and its fitness, and appends
+    each order it prices, with its price, to `priced` when given.
+
+    The seeded population, then each generation once bred in full, has its
+    new orders priced in lexicographic order. Pricing reads a table of level
+    sizes, keyed by (mask of the variables above, variable), that it keeps
+    in its own plain way: it reads every level of its copy when the copy is
+    made and after each of the copy's swaps. An order whose levels are all
+    in the table is their sum plus the terminals, and node_cap + 1 over the
+    cap. Otherwise the copy first moves to perm's variable at each missing
+    position, with the runs between them in the copy's own relative order.
+    A move that passes the cap prices node_cap + 1 and leaves its copy
+    there, so the copy is replaced at once by a fresh one at the caller's
+    order."""
     n = manager.n
+    cap = manager.node_cap
     rng = random.Random(seed)
     fitness_cache = {}
-    try:
+    sizes = {}
+
+    def measure(mgr):
+        above = 0
+        for level, var in enumerate(mgr.order):
+            sizes[above, var] = len(mgr.unique[level])
+            above |= 1 << var
+
+    def fresh_copy():
         work, work_roots = transfer(manager, roots)
+        swap = work.swap_adjacent_levels
+
+        def measured_swap(level):
+            swap(level)
+            measure(work)
+
+        work.swap_adjacent_levels = measured_swap  # what shuffle_to calls
+        measure(work)
+        return work, terminal_count(work_roots)
+
+    def levels(perm):
+        return [(sum(1 << v for v in perm[:i]), perm[i]) for i in range(n)]
+
+    try:
+        work, terminals = fresh_copy()
     except NodeCapExceeded:
         work = None
-    else:
-        terminals = terminal_count(work_roots)
 
     def fitness(perm):
         nonlocal work
         hit = fitness_cache.get(perm)
         if hit is not None:
             return hit
-        cost = manager.node_cap + 1
+        cost = cap + 1
         if work is not None:
-            if work.shuffle_to(perm):
-                cost = len(work.nodes) + terminals
-            else:
-                work, _ = transfer(manager, roots)
+            missing = [i for i, key in enumerate(levels(perm)) if key not in sizes]
+            arrived = True
+            if missing:
+                target, start = [], 0
+                for i in missing + [n]:
+                    target += sorted(perm[start:i], key=work.order.index)
+                    target += perm[i : i + 1]
+                    start = i + 1
+                arrived = work.shuffle_to(target)
+                if not arrived:
+                    work, _ = fresh_copy()
+            store = sum(sizes[key] for key in levels(perm)) if arrived else cap + 1
+            if store <= cap:
+                cost = store + terminals
         fitness_cache[perm] = cost
+        if priced is not None:
+            priced.append((perm, cost))
         return cost
 
     def order_crossover(p1, p2):
@@ -595,6 +646,8 @@ def reference_ga(
     def best_of(candidates):
         return min(candidates, key=lambda p: (fitness(p), p))
 
+    for perm in sorted(set(pop)):
+        fitness(perm)
     elite = best_of(pop)
     for _ in range(generations):
         nxt = [elite]
@@ -603,6 +656,8 @@ def reference_ga(
             p2 = best_of([pop[rng.randrange(population)] for _ in range(tournament)])
             nxt.append(mutate(order_crossover(p1, p2)))
         pop = nxt
+        for perm in sorted(set(pop)):
+            fitness(perm)
         elite = best_of([elite, best_of(pop)])
     return VarOrder(elite), fitness(elite)
 
@@ -711,19 +766,35 @@ def test_ga_draws_the_reference_stream(monkeypatch, n, population, tournament, m
     assert ga_rng.getstate() == reference_rng.getstate()
 
 
-def test_ga_scores_orders_in_the_reference_sequence(monkeypatch):
-    # equal final results would not show a GA that scores its orders in
-    # another sequence; under a tight cap that sequence decides which orders
-    # pass the cap, so every shuffle_to target and its arrival is pinned
-    shuffle, scored = BddManager.shuffle_to, []
+def record_pricing(monkeypatch):
+    """Record every order `LevelTable.price` prices, with its price, and
+    every `shuffle_to` move as (start order, target, arrived)."""
+    priced, moves = [], []
+    price, shuffle = LevelTable.price, BddManager.shuffle_to
 
-    def recorded(self, permutation):
-        arrived = shuffle(self, permutation)
-        scored.append((tuple(permutation), arrived))
+    def recorded_price(self, perm):
+        cost = price(self, perm)
+        priced.append((perm, cost))
+        return cost
+
+    def recorded_shuffle(self, permutation, *rest):
+        start = tuple(self.order)
+        arrived = shuffle(self, permutation, *rest)
+        moves.append((start, tuple(permutation), arrived))
         return arrived
 
-    monkeypatch.setattr(BddManager, "shuffle_to", recorded)
-    refused = 0
+    monkeypatch.setattr(LevelTable, "price", recorded_price)
+    monkeypatch.setattr(BddManager, "shuffle_to", recorded_shuffle)
+    return priced, moves
+
+
+def test_ga_scores_orders_in_the_reference_sequence(monkeypatch):
+    # equal final results would not show a GA that prices its orders in
+    # another sequence or moves its copy elsewhere; under a tight cap these
+    # decide which orders pass the cap, so every order priced, its price,
+    # and every move's start, target and arrival are pinned
+    priced, moves = record_pricing(monkeypatch)
+    refused = unmoved = 0
     for seed in range(24):
         r = random.Random(seed + 5000)
         net = pair_products(r, 2 * r.randint(2, 5))
@@ -736,29 +807,25 @@ def test_ga_scores_orders_in_the_reference_sequence(monkeypatch):
             tournament=r.randint(1, 4),
             mutation_prob=r.random(),
         )
-        scored.clear()
+        priced.clear()
+        moves.clear()
         ga_reorder(mgr, roots, **args)
-        got = list(scored)
-        scored.clear()
-        reference_ga(mgr, roots, **args)
-        assert got == scored, seed
-        refused += sum(not arrived for _, arrived in got)
+        got = list(priced), list(moves)
+        ref_priced = []
+        moves.clear()
+        reference_ga(mgr, roots, **args, priced=ref_priced)
+        assert got == (ref_priced, moves), seed
+        refused += sum(not arrived for *_, arrived in moves)
+        unmoved += len(ref_priced) - len(moves)
     assert refused > 0  # some orders passed the cap on the way
+    assert unmoved > 0  # and some were priced from the table alone
 
 
 def test_ga_moves_from_the_callers_order_after_a_refused_order(monkeypatch):
     # a refused move leaves its copy over the cap, so the next order is moved
     # from a fresh copy at the caller's order; after an arrived move the next
     # one starts where it arrived
-    shuffle, moves = BddManager.shuffle_to, []
-
-    def recorded(self, permutation):
-        start = tuple(self.order)
-        arrived = shuffle(self, permutation)
-        moves.append((start, tuple(permutation), arrived))
-        return arrived
-
-    monkeypatch.setattr(BddManager, "shuffle_to", recorded)
+    _, moves = record_pricing(monkeypatch)
     refused = arrived_after_refused = 0
     for seed in range(24):
         r = random.Random(seed + 5000)
@@ -778,6 +845,42 @@ def test_ga_moves_from_the_callers_order_after_a_refused_order(monkeypatch):
     assert refused > 0 and arrived_after_refused > 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    netlists_with_swaps(),
+    st.integers(0, 1000),
+    st.integers(2, 10),
+    st.integers(0, 6),
+    st.integers(1, 4),
+    st.floats(0, 1),
+)
+def test_ga_prices_each_order_at_its_built_count(
+    case, seed, population, generations, tournament, mutation
+):
+    # with no cap in reach, every price, read off the table or after a move,
+    # is the count of a fresh build under that order
+    net, swaps = case
+    n = len(net.primary_inputs)
+    mgr, roots = build_from_netlist(net, VarOrder.identity(n))
+    for level in swaps:
+        mgr.swap_adjacent_levels(level)
+    with pytest.MonkeyPatch.context() as patch:
+        priced, _ = record_pricing(patch)
+        ga_reorder(
+            mgr,
+            roots,
+            population=population,
+            generations=generations,
+            seed=seed,
+            tournament=tournament,
+            mutation_prob=mutation,
+        )
+    assert len(priced) >= (n > 1)
+    for perm, cost in priced:
+        built, built_roots = build_from_netlist(net, VarOrder(perm))
+        assert cost == node_count(built, built_roots), perm
+
+
 # desk_corpus(3, seed=7) labeled at the default GA settings, seed 0
 GA_LABELS = {
     "pairs0000": ((0, 2, 4, 7, 3, 6, 1, 5), 10),
@@ -794,24 +897,56 @@ def test_ga_labels_are_pinned():
     assert got == GA_LABELS
 
 
+# desk_corpus(20, seed=11) labeled at the default settings, seed 0: the label
+# order, the GA's order, and the (natural, sifting, GA) counts
+DESK_LABELS = {
+    'pairs0000': ((2, 0, 3, 1, 5, 4, 7, 6), (0, 2, 1, 3, 4, 5, 6, 7), (12, 10, 10)),
+    'pairs0001': ((3, 1, 5, 4, 6, 0, 7, 2, 9, 8), (1, 3, 0, 6, 2, 7, 8, 9, 4, 5), (26, 12, 12)),
+    'tree0002': ((2, 4, 7, 3, 6, 5, 1, 0), (2, 4, 0, 3, 1, 5, 6, 7), (15, 10, 10)),
+    'tree0003': ((6, 1, 0, 8, 7, 5, 2, 4, 3), (0, 1, 2, 3, 4, 5, 7, 8, 6), (12, 11, 11)),
+    'tree0004': ((2, 0, 1, 5, 3, 6, 4), (0, 1, 3, 4, 6, 5, 2), (11, 9, 9)),
+    'tree0005': ((9, 8, 5, 1, 7, 4, 2, 6, 3, 0), (1, 0, 3, 6, 2, 4, 7, 5, 8, 9), (17, 12, 12)),
+    'tree0006': ((6, 0, 5, 3, 4, 2, 1), (0, 1, 2, 4, 3, 5, 6), (10, 9, 9)),
+    'tree0007': ((2, 5, 1, 4, 3, 0), (0, 3, 4, 1, 5, 2), (11, 8, 8)),
+    'tree0008': ((0, 6, 3, 2, 8, 7, 5, 4, 1), (0, 2, 3, 6, 1, 4, 5, 7, 8), (14, 11, 11)),
+    'tree0009': ((0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 6), (9, 9, 9)),
+    'tree0010': ((5, 4, 0, 2, 3, 1), (0, 1, 3, 2, 4, 5), (9, 8, 8)),
+    'tree0011': ((6, 7, 4, 2, 9, 8, 3, 0, 5, 1), (2, 4, 7, 1, 0, 3, 8, 5, 9, 6), (23, 12, 12)),
+    'tree0012': ((1, 2, 4, 7, 8, 5, 6, 3, 0), (1, 0, 3, 6, 5, 8, 7, 4, 2), (16, 11, 11)),
+    'pairs0013': ((2, 0, 4, 3, 6, 5, 7, 1), (0, 2, 3, 4, 5, 6, 1, 7), (16, 10, 10)),
+    'tree0014': ((9, 8, 7, 4, 2, 5, 6, 1, 0, 3), (2, 0, 1, 6, 5, 3, 4, 7, 8, 9), (17, 12, 12)),
+    'tree0015': ((6, 3, 0, 7, 4, 2, 5, 1), (0, 1, 5, 2, 4, 7, 3, 6), (15, 10, 10)),
+    'tree0016': ((8, 7, 5, 3, 6, 4, 2, 1, 0), (3, 0, 1, 2, 4, 6, 5, 7, 8), (13, 11, 11)),
+    'tree0017': ((5, 1, 2, 3, 4, 0), (1, 0, 4, 3, 2, 5), (11, 8, 8)),
+    'pairs0018': ((3, 2, 4, 0, 6, 5, 7, 1), (1, 7, 2, 3, 0, 4, 5, 6), (20, 10, 10)),
+    'tree0019': ((1, 7, 2, 9, 6, 3, 0, 5, 8, 4), (1, 2, 4, 8, 5, 0, 3, 6, 9, 7), (19, 12, 12)),
+}
+
+
+def test_desk_labels_are_pinned():
+    got = {}
+    for net in desk_corpus(20, seed=11):
+        report = generate_label_report(net, seed=0)
+        counts = tuple(report.counts[name] for name in HEURISTICS)
+        got[net.name] = (report.order.permutation, report.orders["ga"].permutation, counts)
+    assert got == DESK_LABELS
+
+
 @pytest.mark.parametrize("cap", [41, 2_000_000])
 def test_ga_scores_each_order_once(monkeypatch, cap):
     mgr, roots = build_from_netlist(five_products(), VarOrder.identity(10))
     mgr.node_cap = cap
-    shuffle, scored = BddManager.shuffle_to, []
-
-    def counted(self, permutation):
-        arrived = shuffle(self, permutation)
-        scored.append((tuple(permutation), arrived))
-        return arrived
-
-    monkeypatch.setattr(BddManager, "shuffle_to", counted)
+    priced, moves = record_pricing(monkeypatch)
     ga_reorder(mgr, roots, population=16, generations=10, seed=2)
-    orders = [perm for perm, _ in scored]
+    orders = [perm for perm, _ in priced]
     assert len(orders) > 16
     assert len(orders) == len(set(orders))
-    # at cap 41 some orders pass the cap, and are not scored again either
-    assert all(arrived for _, arrived in scored) == (cap > 41)
+    # the table prices some orders with no move
+    assert 0 < len(moves) < len(orders)
+    # at cap 41 some moves pass the cap, and their orders are not priced
+    # again either
+    assert all(arrived for *_, arrived in moves) == (cap > 41)
+    assert (cap + 1 in {cost for _, cost in priced}) == (cap == 41)
 
 
 @pytest.mark.parametrize(
@@ -885,7 +1020,7 @@ def test_in_place_moves_match_transfer(seed):
         assert work.shuffle_to(perm)
         assert work.order == perm
         dst, dst_roots = build_from_netlist(net, VarOrder(tuple(perm)))
-        assert work.signature(work_roots) == dst.signature(dst_roots)
+        assert signature(work, work_roots) == signature(dst, dst_roots)
         assert len(work.nodes) + terminal_count(work_roots) == node_count(dst, dst_roots)
     work.check()
 
@@ -899,16 +1034,16 @@ def test_transfer_copies_live_nodes(seed):
     r.shuffle(perm)
     mgr, roots = build_from_netlist(net, VarOrder(tuple(perm)))
     store = {nid: list(rec) for nid, rec in mgr.nodes.items()}
-    protected, signature = list(mgr.protected), mgr.signature(roots)
+    protected, sig = list(mgr.protected), signature(mgr, roots)
     dst, dst_roots = transfer(mgr, roots)
     assert dst_roots == roots
     assert dst.order == perm
-    assert dst.signature(dst_roots) == signature
+    assert signature(dst, dst_roots) == sig
     assert set(dst.nodes) == mgr.reachable(roots) - {FALSE, TRUE}
     dst.check()
     # the caller's order, diagrams and store are untouched
     assert mgr.order == perm
-    assert mgr.signature(roots) == signature
+    assert signature(mgr, roots) == sig
     assert mgr.nodes == store
     assert mgr.protected == protected
     # nodes the copy makes later get fresh ids
@@ -916,7 +1051,7 @@ def test_transfer_copies_live_nodes(seed):
         dst.swap_adjacent_levels(level)
         dst.check()
     ref, ref_roots = build_from_netlist(net, dst.current_order())
-    assert dst.signature(dst_roots) == ref.signature(ref_roots)
+    assert signature(dst, dst_roots) == signature(ref, ref_roots)
     assert len(dst.nodes) + terminal_count(dst_roots) == node_count(ref, ref_roots)
 
 
@@ -950,10 +1085,10 @@ def test_swaps_keep_collected_store_live(case):
 
 def test_ga_leaves_caller_manager_untouched(pairs6):
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
-    order_before, sig_before = list(mgr.order), mgr.signature(roots)
+    order_before, sig_before = list(mgr.order), signature(mgr, roots)
     ga_reorder(mgr, roots, population=10, generations=8, seed=5)
     assert mgr.order == order_before
-    assert mgr.signature(roots) == sig_before
+    assert signature(mgr, roots) == sig_before
 
 
 def five_products():
@@ -979,6 +1114,27 @@ def test_ga_tiny_node_cap_returns_permutation(cap):
     mgr.node_cap = cap
     order, _ = ga_reorder(mgr, roots, population=8, generations=4, seed=1)
     assert sorted(order.permutation) == list(range(10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists(), st.data())
+def test_shuffle_to_records_the_levels_it_swaps(net, data):
+    # each size a move records, under a set of variables above a level and
+    # the level's variable, is that level's size in a fresh build under any
+    # order that puts that set above that variable
+    n = len(net.primary_inputs)
+    mgr, roots = build_from_netlist(net, VarOrder.identity(n))
+    mgr.collect_garbage()
+    sizes = [{} for _ in range(n)]
+    for _ in range(3):
+        assert mgr.shuffle_to(data.draw(st.permutations(range(n))), sizes)
+    for var, table in enumerate(sizes):
+        for above, size in table.items():
+            top = [v for v in range(n) if above >> v & 1]
+            rest = [v for v in range(n) if v != var and not above >> v & 1]
+            built, _ = build_from_netlist(net, VarOrder((*top, var, *rest)))
+            built.collect_garbage()
+            assert size == len(built.unique[len(top)]), (var, top)
 
 
 def test_shuffle_to_stops_on_the_swap_that_passes_the_cap():
@@ -1075,7 +1231,7 @@ def test_apply_build_structurally_equals_shannon(seed):
     mgr, roots = build_from_netlist(net, order)
     oracle, oracle_roots = shannon_build(net, order)
     oracle.check()
-    assert mgr.signature(roots) == oracle.signature(oracle_roots)
+    assert signature(mgr, roots) == signature(oracle, oracle_roots)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -1088,7 +1244,7 @@ def test_shannon_oracle_never_applies(seed, monkeypatch):
     r.shuffle(perm)
     order = VarOrder(tuple(perm))
     mgr, roots = build_from_netlist(net, order)
-    expected = mgr.signature(roots), node_count(mgr, roots)
+    expected = signature(mgr, roots), node_count(mgr, roots)
 
     def broken(*args):
         raise AssertionError("the oracle applied an operator")
@@ -1097,7 +1253,7 @@ def test_shannon_oracle_never_applies(seed, monkeypatch):
     monkeypatch.setattr(BddManager, "apply_not", broken)
     oracle, oracle_roots = shannon_build(net, order)
     oracle.check()
-    assert (oracle.signature(oracle_roots), shannon_count(net, perm)) == expected
+    assert (signature(oracle, oracle_roots), shannon_count(net, perm)) == expected
     brute_force_optimal_order(net)
 
 
@@ -1137,9 +1293,9 @@ def test_postorder_lists_each_node_after_its_children(case):
     assert set(post) == mgr.reachable(roots) - {FALSE, TRUE}
     for ref in post:
         assert all(c <= TRUE or place[c] < place[ref] for c in (mgr.low(ref), mgr.high(ref)))
-    assert mgr.signature(roots) == recursive_signature(mgr, roots)
+    assert signature(mgr, roots) == recursive_signature(mgr, roots)
     oracle, oracle_roots = shannon_build(net, mgr.current_order())
-    assert oracle.signature(oracle_roots) == recursive_signature(oracle, oracle_roots)
+    assert signature(oracle, oracle_roots) == recursive_signature(oracle, oracle_roots)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -1422,7 +1578,7 @@ def test_a_build_collects_from_the_signals_it_holds(monkeypatch):
     monkeypatch.setattr(BddManager, "collect_garbage", looking)
     mgr, roots = build_from_netlist(net, order, node_cap=5725)
     assert freed == [2290, 2423] and len(mgr.nodes) == 1277
-    assert mgr.signature(roots) == full.signature(full_roots)
+    assert signature(mgr, roots) == signature(full, full_roots)
     assert mgr.protected == roots
     mgr.check()
     freed.clear()
@@ -1455,7 +1611,7 @@ def test_a_build_collection_frees_dead_gate_outputs():
     full, full_roots = build_from_netlist(net, order)
     assert len(full.nodes) == 3069 and node_count(full, full_roots) == 2048
     mgr, roots = build_from_netlist(net, order, node_cap=2557)
-    assert mgr.signature(roots) == full.signature(full_roots)
+    assert signature(mgr, roots) == signature(full, full_roots)
     assert len(mgr.nodes) == 2046 and mgr.protected == roots
     mgr.check()
     with pytest.raises(NodeCapExceeded):
