@@ -5,14 +5,14 @@ arithmetic, matmul, activations, row gather/scatter, per-head reductions and
 a masked log-softmax. Everything runs in float64 with a fixed summation
 order, so runs are reproducible and finite-difference checks are tight.
 
-Every op takes Tensors or float64 arrays, computes its value once and hands
-`_node` that value, its inputs and one vector-Jacobian product (VJP) per
-input, a function from the output's gradient to that input's gradient.
-`_node` alone reads the grad mode: inside `no_grad()` it returns the bare
-ndarray, so inference makes no Tensor objects and builds no graph; with
-grad on it wraps array inputs as constant Tensors and records the inputs
-and VJPs on a new Tensor. `Tensor.backward` alone routes gradients: it
-calls each input's VJP only when that input requires grad, in input order.
+Every op takes Tensors or float64 arrays and computes its value once. Under
+`no_grad()` it returns that bare ndarray first, so inference builds no Tensor,
+closure or graph. With grad on it hands `_node` the value, its inputs (arrays
+become constant Tensors) and one vector-Jacobian product (VJP) per input, a
+function from the output's gradient to that input's gradient. Only
+`Tensor.backward` routes gradients: it calls each input's VJP only when that
+input requires grad, in input order, and sums the result over the axes that
+broadcasting stretched the input along.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ def _unbroadcast(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
     shape = like.shape
     if grad.shape == shape:
         return grad
-    g = grad
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
 
 
 class Tensor:
@@ -83,20 +82,17 @@ class Tensor:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
+            elif id(node) not in seen and node.requires_grad:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend([(p, False) for p in node._parents])
         self._accumulate(np.asarray(grad, dtype=np.float64))
         for node in reversed(topo):
             g = node.grad
             if g is not None:
                 for parent, vjp in zip(node._parents, node._vjps):
                     if parent.requires_grad:
-                        parent._accumulate(vjp(g))
+                        parent._accumulate(_unbroadcast(vjp(g), parent.data))
 
 
 def value(x) -> np.ndarray:
@@ -105,73 +101,65 @@ def value(x) -> np.ndarray:
 
 
 def _node(out, inputs, *vjps):
-    """An op's result: the bare `out` under `no_grad()`, else a Tensor of it
-    that keeps the inputs (arrays as constant Tensors) and one VJP per input."""
-    if not _grad_enabled:
-        return out
+    """An op's result with grad on: a Tensor of `out` keeping its inputs and VJPs."""
     parents = tuple([x if isinstance(x, Tensor) else Tensor(x) for x in inputs])
     return Tensor(out, parents=parents, vjps=vjps)
 
 
 def add(a, b):
-    xa, xb = value(a), value(b)
-    return _node(xa + xb, (a, b), lambda g: _unbroadcast(g, xa), lambda g: _unbroadcast(g, xb))
+    y = value(a) + value(b)
+    return _node(y, (a, b), lambda g: g, lambda g: g) if _grad_enabled else y
 
 
 def sub(a, b):
-    xa, xb = value(a), value(b)
-    return _node(xa - xb, (a, b), lambda g: _unbroadcast(g, xa), lambda g: _unbroadcast(-g, xb))
+    y = value(a) - value(b)
+    return _node(y, (a, b), lambda g: g, lambda g: -g) if _grad_enabled else y
 
 
 def mul(a, b):
     xa, xb = value(a), value(b)
-    return _node(
-        xa * xb,
-        (a, b),
-        lambda g: _unbroadcast(g * xb, xa),
-        lambda g: _unbroadcast(g * xa, xb),
-    )
+    y = xa * xb
+    return _node(y, (a, b), lambda g: g * xb, lambda g: g * xa) if _grad_enabled else y
 
 
 def div(a, b):
     xa, xb = value(a), value(b)
-    return _node(
-        xa / xb,
-        (a, b),
-        lambda g: _unbroadcast(g / xb, xa),
-        lambda g: _unbroadcast(-g * xa / (xb * xb), xb),
-    )
+    y = xa / xb
+    return _node(y, (a, b), lambda g: g / xb, lambda g: -g * xa / (xb * xb)) if _grad_enabled else y
 
 
 def matmul(a, b):
     xa, xb = value(a), value(b)
-    return _node(xa @ xb, (a, b), lambda g: g @ xb.T, lambda g: xa.T @ g)
+    y = xa @ xb
+    return _node(y, (a, b), lambda g: g @ xb.T, lambda g: xa.T @ g) if _grad_enabled else y
 
 
 def tanh(a):
     y = np.tanh(value(a))
-    return _node(y, (a,), lambda g: g * (1.0 - y * y))
+    return _node(y, (a,), lambda g: g * (1.0 - y * y)) if _grad_enabled else y
 
 
 def sigmoid(a):
     y = 1.0 / (1.0 + np.exp(-value(a)))
-    return _node(y, (a,), lambda g: g * y * (1.0 - y))
+    return _node(y, (a,), lambda g: g * y * (1.0 - y)) if _grad_enabled else y
 
 
 def leaky_relu(a, slope: float = 0.2):
     x = value(a)
     mask = np.where(x > 0, 1.0, slope)
-    return _node(x * mask, (a,), lambda g: g * mask)
+    y = x * mask
+    return _node(y, (a,), lambda g: g * mask) if _grad_enabled else y
 
 
 def exp(a):
     y = np.exp(value(a))
-    return _node(y, (a,), lambda g: g * y)
+    return _node(y, (a,), lambda g: g * y) if _grad_enabled else y
 
 
 def tsum(a):
     x = value(a)
-    return _node(x.sum(), (a,), lambda g: np.full_like(x, float(g)))
+    y = x.sum()
+    return _node(y, (a,), lambda g: np.full_like(x, float(g))) if _grad_enabled else y
 
 
 def _segment_sum(values: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
@@ -191,12 +179,14 @@ def gather_rows(a, idx):
     """Rows of `a` picked by an integer index of any shape: a[idx]."""
     x = value(a)
     idx = np.asarray(idx, dtype=np.int64)
-    return _node(x[idx], (a,), lambda g: _segment_sum(g, idx, x.shape[0]))
+    y = x[idx]
+    return _node(y, (a,), lambda g: _segment_sum(g, idx, x.shape[0])) if _grad_enabled else y
 
 
 def scatter_add_rows(a, idx, n_rows: int):
     idx = np.asarray(idx, dtype=np.int64)
-    return _node(_segment_sum(value(a), idx, n_rows), (a,), lambda g: g[idx])
+    y = _segment_sum(value(a), idx, n_rows)
+    return _node(y, (a,), lambda g: g[idx]) if _grad_enabled else y
 
 
 def _rows(start: int, stop: int):
@@ -207,20 +197,25 @@ def _rows(start: int, stop: int):
 def concat_rows(parts):
     """Stack tensors of equal width on top of each other."""
     arrays = [value(p) for p in parts]
+    y = np.concatenate(arrays)
+    if not _grad_enabled:
+        return y
     ends = np.cumsum([x.shape[0] for x in arrays])
-    vjps = [_rows(stop - x.shape[0], stop) for x, stop in zip(arrays, ends)]
-    return _node(np.concatenate(arrays), parts, *vjps)
+    return _node(y, parts, *[_rows(stop - x.shape[0], stop) for x, stop in zip(arrays, ends)])
 
 
 def slice_cols(a, start: int, stop: int):
     x = value(a)
+    y = x[:, start:stop]
+    if not _grad_enabled:
+        return y
 
     def vjp(g):
         acc = np.zeros_like(x)
         acc[:, start:stop] = g
         return acc
 
-    return _node(x[:, start:stop], (a,), vjp)
+    return _node(y, (a,), vjp)
 
 
 def heads_dot(h, a, heads: int):
@@ -228,8 +223,11 @@ def heads_dot(h, a, heads: int):
     hx, ax = value(h), value(a)
     n, d = hx.shape[0], ax.shape[1]
     h3 = hx.reshape(n, heads, d)
+    y = np.einsum("nhd,hd->nh", h3, ax)
+    if not _grad_enabled:
+        return y
     return _node(
-        np.einsum("nhd,hd->nh", h3, ax),
+        y,
         (h, a),
         lambda g: (g[:, :, None] * ax[None]).reshape(n, heads * d),
         lambda g: np.einsum("nh,nhd->hd", g, h3),
@@ -239,11 +237,13 @@ def heads_dot(h, a, heads: int):
 def heads_scale(h, s, heads: int):
     """Scale each head block of (E, heads*d) by the matching (E, heads) column."""
     hx, sx = value(h), value(s)
-    e = hx.shape[0]
-    d = hx.shape[1] // heads
+    e, d = hx.shape[0], hx.shape[1] // heads
     h3 = hx.reshape(e, heads, d)
+    y = (h3 * sx[:, :, None]).reshape(e, heads * d)
+    if not _grad_enabled:
+        return y
     return _node(
-        (h3 * sx[:, :, None]).reshape(e, heads * d),
+        y,
         (h, s),
         lambda g: (g.reshape(e, heads, d) * sx[:, :, None]).reshape(e, heads * d),
         lambda g: np.einsum("ehd,ehd->eh", g.reshape(e, heads, d), h3),
@@ -254,13 +254,10 @@ def outer_add(a, b):
     """All sums of (B, H) rows and their (B, P, H) keys, one block of P per
     row, as (B*P, H): row r*P + p is a[r] + b[r, p]."""
     ax, bx = value(a), value(b)
-    rows, cols = bx.shape[:2]
-    return _node(
-        (ax[:, None, :] + bx).reshape(rows * cols, -1),
-        (a, b),
-        lambda g: g.reshape(bx.shape).sum(axis=1),
-        lambda g: g.reshape(bx.shape),
-    )
+    y = (ax[:, None, :] + bx).reshape(-1, ax.shape[1])
+    if not _grad_enabled:
+        return y
+    return _node(y, (a, b), lambda g: g.reshape(bx.shape).sum(1), lambda g: g.reshape(bx.shape))
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -280,13 +277,16 @@ def log_softmax_pick(a, mask_add: np.ndarray, picks):
     cols = mask_add.shape[-1]
     y = log_softmax(value(a).reshape(mask_add.shape) + mask_add)
     flat = np.arange(picks.size) * cols + picks.ravel()  # picked entries of y.ravel()
+    out = y.reshape(-1)[flat].reshape(picks.shape)
+    if not _grad_enabled:
+        return out
 
     def vjp(g):
         acc = -np.exp(y) * g[..., None]
         acc.reshape(-1)[flat] += g.ravel()
         return acc.reshape(value(a).shape)
 
-    return _node(y.reshape(-1)[flat].reshape(picks.shape), (a,), vjp)
+    return _node(out, (a,), vjp)
 
 
 class Adam:

@@ -14,18 +14,27 @@ jointly reproduce exactly the plain width-m beam search, and a single
 one-beam group is greedy decoding.
 
 The pool advances in lockstep: each position is one decoder step over all
-B beams (`_advance`, a (B, H) LSTM step to (B, P) raw scores, run under
-`no_grad()` on bare arrays). Every pool names each row's graph in the
-encoded batch (`Pool.graphs`), and `_advance` gathers each row's keys and
-input embeddings by it; the beams of a search all name its one graph. The
-penalised scores depend only on the set of tokens claimed so far at the
-step, so the (B, P) scores are computed once per change of that set: a group
-that follows a group which claimed no new token goes on with the same
-scores. A token's penalty is subtracted from its column once, when it is
-first claimed. Each claim takes the first maximum of the untaken
-continuations and sets it to -inf, which is the next entry of a stable sort
-of the pool with the taken ones masked out, so this claims exactly what a
-fresh ranking per group would.
+B beams (`_advance`, a (B, H) LSTM step to (B, P) raw scores on bare
+arrays). `_decode` and `_greedy` each run whole inside one `no_grad()`
+block, so no step builds a Tensor or a VJP. Every pool names each row's
+graph in the encoded batch (`Pool.graphs`), and `_advance` gathers each
+row's keys and input embeddings by it; the beams of a search all name its
+one graph. The penalised scores depend only on the set of tokens claimed
+so far at the step, so the (B, P) scores are computed once per change of
+that set: a group that follows a group which claimed no new token goes on
+with the same scores. A token's penalty is subtracted from its column
+once, when it is first claimed.
+
+Each step keeps one mask row, `base`, of B * P entries: a beam's score on
+each continuation still open to it, and -inf on every visited input. A
+ranking is `base` plus the flattened log-softmax of the penalised scores,
+with no mask written per ranking: an open entry gets the bits of score plus
+log-probability, as floating-point addition commutes, and -inf plus a
+finite value is -inf. Each claim takes the first maximum of the ranking and
+sets that entry to -inf in the ranking and in `base`, so later rankings
+keep it out too. That is the next entry of a stable sort of the pool with
+the taken ones masked out, so this claims exactly what a fresh ranking per
+group would.
 
 The last position takes no decoder step. There each beam has one unvisited
 input, and its log-probability is exactly 0.0: it is the row's maximum, so
@@ -113,14 +122,14 @@ def encode(graphs: CircuitGraph | list[CircuitGraph], params: M.ModelParams) -> 
 def _advance(pool: Pool, encoded: M.Encoded, params: M.ModelParams):
     """(B, P) raw pointer scores for every beam of the pool, plus the
     advanced hidden and cell states. Each row reads its own graph's keys and
-    input embeddings."""
+    input embeddings. The caller runs it under `no_grad()`, so it computes
+    on bare arrays."""
     keys, starts = encoded.keys[pool.graphs], encoded.starts[pool.graphs]
     if pool.tokens[0]:
         prev = encoded.pi_embs[starts + np.array([t[-1] for t in pool.tokens])]
     else:
         prev = params["dec.start"]  # only start beams have no tokens
-    with no_grad():
-        raw, hidden, cell = M.decoder_advance(pool.hidden, pool.cell, prev, keys, params)
+    raw, hidden, cell = M.decoder_advance(pool.hidden, pool.cell, prev, keys, params)
     return raw.reshape(len(pool.tokens), -1), hidden, cell
 
 
@@ -129,6 +138,7 @@ def _span(raw: np.ndarray) -> np.ndarray:
     return raw.max(axis=1, keepdims=True) - raw.min(axis=1, keepdims=True)
 
 
+@no_grad()
 def _decode(
     encoded: M.Encoded, params: M.ModelParams, config: SearchConfig
 ) -> list[tuple[VarOrder, float]]:
@@ -151,26 +161,24 @@ def _decode(
     for step in range(num_pis - 1):
         raw, hidden, cell = _advance(pool, encoded, params)
         # the mask is added before the penalty: an unvisited entry gets the
-        # same bits either way, and visited ones are set to -inf below
+        # same bits either way, and visited ones are -inf in base
         penalized = raw + np.where(pool.visited, M.MASK_VALUE, 0.0)
         penalty = config.alpha * _span(raw)[:, 0]  # (B,), subtracted once per claimed token
+        base = np.where(pool.visited, -np.inf, pool.scores[:, None]).ravel()  # the mask row
         claimed: set[int] = set()  # tokens taken at this step
         stale = True  # claimed has gained a token since the last ranking
         taken: list[int] = []  # flat (beam, token) indices, in claim order
         scores: list[float] = []
         for group in range(config.groups):
             if stale:
-                flat = (pool.scores[:, None] + log_softmax(penalized)).ravel()
-                # visited, or claimed by an earlier group
-                flat[pool.visited.ravel()] = -np.inf
-                flat[taken] = -np.inf
+                flat = base + log_softmax(penalized).ravel()
                 stale = False
             for _ in range(quota):
                 k = int(flat.argmax())  # the first maximum: ties go to (beam, token) order
                 score = flat.item(k)
                 if score == -np.inf:
                     break  # fewer continuations left than the quota
-                flat[k] = -np.inf
+                flat[k] = base[k] = -np.inf
                 token = k % num_pis
                 if token not in claimed:
                     claimed.add(token)
@@ -219,6 +227,7 @@ def _decode(
     return [(VarOrder(order), score) for score, order in ranked]
 
 
+@no_grad()
 def _greedy(encoded: M.Encoded, params: M.ModelParams) -> list[tuple[VarOrder, float]]:
     """Argmax decoding of every graph of the batch in lockstep, one pool row
     per graph: a row takes the first maximum of its score plus the
@@ -245,7 +254,8 @@ def _greedy(encoded: M.Encoded, params: M.ModelParams) -> list[tuple[VarOrder, f
         for g, token in zip(rows.tolist(), cols.tolist()):
             tokens[g] += (token,)
         live = sizes[rows] > step + 1
-        rows, visited, hidden, cell = rows[live], visited[live], hidden[live], cell[live]
+        if not live.all():  # a graph's inputs are all ordered: its row leaves
+            rows, visited, hidden, cell = rows[live], visited[live], hidden[live], cell[live]
     if len(rows):  # the rows of the largest graphs, one input left each
         for g, token in zip(rows.tolist(), visited.argmin(axis=1).tolist()):
             tokens[g] += (token,)

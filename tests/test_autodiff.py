@@ -189,14 +189,24 @@ def test_no_grad_builds_no_graph():
     assert np.allclose(w.grad, 4.0)
 
 
+def refuse_nodes(monkeypatch):
+    """Make any call of `autodiff._node`, the grad-on result helper, fail."""
+
+    def refused(*args):
+        raise AssertionError("an op called _node under no_grad()")
+
+    monkeypatch.setattr(ad, "_node", refused)
+
+
 @pytest.mark.parametrize("name", sorted(OPS))
-def test_no_grad_op_returns_the_grad_value_as_a_bare_array(name):
+def test_no_grad_op_returns_the_grad_value_as_a_bare_array(name, monkeypatch):
     build, shapes = OPS[name]
     rng = np.random.default_rng(5)
     arrays = [rng.standard_normal(s) for s in shapes]
     tensors = [Tensor(x, requires_grad=True) for x in arrays]
     expected = build(*tensors)
     assert isinstance(expected, Tensor) and expected.requires_grad
+    refuse_nodes(monkeypatch)  # no_grad() returns before any VJP or node is built
     with ad.no_grad():
         outs = [build(*tensors), build(*arrays)]
     for out in outs:

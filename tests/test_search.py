@@ -297,6 +297,27 @@ def test_search_on_an_encoded_graph_makes_no_tensors(monkeypatch):
     assert made
 
 
+def test_inference_builds_no_autodiff_node(monkeypatch):
+    # predict in every mode, and a batched greedy decode, end to end: no op
+    # reaches the grad-on result helper
+    from bddseq.cli import _graph, predict_order
+    from bddseq.corpus import RunConfig
+    from bddseq.gen import desk_corpus
+    from tests.test_autodiff import refuse_nodes
+
+    nets, cfg = desk_corpus(3, seed=3), RunConfig()
+    graphs = [_graph(net, cfg) for net in nets]
+    model = M.ModelConfig(feature_dim=graphs[0].features.shape[1], hidden=8, layers=2, heads=2)
+    params = M.init_params(model, seed=1)
+    refuse_nodes(monkeypatch)
+    for net in nets:
+        for mode in search.MODES:
+            order, _ = predict_order(net, params, mode, cfg)
+            assert sorted(order.permutation) == list(range(len(net.primary_inputs)))
+    orders = greedy_decode(search.encode(graphs, params), params)
+    assert [len(o.permutation) for o in orders] == [len(net.primary_inputs) for net in nets]
+
+
 def test_all_outputs_are_permutations(tri_graph, tri_params):
     results = diverse_beam_search(
         tri_graph, tri_params, SearchConfig(beam_width=6, groups=3, alpha=0.4)
@@ -602,7 +623,8 @@ def per_group_decode(encoded, params, config):
         graphs=np.zeros(1, dtype=np.int64),
     )
     for step in range(num_pis):
-        raw, hidden, cell = search._advance(pool, encoded, params)
+        with ad.no_grad():  # as in the searches, which run `_advance` under no_grad()
+            raw, hidden, cell = search._advance(pool, encoded, params)
         mask = np.where(pool.visited, M.MASK_VALUE, 0.0)
         taken = pool.visited.copy()
         claimed = np.zeros(num_pis, dtype=bool)
@@ -645,6 +667,16 @@ def per_group_decode(encoded, params, config):
 
 
 def claim_loop_model(name):
+    if name == "desk":  # a 10-input desk circuit: pools of up to 75 rows
+        from bddseq.gen import desk_corpus
+
+        net = desk_corpus(1, seed=0, min_pis=10, max_pis=10)[0]
+        graph = blif2graph(net, FeatureConfig(max_table_len=8))
+        assert graph.num_pis == 10
+        cfg = M.ModelConfig(feature_dim=graph.features.shape[1], hidden=8, layers=1, heads=2)
+        params = M.init_params(cfg, seed=0)
+        perturb_params(params, 0.5, seed=1)
+        return graph, params
     if name == "zero":  # every raw score is 0, so every ranking is all ties
         _, graph, params = make_toy_model(0, n_pis=5)
         for p in params.tensors.values():
@@ -660,11 +692,13 @@ def claim_loop_model(name):
 RAW_TRANSFORMS = {"scale": lambda raw: 3.0 * raw, "subtract": lambda raw: raw - 5.0}
 
 
-@pytest.mark.parametrize("model", ["toy0", "toy1", "toy2", "toy3", "zero"])
+@pytest.mark.parametrize("model", ["toy0", "toy1", "toy2", "toy3", "zero", "desk"])
 @pytest.mark.parametrize("quota", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
 @pytest.mark.parametrize("transform", ["scale", "subtract"])
 def test_claim_loop_matches_per_group_ranking(model, quota, alpha, transform, monkeypatch):
+    # the desk circuit runs the modes' group counts: at quota 2 the balance
+    # (20/10) and quality (50/25) widths
     graph, params = claim_loop_model(model)
     encoded = search.encode(graph, params)
     advance = search._advance
@@ -674,7 +708,7 @@ def test_claim_loop_matches_per_group_ranking(model, quota, alpha, transform, mo
         return RAW_TRANSFORMS[transform](raw), hidden, cell
 
     monkeypatch.setattr(search, "_advance", transformed)
-    for groups in (1, 2, 5):
+    for groups in (10, 25) if model == "desk" else (1, 2, 5):
         configs = [
             SearchConfig(beam_width=groups * quota, groups=groups, alpha=alpha, trace=[])
             for _ in range(2)
