@@ -19,33 +19,35 @@ root references. `check()` audits every refcount.
 Garbage has one rule: a collected store holds exactly the live nodes, and a
 swap keeps it that way, since it frees every node it orphans. Construction
 leaves dead nodes behind for the mark-and-sweep collector, so every reorder
-(sifting, the genetic fitness, the search's re-rank) collects once before its
-first swap and then reads node counts from the store instead of walking the
-diagrams. Protection holds only roots, during a build as after it: a
+(sifting, and the `LevelTable` of the GA and the search's re-rank) collects
+once before its first swap and reads node counts from the store, with no
+walk. Protection holds only roots, during a build as after it: a
 collection mid-build, at `gc_threshold`, marks from the outputs and the
 signals still to be read as well, so it frees dead gate outputs. `shuffle_to`
 is the one mover: it takes a diagram to a whole new order, with the node cap
-checked on every swap, and sifting parks each variable with it; given a
-`LevelTable`'s sizes, it records the two levels each swap rewrote. `transfer`
-copies the live nodes under some roots into a fresh, collected manager with
-the same order; a new order is reached from there by swaps. Sifting, the GA,
-the exact search and each label maker of `LABEL_MAKERS` return `(order,
-count)`, so label making counts each order once, where its search found it.
-The makers share one identity-order diagram: natural reads it, and sifting
-and the GA each move a copy of their own.
+checked on every swap; sifting parks each variable with it, and a
+`LevelTable` moves its copy with it, recording the levels each swap rewrote.
+`transfer` copies the live nodes under some roots into a fresh, collected
+manager with the same order; a new order is reached from there by swaps.
+Sifting, the GA, the exact search and each label maker of `LABEL_MAKERS`
+return `(order, count)`, so label making counts each order once, where its
+search found it. The makers share one identity-order diagram: natural reads
+it, and sifting and the GA each move a copy of their own.
 
 The GA draws from `random.Random(seed)` the stream `randrange`, `sample`,
 `random` and `shuffle` would, so the seed fixes its orders, but it breeds
 each generation in one loop with those draws written in place, as CPython
 makes them from `getrandbits`, and ranks each generation once for its
-tournaments. It prices orders from a `LevelTable` of the level sizes its copy
-has shown: a level's size depends only on its variable and the set of
-variables above it (Friedman and Supowit, IEEE TC 39(5), 1990), and a
-collected store is canonical, so a size measured under one order holds under
-all. An order whose levels are all measured is priced with no move; otherwise
-the copy moves to the nearest order that shows the missing ones. Each
-generation's new orders are priced once it is bred, in lexicographic order,
-so consecutive ones share their prefixes.
+tournaments. One pricing primitive, a `LevelTable` of the level sizes its
+copy has shown, prices the GA's orders and the re-rank's candidates
+(`search.select_best_order`): a level's size depends only on its variable
+and the set of variables above it (Friedman and Supowit, IEEE TC 39(5),
+1990), and a collected store is canonical, so a size measured under one
+order holds under all. An order whose levels are all measured is priced with
+no move; otherwise the copy moves to the nearest order that shows the
+missing ones. `price_all` prices each new order once, in lexicographic
+order, so consecutive ones share their prefixes. An order that does not fit
+the node cap prices above every count that fits.
 
 Sifting reaches the orders plain sifting does with fewer swaps, by a lower
 bound. As a level's size depends only on its variable and the set of
@@ -633,32 +635,46 @@ class LevelTable:
     it. The copy is a collected `transfer` of the caller's diagrams, and the
     caller's manager is not touched. The table starts with the copy's
     levels, and `shuffle_to` records the two levels of every swap the copy
-    makes, so it holds every level of the copy's order. Raises
-    NodeCapExceeded when the caller's live nodes are over the cap.
+    makes, so it holds every level of the copy's order. An order that does
+    not fit (its store, or a swap of the move that measures it, over the
+    node cap) prices `over_cap`, the cap plus the terminals plus one, above
+    every count that fits. Raises NodeCapExceeded when the caller's live
+    nodes are over the cap.
     """
 
     def __init__(self, manager: BddManager, roots):
         self.manager, self.roots = manager, roots
         self.copy, copy_roots = transfer(manager, roots)
         self.terminals = terminal_count(copy_roots)
+        self.over_cap = self.copy.node_cap + self.terminals + 1
+        self.prices: dict[tuple[int, ...], int] = {}
         self.sizes: list[dict[int, int]] = [{} for _ in range(manager.n)]
         above = 0
         for level, var in enumerate(self.copy.order):
             self.sizes[var][above] = len(self.copy.unique[level])
             above |= 1 << var
 
+    def price_all(self, orders) -> list[int]:
+        """The prices of `orders`, tuples, in their sequence. Each order not
+        priced before is priced once, in lexicographic order, so consecutive
+        ones share prefixes and moves; under the cap that sequence decides
+        which moves pass it."""
+        prices = self.prices
+        for perm in sorted({p for p in orders if p not in prices}):
+            prices[perm] = self.price(perm)
+        return [prices[p] for p in orders]
+
     def price(self, perm) -> int:
-        """The node count of the diagrams under `perm`, or node_cap + 1.
+        """The node count of the diagrams under `perm`, or `over_cap`.
 
         An order whose levels are all in the table is priced as their sum
         plus the terminals, with no move. Otherwise the copy moves by
         `shuffle_to` to the nearest order that shows the missing levels: at
         each unmeasured position, perm's own variable, and between those
         positions, perm's variables in the copy's current relative order.
-        An order whose store, the sum of its levels, is over node_cap
-        prices node_cap + 1. So does an order whose move passes the cap on
-        the way; the move leaves the copy over the cap, so a fresh copy at
-        the caller's order replaces it.
+        An order whose store is over node_cap prices `over_cap`. So does an
+        order whose move passes the cap on the way; the move leaves the
+        copy over the cap, so a fresh copy at the caller's order replaces it.
         """
         sizes, cap = self.sizes, self.copy.node_cap
         store, missing, above = 0, [], 0
@@ -679,9 +695,9 @@ class LevelTable:
             target += sorted(perm[start:], key=level)  # takes no swap
             if not self.copy.shuffle_to(target, sizes):
                 self.copy = transfer(self.manager, self.roots)[0]
-                return cap + 1
+                return self.over_cap
             store += sum(sizes[perm[pos]][above] for pos, above in missing)
-        return store + self.terminals if store <= cap else cap + 1
+        return store + self.terminals if store <= cap else self.over_cap
 
 
 def ga_reorder(
@@ -698,25 +714,20 @@ def ga_reorder(
 
     Order crossover plus swap mutation, tournament selection, and elitism,
     so the result is never worse than the best seeded individual. The search
-    is deterministic for a fixed seed. Fitness is `LevelTable.price` on one
-    table of the caller's diagrams, so most orders are priced from measured
-    level sizes with no move, and the caller's manager is not touched. An
-    order priced over the node cap, or whose move passes the cap on the
-    way, scores node_cap + 1. The caller's order comes back before any draw
-    when it is the only order (fewer than two inputs), with the caller's
-    count, or when its own live nodes are over the cap, with node_cap + 1.
+    is deterministic for a fixed seed. Fitness is the price of one
+    `LevelTable` of the caller's diagrams, and the caller's manager is not
+    touched. An order over the node cap prices above every count that fits,
+    so the elite fits. The caller's order comes back before any draw when it
+    is the only order (fewer than two inputs), with the caller's count, or
+    when its own live nodes are over the cap, with that over-cap price.
 
     The seeded population, and then each generation once it is bred in
-    full, has its new orders priced in lexicographic order, as
-    `select_best_order` visits its candidates, so consecutive orders share
-    prefixes and their moves. A cache prices no order twice. The sequence
-    is part of the result: under the cap, whether an order scores
-    node_cap + 1 depends on the order the copy moves from. Pricing draws
-    nothing, and the tournaments read only the last generation's scores, so
-    a generation bred in full before it is priced has the children that
-    pricing each one as it is bred would give. Each generation sorts its
-    keys once, and a tournament takes the least rank among its draws, so it
-    compares ints, not keys.
+    full, is priced by `LevelTable.price_all`, as `select_best_order`
+    prices its candidates. Pricing draws nothing, and the tournaments read
+    only the last generation's scores, so a generation bred in full before
+    it is priced has the children that pricing each one as it is bred would
+    give. Each generation sorts its keys once, and a tournament takes the
+    least rank among its draws, so it compares ints, not keys.
 
     Each generation is bred in one loop with every draw written in place, as
     the stream of `rng.randrange`, `rng.sample(range(n), 2)`, `rng.random`
@@ -745,22 +756,15 @@ def ga_reorder(
     try:
         table = LevelTable(manager, roots)
     except NodeCapExceeded:
-        return manager.current_order(), manager.node_cap + 1
+        return manager.current_order(), manager.node_cap + terminal_count(roots) + 1
     rng = random.Random(seed)
     getrandbits, coin = rng.getrandbits, rng.random
-    cache: dict[tuple[int, ...], int] = {}
-
-    def priced(orders: list[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
-        for perm in sorted({p for p in orders if p not in cache}):
-            cache[perm] = table.price(perm)
-        return [(cache[p], p) for p in orders]
-
     pop = [tuple(manager.order)]
     while len(pop) < population:
         perm = list(range(n))
         rng.shuffle(perm)
         pop.append(tuple(perm))
-    keys = priced(pop)
+    keys = list(zip(table.price_all(pop), pop))
     elite = min(keys)
     bits, n_bits = population.bit_length(), n.bit_length()
     pool = n <= 21  # sample's pool form; its set form above
@@ -816,7 +820,7 @@ def ga_reorder(
                     j = n - 1
                 child[i], child[j] = child[j], child[i]
             children.append(tuple(child))
-        keys = [elite, *priced(children)]
+        keys = [elite, *zip(table.price_all(children), children)]
         elite = min(keys)
     return VarOrder(elite[1]), elite[0]
 

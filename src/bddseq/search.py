@@ -57,10 +57,10 @@ so it takes the same path and gets the bits of the one-beam, one-group
 search. Stacked rows change the bits of the matrix products, so a graph
 decoded in a larger batch may score differently in the last bits.
 
-`select_best_order` builds one diagram per circuit and moves it from
-candidate to candidate by adjacent swaps, reading each count from the
-store size. Only after a candidate passes the node cap is the next one
-built afresh.
+`select_best_order` builds the lexicographically first candidate whose
+build fits the node cap and prices every candidate on one `bdd.LevelTable`
+of that build, as the GA prices its orders; a candidate that does not fit
+prices above every one that does.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ import numpy as np
 
 from . import model as M
 from .autodiff import log_softmax, no_grad
-from .bdd import NODE_CAP, NodeCapExceeded, VarOrder, build_from_netlist, terminal_count
+from .bdd import NODE_CAP, LevelTable, NodeCapExceeded, VarOrder, build_from_netlist
 from .blif import Netlist
 from .graph import CircuitGraph
 
@@ -289,38 +289,27 @@ def diverse_beam_search(
 def select_best_order(
     candidates, netlist: Netlist, node_cap: int = NODE_CAP
 ) -> VarOrder:
-    """Re-rank candidate orders by actual BDD size, on one diagram.
+    """Re-rank candidate orders by actual BDD size, on one `LevelTable`.
 
-    The candidates are visited in lexicographic order of their permutations,
-    so consecutive ones share prefixes. The first is built from the netlist
-    and collected once; every later one is reached from the previous one by
-    `BddManager.shuffle_to`, and its count is the store size plus terminals.
-    Candidates must arrive sorted by model score descending: the winner is
-    the least (count, original index), so on node-count ties the earlier
-    (higher-scoring) candidate wins. A candidate whose build, or any swap on
-    the way to it, passes the node cap is skipped, and the next one is built
-    afresh; NodeCapExceeded is raised when no candidate fits.
+    The lexicographically first candidate whose build fits the node cap is
+    built, and every candidate is priced on one table of that build by
+    `LevelTable.price_all`. Candidates must arrive sorted by model score
+    descending: the winner is the least (price, original index), so on
+    node-count ties the earlier (higher-scoring) candidate wins. The built
+    candidate fits, and one that does not prices above it, so the winner
+    fits; NodeCapExceeded is raised when no candidate builds within the cap.
     """
     if not candidates:
         raise ValueError("no candidate orders")
     orders = [c if isinstance(c, VarOrder) else VarOrder.of(c) for c in candidates]
-    fits: list[tuple[int, int]] = []  # (count, index) of every candidate within the cap
-    mgr = None
-    for index in sorted(range(len(orders)), key=lambda i: orders[i].permutation):
-        order = orders[index]
-        if mgr is None:
-            try:
-                mgr, roots = build_from_netlist(netlist, order, node_cap=node_cap)
-            except NodeCapExceeded:
-                continue
-            mgr.collect_garbage()
-            terminals = terminal_count(roots)
-        elif not mgr.shuffle_to(order.permutation):
-            mgr = None  # build the next candidate afresh
+    perms = [order.permutation for order in orders]
+    for perm in sorted(set(perms)):
+        try:
+            mgr, roots = build_from_netlist(netlist, VarOrder(perm), node_cap=node_cap)
+            break
+        except NodeCapExceeded:
             continue
-        fits.append((len(mgr.nodes) + terminals, index))
-    if not fits:
-        raise NodeCapExceeded(
-            f"all {len(orders)} candidate orders exceeded the node cap"
-        )
-    return orders[min(fits)[1]]
+    else:
+        raise NodeCapExceeded(f"all {len(orders)} candidate orders exceeded the node cap")
+    prices = LevelTable(mgr, roots).price_all(perms)
+    return orders[min(range(len(orders)), key=prices.__getitem__)]

@@ -37,6 +37,36 @@ def exhaustive_verify(circuit, netlist) -> bool:
     )
 
 
+def level_widths(netlist):
+    """`width(above, var)`: the size of var's level in the netlist's reduced
+    diagrams under any order that puts the variables of the mask `above`
+    (bit v for input v) over it, read off the output truth tables alone as
+    the distinct cofactors of the outputs, over every assignment of those
+    variables, that depend on var."""
+    n = len(netlist.primary_inputs)
+    lanes = 1 << n
+    tables = evaluate(netlist, exhaustive_columns(n), lanes)
+
+    def width(above: int, var: int) -> int:
+        # input v is bit n - 1 - v of an assignment's lane index
+        fixed = sum(1 << (n - 1 - v) for v in range(n) if above >> v & 1)
+        flip = 1 << (n - 1 - var)
+        free = [lane for lane in range(lanes) if not lane & fixed]
+        cofactors = {
+            tuple(table >> (a | lane) & 1 for lane in free)
+            for table in tables
+            for a in range(lanes)
+            if not a & ~fixed
+        }
+        place = {lane: i for i, lane in enumerate(free)}
+        return sum(
+            any(cof[place[lane]] != cof[place[lane | flip]] for lane in free if not lane & flip)
+            for cof in cofactors
+        )
+
+    return width
+
+
 def apply_to_state(circuit, state) -> list[int]:
     """Run the cascade on a full line-state vector, ignoring constants."""
     return run_cascade(circuit, [int(b) for b in state], 1, *LANES)

@@ -34,7 +34,14 @@ from bddseq.bdd import (
 from bddseq.blif import LogicGate, Netlist, evaluate, exhaustive_columns, parse_blif, simulate
 from bddseq.gen import desk_corpus, pair_products, random_cover_netlist, read_once_tree
 from bddseq.synth import synthesize, verify_synthesis
-from tests.reference import exhaustive_verify, gate_eval, inverse, signature, unprotect
+from tests.reference import (
+    exhaustive_verify,
+    gate_eval,
+    inverse,
+    level_widths,
+    signature,
+    unprotect,
+)
 
 NATURAL6 = VarOrder.identity(6)
 # the interleaved order that separates every product's two inputs
@@ -554,14 +561,15 @@ def reference_ga(
     sizes, keyed by (mask of the variables above, variable), that it keeps
     in its own plain way: it reads every level of its copy when the copy is
     made and after each of the copy's swaps. An order whose levels are all
-    in the table is their sum plus the terminals, and node_cap + 1 over the
-    cap. Otherwise the copy first moves to perm's variable at each missing
-    position, with the runs between them in the copy's own relative order.
-    A move that passes the cap prices node_cap + 1 and leaves its copy
-    there, so the copy is replaced at once by a fresh one at the caller's
-    order."""
+    in the table is their sum plus the terminals, and node_cap plus the
+    terminals plus one over the cap. Otherwise the copy first moves to
+    perm's variable at each missing position, with the runs between them in
+    the copy's own relative order. A move that passes the cap prices the
+    same and leaves its copy there, so the copy is replaced at once by a
+    fresh one at the caller's order."""
     n = manager.n
     cap = manager.node_cap
+    terminals = terminal_count(roots)
     rng = random.Random(seed)
     fitness_cache = {}
     sizes = {}
@@ -582,13 +590,13 @@ def reference_ga(
 
         work.swap_adjacent_levels = measured_swap  # what shuffle_to calls
         measure(work)
-        return work, terminal_count(work_roots)
+        return work
 
     def levels(perm):
         return [(sum(1 << v for v in perm[:i]), perm[i]) for i in range(n)]
 
     try:
-        work, terminals = fresh_copy()
+        work = fresh_copy()
     except NodeCapExceeded:
         work = None
 
@@ -597,7 +605,7 @@ def reference_ga(
         hit = fitness_cache.get(perm)
         if hit is not None:
             return hit
-        cost = cap + 1
+        cost = cap + terminals + 1
         if work is not None:
             missing = [i for i, key in enumerate(levels(perm)) if key not in sizes]
             arrived = True
@@ -609,7 +617,7 @@ def reference_ga(
                     start = i + 1
                 arrived = work.shuffle_to(target)
                 if not arrived:
-                    work, _ = fresh_copy()
+                    work = fresh_copy()
             store = sum(sizes[key] for key in levels(perm)) if arrived else cap + 1
             if store <= cap:
                 cost = store + terminals
@@ -944,9 +952,9 @@ def test_ga_scores_each_order_once(monkeypatch, cap):
     # the table prices some orders with no move
     assert 0 < len(moves) < len(orders)
     # at cap 41 some moves pass the cap, and their orders are not priced
-    # again either
+    # again either; they price the cap plus both terminals plus one
     assert all(arrived for *_, arrived in moves) == (cap > 41)
-    assert (cap + 1 in {cost for _, cost in priced}) == (cap == 41)
+    assert (cap + 3 in {cost for _, cost in priced}) == (cap == 41)
 
 
 @pytest.mark.parametrize(
@@ -984,10 +992,11 @@ def test_label_report_on_fewer_than_two_inputs(src, count):
 
 def test_ga_over_the_cap_returns_the_callers_order(pairs6):
     # even the caller's diagram is over the cap, so no order can be measured,
-    # and the count is the score of an order over the cap
+    # and the count is the score of an order over the cap: the cap plus both
+    # terminals plus one
     mgr, roots = build_from_netlist(pairs6, SCRAMBLED6)
     mgr.node_cap = 3
-    assert ga_reorder(mgr, roots, seed=0) == (SCRAMBLED6, 4)
+    assert ga_reorder(mgr, roots, seed=0) == (SCRAMBLED6, 6)
 
 
 def test_ga_finds_optimum(pairs6):
@@ -1114,6 +1123,45 @@ def test_ga_tiny_node_cap_returns_permutation(cap):
     mgr.node_cap = cap
     order, _ = ga_reorder(mgr, roots, population=8, generations=4, seed=1)
     assert sorted(order.permutation) == list(range(10))
+
+
+def test_ga_returns_an_order_within_the_cap():
+    # a store of exactly node_cap counts node_cap + 2 with both terminals,
+    # so an order over the cap must price above that: at seed 0 the tree's
+    # store is 7, and an over-cap price of 8 would rank (0, 1, 2, 5, 3, 4),
+    # whose store of 9 passes the cap, first
+    for seed in range(40):
+        r = random.Random(seed)
+        net = pair_products(r, 3) if seed % 2 else read_once_tree(r, 6)
+        mgr, roots = build_from_netlist(net, VarOrder.identity(6))
+        mgr.collect_garbage()
+        mgr.node_cap = len(mgr.nodes)
+        order, count = ga_reorder(mgr, roots, population=8, generations=3, seed=seed)
+        built, built_roots = build_from_netlist(net, order)
+        built.collect_garbage()
+        assert len(built.nodes) <= mgr.node_cap, seed
+        assert count == node_count(built, built_roots), seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists(), st.data())
+def test_level_table_holds_the_truth_table_widths(net, data):
+    # every level size the table holds, from its copy's order and the moves
+    # its pricing makes, is the width the subset DP reads off the truth
+    # tables: the distinct output cofactors over the variables above that
+    # depend on the variable; and each price sums those widths
+    n = len(net.primary_inputs)
+    mgr, roots = build_from_netlist(net, VarOrder.identity(n))
+    table = LevelTable(mgr, roots)
+    perms = data.draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=6))
+    prices = table.price_all(perms)
+    width = level_widths(net)
+    for var, sizes in enumerate(table.sizes):
+        for above, size in sizes.items():
+            assert size == width(above, var), (var, above)
+    for perm, price in zip(perms, prices):
+        masks = [sum(1 << v for v in perm[:i]) for i in range(n)]
+        assert price == sum(map(width, masks, perm)) + table.terminals, perm
 
 
 @settings(max_examples=100, deadline=None)

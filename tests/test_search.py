@@ -753,7 +753,9 @@ def rerank_cases(draw):
 def test_rerank_in_place_matches_rebuilds(case):
     net, candidates = case
     assert search.select_best_order(candidates, net) == rebuild_select_best_order(candidates, net)
-    # the walk select_best_order makes: one build, then swaps in lexicographic order
+    # one diagram moved between the candidates by swaps, in lexicographic
+    # order, counts what fresh builds count: the exactness the table's
+    # prices rest on
     mgr = None
     for perm in sorted(tuple(c) for c in candidates):
         if mgr is None:
@@ -797,14 +799,40 @@ def test_rerank_skips_a_candidate_whose_build_passes_the_cap():
 
 
 def test_rerank_skips_a_candidate_whose_swaps_pass_the_cap(monkeypatch):
-    # visited as identity, interleaved (skipped on the way), then PAIRED10,
-    # built afresh; it ties the identity and wins as the earlier candidate
+    # the identity is built and priced, the interleaved order's move passes
+    # the cap, and PAIRED10 is priced from a fresh copy of the build; it ties
+    # the identity and wins as the earlier candidate
     builds = counted_builds(monkeypatch)
     net = five_products()
     candidates = [PAIRED10, INTERLEAVED10, tuple(range(10))]
     assert search.select_best_order(candidates, net, node_cap=40) == VarOrder(PAIRED10)
-    assert builds == [tuple(range(10)), PAIRED10]
+    assert builds == [tuple(range(10))]
     assert search.select_best_order(candidates[1:], net, node_cap=40) == VarOrder.identity(10)
+
+
+def and_chain(n):
+    """x0 AND x1 AND ... AND x(n-1) as a chain of two-input gates: n live
+    nodes under every order. At n = 8 a build under the identity order
+    makes 36 nodes, and under the reversed order 15."""
+    src = ".model c\n.inputs " + " ".join(f"x{i}" for i in range(n))
+    src += f"\n.outputs g{n - 1}\n.names x0 x1 g1\n11 1\n"
+    src += "".join(f".names g{k - 1} x{k} g{k}\n11 1\n" for k in range(2, n))
+    return parse_blif(src + ".end")
+
+
+def test_rerank_prices_a_candidate_whose_build_passes_the_cap(monkeypatch):
+    # at cap 20 the identity order does not build but the reversed order
+    # does. A candidate fits when its store and every swap of its move stay
+    # within the cap, so the identity, priced on the reversed build's table,
+    # fits, ties it, and wins as the earlier candidate; rebuilding every
+    # candidate would skip it
+    builds = counted_builds(monkeypatch)
+    net = and_chain(8)
+    identity, backwards = tuple(range(8)), tuple(range(7, -1, -1))
+    assert search.select_best_order([identity, backwards], net, node_cap=20) == VarOrder(identity)
+    assert builds == [identity, backwards]
+    assert search.select_best_order([backwards, identity], net, node_cap=20) == VarOrder(backwards)
+    assert rebuild_select_best_order([identity, backwards], net, node_cap=20) == VarOrder(backwards)
 
 
 def test_rerank_raises_when_no_candidate_fits():
