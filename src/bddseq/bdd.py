@@ -26,7 +26,7 @@ collection mid-build, at `gc_threshold`, marks from the outputs and the
 signals still to be read as well, so it frees dead gate outputs. `shuffle_to`
 is the one mover: it takes a diagram to a whole new order, with the node cap
 checked on every swap; sifting parks each variable with it, and a
-`LevelTable` moves its copy with it, recording the levels each swap rewrote.
+`LevelTable` moves its own diagram, recording the levels each swap rewrote.
 `transfer` copies the live nodes under some roots into a fresh, collected
 manager with the same order; a new order is reached from there by swaps.
 Sifting, the GA, the exact search and each label maker of `LABEL_MAKERS`
@@ -39,12 +39,12 @@ The GA draws from `random.Random(seed)` the stream `randrange`, `sample`,
 each generation in one loop with those draws written in place, as CPython
 makes them from `getrandbits`, and ranks each generation once for its
 tournaments. One pricing primitive, a `LevelTable` of the level sizes its
-copy has shown, prices the GA's orders and the re-rank's candidates
+own diagram has shown, prices the GA's orders and the re-rank's candidates
 (`search.select_best_order`): a level's size depends only on its variable
 and the set of variables above it (Friedman and Supowit, IEEE TC 39(5),
 1990), and a collected store is canonical, so a size measured under one
 order holds under all. An order whose levels are all measured is priced with
-no move; otherwise the copy moves to the nearest order that shows the
+no move; otherwise the diagram moves to the nearest order that shows the
 missing ones. `price_all` prices each new order once, in lexicographic
 order, so consecutive ones share their prefixes. An order that does not fit
 the node cap prices above every count that fits.
@@ -625,33 +625,33 @@ def transfer(manager: BddManager, roots):
 
 
 class LevelTable:
-    """Measured level sizes of the diagrams under some roots, and a private
-    copy of them that moves to measure more.
+    """Measured level sizes of one diagram, which the table owns and moves
+    to measure more.
 
     A level's size depends only on its variable and the set of variables
     above it, and a collected store is canonical, so a size measured under
     one order holds under every order: `sizes[var]` maps a set of variables,
     as a mask with bit v for variable v, to the size of var's level under
-    it. The copy is a collected `transfer` of the caller's diagrams, and the
-    caller's manager is not touched. The table starts with the copy's
-    levels, and `shuffle_to` records the two levels of every swap the copy
-    makes, so it holds every level of the copy's order. An order that does
-    not fit (its store, or a swap of the move that measures it, over the
-    node cap) prices `over_cap`, the cap plus the terminals plus one, above
-    every count that fits. Raises NodeCapExceeded when the caller's live
-    nodes are over the cap.
+    it. `make()` gives the diagram, `(manager, roots)`, held by no one else
+    (a build, or a `transfer` copy), and the table collects it. It starts
+    with the diagram's levels, and `shuffle_to` records the two levels of
+    every swap the diagram makes. An order that does not fit (its store, or
+    a swap of the move that measures it, over the node cap) prices
+    `over_cap`, the cap plus the terminals plus one, above every count that
+    fits. Raises what `make` raises: NodeCapExceeded when it does not fit.
     """
 
-    def __init__(self, manager: BddManager, roots):
-        self.manager, self.roots = manager, roots
-        self.copy, copy_roots = transfer(manager, roots)
-        self.terminals = terminal_count(copy_roots)
-        self.over_cap = self.copy.node_cap + self.terminals + 1
+    def __init__(self, make):
+        self.make = make
+        self.mgr, roots = make()
+        self.mgr.collect_garbage()
+        self.terminals = terminal_count(roots)
+        self.over_cap = self.mgr.node_cap + self.terminals + 1
         self.prices: dict[tuple[int, ...], int] = {}
-        self.sizes: list[dict[int, int]] = [{} for _ in range(manager.n)]
+        self.sizes: list[dict[int, int]] = [{} for _ in range(self.mgr.n)]
         above = 0
-        for level, var in enumerate(self.copy.order):
-            self.sizes[var][above] = len(self.copy.unique[level])
+        for level, var in enumerate(self.mgr.order):
+            self.sizes[var][above] = len(self.mgr.unique[level])
             above |= 1 << var
 
     def price_all(self, orders) -> list[int]:
@@ -668,15 +668,15 @@ class LevelTable:
         """The node count of the diagrams under `perm`, or `over_cap`.
 
         An order whose levels are all in the table is priced as their sum
-        plus the terminals, with no move. Otherwise the copy moves by
+        plus the terminals, with no move. Otherwise the diagram moves by
         `shuffle_to` to the nearest order that shows the missing levels: at
         each unmeasured position, perm's own variable, and between those
-        positions, perm's variables in the copy's current relative order.
+        positions, perm's variables in the diagram's current relative order.
         An order whose store is over node_cap prices `over_cap`. So does an
         order whose move passes the cap on the way; the move leaves the
-        copy over the cap, so a fresh copy at the caller's order replaces it.
+        diagram over the cap, so the table makes and collects a fresh one.
         """
-        sizes, cap = self.sizes, self.copy.node_cap
+        sizes, cap = self.sizes, self.mgr.node_cap
         store, missing, above = 0, [], 0
         for pos, var in enumerate(perm):
             size = sizes[var].get(above)
@@ -686,15 +686,16 @@ class LevelTable:
                 store += size
             above |= 1 << var
         if missing:
-            level = self.copy.var2level.__getitem__
+            level = self.mgr.var2level.__getitem__
             target, start = [], 0
             for pos, _ in missing:
                 target += sorted(perm[start:pos], key=level)
                 target.append(perm[pos])
                 start = pos + 1
             target += sorted(perm[start:], key=level)  # takes no swap
-            if not self.copy.shuffle_to(target, sizes):
-                self.copy = transfer(self.manager, self.roots)[0]
+            if not self.mgr.shuffle_to(target, sizes):
+                self.mgr = self.make()[0]
+                self.mgr.collect_garbage()
                 return self.over_cap
             store += sum(sizes[perm[pos]][above] for pos, above in missing)
         return store + self.terminals if store <= cap else self.over_cap
@@ -715,11 +716,11 @@ def ga_reorder(
     Order crossover plus swap mutation, tournament selection, and elitism,
     so the result is never worse than the best seeded individual. The search
     is deterministic for a fixed seed. Fitness is the price of one
-    `LevelTable` of the caller's diagrams, and the caller's manager is not
-    touched. An order over the node cap prices above every count that fits,
-    so the elite fits. The caller's order comes back before any draw when it
-    is the only order (fewer than two inputs), with the caller's count, or
-    when its own live nodes are over the cap, with that over-cap price.
+    `LevelTable` that owns a `transfer` copy of the caller's diagrams, so
+    the caller's manager is untouched. An order over the node cap prices
+    above every count that fits, so the elite fits. The caller's order comes
+    back before any draw when it is the only order (fewer than two inputs),
+    with its count, or when its live nodes are over the cap, with that price.
 
     The seeded population, and then each generation once it is bred in
     full, is priced by `LevelTable.price_all`, as `select_best_order`
@@ -754,7 +755,7 @@ def ga_reorder(
     if n < 2:
         return manager.current_order(), node_count(manager, roots)
     try:
-        table = LevelTable(manager, roots)
+        table = LevelTable(partial(transfer, manager, roots))
     except NodeCapExceeded:
         return manager.current_order(), manager.node_cap + terminal_count(roots) + 1
     rng = random.Random(seed)

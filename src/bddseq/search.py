@@ -57,15 +57,16 @@ so it takes the same path and gets the bits of the one-beam, one-group
 search. Stacked rows change the bits of the matrix products, so a graph
 decoded in a larger batch may score differently in the last bits.
 
-`select_best_order` builds the lexicographically first candidate whose
-build fits the node cap and prices every candidate on one `bdd.LevelTable`
-of that build, as the GA prices its orders; a candidate that does not fit
-prices above every one that does.
+`select_best_order` prices every candidate, as the GA prices its orders, on
+one `bdd.LevelTable` that owns (and moves, with no copy) the build of the
+lexicographically first candidate whose build fits the node cap; a
+candidate that does not fit prices above every one that does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -292,9 +293,9 @@ def select_best_order(
     """Re-rank candidate orders by actual BDD size, on one `LevelTable`.
 
     The lexicographically first candidate whose build fits the node cap is
-    built, and every candidate is priced on one table of that build by
-    `LevelTable.price_all`. Candidates must arrive sorted by model score
-    descending: the winner is the least (price, original index), so on
+    built, and `LevelTable.price_all` prices every candidate on one table
+    that owns and moves that build. Candidates must arrive sorted by model
+    score descending: the winner is the least (price, original index), so on
     node-count ties the earlier (higher-scoring) candidate wins. The built
     candidate fits, and one that does not prices above it, so the winner
     fits; NodeCapExceeded is raised when no candidate builds within the cap.
@@ -303,13 +304,13 @@ def select_best_order(
         raise ValueError("no candidate orders")
     orders = [c if isinstance(c, VarOrder) else VarOrder.of(c) for c in candidates]
     perms = [order.permutation for order in orders]
-    for perm in sorted(set(perms)):
+    for p in sorted(set(perms)):
         try:
-            mgr, roots = build_from_netlist(netlist, VarOrder(perm), node_cap=node_cap)
+            table = LevelTable(partial(build_from_netlist, netlist, VarOrder(p), node_cap=node_cap))
             break
         except NodeCapExceeded:
             continue
     else:
         raise NodeCapExceeded(f"all {len(orders)} candidate orders exceeded the node cap")
-    prices = LevelTable(mgr, roots).price_all(perms)
+    prices = table.price_all(perms)
     return orders[min(range(len(orders)), key=prices.__getitem__)]

@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -1151,8 +1152,7 @@ def test_level_table_holds_the_truth_table_widths(net, data):
     # tables: the distinct output cofactors over the variables above that
     # depend on the variable; and each price sums those widths
     n = len(net.primary_inputs)
-    mgr, roots = build_from_netlist(net, VarOrder.identity(n))
-    table = LevelTable(mgr, roots)
+    table = LevelTable(partial(build_from_netlist, net, VarOrder.identity(n)))
     perms = data.draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=6))
     prices = table.price_all(perms)
     width = level_widths(net)
@@ -1162,6 +1162,31 @@ def test_level_table_holds_the_truth_table_widths(net, data):
     for perm, price in zip(perms, prices):
         masks = [sum(1 << v for v in perm[:i]) for i in range(n)]
         assert price == sum(map(width, masks, perm)) + table.terminals, perm
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists(), st.integers(0, 8), st.data())
+def test_level_table_prices_a_build_as_its_transfer(net, slack, data):
+    # a collected store is canonical, so a table that owns a build and one
+    # that owns a transfer of it hold the same levels and give the same
+    # prices, refused moves (and the remakes after them) included, under a
+    # cap from the collected store up to 8 nodes above it
+    n = len(net.primary_inputs)
+    order = VarOrder(tuple(data.draw(st.permutations(range(n)))))
+    mgr, _ = build_from_netlist(net, order)
+    mgr.collect_garbage()
+    cap = len(mgr.nodes) + slack
+
+    def build():
+        built, roots = build_from_netlist(net, order)
+        built.node_cap = cap
+        return built, roots
+
+    built, copied = LevelTable(build), LevelTable(partial(transfer, *build()))
+    for _ in range(3):
+        perms = data.draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=6))
+        assert built.price_all(perms) == copied.price_all(perms)
+    assert built.sizes == copied.sizes
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from test_bdd import INTERLEAVED10, five_products, netlists
 
 from bddseq import autodiff as ad
+from bddseq import bdd
 from bddseq import model as M
 from bddseq import search
 from bddseq.bdd import NodeCapExceeded, VarOrder, build_from_netlist, node_count, terminal_count
@@ -800,13 +801,13 @@ def test_rerank_skips_a_candidate_whose_build_passes_the_cap():
 
 def test_rerank_skips_a_candidate_whose_swaps_pass_the_cap(monkeypatch):
     # the identity is built and priced, the interleaved order's move passes
-    # the cap, and PAIRED10 is priced from a fresh copy of the build; it ties
-    # the identity and wins as the earlier candidate
+    # the cap, so the table rebuilds the identity, and PAIRED10 is priced on
+    # that build; it ties the identity and wins as the earlier candidate
     builds = counted_builds(monkeypatch)
     net = five_products()
     candidates = [PAIRED10, INTERLEAVED10, tuple(range(10))]
     assert search.select_best_order(candidates, net, node_cap=40) == VarOrder(PAIRED10)
-    assert builds == [tuple(range(10))]
+    assert builds == [tuple(range(10))] * 2
     assert search.select_best_order(candidates[1:], net, node_cap=40) == VarOrder.identity(10)
 
 
@@ -833,6 +834,25 @@ def test_rerank_prices_a_candidate_whose_build_passes_the_cap(monkeypatch):
     assert builds == [identity, backwards]
     assert search.select_best_order([backwards, identity], net, node_cap=20) == VarOrder(backwards)
     assert rebuild_select_best_order([identity, backwards], net, node_cap=20) == VarOrder(backwards)
+
+
+def test_rerank_moves_its_own_build_with_no_copy(monkeypatch, pairs6):
+    # the table owns the build it prices, at the default cap and when a move
+    # passes the cap and the table rebuilds, so nothing is transferred
+    copies = []
+    transfer = bdd.transfer
+
+    def counted(*args, **kwargs):
+        copies.append(args)
+        return transfer(*args, **kwargs)
+
+    monkeypatch.setattr(bdd, "transfer", counted)
+    search.select_best_order(list(itertools.permutations(range(6)))[::37], pairs6)
+    builds = counted_builds(monkeypatch)
+    candidates = [PAIRED10, INTERLEAVED10, tuple(range(10))]
+    search.select_best_order(candidates, five_products(), node_cap=40)
+    assert builds == [tuple(range(10))] * 2  # the refused move rebuilt
+    assert copies == []
 
 
 def test_rerank_raises_when_no_candidate_fits():
