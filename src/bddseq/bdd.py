@@ -477,6 +477,11 @@ def terminal_count(roots) -> int:
     return 2 if any(r > TRUE for r in roots) else len(set(roots))
 
 
+def over_cap_price(manager: BddManager, roots) -> int:
+    """The price of an order over the node cap: above every count that fits."""
+    return manager.node_cap + terminal_count(roots) + 1
+
+
 def build_from_netlist(
     netlist: Netlist, order: VarOrder, node_cap: int = NODE_CAP
 ) -> tuple[BddManager, list[int]]:
@@ -637,8 +642,8 @@ class LevelTable:
     with the diagram's levels, and `shuffle_to` records the two levels of
     every swap the diagram makes. An order that does not fit (its store, or
     a swap of the move that measures it, over the node cap) prices
-    `over_cap`, the cap plus the terminals plus one, above every count that
-    fits. Raises what `make` raises: NodeCapExceeded when it does not fit.
+    `over_cap`, the `over_cap_price` of the diagram. Raises what `make`
+    raises: NodeCapExceeded when it does not fit.
     """
 
     def __init__(self, make):
@@ -646,7 +651,7 @@ class LevelTable:
         self.mgr, roots = make()
         self.mgr.collect_garbage()
         self.terminals = terminal_count(roots)
-        self.over_cap = self.mgr.node_cap + self.terminals + 1
+        self.over_cap = over_cap_price(self.mgr, roots)
         self.prices: dict[tuple[int, ...], int] = {}
         self.sizes: list[dict[int, int]] = [{} for _ in range(self.mgr.n)]
         above = 0
@@ -757,7 +762,7 @@ def ga_reorder(
     try:
         table = LevelTable(partial(transfer, manager, roots))
     except NodeCapExceeded:
-        return manager.current_order(), manager.node_cap + terminal_count(roots) + 1
+        return manager.current_order(), over_cap_price(manager, roots)
     rng = random.Random(seed)
     getrandbits, coin = rng.getrandbits, rng.random
     pop = [tuple(manager.order)]

@@ -23,6 +23,7 @@ import hashlib
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -96,12 +97,13 @@ def cmd_augment(args, cfg: RunConfig) -> None:
     sources = sorted(in_dir.glob("*.blif"))
     if not sources:
         raise ValueError(f"no .blif source in {in_dir}")
+    variants = range(cfg.variants_per_circuit)
+    ids = {p: [p.stem, *(f"{p.stem}_v{j}" for j in variants)] for p in sources}  # copy first
     # a circuit id names its file: two entries with one id would overwrite it
     made_from: dict[str, str] = {}
     for src_path in sources:
         check_circuit_id(src_path.stem, src_path.name)
-        for suffix in ["", *(f"_v{j}" for j in range(cfg.variants_per_circuit))]:
-            cid = src_path.stem + suffix
+        for cid in ids[src_path]:
             if made_from.setdefault(cid, src_path.name) != src_path.name:
                 raise ValueError(
                     f"circuit id '{cid}' comes from both {made_from[cid]} and {src_path.name}"
@@ -115,7 +117,7 @@ def cmd_augment(args, cfg: RunConfig) -> None:
         except BlifError as exc:
             print(f"skipping {src_path.name}: {exc}", file=sys.stderr)
             continue
-        base = src_path.stem
+        base, *variant_ids = ids[src_path]
         copy_path = f"blif/{base}.blif"
         (out_dir / copy_path).write_text(write_blif(source))
         entries.append(
@@ -123,8 +125,7 @@ def cmd_augment(args, cfg: RunConfig) -> None:
         )
         decomposed = bound_fanin(source, cfg.decompose_arity)  # negation copies it
         k = min(cfg.negations_per_variant, len(decomposed.internal_signals()))
-        for j in range(cfg.variants_per_circuit):
-            variant_id = f"{base}_v{j}"
+        for j, variant_id in enumerate(variant_ids):
             rng_seed = _variant_seed(cfg.seed, base, j)
             variant = negate_random_signals(decomposed, k, rng_seed)
             variant.name = variant_id
@@ -329,15 +330,28 @@ def predict_order(netlist, params, mode: str, cfg: RunConfig, trace=None):
     return best, len(candidates)
 
 
-def cmd_predict(args, cfg: RunConfig) -> None:
-    netlist = read_blif(args.circuit)
-    check_circuit_id(netlist.name, f"{args.circuit}: .model")
-    params = M.load_params(args.weights)
-    trace = [] if args.trace else None
+def _read_circuit(path: str):
+    """The netlist of a command's one circuit, whose .model names a valid id."""
+    netlist = read_blif(path)
+    check_circuit_id(netlist.name, f"{path}: .model")
+    return netlist
+
+
+@contextmanager
+def _within_cap(netlist, cfg: RunConfig):
+    """Reports a diagram of `netlist` over the node cap as bad input."""
     try:
-        order, n_candidates = predict_order(netlist, params, args.mode, cfg, trace)
+        yield
     except bdd.NodeCapExceeded as exc:
         raise ValueError(f"{netlist.name}: {exc} (node_cap = {cfg.node_cap})") from None
+
+
+def cmd_predict(args, cfg: RunConfig) -> None:
+    netlist = _read_circuit(args.circuit)
+    params = M.load_params(args.weights)
+    trace = [] if args.trace else None
+    with _within_cap(netlist, cfg):
+        order, n_candidates = predict_order(netlist, params, args.mode, cfg, trace)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_orders(
@@ -377,16 +391,13 @@ def synthesize_circuit(netlist, order, cfg: RunConfig):
 
 
 def cmd_synth(args, cfg: RunConfig) -> None:
-    netlist = read_blif(args.circuit)
-    check_circuit_id(netlist.name, f"{args.circuit}: .model")
+    netlist = _read_circuit(args.circuit)
     orders = read_orders(args.orders)
     if netlist.name not in orders:
         raise ValueError(f"no order for '{netlist.name}' in {args.orders}")
     order = names_to_order(netlist, orders[netlist.name])
-    try:
+    with _within_cap(netlist, cfg):
         circuit, nodes, elapsed = synthesize_circuit(netlist, order, cfg)
-    except bdd.NodeCapExceeded as exc:
-        raise ValueError(f"{netlist.name}: {exc} (node_cap = {cfg.node_cap})") from None
     real = synth.write_real(circuit)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -15,15 +15,15 @@ one-beam group is greedy decoding.
 
 The pool advances in lockstep: each position is one decoder step over all
 B beams (`_advance`, a (B, H) LSTM step to (B, P) raw scores on bare
-arrays). `_decode` and `_greedy` each run whole inside one `no_grad()`
-block, so no step builds a Tensor or a VJP. Every pool names each row's
-graph in the encoded batch (`Pool.graphs`), and `_advance` gathers each
-row's keys and input embeddings by it; the beams of a search all name its
-one graph. The penalised scores depend only on the set of tokens claimed
-so far at the step, so the (B, P) scores are computed once per change of
-that set: a group that follows a group which claimed no new token goes on
-with the same scores. A token's penalty is subtracted from its column
-once, when it is first claimed.
+arrays). `diverse_beam_search` and `_greedy` each run whole inside one
+`no_grad()` block, so no step builds a Tensor or a VJP. Every pool names
+each row's graph in the encoded batch (`Pool.graphs`), and `_advance`
+gathers each row's keys and input embeddings by it; the beams of a search
+all name its one graph. The penalised scores depend only on the set of
+tokens claimed so far at the step, so the (B, P) scores are computed once
+per change of that set: a group that follows a group which claimed no new
+token goes on with the same scores. A token's penalty is subtracted from
+its column once, when it is first claimed.
 
 Each step keeps one mask row, `base`, of B * P entries: a beam's score on
 each continuation still open to it, and -inf on every visited input. A
@@ -36,6 +36,10 @@ keep it out too. That is the next entry of a stable sort of the pool with
 the taken ones masked out, so this claims exactly what a fresh ranking per
 group would.
 
+The claim loop only claims. `_trace` then writes the step's trace records,
+claim i as beam i of group i // quota: a group claims fewer than its quota
+only once every continuation is taken, and after that no group claims.
+
 The last position takes no decoder step. There each beam has one unvisited
 input, and its log-probability is exactly 0.0: it is the row's maximum, so
 its shifted score is 0.0, and every visited score lies more than 745 below
@@ -44,11 +48,11 @@ visited score carries `MASK_VALUE` (-1e9), and the penalty moves a score by
 at most one span, so this holds while every beam's span of raw scores is
 below (1e9 - 745) / 2. A pointer score is `ptr.v` times a tanh, so a
 `ptr.v` of 1-norm below (1e9 - 745) / 4, just under 2.5e8, guarantees it.
-`_decode` therefore runs `_advance` for positions 0 to P - 2 only, and gives
-each beam its last input at the beam's own score. The claims of that step
-go by score, ties to the lower beam, as a ranking would make them, so the
-trace is as it would be with the step. `_greedy` does the same at its final
-step, where every row left has one input left.
+`diverse_beam_search` therefore runs `_advance` for positions 0 to P - 2
+only, and gives each beam its last input at the beam's own score. `_trace`
+writes that step's claims by score, ties to the lower beam, as a ranking
+would make them, so the trace is as it would be with the step. `_greedy`
+does the same at its final step, where every row left has one input left.
 
 Greedy decoding is batched: `greedy_decode` of an `encode`d batch of graphs
 (one disjoint union) runs one pool with a row per graph, padded inputs
@@ -106,9 +110,7 @@ class SearchConfig:
                 f"beam width {self.beam_width} and groups {self.groups} must be at least 1"
             )
         if self.beam_width % self.groups != 0:
-            raise ValueError(
-                f"groups {self.groups} must divide beam width {self.beam_width}"
-            )
+            raise ValueError(f"groups {self.groups} must divide beam width {self.beam_width}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
 
@@ -139,103 +141,23 @@ def _span(raw: np.ndarray) -> np.ndarray:
     return raw.max(axis=1, keepdims=True) - raw.min(axis=1, keepdims=True)
 
 
-@no_grad()
-def _decode(
-    encoded: M.Encoded, params: M.ModelParams, config: SearchConfig
-) -> list[tuple[VarOrder, float]]:
-    """Grouped beam search over one shared pool of an encoded graph; see the
-    module docstring."""
-    if len(encoded.starts) != 1:
-        raise ValueError(f"beam search decodes one graph, not {len(encoded.starts)}")
-    num_pis, hdim = encoded.pi_embs.shape[0], params.config.hidden
-    if not num_pis:
-        return [(VarOrder(()), 0.0)]
-    quota = config.beam_width // config.groups
-    pool = Pool(
-        tokens=[()],
-        scores=np.zeros(1),
-        visited=np.zeros((1, num_pis), dtype=bool),
-        hidden=np.zeros((1, hdim)),
-        cell=np.zeros((1, hdim)),
-        graphs=np.zeros(1, dtype=np.int64),
-    )
-    for step in range(num_pis - 1):
-        raw, hidden, cell = _advance(pool, encoded, params)
-        # the mask is added before the penalty: an unvisited entry gets the
-        # same bits either way, and visited ones are -inf in base
-        penalized = raw + np.where(pool.visited, M.MASK_VALUE, 0.0)
-        penalty = config.alpha * _span(raw)[:, 0]  # (B,), subtracted once per claimed token
-        base = np.where(pool.visited, -np.inf, pool.scores[:, None]).ravel()  # the mask row
-        claimed: set[int] = set()  # tokens taken at this step
-        stale = True  # claimed has gained a token since the last ranking
-        taken: list[int] = []  # flat (beam, token) indices, in claim order
-        scores: list[float] = []
-        for group in range(config.groups):
-            if stale:
-                flat = base + log_softmax(penalized).ravel()
-                stale = False
-            for _ in range(quota):
-                k = int(flat.argmax())  # the first maximum: ties go to (beam, token) order
-                score = flat.item(k)
-                if score == -np.inf:
-                    break  # fewer continuations left than the quota
-                flat[k] = base[k] = -np.inf
-                token = k % num_pis
-                if token not in claimed:
-                    claimed.add(token)
-                    penalized[:, token] -= penalty
-                    stale = True
-                taken.append(k)
-                scores.append(score)
-                if config.trace is not None:
-                    config.trace.append(
-                        {
-                            "step": step,
-                            "group": group,
-                            "beam": len(taken) - 1,
-                            "token": token,
-                            "score": score,
-                        }
-                    )
-        rows, cols = np.divmod(np.array(taken), num_pis)
-        visited = pool.visited[rows]
-        visited[np.arange(len(rows)), cols] = True
-        pool = Pool(
-            tokens=[pool.tokens[b] + (t,) for b, t in zip(rows.tolist(), cols.tolist())],
-            scores=np.array(scores),
-            visited=visited,
-            hidden=hidden[rows],
-            cell=cell[rows],
-            graphs=pool.graphs[rows],
-        )
-    # the last position: each beam's one unvisited input has log-probability
-    # 0.0 (see the module docstring), so no decoder step runs, and the claims
-    # go by score, ties to the lower beam, as a ranking would make them
-    scores = pool.scores.tolist()
-    tokens = [t + (last,) for t, last in zip(pool.tokens, pool.visited.argmin(axis=1).tolist())]
+def _trace(config: SearchConfig, step: int, quota: int, tokens, scores) -> None:
+    """Write a step's trace records: claim i is beam i of group i // quota."""
     if config.trace is not None:
-        for beam, b in enumerate(sorted(range(len(tokens)), key=lambda i: -scores[i])):
-            config.trace.append(
-                {
-                    "step": num_pis - 1,
-                    "group": beam // quota,
-                    "beam": beam,
-                    "token": tokens[b][-1],
-                    "score": scores[b],
-                }
-            )
-    ranked = sorted(zip(scores, tokens), key=lambda c: (-c[0], c[1]))
-    return [(VarOrder(order), score) for score, order in ranked]
+        config.trace.extend(
+            {"step": step, "group": i // quota, "beam": i, "token": token, "score": score}
+            for i, (token, score) in enumerate(zip(tokens, scores))
+        )
 
 
 @no_grad()
 def _greedy(encoded: M.Encoded, params: M.ModelParams) -> list[tuple[VarOrder, float]]:
     """Argmax decoding of every graph of the batch in lockstep, one pool row
     per graph: a row takes the first maximum of its score plus the
-    log-softmax of its masked raw scores, as `_decode` ranks, with visited
-    and padded inputs masked, and leaves the pool once its graph's inputs
-    are all ordered. At the last step every row left has one input left,
-    which it takes with no decoder step, as `_decode` does. Returns each
+    log-softmax of its masked raw scores, as `diverse_beam_search` ranks,
+    with visited and padded inputs masked, and leaves the pool once its
+    graph's inputs are all ordered. At the last step every row left has one
+    input left, which it takes with no decoder step, as the beam search does. Returns each
     graph's order and summed log-probability.
     """
     sizes = encoded.real.sum(axis=1)
@@ -273,6 +195,7 @@ def greedy_decode(
     return _greedy(encode(graph, params), params)[0][0]
 
 
+@no_grad()
 def diverse_beam_search(
     graph: CircuitGraph | M.Encoded, params: M.ModelParams, config: SearchConfig
 ) -> list[tuple[VarOrder, float]]:
@@ -282,9 +205,58 @@ def diverse_beam_search(
     (fewer only when the number of permutations is smaller). `graph` may be
     an `encode`d graph, so that several searches share one encoding.
     """
-    if not isinstance(graph, M.Encoded):
-        graph = encode(graph, params)
-    return _decode(graph, params, config)
+    encoded = graph if isinstance(graph, M.Encoded) else encode(graph, params)
+    if len(encoded.starts) != 1:
+        raise ValueError(f"beam search decodes one graph, not {len(encoded.starts)}")
+    num_pis = encoded.pi_embs.shape[0]
+    if not num_pis:
+        return [(VarOrder(()), 0.0)]
+    quota = config.beam_width // config.groups
+    visited, hidden = np.zeros((1, num_pis), dtype=bool), np.zeros((1, params.config.hidden))
+    pool = Pool([()], np.zeros(1), visited, hidden, hidden, np.zeros(1, dtype=np.int64))
+    for step in range(num_pis - 1):
+        raw, hidden, cell = _advance(pool, encoded, params)
+        # the mask is added before the penalty: an unvisited entry gets the
+        # same bits either way, and visited ones are -inf in base
+        penalized = raw + np.where(pool.visited, M.MASK_VALUE, 0.0)
+        penalty = config.alpha * _span(raw)[:, 0]  # (B,), subtracted once per claimed token
+        base = np.where(pool.visited, -np.inf, pool.scores[:, None]).ravel()  # the mask row
+        claimed: set[int] = set()  # tokens taken at this step
+        stale = True  # claimed has gained a token since the last ranking
+        taken: list[int] = []  # flat (beam, token) indices, in claim order
+        scores: list[float] = []
+        for _ in range(config.groups):
+            if stale:
+                flat = base + log_softmax(penalized).ravel()
+                stale = False
+            for _ in range(quota):
+                k = int(flat.argmax())  # the first maximum: ties go to (beam, token) order
+                score = flat.item(k)
+                if score == -np.inf:
+                    break  # fewer continuations left than the quota
+                flat[k] = base[k] = -np.inf
+                token = k % num_pis
+                if token not in claimed:
+                    claimed.add(token)
+                    penalized[:, token] -= penalty
+                    stale = True
+                taken.append(k)
+                scores.append(score)
+        rows, cols = np.divmod(np.array(taken), num_pis)
+        _trace(config, step, quota, cols.tolist(), scores)
+        visited = pool.visited[rows]
+        visited[np.arange(len(rows)), cols] = True
+        tokens = [pool.tokens[b] + (t,) for b, t in zip(rows.tolist(), cols.tolist())]
+        pool = Pool(tokens, np.array(scores), visited, hidden[rows], cell[rows], pool.graphs[rows])
+    # the last position: each beam's one unvisited input has log-probability
+    # 0.0 (see the module docstring), so no decoder step runs, and the claims
+    # go by score, ties to the lower beam, as a ranking would make them
+    scores = pool.scores.tolist()
+    tokens = [t + (last,) for t, last in zip(pool.tokens, pool.visited.argmin(axis=1).tolist())]
+    claims = sorted(range(len(tokens)), key=lambda b: -scores[b])
+    _trace(config, num_pis - 1, quota, [tokens[b][-1] for b in claims], [scores[b] for b in claims])
+    ranked = sorted(zip(scores, tokens), key=lambda c: (-c[0], c[1]))
+    return [(VarOrder(order), score) for score, order in ranked]
 
 
 def select_best_order(

@@ -443,6 +443,112 @@ def test_search_outputs_are_pinned(mode):
     assert [s for _, s in results] == pytest.approx(scores, abs=1e-9)
 
 
+# The trace records of the three modes on GOLDEN's model and circuit. Each
+# mode gives the tokens each step claims, in claim order, one string per
+# step, and every record's score negated (a score is a summed
+# log-probability, at most 0), to 10 decimals. A record's beam is its place
+# among its step's claims and its group is beam // quota, as every record of
+# the search recorded here has it.
+TRACE_GOLDEN = {
+    "efficiency": (
+        "5 0 2 3 1 4",
+        """
+        1.4073017737 2.4845971616 3.6530852570 4.6322539522 5.3149004712 5.3149004712
+        """,
+    ),
+    "balance": (
+        "502341 05220544331100503545 22304511350400553033 32413322322143333524 "
+        "14331433124124333121 41414114441411441414",
+        """
+        1.4073017737 1.4292772789 1.6002693618 1.9987498589 1.9597015561 2.1710054823
+        2.4845971616 2.6083992920 2.8372297320 2.8704063071 2.9401188488 3.0660839757
+        3.0933662838 3.1066303480 3.0899222246 3.1101665567 3.2237976938 3.2435818116
+        3.2162254884 3.3029096648 3.3405414954 3.3815496136 3.3897388083 3.4125135186
+        3.4540192737 3.5426394776 3.6530852570 3.7957337772 3.8044153824 3.8601165161
+        3.8799376473 3.8928274053 3.8897520772 3.9967387646 3.9928931572 4.0222450385
+        4.0462954651 4.0829965389 4.1329719281 4.1474390822 4.2147092525 4.2375967261
+        4.2449945420 4.2469673602 4.3284588408 4.3423839637 4.6322539522 4.6960185017
+        4.7674002978 4.7684518075 4.7774978697 4.8207105873 4.8282604162 4.8390274210
+        4.8728927494 4.8856245358 4.9466636922 4.9581299504 4.9585182921 4.9689496291
+        4.9781275552 5.0024335470 5.0062220324 5.0097317045 5.0137432009 5.0241952955
+        5.3149004712 5.3360132294 5.2965148315 5.3060991388 5.3817113037 5.3966760463
+        5.4314212099 5.4352758988 5.4589875938 5.4652810984 5.4824400075 5.5043243600
+        5.5163700143 5.5234829371 5.5343360002 5.5436478797 5.5518604802 5.5553816512
+        5.5673365389 5.5702535153 5.2965148315 5.3060991388 5.3149004712 5.3360132294
+        5.3817113037 5.3966760463 5.4314212099 5.4352758988 5.4589875938 5.4652810984
+        5.4824400075 5.5043243600 5.5163700143 5.5234829371 5.5343360002 5.5436478797
+        5.5518604802 5.5553816512 5.5673365389 5.5702535153
+        """,
+    ),
+    "quality": (
+        "502341 052205443311005035452212341143 "
+        "22304511350400553033552042152024405120132203523400 "
+        "32413322322143333524112041432213412452411504345205 "
+        "14331433124124333122114443123334311131441442442231 "
+        "41414114441411441441431134344113144414114111134143",
+        """
+        1.4073017737 1.4292772789 1.6002693618 1.9987498589 1.9597015561 2.1710054823
+        2.4845971616 2.6083992920 2.8372297320 2.8704063071 2.9401188488 3.0660839757
+        3.0933662838 3.1066303480 3.0899222246 3.1101665567 3.2237976938 3.2435818116
+        3.2162254884 3.3029096648 3.3405414954 3.3815496136 3.3897388083 3.4125135186
+        3.4540192737 3.5426394776 3.5653673421 3.5745520012 3.5801148097 3.8659925930
+        3.8968125475 3.9111674068 4.0474645351 4.0720730139 4.1622082780 4.2256362306
+        3.6530852570 3.7957337772 3.8044153824 3.8601165161 3.8799376473 3.8928274053
+        3.8897520772 3.9967387646 3.9928931572 4.0222450385 4.0462954651 4.0829965389
+        4.1329719281 4.1474390822 4.2147092525 4.2375967261 4.2449945420 4.2469673602
+        4.3284588408 4.3423839637 4.3494680038 4.3597249320 4.3668390388 4.3688734586
+        4.3813082260 4.3998354429 4.4149862877 4.4326112122 4.4382256064 4.4405981923
+        4.4657608142 4.4743401833 4.4954913410 4.4969947213 4.4994188767 4.5076122893
+        4.5197469275 4.5207899006 4.5298718109 4.5361786684 4.5444254282 4.5691398470
+        4.5853297151 4.5944137498 4.6199496601 4.6292067207 4.6547064841 4.6693607496
+        4.6791349439 4.6866155982 4.6322539522 4.6960185017 4.7674002978 4.7684518075
+        4.7774978697 4.8207105873 4.8282604162 4.8390274210 4.8728927494 4.8856245358
+        4.9466636922 4.9581299504 4.9585182921 4.9689496291 4.9781275552 5.0024335470
+        5.0062220324 5.0097317045 5.0137432009 5.0241952955 5.0261893594 5.0283325581
+        5.0323673749 5.0328566050 5.0429366404 5.0519247864 5.0609693461 5.0852277802
+        5.0939384978 5.1210653777 5.1670713154 5.1729005884 5.1763260268 5.1846693513
+        5.1856082442 5.1868928691 5.1874572423 5.2005714973 5.2125519646 5.2132207800
+        5.2173098648 5.2179515245 5.2261014249 5.2271159275 5.2326946638 5.2822649722
+        5.2826664248 5.3048463802 5.3070561163 5.3083118623 5.3149004712 5.3360132294
+        5.2965148315 5.3060991388 5.3817113037 5.3966760463 5.4314212099 5.4352758988
+        5.4589875938 5.4652810984 5.4824400075 5.5043243600 5.5163700143 5.5234829371
+        5.5343360002 5.5436478797 5.5518604802 5.5553816512 5.5627098639 5.5673365389
+        5.5702535153 5.5721107775 5.5768130326 5.5873631010 5.5929577888 5.6032975968
+        5.6202995109 5.6250841284 5.6258971616 5.6345540909 5.6363356672 5.6394800784
+        5.6525636683 5.6866420453 5.6896160647 5.6909513327 5.6972252472 5.6993790477
+        5.7046000309 5.7078585559 5.7098951652 5.7144585626 5.7163199748 5.7204704587
+        5.7423761478 5.7462147045 5.7486231170 5.7561913986 5.7606741757 5.7625472273
+        5.2965148315 5.3060991388 5.3149004712 5.3360132294 5.3817113037 5.3966760463
+        5.4314212099 5.4352758988 5.4589875938 5.4652810984 5.4824400075 5.5043243600
+        5.5163700143 5.5234829371 5.5343360002 5.5436478797 5.5518604802 5.5553816512
+        5.5627098639 5.5673365389 5.5702535153 5.5721107775 5.5768130326 5.5873631010
+        5.5929577888 5.6032975968 5.6202995109 5.6250841284 5.6258971616 5.6345540909
+        5.6363356672 5.6394800784 5.6525636683 5.6866420453 5.6896160647 5.6909513327
+        5.6972252472 5.6993790477 5.7046000309 5.7078585559 5.7098951652 5.7144585626
+        5.7163199748 5.7204704587 5.7423761478 5.7462147045 5.7486231170 5.7561913986
+        5.7606741757 5.7625472273
+        """,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TRACE_GOLDEN))
+def test_search_trace_is_pinned(mode):
+    _, graph, params = make_toy_model(5, n_pis=6, n_gates=5)
+    config = SearchConfig(*search.MODES[mode], alpha=0.25, trace=[])
+    diverse_beam_search(graph, params, config)
+    steps, scores = TRACE_GOLDEN[mode]
+    quota = config.beam_width // config.groups
+    expected = [
+        {"step": step, "group": beam // quota, "beam": beam, "token": int(token)}
+        for step, tokens in enumerate(steps.split())
+        for beam, token in enumerate(tokens)
+    ]
+    assert [{k: v for k, v in r.items() if k != "score"} for r in config.trace] == expected
+    negated = [-r["score"] for r in config.trace]
+    assert negated == pytest.approx([float(s) for s in scores.split()], abs=1e-9)
+
+
 # -- hand-traced execution against scripted pointer scores ----------------------
 
 SCRIPT = {
