@@ -1,9 +1,10 @@
 """Minimal dense-tensor reverse-mode differentiation on numpy arrays.
 
 Just enough surface for the graph encoder and pointer decoder: elementwise
-arithmetic, matmul, activations, row gather/scatter, per-head reductions and
-a masked log-softmax. Everything runs in float64 with a fixed summation
-order, so runs are reproducible and finite-difference checks are tight.
+arithmetic, matmul, activations, row gather/scatter, per-head reductions, a
+masked log-softmax, and the decoder step as two fused ops, `lstm` and
+`pointer`. Everything runs in float64 with a fixed summation order, so runs
+are reproducible and finite-difference checks are tight.
 
 Every op takes Tensors or float64 arrays and computes its value once. Under
 `no_grad()` it returns that bare ndarray first, so inference builds no Tensor,
@@ -13,6 +14,14 @@ function from the output's gradient to that input's gradient. Only
 `Tensor.backward` routes gradients: it calls each input's VJP only when that
 input requires grad, in input order, and sums the result over the axes that
 broadcasting stretched the input along.
+
+A fused op's VJPs read intermediates that several inputs need, such as the
+LSTM's cell gradient. Such an op also hands `_node` a `shared` function of the
+output's gradient. `backward` calls it once per node and pass and gives its
+result to every VJP of the node in place of the gradient, so each input gets
+the same bits whichever inputs need grad. The fused ops multiply in the order
+of the elementary ops they replace, so they give the same bits as those ops
+composed.
 """
 
 from __future__ import annotations
@@ -50,14 +59,15 @@ def _unbroadcast(grad: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_shared")
 
-    def __init__(self, data, requires_grad=False, parents=(), vjps=()):
+    def __init__(self, data, requires_grad=False, parents=(), vjps=(), shared=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any([p.requires_grad for p in parents])
         self._parents = parents
         self._vjps = vjps
+        self._shared = shared
 
     @property
     def shape(self):
@@ -90,6 +100,8 @@ class Tensor:
         for node in reversed(topo):
             g = node.grad
             if g is not None:
+                if node._shared is not None:
+                    g = node._shared(g)
                 for parent, vjp in zip(node._parents, node._vjps):
                     if parent.requires_grad:
                         parent._accumulate(_unbroadcast(vjp(g), parent.data))
@@ -100,10 +112,11 @@ def value(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else x
 
 
-def _node(out, inputs, *vjps):
-    """An op's result with grad on: a Tensor of `out` keeping its inputs and VJPs."""
+def _node(out, inputs, *vjps, shared=None):
+    """An op's result with grad on: a Tensor of `out` keeping its inputs, VJPs
+    and the function that computes what its VJPs share, if any."""
     parents = tuple([x if isinstance(x, Tensor) else Tensor(x) for x in inputs])
-    return Tensor(out, parents=parents, vjps=vjps)
+    return Tensor(out, parents=parents, vjps=vjps, shared=shared)
 
 
 def add(a, b):
@@ -137,11 +150,6 @@ def matmul(a, b):
 def tanh(a):
     y = np.tanh(value(a))
     return _node(y, (a,), lambda g: g * (1.0 - y * y)) if _grad_enabled else y
-
-
-def sigmoid(a):
-    y = 1.0 / (1.0 + np.exp(-value(a)))
-    return _node(y, (a,), lambda g: g * y * (1.0 - y)) if _grad_enabled else y
 
 
 def leaky_relu(a, slope: float = 0.2):
@@ -250,14 +258,73 @@ def heads_scale(h, s, heads: int):
     )
 
 
-def outer_add(a, b):
-    """All sums of (B, H) rows and their (B, P, H) keys, one block of P per
-    row, as (B*P, H): row r*P + p is a[r] + b[r, p]."""
-    ax, bx = value(a), value(b)
-    y = (ax[:, None, :] + bx).reshape(-1, ax.shape[1])
+def lstm(x, h, c, Wx, Wh, b):
+    """One LSTM step for B rows: [hidden | cell] as (B, 2H).
+
+    h and c are (B, H), and x is (B, H) or one row that every row reads. Wx
+    and Wh are (H, 4H) and b is (1, 4H), with the input, forget, cell and
+    output gates in that order.
+    """
+    xx, hx, cx, wx, wh = value(x), value(h), value(c), value(Wx), value(Wh)
+    n = wh.shape[0]
+    z = xx @ wx + hx @ wh + value(b)
+    gi, gf, go = [1.0 / (1.0 + np.exp(-z[:, k * n : (k + 1) * n])) for k in (0, 1, 3)]
+    gg = np.tanh(z[:, 2 * n : 3 * n])
+    cell = gf * cx + gi * gg
+    tc = np.tanh(cell)
+    y = np.concatenate([go * tc, cell], axis=1)
     if not _grad_enabled:
         return y
-    return _node(y, (a, b), lambda g: g.reshape(bx.shape).sum(1), lambda g: g.reshape(bx.shape))
+
+    def shared(g):
+        """The cell's gradient dc, the preactivations' dz, and dz as x's matmul
+        sees it: summed over the rows when x is one row."""
+        gh = g[:, :n]
+        dc = gh * go * (1.0 - tc * tc) + g[:, n:]
+        dz_i, dz_f = dc * gg * gi * (1.0 - gi), dc * cx * gf * (1.0 - gf)
+        dz_g, dz_o = dc * gi * (1.0 - gg * gg), gh * tc * go * (1.0 - go)
+        dz = np.concatenate([dz_i, dz_f, dz_g, dz_o], axis=1)
+        return dc, dz, dz.sum(axis=0, keepdims=True) if len(xx) < len(dz) else dz
+
+    return _node(
+        y,
+        (x, h, c, Wx, Wh, b),
+        lambda s: s[2] @ wx.T,
+        lambda s: s[1] @ wh.T,
+        lambda s: s[0] * gf,
+        lambda s: xx.T @ s[2],
+        lambda s: hx.T @ s[1],
+        lambda s: s[1],
+        shared=shared,
+    )
+
+
+def pointer(h, Wq, keys, v):
+    """Pointer scores of B rows against their own (P, H) blocks of keys: the
+    (B*P, 1) column tanh(h @ Wq + keys) @ v, row r*P + p for row r and key p.
+
+    h is (B, H), Wq (H, H), keys (B, P, H) and v (H, 1).
+    """
+    hx, wq, kx, vx = value(h), value(Wq), value(keys), value(v)
+    att = np.tanh(((hx @ wq)[:, None, :] + kx).reshape(-1, wq.shape[1]))
+    y = att @ vx
+    if not _grad_enabled:
+        return y
+
+    def shared(g):
+        """The gradient, the pre-tanh gradient as (B, P, H), and its per-row sum."""
+        ds = ((g @ vx.T) * (1.0 - att * att)).reshape(kx.shape)
+        return g, ds, ds.sum(1)
+
+    return _node(
+        y,
+        (h, Wq, keys, v),
+        lambda s: s[2] @ wq.T,
+        lambda s: hx.T @ s[2],
+        lambda s: s[1],
+        lambda s: att.T @ s[0],
+        shared=shared,
+    )
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -313,8 +380,16 @@ class Adam:
         for k, p in self.params.items():
             if p.grad is None:
                 continue
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * p.grad
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (p.grad * p.grad)
-            m_hat = self.m[k] / b1c
-            v_hat = self.v[k] / b2c
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = p.grad, self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            step = np.multiply(g, g)
+            step *= 1.0 - self.beta2
+            v += step
+            # step = lr * m_hat / (sqrt(v_hat) + eps), built in place
+            np.divide(v, b2c, out=step)
+            np.sqrt(step, out=step)
+            step += self.eps
+            np.divide(self.lr * (m / b1c), step, out=step)
+            p.data -= step

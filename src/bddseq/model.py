@@ -15,9 +15,12 @@ inputs are computed once per batch and padded to the largest input count.
 Each decoder step is one `decoder_advance` over B rows, each row against its
 own (P, H) block of keys, gathered per row from the record: a training
 sample's graph, a greedy row's graph, or a beam's one graph. Padded and
-already chosen inputs are masked. Teacher forcing reads a record its caller
-laid out: `train` lays its validation set out once per epoch, as one batch,
-for both the validation loss and `eval_fn`'s greedy decode.
+already chosen inputs are masked. The step is two fused autodiff ops, `lstm`
+and `pointer`, whose hand-written VJPs compute their shared intermediates
+once per backward pass and give the same bits as the elementary LSTM and
+attention ops composed. Teacher forcing reads a record its caller laid out:
+`train` lays its validation set out once per epoch, as one batch, for both
+the validation loss and `eval_fn`'s greedy decode.
 
 Desk-scale defaults are hidden=64 / 3 layers / 4 heads / batch 8; the study
 this reproduces ran hidden=512 / 6 layers at batch 16.
@@ -189,26 +192,20 @@ def decoder_advance(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """One LSTM step for B sequences at once, then pointer attention.
 
-    hidden, cell and prev_emb are (B, H) tensors or arrays, and keys are
-    (B, P, H), one block of P pointer keys per sequence. Returns the raw
-    pointer scores as a (B*P, 1) column, row b*P + p for sequence b and
+    hidden, cell and prev_emb are (B, H) tensors or arrays (prev_emb may be
+    the one start row), and keys are (B, P, H), one block of P pointer keys
+    per sequence. The step is four autodiff nodes: the fused `ad.lstm`, a
+    slice each for hidden and cell, and the fused `ad.pointer`. Returns the
+    raw pointer scores as a (B*P, 1) column, row b*P + p for sequence b and
     input p, and the advanced hidden and cell states: Tensors, or bare
     arrays under `no_grad()`.
     """
     hdim = params.config.hidden
-    z = ad.add(
-        ad.add(ad.matmul(prev_emb, params["dec.Wx"]), ad.matmul(hidden, params["dec.Wh"])),
-        params["dec.b"],
-    )
-    gate_i = ad.sigmoid(ad.slice_cols(z, 0, hdim))
-    gate_f = ad.sigmoid(ad.slice_cols(z, hdim, 2 * hdim))
-    gate_g = ad.tanh(ad.slice_cols(z, 2 * hdim, 3 * hdim))
-    gate_o = ad.sigmoid(ad.slice_cols(z, 3 * hdim, 4 * hdim))
-    cell = ad.add(ad.mul(gate_f, cell), ad.mul(gate_i, gate_g))
-    hidden = ad.mul(gate_o, ad.tanh(cell))
-    q = ad.matmul(hidden, params["ptr.Wq"])  # (B, H)
-    att = ad.tanh(ad.outer_add(q, keys))  # (B*P, H)
-    return ad.matmul(att, params["ptr.v"]), hidden, cell
+    state = ad.lstm(
+        prev_emb, hidden, cell, params["dec.Wx"], params["dec.Wh"], params["dec.b"]
+    )  # (B, 2H)
+    hidden, cell = ad.slice_cols(state, 0, hdim), ad.slice_cols(state, hdim, 2 * hdim)
+    return ad.pointer(hidden, params["ptr.Wq"], keys, params["ptr.v"]), hidden, cell
 
 
 MASK_VALUE = -1e9

@@ -6,12 +6,20 @@ runs every input assignment at once, one per bit lane, through the netlist
 and through the cascade. The library's own check, `synth.verify_synthesis`,
 works on the diagrams the circuit was synthesized from, so it trusts the BDD
 engine; this one does not.
+
+`composed_decoder_advance` is the decoder step composed of elementary
+autodiff ops, 21 nodes a step, with `sigmoid` and `outer_add`, the two ops
+only it needs. The library fuses the step into `lstm` and `pointer`; the
+tests check that the fused step gives the same bits.
 """
 
 import csv
 import operator
 from pathlib import Path
 
+import numpy as np
+
+from bddseq import autodiff as ad
 from bddseq.bdd import FALSE, TRUE, VarOrder
 from bddseq.blif import evaluate, exhaustive_columns
 from bddseq.synth import run_cascade
@@ -186,3 +194,38 @@ def unprotect(mgr, ref: int) -> None:
     mgr.protected.remove(ref)
     if ref > TRUE:
         mgr.nodes[ref][3] -= 1
+
+
+def sigmoid(a):
+    y = 1.0 / (1.0 + np.exp(-ad.value(a)))
+    return ad._node(y, (a,), lambda g: g * y * (1.0 - y)) if ad._grad_enabled else y
+
+
+def outer_add(a, b):
+    """All sums of (B, H) rows and their (B, P, H) keys, one block of P per
+    row, as (B*P, H): row r*P + p is a[r] + b[r, p]."""
+    ax, bx = ad.value(a), ad.value(b)
+    y = (ax[:, None, :] + bx).reshape(-1, ax.shape[1])
+    if not ad._grad_enabled:
+        return y
+    return ad._node(
+        y, (a, b), lambda g: g.reshape(bx.shape).sum(1), lambda g: g.reshape(bx.shape)
+    )
+
+
+def composed_decoder_advance(hidden, cell, prev_emb, keys, params):
+    """`model.decoder_advance` as elementary ops: same arguments and results."""
+    hdim = params.config.hidden
+    z = ad.add(
+        ad.add(ad.matmul(prev_emb, params["dec.Wx"]), ad.matmul(hidden, params["dec.Wh"])),
+        params["dec.b"],
+    )
+    gate_i = sigmoid(ad.slice_cols(z, 0, hdim))
+    gate_f = sigmoid(ad.slice_cols(z, hdim, 2 * hdim))
+    gate_g = ad.tanh(ad.slice_cols(z, 2 * hdim, 3 * hdim))
+    gate_o = sigmoid(ad.slice_cols(z, 3 * hdim, 4 * hdim))
+    cell = ad.add(ad.mul(gate_f, cell), ad.mul(gate_i, gate_g))
+    hidden = ad.mul(gate_o, ad.tanh(cell))
+    q = ad.matmul(hidden, params["ptr.Wq"])  # (B, H)
+    att = ad.tanh(outer_add(q, keys))  # (B*P, H)
+    return ad.matmul(att, params["ptr.v"]), hidden, cell

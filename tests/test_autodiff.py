@@ -3,6 +3,7 @@ import pytest
 
 from bddseq import autodiff as ad
 from bddseq.autodiff import Adam, Tensor
+from tests import reference
 from tests.gradcheck import central_difference_errors
 
 
@@ -24,7 +25,8 @@ def fd_check(build, shapes, eps=1e-5, tol=1e-6, seed=0, probes=6):
 
 
 MASK = np.array([[0, -1e9, 0, 0, -1e9, 0.0], [0, 0, 0, -1e9, 0, 0]])
-# op -> (build, input shapes); every op of the module
+# op -> (build, input shapes); every op of the module, and the two ops that
+# only the reference decoder step in tests/reference.py still uses
 OPS = {
     "add": (ad.add, [(3, 4), (1, 4)]),
     "sub": (ad.sub, [(3, 4), (3, 4)]),
@@ -32,7 +34,7 @@ OPS = {
     "div": (ad.div, [(3, 4), (3, 4)]),
     "matmul": (ad.matmul, [(3, 4), (4, 2)]),
     "tanh": (ad.tanh, [(3, 4)]),
-    "sigmoid": (ad.sigmoid, [(3, 4)]),
+    "sigmoid": (reference.sigmoid, [(3, 4)]),
     "leaky_relu": (ad.leaky_relu, [(3, 4)]),
     "exp": (ad.exp, [(3, 4)]),
     "tsum": (ad.tsum, [(3, 4)]),
@@ -45,7 +47,10 @@ OPS = {
     "slice_cols": (lambda a: ad.slice_cols(a, 1, 3), [(3, 5)]),
     "heads_dot": (lambda h, a: ad.heads_dot(h, a, 2), [(5, 6), (2, 3)]),
     "heads_scale": (lambda h, s: ad.heads_scale(h, s, 2), [(5, 6), (5, 2)]),
-    "outer_add_per_row": (ad.outer_add, [(3, 4), (3, 5, 4)]),
+    "outer_add_per_row": (reference.outer_add, [(3, 4), (3, 5, 4)]),
+    "lstm": (ad.lstm, [(3, 4), (3, 4), (3, 4), (4, 16), (4, 16), (1, 16)]),
+    "lstm_one_x_row": (ad.lstm, [(1, 4), (3, 4), (3, 4), (4, 16), (4, 16), (1, 16)]),
+    "pointer": (ad.pointer, [(3, 4), (4, 4), (3, 5, 4), (4, 1)]),
     "log_softmax_pick": (lambda a: ad.log_softmax_pick(a, MASK, [2, 5]), [(2, 6)]),
 }
 
@@ -140,6 +145,27 @@ def test_shared_subgraph_accumulates():
     out = ad.add(ad.mul(a, a), ad.mul(a, a))  # 2a^2, d/da = 4a
     out.backward(np.array([[1.0]]))
     assert a.grad[0, 0] == pytest.approx(8.0)
+
+
+def test_adam_steps_in_place_with_the_textbook_bits():
+    # m and v are updated in place, and every step has the bits of the
+    # textbook expressions in their order
+    rng = np.random.default_rng(6)
+    p = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    opt = Adam({"p": p}, lr=0.01)
+    m, v = opt.m["p"], opt.v["p"]
+    data, want_m, want_v = p.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+    for step in range(1, 6):
+        p.grad = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-6, 3, size=(3, 4))
+        opt.step()
+        want_m = opt.beta1 * want_m + (1.0 - opt.beta1) * p.grad
+        want_v = opt.beta2 * want_v + (1.0 - opt.beta2) * (p.grad * p.grad)
+        m_hat = want_m / (1.0 - opt.beta1**step)
+        v_hat = want_v / (1.0 - opt.beta2**step)
+        data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        assert opt.m["p"] is m and opt.v["p"] is v
+        assert m.tobytes() == want_m.tobytes() and v.tobytes() == want_v.tobytes()
+        assert p.data.tobytes() == data.tobytes()
 
 
 def test_adam_zero_lr_keeps_params():

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from bddseq import autodiff as ad
 from bddseq import model as M
-from bddseq.autodiff import Tensor
+from bddseq.autodiff import Adam, Tensor
 from bddseq.bdd import VarOrder
 from bddseq.blif import parse_blif
 from bddseq.gen import desk_corpus, random_cover_netlist
 from bddseq.graph import CircuitGraph, FeatureConfig, blif2graph, disjoint_union
 from tests.conftest import T5_SRC, mutated_bytes
 from tests.gradcheck import gradient_check, perturb_params
+from tests.reference import composed_decoder_advance
 
 
 def tiny_graph(net, L=4):
@@ -300,31 +301,75 @@ def test_gradient_check_mixed_batch():
 
 
 def test_padded_key_rows_change_nothing(monkeypatch):
+    # noise on the padded rows of the laid-out keys reaches every decoder
+    # step, and moves neither the loss nor any gradient
     batch = toy_batch(5, (2, 6, 4))
     params = toy_params(batch, 5)
-    sizes = [g.num_pis for g, _ in batch]
+    graphs, labels = zip(*batch)
+    sizes = [g.num_pis for g in graphs]
     real = np.arange(max(sizes)) < np.array(sizes)[:, None]
-
-    def run():
-        for p in params.tensors.values():
-            p.grad = None
-        out = batch_loss(batch, params)
-        out.backward()
-        return out.item(), {k: p.grad.copy() for k, p in params.tensors.items()}
-
-    loss_a, grads_a = run()
-    outer_add = ad.outer_add
     noise = np.random.default_rng(0).standard_normal((len(batch), max(sizes), 8)) * 5.0
     noise[real] = 0.0
+    advance, seen = M.decoder_advance, []
 
-    def perturbed(a, keys):  # shift the padded rows of the per-sample keys
-        return outer_add(a, ad.add(keys, Tensor(noise)))
+    def spy(hidden, cell, prev, keys, params):
+        seen.append(ad.value(keys))
+        return advance(hidden, cell, prev, keys, params)
 
-    monkeypatch.setattr(ad, "outer_add", perturbed)
-    loss_b, grads_b = run()
+    monkeypatch.setattr(M, "decoder_advance", spy)
+
+    def run(shift):
+        for p in params.tensors.values():
+            p.grad = None
+        seen.clear()
+        encoded = M.batch_layout(graphs, params)
+        keys = encoded.keys.data + shift
+        encoded.keys = ad.add(encoded.keys, Tensor(shift))
+        out = M.loss(*M.sample_loss_terms(encoded, labels, params))
+        out.backward()
+        assert len(seen) == max(sizes)
+        assert all(k.tobytes() == keys.tobytes() for k in seen)
+        return out.item(), keys, {k: p.grad.copy() for k, p in params.tensors.items()}
+
+    loss_a, keys_a, grads_a = run(np.zeros_like(noise))
+    loss_b, keys_b, grads_b = run(noise)
+    assert (keys_a[real] == keys_b[real]).all() and (keys_a[~real] != keys_b[~real]).all()
     assert loss_a == loss_b
     for k in grads_a:
         assert np.array_equal(grads_a[k], grads_b[k]), k
+
+
+@pytest.mark.parametrize("sizes", [(1,), (4,), (3, 1, 6, 2), (5, 5, 2, 1, 4)])
+def test_fused_decoder_step_has_the_composed_steps_bits(sizes, monkeypatch):
+    # the fused step against the 21-op step it replaces, on one machine:
+    # losses, every gradient and the parameters after each Adam step
+    batch = toy_batch(11, sizes)
+    fused = M.decoder_advance
+
+    def run(advance):
+        monkeypatch.setattr(M, "decoder_advance", advance)
+        params = toy_params(batch, 11)
+        opt = Adam(params.tensors, lr=3e-3)
+        steps = []
+        for _ in range(3):
+            opt.zero_grad()
+            out = batch_loss(batch, params)
+            out.backward()
+            with ad.no_grad():
+                no_grad_loss = batch_loss(batch, params).item()
+            grads = {k: p.grad.copy() for k, p in params.tensors.items()}
+            opt.step()
+            data = {k: p.data.copy() for k, p in params.tensors.items()}
+            steps.append((out.item(), no_grad_loss, grads, data))
+        return steps
+
+    for (loss_f, ng_f, grads_f, data_f), (loss_c, ng_c, grads_c, data_c) in zip(
+        run(fused), run(composed_decoder_advance), strict=True
+    ):
+        assert loss_f == loss_c == ng_f == ng_c
+        for k in grads_c:
+            assert np.array_equal(grads_f[k], grads_c[k]), k
+            assert np.array_equal(data_f[k], data_c[k]), k
 
 
 @pytest.mark.parametrize("size", [0, -1])
