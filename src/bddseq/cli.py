@@ -21,10 +21,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import operator
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -155,10 +157,10 @@ def cmd_label(args, cfg: RunConfig) -> None:
     corpus = load_corpus(args.corpus)
     path = corpus.root / "label_report.csv"
     header = ["circuit_id", "winner", *bdd.HEURISTICS, "label_count", "time_seconds"]
-    # by circuit id; without --force a circuit with its label and row is kept
-    labels, rows = {}, {}
+    # by circuit id, (label names, report row): a circuit has both or neither,
+    # and without --force a circuit with both is kept
+    pairs = {}
     if not args.force:
-        labels = dict(corpus.labels)
         for old in (corpus.root / "labels.txt", path):
             if old.exists():
                 _check_kept(old, cfg)
@@ -166,10 +168,10 @@ def cmd_label(args, cfg: RunConfig) -> None:
             kept = [row for _, row in csv_rows(path)]
             if kept[:1] != [header]:
                 raise ValueError(f"{path}: header is not {header}; relabel with --force")
-            rows = {row[0]: row for row in kept[1:]}
+            pairs = {r[0]: (corpus.labels[r[0]], r) for r in kept[1:] if r[0] in corpus.labels}
     labeled = 0
     for entry in corpus.entries:
-        if entry.circuit_id in labels and entry.circuit_id in rows:
+        if entry.circuit_id in pairs:
             continue
         netlist = corpus.load_netlist(entry)
         start = time.perf_counter()
@@ -180,28 +182,21 @@ def cmd_label(args, cfg: RunConfig) -> None:
                 f"warning: {entry.circuit_id} exceeded the node cap; dropped",
                 file=sys.stderr,
             )
-            labels.pop(entry.circuit_id, None)  # a label goes with its row
-            rows.pop(entry.circuit_id, None)
             continue
         elapsed = _clock(cfg, start)
-        labels[entry.circuit_id] = order_to_names(netlist, report.order)
         labeled += 1
-        rows[entry.circuit_id] = [
+        row = [
             entry.circuit_id,
             report.winner,
             *(report.counts[name] for name in bdd.HEURISTICS),
             min(report.counts.values()),
             f"{elapsed:.6f}",
         ]
-    ordered = {
-        e.circuit_id: labels[e.circuit_id]
-        for e in corpus.entries
-        if e.circuit_id in labels
-    }
-    write_orders(corpus.root / "labels.txt", ordered, cfg)
-    in_order = [rows[e.circuit_id] for e in corpus.entries if e.circuit_id in rows]
-    write_csv(path, header, in_order, cfg)
-    print(f"labeled {labeled} circuits ({len(ordered)} total labels)")
+        pairs[entry.circuit_id] = (order_to_names(netlist, report.order), row)
+    in_order = [pairs[e.circuit_id] for e in corpus.entries if e.circuit_id in pairs]
+    write_orders(corpus.root / "labels.txt", {row[0]: names for names, row in in_order}, cfg)
+    write_csv(path, header, [row for _, row in in_order], cfg)
+    print(f"labeled {labeled} circuits ({len(in_order)} total labels)")
 
 
 # -- train -----------------------------------------------------------------------
@@ -256,55 +251,49 @@ def cmd_train(args, cfg: RunConfig) -> None:
         params, opt_state, start_epoch = M.init_params(mconfig, seed=cfg.seed), None, 0
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    one_epoch = M.TrainConfig(
-        epochs=1,
+    best_path = out_dir / "best.bin"
+    best_path.unlink(missing_ok=True)  # a best.bin belongs to the run beside it
+    best_tau = None
+
+    def keep_best(params, encoded, labels):  # saves best.bin as val_tau rises
+        nonlocal best_tau
+        metrics = _decode_metrics(params, encoded, labels)
+        tau = metrics.get("val_tau")
+        if tau is not None and (best_tau is None or tau > best_tau):
+            best_tau = tau
+            M.save_params(params, best_path)
+        return metrics
+
+    tconfig = M.TrainConfig(
+        epochs=cfg.epochs,
         batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate,
         seed=cfg.seed,
         uniform_weights=cfg.uniform_weights,
     )
-    # per-epoch shuffling depends only on (seed, epoch), so training one epoch
-    # at a time is identical to one long run and lets us checkpoint the best
-    rows = []
-    best_tau = None
-    best_epoch = None
-    for epoch in range(start_epoch, start_epoch + cfg.epochs):
-        params, history, opt_state = M.train(
-            train_set,
-            one_epoch,
-            params=params,
-            val_dataset=val_set,
-            eval_fn=_decode_metrics,
-            optimizer_state=opt_state,
-            start_epoch=epoch,
-        )
-        row = history[0]
-        rows.append(
-            [
-                row["epoch"],
-                f"{row['train_loss']:.6f}",
-                f"{row.get('val_loss', float('nan')):.6f}",
-                f"{row.get('val_tau', float('nan')):.6f}",
-                f"{row.get('val_rho', float('nan')):.6f}",
-            ]
-        )
-        tau = row.get("val_tau")
-        if tau is not None and (best_tau is None or tau > best_tau):
-            best_tau, best_epoch = tau, epoch
-            M.save_params(params, out_dir / "best.bin")
-    write_csv(
-        out_dir / "loss_trace.csv",
-        ["epoch", "train_loss", "val_loss", "val_tau", "val_rho"],
-        rows,
-        cfg,
+    params, history, opt_state = M.train(
+        train_set,
+        tconfig,
+        params=params,
+        val_dataset=val_set,
+        eval_fn=keep_best,
+        optimizer_state=opt_state,
+        start_epoch=start_epoch,
     )
+    columns = ["epoch", "train_loss", "val_loss", "val_tau", "val_rho"]
+    rows = [
+        [row["epoch"], *(f"{row.get(k, float('nan')):.6f}" for k in columns[1:])] for row in history
+    ]
+    write_csv(out_dir / "loss_trace.csv", columns, rows, cfg)
     M.save_params(params, out_dir / "weights.bin")
     M.save_checkpoint(params, opt_state, start_epoch + cfg.epochs, out_dir / "checkpoint.bin")
     trained = f"trained {cfg.epochs} epochs on {len(train_set)} circuits; "
-    if best_tau is None:
+    scored = [row for row in history if "val_tau" in row]
+    if not scored:
         print(trained + f"no val tau, so no best.bin was written: use {out_dir / 'weights.bin'}")
     else:
-        print(trained + f"best val tau {best_tau:.4f} at epoch {best_epoch}")
+        best = max(scored, key=lambda row: row["val_tau"])  # the first of ties, as keep_best
+        print(trained + f"best val tau {best['val_tau']:.4f} at epoch {best['epoch']}")
 
 
 # -- predict ---------------------------------------------------------------------
@@ -465,9 +454,9 @@ def cmd_eval(args, cfg: RunConfig) -> None:
         "rho",
     ]
     rows = []
-    totals: dict[str, list[float]] = {}
-    taus: dict[str, list[float]] = {}
-    rhos: dict[str, list[float]] = {}
+    # by method, in circuit order: (nodes, qc, time_seconds, tau, rho), the
+    # rank correlations None where there is no label to rank against
+    records: dict[str, list[tuple]] = {}
     skipped = 0  # circuits with a diagram over the node cap
 
     for entry in test_entries:
@@ -492,14 +481,12 @@ def cmd_eval(args, cfg: RunConfig) -> None:
             skipped += 1
             continue
         for method, order, order_secs, circuit, nodes, synth_secs in built:
-            qc = synth.quantum_cost(circuit)
-            tau = rho = ""
+            ranks = None, None
             if label is not None and method.startswith("model") and n >= 2:
-                t = kendall_tau(order.permutation, label.permutation)
-                r = spearman_rho(order.permutation, label.permutation)
-                taus.setdefault(method, []).append(t)
-                rhos.setdefault(method, []).append(r)
-                tau, rho = f"{t:.4f}", f"{r:.4f}"
+                pair = order.permutation, label.permutation
+                ranks = kendall_tau(*pair), spearman_rho(*pair)
+            qc, seconds = synth.quantum_cost(circuit), order_secs + synth_secs
+            records.setdefault(method, []).append((nodes, qc, seconds, *ranks))
             rows.append(
                 [
                     entry.circuit_id,
@@ -508,30 +495,29 @@ def cmd_eval(args, cfg: RunConfig) -> None:
                     qc,
                     f"{order_secs:.6f}",
                     f"{synth_secs:.6f}",
-                    f"{order_secs + synth_secs:.6f}",
-                    tau,
-                    rho,
+                    f"{seconds:.6f}",
+                    *("" if x is None else f"{x:.4f}" for x in ranks),
                 ]
             )
-            total = totals.setdefault(method, [0.0, 0.0, 0.0])
-            total[0] += nodes
-            total[1] += qc
-            total[2] += order_secs + synth_secs
     if skipped == len(test_entries):
         raise ValueError("every test circuit exceeded the node cap")
 
-    for method in sorted(totals):
+    # by method: (nodes, qc, time_seconds), the times added in circuit order
+    # (`sum` compensates floats from Python 3.12, which would move their bits)
+    totals = {}
+    for method in sorted(records):
+        node_counts, qcs, times, *rank_columns = zip(*records[method])
+        totals[method] = sum(node_counts), sum(qcs), reduce(operator.add, times, 0.0)
+        means = ([x for x in column if x is not None] for column in rank_columns)
         rows.append(
             [
                 "TOTAL",
                 method,
-                int(totals[method][0]),
-                int(totals[method][1]),
+                *totals[method][:2],
                 "",
                 "",
                 f"{totals[method][2]:.6f}",
-                f"{np.mean(taus[method]):.4f}" if method in taus else "",
-                f"{np.mean(rhos[method]):.4f}" if method in rhos else "",
+                *(f"{np.mean(xs):.4f}" if xs else "" for xs in means),
             ]
         )
     for method in sorted(totals):

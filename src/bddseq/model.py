@@ -328,9 +328,11 @@ def train(
 
     dataset and val_dataset are sequences of (CircuitGraph, VarOrder). Each
     epoch lays the validation set out once, as one no-grad `batch_layout`,
-    for its teacher-forced loss; eval_fn(params, encoded, labels) gets that
-    record and the labels, and may return extra per-epoch metrics such as
-    rank correlations of decoded orders. Returns (params, history,
+    for its teacher-forced loss. eval_fn(params, encoded, labels) runs once
+    per epoch, after the validation loss, on that epoch's parameters, with
+    that layout and the labels; the dict it returns, such as rank
+    correlations of decoded orders, joins the epoch's history row.
+    `bddseq train` keeps best.bin there. Returns (params, history,
     optimizer state) where history has one row per epoch.
     """
     if not dataset:

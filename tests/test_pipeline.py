@@ -509,7 +509,8 @@ def test_label_skips_existing_without_force(labeled_corpus, cfg_file, capsys):
 
 def test_label_again_keeps_the_report(labeled_corpus, cfg_file, capsys):
     # a circuit the run skips keeps its report row, and the rows stay in
-    # corpus order around a circuit labeled again
+    # corpus order around the circuits labeled again: one that lost its
+    # label, and another that lost its report row
     report, labels = labeled_corpus / "label_report.csv", labeled_corpus / "labels.txt"
     before = report.read_bytes(), labels.read_bytes()
     argv = ["--config", str(cfg_file), "label", str(labeled_corpus)]
@@ -517,11 +518,16 @@ def test_label_again_keeps_the_report(labeled_corpus, cfg_file, capsys):
     assert (report.read_bytes(), labels.read_bytes()) == before
     lines = labels.read_text().splitlines(keepends=True)
     listed = [i for i, line in enumerate(lines) if not line.startswith("#")]
-    del lines[listed[len(listed) // 2]]
+    unlabeled = lines.pop(listed[len(listed) // 2]).split()[0]
     labels.write_text("".join(lines))
+    lines = report.read_text().splitlines(keepends=True)
+    listed = [i for i, line in enumerate(lines) if not line.startswith("#")][1:]
+    unreported = next(i for i in listed[1:] if not lines[i].startswith(unlabeled + ","))
+    del lines[unreported]
+    report.write_text("".join(lines))
     capsys.readouterr()
     assert main(argv) == 0
-    assert "labeled 1 circuits" in capsys.readouterr().out
+    assert "labeled 2 circuits" in capsys.readouterr().out
     assert (report.read_bytes(), labels.read_bytes()) == before
 
 
@@ -669,6 +675,25 @@ def test_train_outputs_and_metric_ranges(trained_run):
         assert -1.0 <= float(row[4]) <= 1.0
     assert (trained_run / "weights.bin").exists()
     assert (trained_run / "best.bin").exists()
+
+
+def test_best_bin_holds_the_first_epoch_at_the_highest_val_tau(
+    labeled_corpus, cfg_file, tmp_path, capsys
+):
+    # the closing line names the best epoch E; a run of E + 1 epochs ends on
+    # the weights that best.bin holds
+    full = tmp_path / "full"
+    capsys.readouterr()
+    assert main(["--config", str(cfg_file), "train", str(labeled_corpus), "--out", str(full)]) == 0
+    epoch = int(re.search(r"at epoch (\d+)", capsys.readouterr().out).group(1))
+    _, rows = read_csv(full / "loss_trace.csv")
+    taus = [float(row[3]) for row in rows]
+    assert epoch == taus.index(max(taus))
+    short_cfg = tmp_path / "short.txt"
+    short_cfg.write_text(replace(RunConfig.load(cfg_file), epochs=epoch + 1).to_text())
+    short = tmp_path / "short"
+    assert main(["--config", str(short_cfg), "train", str(labeled_corpus), "--out", str(short)]) == 0
+    assert (short / "weights.bin").read_bytes() == (full / "best.bin").read_bytes()
 
 
 def test_resume_is_deterministic(labeled_corpus, cfg_file, tmp_path, trained_run):
@@ -830,13 +855,23 @@ def test_eval_report_totals_and_refusal(labeled_corpus, cfg_file, trained_run, t
          str(trained_run / "weights.bin"), "--out", str(out)]
     ) == 0
     header, rows = read_csv(out / "eval_report.csv")
+    assert header[2:4] == ["node_count", "qc"] and header[7:] == ["tau", "rho"]
     methods = {}
     for row in rows:
         if row[0] not in ("TOTAL", "RATIO"):
-            methods.setdefault(row[1], []).append(int(row[3]))
-    for row in rows:
-        if row[0] == "TOTAL":
-            assert int(row[3]) == sum(methods[row[1]])
+            methods.setdefault(row[1], []).append(row)
+    totals = [row for row in rows if row[0] == "TOTAL"]
+    assert sorted(row[1] for row in totals) == sorted(methods)
+    for row in totals:
+        cells = methods[row[1]]
+        for column in (2, 3):  # node_count and qc: exact sums
+            assert int(row[column]) == sum(int(cell[column]) for cell in cells)
+        for column in (7, 8):  # tau and rho: the mean of the circuits ranked
+            if row[1] in bdd.HEURISTICS:
+                assert row[column] == "" and all(cell[column] == "" for cell in cells)
+            else:
+                ranked = [float(cell[column]) for cell in cells if cell[column]]
+                assert ranked and abs(float(row[column]) - np.mean(ranked)) <= 1e-4
     # asking for a train-split circuit must be refused
     entries = read_manifest(labeled_corpus / "manifest.csv")
     train_id = next(e.circuit_id for e in entries if e.split == "train")
@@ -1025,6 +1060,8 @@ def test_train_without_val_tau_names_weights_bin(tmp_path, cfg_file, capsys):
     write_manifest(corpus / "manifest.csv", entries, RunConfig.load(cfg_file))
     write_orders(corpus / "labels.txt", {net.name: net.primary_inputs for net in nets})
     run = tmp_path / "run"
+    run.mkdir()
+    (run / "best.bin").write_bytes(b"an earlier run's best")  # goes with the run it belongs to
     assert main(["--config", str(cfg_file), "train", str(corpus), "--out", str(run)]) == 0
     assert (
         "no val tau, so no best.bin was written: use " + str(run / "weights.bin")
